@@ -88,6 +88,11 @@ def _require_number(cfg, key, *, positive=False, nonnegative=False):
     return value
 
 
+def _is_int(value):
+    """True for a JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # --- output ------------------------------------------------------------------
 
 def _format_cell(value):
@@ -148,7 +153,7 @@ def _axis_values(axis_cfg, name):
     lo = _require_number(axis_cfg, "min", nonnegative=True)
     hi = _require_number(axis_cfg, "max", nonnegative=True)
     steps = axis_cfg.get("steps")
-    if not isinstance(steps, int) or steps < 2:
+    if not _is_int(steps) or steps < 2:
         raise ConfigError(f"{name}.steps must be an integer >= 2")
     if not lo < hi:
         raise ConfigError(f"{name}: require min < max")
@@ -235,7 +240,7 @@ def run_sweep(cfg):
 
     if cross["enabled"]:
         periods = cross.get("periods")
-        if not isinstance(periods, int) or periods < 1:
+        if not _is_int(periods) or periods < 1:
             raise ConfigError("cross_check.periods must be a positive integer")
         cap = _require_number(cross, "photon_cap", positive=True)
         mono = np.empty((len(rows), 4, 4))
@@ -285,7 +290,7 @@ SIMULATE_DEFAULTS = {
 def _schedule_from_config(cfg):
     sched = cfg["schedule"]
     periods = sched.get("periods")
-    if not isinstance(periods, int) or periods < 0:
+    if not _is_int(periods) or periods < 0:
         raise ConfigError("schedule.periods must be a non-negative integer")
     try:
         return floquet.DriveSchedule(
@@ -333,7 +338,8 @@ def _initial_fock(initial, modes, cutoff):
             return fock.coherent_state(cutoff, _parse_alphas(alpha, modes))
         if kind == "number":
             occ = initial.get("occupations")
-            if not isinstance(occ, list) or len(occ) != modes:
+            if (not isinstance(occ, list) or len(occ) != modes
+                    or not all(_is_int(n) for n in occ)):
                 raise ConfigError(f"initial.occupations must list {modes} integers")
             return fock.number_state(cutoff, *occ)
     except ValueError as exc:
@@ -345,7 +351,7 @@ def run_simulate(cfg):
     """Per-period photon record for one schedule. Returns (header, rows, guard)."""
     schedule = _schedule_from_config(cfg)
     modes = cfg["modes"]
-    if modes not in (1, 2):
+    if not _is_int(modes) or modes not in (1, 2):
         raise ConfigError("modes must be 1 or 2")
     backend = cfg["backend"]
     if backend not in ("gaussian", "fock", "both"):
@@ -360,7 +366,7 @@ def run_simulate(cfg):
                                      photon_cap=photon_cap)
     if backend in ("fock", "both"):
         cutoff = cfg.get("cutoff")
-        if not isinstance(cutoff, int) or cutoff < 1:
+        if not _is_int(cutoff) or cutoff < 1:
             raise ConfigError("the fock backend requires an integer cutoff >= 1")
         state = _initial_fock(cfg["initial"], modes, cutoff)
         fock_traj = fock.propagate(state, schedule, record_states=False,

@@ -74,7 +74,12 @@ class DriveSchedule:
     def __post_init__(self):
         for name in ("gamma", "tau1", "omega", "tau2"):
             _require_finite_nonnegative(name, float(getattr(self, name)))
-        if int(self.periods) != self.periods or self.periods < 0:
+        if not isinstance(self.periods, int):
+            # an integral float such as 3.0 becomes 3, which range() accepts
+            if not math.isfinite(self.periods) or int(self.periods) != self.periods:
+                raise ValueError(f"periods must be an integer, got {self.periods!r}")
+            object.__setattr__(self, "periods", int(self.periods))
+        if self.periods < 0:
             raise ValueError(f"periods must be a non-negative integer, got {self.periods!r}")
         if self.periods > 0 and self.period <= 0:
             raise ValueError("period tau1 + tau2 must be positive when periods > 0")

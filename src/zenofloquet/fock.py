@@ -11,7 +11,10 @@ segment unitary, so the eigendecompositions are computed once per
 (Hamiltonian kind, cutoff) on the coupling-free generator and reused for
 every schedule.  Both segment generators conserve a number-like quantity
 (``n_a - n_b`` during amplification, ``n_a + n_b`` during exchange), which
-splits them into small tridiagonal blocks; propagation works block by block.
+splits them into small tridiagonal blocks.  The blocks are packed by length
+into a few padded eigenvector tensors, and a segment acts on a matrix of
+amplitude columns, so one propagation can carry many states (one per
+exchange angle in :func:`zeno_threshold_scan`).
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -264,77 +267,196 @@ def expectation(state: FockState, observable) -> float:
                      f"{state.mode_count}-mode state")
 
 
-# --- block propagation engine ------------------------------------------------
+# --- packed propagation engine -------------------------------------------------
 
-def _tridiagonal_block(indices, offdiag, diag=None):
-    m = len(indices)
-    if diag is None:
-        diag = np.zeros(m)
-    if m == 1:
-        w, v = diag.copy(), np.eye(1)
-    else:
-        w, v = eigh_tridiagonal(diag, offdiag)
-    idx = np.asarray(indices, dtype=np.intp)
-    for arr in (idx, w, v):
-        arr.setflags(write=False)
-    return idx, w, v
+#: Blocks per length bucket of the packed engine.
+BUCKET_BLOCKS = 8
 
 
-@lru_cache(maxsize=None)
-def _segment_blocks(label: HamiltonianLabel, cutoff: int):
-    """Eigendecomposed conserved-quantity blocks of the unit-coupling generator."""
+def _chains(label: HamiltonianLabel, cutoff: int):
+    """(basis indices, off-diagonal) of each conserved-quantity block.
+
+    Every block of a non-diagonal unit-coupling generator is a tridiagonal
+    chain with a zero diagonal.
+    """
     d = cutoff
-    blocks = []
     if label is HamiltonianLabel.TWO_MODE_UNSTABLE:
         # amplification conserves n_a - n_b; chains |n, n - delta>
         for delta in range(-d, d + 1):
             ns = np.arange(max(delta, 0), min(d, d + delta) + 1)
-            idx = ns * (d + 1) + (ns - delta)
-            off = np.sqrt((ns[:-1] + 1.0) * (ns[:-1] - delta + 1.0))
-            blocks.append(_tridiagonal_block(idx, off))
+            yield (ns * (d + 1) + (ns - delta),
+                   np.sqrt((ns[:-1] + 1.0) * (ns[:-1] - delta + 1.0)))
     elif label is HamiltonianLabel.TWO_MODE_STABLE:
         # exchange conserves n_a + n_b; chains |k, s - k>
         for s in range(0, 2 * d + 1):
             ks = np.arange(max(0, s - d), min(d, s) + 1)
-            idx = ks * (d + 1) + (s - ks)
-            off = np.sqrt((ks[:-1] + 1.0) * (s - ks[:-1]))
-            blocks.append(_tridiagonal_block(idx, off))
+            yield ks * (d + 1) + (s - ks), np.sqrt((ks[:-1] + 1.0) * (s - ks[:-1]))
     elif label is HamiltonianLabel.SINGLE_MODE_UNSTABLE:
         # pair creation conserves photon parity; chains n, n+2, ...
         for parity in (0, 1):
-            if parity > d:
-                continue
             ns = np.arange(parity, d + 1, 2)
-            off = np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
-            blocks.append(_tridiagonal_block(ns, off))
-    elif label is HamiltonianLabel.SINGLE_MODE_STABLE:
-        idx = np.arange(d + 1, dtype=np.intp)
-        w = np.arange(d + 1) + 0.5
-        idx.setflags(write=False)
-        w.setflags(write=False)
-        blocks.append((idx, w, None))  # already diagonal
-    return tuple(blocks)
+            yield ns, np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
 
 
-def _apply_segment(amplitudes: np.ndarray, label: HamiltonianLabel,
-                   cutoff: int, angle: float) -> np.ndarray:
-    """exp(-i * angle * generator) applied blockwise to an amplitude vector."""
-    if angle == 0.0:
-        return amplitudes
-    out = amplitudes.copy()
-    for idx, w, v in _segment_blocks(label, cutoff):
-        phases = np.exp(-1j * w * angle)
-        if v is None:
-            out[idx] = phases * amplitudes[idx]
-        else:
-            out[idx] = v @ (phases * (v.T @ amplitudes[idx]))
-    return out
+@dataclass(frozen=True)
+class _Packing:
+    """Eigendecomposed conserved-quantity blocks of one generator, packed.
+
+    The blocks are sorted by length and packed ``BUCKET_BLOCKS`` at a time
+    into buckets padded to their longest block; the packed rows are the
+    buckets' rows one after another.  ``gather`` is the basis row of every
+    packed row (padding repeats row 0), ``unpack`` the packed row of every
+    basis row and ``weights`` the eigenvalue of every packed row (0 on
+    padding).  Each bucket is ``(start, stop, vectors)``: its packed row
+    range and its ``(nblocks, L, L)`` real eigenvectors, zero on padding so
+    that padding neither reads nor writes an amplitude.  A diagonal
+    generator has no buckets.
+    """
+
+    gather: np.ndarray
+    unpack: np.ndarray
+    weights: np.ndarray
+    buckets: tuple
+
+
+@lru_cache(maxsize=None)
+def _packed_blocks(label: HamiltonianLabel, cutoff: int) -> _Packing:
+    """The packed eigendecomposition of a unit-coupling generator."""
+    if label is HamiltonianLabel.SINGLE_MODE_STABLE:
+        # (a+ a + a a+)/2 = n + 1/2 is already diagonal
+        rows = np.arange(cutoff + 1)
+        packing = _Packing(rows, rows, rows + 0.5, ())
+    else:
+        chains = sorted(_chains(label, cutoff), key=lambda chain: chain[0].size)
+        gather, real, weights, buckets = [], [], [], []
+        start = 0
+        for first in range(0, len(chains), BUCKET_BLOCKS):
+            group = chains[first:first + BUCKET_BLOCKS]
+            shape = (len(group), group[-1][0].size)
+            index = np.zeros(shape, dtype=np.intp)
+            used = np.zeros(shape, dtype=bool)
+            w = np.zeros(shape)
+            vectors = np.zeros(shape + shape[1:])
+            for k, (idx, off) in enumerate(group):
+                m = idx.size
+                index[k, :m], used[k, :m] = idx, True
+                if m == 1:
+                    vectors[k, 0, 0] = 1.0
+                else:
+                    w[k, :m], vectors[k, :m, :m] = eigh_tridiagonal(np.zeros(m), off)
+            vectors.setflags(write=False)
+            buckets.append((start, start + index.size, vectors))
+            start += index.size
+            gather.append(index.ravel())
+            real.append(used.ravel())
+            weights.append(w.ravel())
+        gather, real = np.concatenate(gather), np.concatenate(real)
+        unpack = np.empty((cutoff + 1) ** label.mode_count, dtype=np.intp)
+        unpack[gather[real]] = np.flatnonzero(real)
+        packing = _Packing(gather, unpack, np.concatenate(weights), tuple(buckets))
+    for arr in (packing.gather, packing.unpack, packing.weights):
+        arr.setflags(write=False)
+    return packing
+
+
+class _Segment:
+    """``exp(-i * angle * generator)`` of one segment on amplitude columns.
+
+    ``angles`` is one angle shared by every column or one angle per column.
+    The phases ``exp(-i * w * angle)`` are computed here, once per
+    propagation, not once per period.
+    """
+
+    def __init__(self, label: HamiltonianLabel, cutoff: int, angles):
+        self.packing = _packed_blocks(label, cutoff)
+        angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        self.identity = not angles.any()
+        self.phases = np.exp(-1j * self.packing.weights[:, None] * angles)
+
+    def keep(self, columns):
+        """Drop the phases of columns that left the active set."""
+        if self.phases.shape[1] > 1:
+            self.phases = self.phases[:, columns]
+
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """The segment applied to ``psi`` of shape (dim, columns)."""
+        packing = self.packing
+        if self.identity:
+            return psi
+        if not packing.buckets:
+            return psi * self.phases
+        # the eigenvectors are real, so both products run on the float64
+        # view of the complex columns: (rows, k) complex is (rows, 2k) real
+        x = psi[packing.gather].view(np.float64)
+        y = np.empty_like(x)
+        for start, stop, v in packing.buckets:
+            shape = v.shape[:2] + x.shape[1:]
+            np.matmul(v.transpose(0, 2, 1), x[start:stop].reshape(shape),
+                      out=y[start:stop].reshape(shape))
+        phased = y.view(np.complex128)
+        phased *= self.phases
+        for start, stop, v in packing.buckets:
+            shape = v.shape[:2] + x.shape[1:]
+            np.matmul(v, y[start:stop].reshape(shape),
+                      out=x[start:stop].reshape(shape))
+        return x.view(np.complex128)[packing.unpack]
 
 
 def _segment_labels(mode_count: int):
     if mode_count == 2:
         return HamiltonianLabel.TWO_MODE_UNSTABLE, HamiltonianLabel.TWO_MODE_STABLE
     return HamiltonianLabel.SINGLE_MODE_UNSTABLE, HamiltonianLabel.SINGLE_MODE_STABLE
+
+
+@lru_cache(maxsize=None)
+def _observable_rows(cutoff: int, mode_count: int) -> np.ndarray:
+    """Rows mapping basis probabilities to (n per mode..., leakage)."""
+    rows = np.vstack(_number_diagonals(cutoff, mode_count)
+                     + (_high_level_mask(cutoff, mode_count),)).astype(float)
+    rows.setflags(write=False)
+    return rows
+
+
+def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
+                  gamma_tau1: float, omega_tau2, periods: int, settle):
+    """The per-period stepping loop of every Fock propagation.
+
+    ``columns`` (dim, k) holds k initial amplitude vectors.  Each period
+    applies the amplifying segment (angle ``gamma_tau1``, shared by every
+    column) and then the exchange segment (``omega_tau2``, one angle or one
+    per column) to the active columns, and renormalizes them.  Then
+    ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
+    number, the original numbers of the m active columns, their amplitudes
+    (dim, m), their norms before renormalization (m,), photons per mode
+    (modes, m) and leakage (m,), and returns a boolean mask (m,) of the
+    columns that stop.  Stopped columns leave the active set; the loop ends
+    after ``periods`` periods or when no column is left.
+    """
+    label_u, label_s = _segment_labels(mode_count)
+    amplify = _Segment(label_u, cutoff, gamma_tau1)
+    exchange = _Segment(label_s, cutoff, omega_tau2)
+    rows = _observable_rows(cutoff, mode_count)
+    psi = np.array(columns, dtype=complex)  # renormalized in place below
+    active = np.arange(columns.shape[1])
+    for n in range(1, periods + 1):
+        psi = exchange(amplify(psi))
+        probs = psi.real ** 2 + psi.imag ** 2
+        norm_sq = probs.sum(axis=0)
+        psi /= np.sqrt(norm_sq)
+        observed = (rows @ probs) / norm_sq
+        stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
+        if stop.any():
+            keep = ~stop
+            active, psi = active[keep], psi[:, keep]
+            exchange.keep(keep)
+            if not active.size:
+                break
+
+
+def _require_leakage_threshold(value):
+    # a NaN threshold would never trip, so truncated runs would pass as safe
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"leakage_threshold must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -383,55 +505,43 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     """
     if not isinstance(state, FockState):
         raise ValueError("initial state must be a FockState")
-    label_u, label_s = _segment_labels(state.mode_count)
-    cutoff = state.cutoff
-    theta_u = schedule.gamma_tau1
-    theta_s = schedule.omega_tau2
+    _require_leakage_threshold(leakage_threshold)
+    cutoff, modes = state.cutoff, state.mode_count
+    psi = state.amplitudes.reshape(-1, 1)
+    observed = _observable_rows(cutoff, modes) @ (np.abs(psi[:, 0]) ** 2)
+    if observed[-1] >= leakage_threshold:
+        raise ValueError(f"initial state is not cutoff-safe "
+                         f"(leakage {observed[-1]:.2e} at cutoff {cutoff})")
 
-    psi = state.amplitudes.copy()
-    diags = _number_diagonals(cutoff, state.mode_count)
-    mask = _high_level_mask(cutoff, state.mode_count)
-
-    def observables(vec):
-        probs = np.abs(vec) ** 2
-        per_mode = np.array([d @ probs for d in diags])
-        return per_mode, float(probs[mask].sum())
-
-    per_mode0, leak0 = observables(psi)
-    if leak0 >= leakage_threshold:
-        raise ValueError(
-            f"initial state is not cutoff-safe (leakage {leak0:.2e} at cutoff {cutoff})")
-
-    n_rec = [per_mode0]
+    n_rec = [observed[:-1]]
     drift_rec = [0.0]
-    leak_rec = [leak0]
+    leak_rec = [float(observed[-1])]
     states = [state] if record_states else None
     status = "ok"
     first_unsafe = None
     completed = 0
 
-    for n in range(1, schedule.periods + 1):
-        psi = _apply_segment(psi, label_u, cutoff, theta_u)
-        psi = _apply_segment(psi, label_s, cutoff, theta_s)
-        norm = np.linalg.norm(psi)
-        psi = psi / norm
-        per_mode, leak = observables(psi)
-        n_rec.append(per_mode)
-        drift_rec.append(float(norm - 1.0))
-        leak_rec.append(leak)
+    def settle(n, active, psi, norm, per_mode, leak):
+        nonlocal status, first_unsafe, completed
+        n_rec.append(per_mode[:, 0])
+        drift_rec.append(float(norm[0] - 1.0))
+        leak_rec.append(float(leak[0]))
         if record_states:
-            states.append(FockState(state.mode_count, cutoff, psi))
+            states.append(FockState(modes, cutoff, psi[:, 0]))
         completed = n
-        if leak >= leakage_threshold and first_unsafe is None:
+        stop = False
+        if leak[0] >= leakage_threshold and first_unsafe is None:
             first_unsafe = n
             status = "truncation-unsafe"
-            if stop_on_unsafe:
-                break
-        if photon_cap is not None and sum(per_mode) > photon_cap:
+            stop = stop_on_unsafe
+        if photon_cap is not None and per_mode[:, 0].sum() > photon_cap:
             if status == "ok":
                 status = "photon-cap"
-            break
+            stop = True
+        return np.array([stop])
 
+    _step_periods(psi, modes, cutoff, schedule.gamma_tau1, schedule.omega_tau2,
+                  schedule.periods, settle)
     n_per_mode = np.array(n_rec)
     return FockTrajectory(
         n_per_mode=n_per_mode,
@@ -484,42 +594,54 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
     ``n_first / (2 * |half_trace - 1|)``, so resolving the boundary finer
     than the default grid-step scale needs a growth factor above that peak
     ratio and a cutoff that can hold the excursion.
+
+    The whole grid is propagated at once, one amplitude column per point;
+    a point leaves the active columns once it has its verdict.
     """
     grid = np.atleast_1d(np.asarray(omega_tau2_grid, dtype=float))
+    if not np.isfinite(grid).all():
+        raise ValueError("omega_tau2 grid must be finite")
     if grid.size and (grid.min() < -1e-12 or grid.max() > math.pi + 1e-12):
         raise ValueError("omega_tau2 grid must lie within [0, pi]")
+    if not math.isfinite(gamma_tau1) or gamma_tau1 < 0:
+        raise ValueError(f"gamma_tau1 must be finite and >= 0, got {gamma_tau1!r}")
+    _require_leakage_threshold(leakage_threshold)
+    if not math.isfinite(growth_factor) or growth_factor <= 0:
+        raise ValueError(f"growth_factor must be finite and > 0, got {growth_factor!r}")
+    if isinstance(periods, bool) or not math.isfinite(periods) \
+            or int(periods) != periods:
+        raise ValueError(f"periods must be an integer, got {periods!r}")
+    periods = int(periods)
     if not 1 <= periods <= 200:
         raise ValueError("periods must be between 1 and 200 for the scan")
     if cutoff is None:
         cutoff = default_cutoff(gamma_tau1, periods)
+    if not grid.size:
+        return ()
 
-    label_u, label_s = _segment_labels(2)
-    diags = _number_diagonals(cutoff, 2)
-    mask = _high_level_mask(cutoff, 2)
-    vac = vacuum_state(cutoff, 2).amplitudes
+    outcome = np.full(grid.size, "bounded", dtype=object)
+    n_final = np.zeros(grid.size)
+    periods_run = np.zeros(grid.size, dtype=int)
+    n_ref = np.zeros(grid.size)
 
-    points = []
-    for theta in grid:
-        psi = vac.copy()
-        outcome = "bounded"
-        n_tot = 0.0
-        n_ref = None
-        ran = 0
-        for n in range(1, periods + 1):
-            psi = _apply_segment(psi, label_u, cutoff, gamma_tau1)
-            psi = _apply_segment(psi, label_s, cutoff, float(theta))
-            psi = psi / np.linalg.norm(psi)
-            probs = np.abs(psi) ** 2
-            n_tot = float((diags[0] + diags[1]) @ probs)
-            ran = n
-            if float(probs[mask].sum()) >= leakage_threshold:
-                outcome = "indeterminate"
-                break
-            if n_ref is None:
-                n_ref = n_tot
-            elif n_ref > 1e-12 and n_tot > growth_factor * n_ref:
-                outcome = "growth"
-                break
-        points.append(ZenoScanPoint(omega_tau2=float(theta), outcome=outcome,
-                                    n_final=n_tot, periods_run=ran))
-    return tuple(points)
+    def settle(n, active, psi, norm, per_mode, leak):
+        n_tot = per_mode.sum(axis=0)
+        n_final[active] = n_tot
+        periods_run[active] = n
+        leaky = leak >= leakage_threshold
+        if n == 1:
+            n_ref[active] = n_tot
+            grown = np.zeros_like(leaky)
+        else:
+            ref = n_ref[active]
+            grown = ~leaky & (ref > 1e-12) & (n_tot > growth_factor * ref)
+        outcome[active[leaky]] = "indeterminate"
+        outcome[active[grown]] = "growth"
+        return leaky | grown
+
+    vacuum = vacuum_state(cutoff, 2).amplitudes[:, None]
+    _step_periods(np.broadcast_to(vacuum, (vacuum.size, grid.size)), 2, cutoff,
+                  gamma_tau1, grid, periods, settle)
+    return tuple(ZenoScanPoint(omega_tau2=float(theta), outcome=str(o),
+                               n_final=float(nf), periods_run=int(pr))
+                 for theta, o, nf, pr in zip(grid, outcome, n_final, periods_run))

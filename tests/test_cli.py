@@ -10,6 +10,9 @@ import pytest
 from zenofloquet import cli
 
 
+SCHEDULE = {"gamma": 0.1, "tau1": 1.0, "omega": 0.5, "tau2": 1.0, "periods": 3}
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -182,6 +185,16 @@ class TestSweep:
         monkeypatch.setenv("ZF_THREADS", "zzz")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"gamma_tau1": {"steps": True}},
+        {"omega_tau2": {"steps": True}},
+        {"cross_check": {"enabled": True, "periods": True}},
+    ])
+    def test_json_boolean_is_not_an_integer(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["sweep", "--config", str(path)]) == 2
+
 
 class TestSimulate:
     def test_vacuum_without_pump_is_flat_zero(self, tmp_path):
@@ -333,3 +346,21 @@ class TestSimulate:
         _, header, rows = read_csv(out)
         totals = [float(dict(zip(header, r))["n_total"]) for r in rows]
         np.testing.assert_allclose(totals, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("cfg", [
+        {"schedule": {**SCHEDULE, "periods": True}},
+        {"cutoff": True},
+        {"modes": True},
+        {"initial": {"type": "number", "occupations": [True, 0]}},
+    ])
+    def test_json_boolean_is_not_an_integer(self, tmp_path, cfg):
+        base = {"schedule": SCHEDULE, "backend": "fock", "cutoff": 10, **cfg}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base))
+        assert run_cli(["simulate", "--config", str(path),
+                        "--out", str(tmp_path / "run.csv")]) == 2
+        # with 1 in place of the boolean the config is valid (at cutoff 1
+        # the leakage guard may trip, exit 1)
+        path.write_text(json.dumps(base).replace("true", "1"))
+        assert run_cli(["simulate", "--config", str(path),
+                        "--out", str(tmp_path / "run.csv")]) in (0, 1)

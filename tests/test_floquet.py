@@ -49,6 +49,8 @@ class TestDriveSchedule:
         dict(gamma=1.0, tau1=math.nan, omega=0.0, tau2=1.0, periods=1),
         dict(gamma=1.0, tau1=1.0, omega=0.0, tau2=1.0, periods=-1),
         dict(gamma=1.0, tau1=0.0, omega=1.0, tau2=0.0, periods=1),  # T = 0
+        dict(gamma=1.0, tau1=1.0, omega=0.0, tau2=1.0, periods=2.5),
+        dict(gamma=1.0, tau1=1.0, omega=0.0, tau2=1.0, periods=math.inf),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):

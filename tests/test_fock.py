@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenofloquet import fock, gaussian
 from zenofloquet.floquet import Classification, DriveSchedule, classify_schedule
@@ -118,22 +120,38 @@ class TestSegmentUnitary:
         assert abs(amp) == pytest.approx(1.0, abs=1e-9)
 
     def test_blockwise_engine_matches_dense_unitary(self):
-        """The conserved-quantity block propagator equals exp(-iHt) directly."""
+        """The packed block engine equals exp(-iHt) column by column, with
+        one angle shared by the columns or one angle each."""
         rng = np.random.default_rng(6)
-        cases = [
-            (HamiltonianLabel.TWO_MODE_UNSTABLE, 2, 0.4),
-            (HamiltonianLabel.TWO_MODE_STABLE, 2, 1.7),
-            (HamiltonianLabel.SINGLE_MODE_UNSTABLE, 1, 0.6),
-            (HamiltonianLabel.SINGLE_MODE_STABLE, 1, 2.3),
-        ]
-        for label, modes, angle in cases:
-            cutoff = 7
+        cutoff = 7
+        angles = np.array([0.4, 1.7, 2.3, math.pi])
+        for label in HamiltonianLabel:
             h = build_hamiltonian(label, 1.0, cutoff)
-            u = segment_unitary(h, angle)
-            psi = rng.standard_normal(u.shape[0]) + 1j * rng.standard_normal(u.shape[0])
-            psi /= np.linalg.norm(psi)
-            via_blocks = fock._apply_segment(psi, label, cutoff, angle)
-            np.testing.assert_allclose(via_blocks, u @ psi, atol=1e-12)
+            dim = h.matrix.shape[0]
+            psi = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+            psi /= np.linalg.norm(psi, axis=0)
+            one = fock._Segment(label, cutoff, 0.6)(psi[:, :1])
+            np.testing.assert_allclose(one, segment_unitary(h, 0.6) @ psi[:, :1],
+                                       atol=1e-12)
+            many = fock._Segment(label, cutoff, angles)(psi)
+            for j, angle in enumerate(angles):
+                np.testing.assert_allclose(
+                    many[:, j], segment_unitary(h, angle) @ psi[:, j], atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(label=st.sampled_from(list(HamiltonianLabel)),
+           cutoff=st.integers(2, 12),
+           angle=st.floats(0.0, 2.0 * math.pi),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blockwise_engine_property(self, label, cutoff, angle, seed):
+        h = build_hamiltonian(label, 1.0, cutoff)
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(h.matrix.shape[0]) \
+            + 1j * rng.standard_normal(h.matrix.shape[0])
+        psi /= np.linalg.norm(psi)
+        via_blocks = fock._Segment(label, cutoff, angle)(psi[:, None])[:, 0]
+        np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
+                                   atol=1e-12)
 
 
 class TestStatesAndExpectations:
@@ -226,6 +244,12 @@ class TestPropagate:
         assert traj.norm_drift.shape == (26,)
         assert np.abs(traj.norm_drift).max() < 1e-12
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1e-8, 0.0])
+    def test_invalid_leakage_threshold_rejected(self, threshold):
+        s = DriveSchedule.from_products(0.1, 0.1, periods=1)
+        with pytest.raises(ValueError):
+            propagate(vacuum_state(8, 2), s, leakage_threshold=threshold)
+
     def test_unsafe_initial_state_rejected(self):
         s = DriveSchedule.from_products(0.1, 0.1, periods=1)
         with pytest.raises(ValueError):
@@ -256,6 +280,20 @@ class TestPropagate:
         assert traj.states is None
         with pytest.raises(TypeError):
             traj[0]
+
+    def test_idle_drive_keeps_the_state(self):
+        """With both angles zero each segment is the identity."""
+        state = number_state(6, 2, 1)
+        traj = propagate(state, DriveSchedule.from_products(0.0, 0.0, periods=3))
+        np.testing.assert_array_equal(traj[3].amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(traj.n_total, 3.0)
+
+    def test_integral_float_periods(self):
+        s = DriveSchedule.from_products(0.05, 1.0, periods=3.0)
+        assert s.periods == 3 and isinstance(s.periods, int)
+        traj = propagate(vacuum_state(20, 2), s, record_states=False)
+        assert traj.periods_completed == 3
+        assert len(traj) == 4
 
     def test_single_mode_squeezing_closed_form(self):
         g, n = 0.06, 5
@@ -380,3 +418,45 @@ class TestZenoScan:
             zeno_threshold_scan(0.1, [4.0])
         with pytest.raises(ValueError):
             zeno_threshold_scan(0.1, [0.5], periods=500)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma_tau1": math.nan},
+        {"gamma_tau1": math.inf},
+        {"gamma_tau1": -0.1},
+        {"grid": [0.5, math.nan]},
+        {"grid": [math.inf]},
+        {"growth_factor": 0.0},
+        {"growth_factor": -2.0},
+        {"growth_factor": math.nan},
+        {"periods": 150.5},
+        {"periods": True},
+        {"leakage_threshold": math.nan},
+        {"leakage_threshold": 0.0},
+    ])
+    def test_rejects_invalid_input(self, kwargs):
+        args = {"gamma_tau1": 0.2, "grid": [0.5], "periods": 5, "cutoff": 20}
+        args.update(kwargs)
+        with pytest.raises(ValueError):
+            zeno_threshold_scan(args.pop("gamma_tau1"), args.pop("grid"), **args)
+
+    def test_integral_float_periods(self):
+        assert zeno_threshold_scan(0.2, [0.5], periods=3.0, cutoff=20) == \
+            zeno_threshold_scan(0.2, [0.5], periods=3, cutoff=20)
+
+    def test_empty_grid(self):
+        assert zeno_threshold_scan(0.2, [], periods=5, cutoff=20) == ()
+
+    def test_batched_scan_equals_pointwise_scans(self):
+        """One call over the grid equals one call per point, on a grid that
+        mixes growth, indeterminate and bounded outcomes."""
+        g = 0.1
+        b = math.acos(1.0 / math.cosh(g))
+        grid = [0.0, b - 0.05, b + 0.02, 1.0, math.pi - b - 0.02, math.pi - b + 0.05]
+        kwargs = {"periods": 60, "cutoff": 20}
+        together = zeno_threshold_scan(g, grid, **kwargs)
+        assert {p.outcome for p in together} == {"growth", "indeterminate", "bounded"}
+        for point, theta in zip(together, grid):
+            (alone,) = zeno_threshold_scan(g, [theta], **kwargs)
+            assert (point.omega_tau2, point.outcome, point.periods_run) == \
+                (alone.omega_tau2, alone.outcome, alone.periods_run)
+            assert point.n_final == pytest.approx(alone.n_final, rel=1e-12, abs=0)
