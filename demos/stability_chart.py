@@ -53,8 +53,7 @@ def main():
         "gamma_tau1": {"min": 0.0, "max": 1.5, "steps": 151},
         "omega_tau2": {"min": 0.0, "max": math.pi, "steps": 151},
         "epsilon": 1e-9,
-        "cross_check": {"enabled": False, "periods": 10000,
-                        "photon_cap": 1e12, "cutoff": None},
+        "cross_check": {"enabled": False, "periods": 10000, "photon_cap": 1e12},
     })
     with open("stability_chart.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

@@ -10,14 +10,13 @@ truncation), 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
-import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,18 @@ from ._version import __version__
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination (exit code 2)."""
+
+
+class RunResult(NamedTuple):
+    """Output table of one subcommand and its run status.
+
+    ``status`` is ``"ok"`` or the ``;``-joined guards that tripped; anything
+    but ``"ok"`` exits with code 1.
+    """
+
+    header: list
+    rows: list
+    status: str = "ok"
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -144,7 +155,6 @@ SWEEP_DEFAULTS = {
         "enabled": False,
         "periods": 10000,
         "photon_cap": 1e12,
-        "cutoff": None,  # accepted for compatibility; the check is Gaussian
     },
 }
 
@@ -160,7 +170,7 @@ def _axis_values(axis_cfg, name):
     return np.linspace(lo, hi, steps)
 
 
-def _bounded_outcomes(monodromies, periods, photon_cap, workers):
+def _bounded_outcomes(monodromies, periods, photon_cap):
     """Vectorized Gaussian boundedness check from vacuum.
 
     Tracks per-point monodromy powers at doubling checkpoints (photon growth
@@ -170,18 +180,18 @@ def _bounded_outcomes(monodromies, periods, photon_cap, workers):
     """
     total = monodromies.shape[0]
     diverged = np.zeros(total, dtype=bool)
+    checkpoints = []
+    n = 1
+    while n < periods:
+        checkpoints.append(n)
+        n *= 2
+    checkpoints.append(periods)
 
-    def run(slc):
+    for start in range(0, total, 4096):
+        slc = slice(start, min(start + 4096, total))
         mats = monodromies[slc].copy()
         power = mats.copy()
-        flags = diverged[slc]
-        checkpoints = []
-        n = 1
-        while n < periods:
-            checkpoints.append(n)
-            n *= 2
-        checkpoints.append(periods)
-
+        flags = diverged[slc]  # a view: updating it in place marks `diverged`
         done = 1
         for target in checkpoints:
             if target > done:
@@ -201,29 +211,23 @@ def _bounded_outcomes(monodromies, periods, photon_cap, workers):
             flags |= newly
             power[flags] = np.eye(4)
             mats[flags] = np.eye(4)
-        diverged[slc] = flags
-
-    chunks = [slice(i, min(i + 4096, total)) for i in range(0, total, 4096)]
-    if workers > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for slc in chunks:
-            run(slc)
     return diverged
 
 
-def run_sweep(cfg):
-    """Stability map over the (gamma*tau1, omega*tau2) grid.
-
-    Returns (header, rows, guard_tripped).
-    """
+def run_sweep(cfg) -> RunResult:
+    """Stability map over the (gamma*tau1, omega*tau2) grid."""
     gammas = _axis_values(cfg["gamma_tau1"], "gamma_tau1")
     thetas = _axis_values(cfg["omega_tau2"], "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
     cross = cfg["cross_check"]
     if not isinstance(cross.get("enabled"), bool):
         raise ConfigError("cross_check.enabled must be true or false")
+    if cross["enabled"]:
+        periods = cross.get("periods")
+        if not _is_int(periods) or periods < 1:
+            raise ConfigError("cross_check.periods must be a positive integer")
+        cap = _require_number(cross, "photon_cap", positive=True)
+        mono = np.empty((gammas.size * thetas.size, 4, 4))
 
     header = ["gamma_tau1", "omega_tau2", "half_trace", "classification",
               "floquet_exponent"]
@@ -234,24 +238,14 @@ def run_sweep(cfg):
             schedule = floquet.DriveSchedule.from_products(g, t, periods=1)
             report = floquet.classify(floquet.monodromy(schedule),
                                       schedule.period, epsilon)
+            if cross["enabled"]:
+                mono[len(rows)] = gaussian.two_mode_period_symplectic(schedule)
             reports.append(report)
             rows.append([float(g), float(t), report.half_trace,
                          report.classification.value, report.floquet_exponent])
 
     if cross["enabled"]:
-        periods = cross.get("periods")
-        if not _is_int(periods) or periods < 1:
-            raise ConfigError("cross_check.periods must be a positive integer")
-        cap = _require_number(cross, "photon_cap", positive=True)
-        mono = np.empty((len(rows), 4, 4))
-        k = 0
-        for g in gammas:
-            for t in thetas:
-                mono[k] = gaussian.two_mode_period_symplectic(
-                    floquet.DriveSchedule.from_products(g, t, periods=1))
-                k += 1
-        workers = _worker_count()
-        diverged = _bounded_outcomes(mono, periods, cap, workers)
+        diverged = _bounded_outcomes(mono, periods, cap)
         header += ["gaussian_outcome", "disagreement"]
         for row, report, div in zip(rows, reports, diverged):
             outcome = "diverged" if div else "bounded"
@@ -261,17 +255,7 @@ def run_sweep(cfg):
                 unstable = report.classification is floquet.Classification.UNSTABLE
                 disagree = int(unstable != bool(div))
             row += [outcome, disagree]
-    return header, rows, False
-
-
-def _worker_count():
-    env = os.environ.get("ZF_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"ZF_THREADS must be an integer, got {env!r}")
-    return min(os.cpu_count() or 1, 8)
+    return RunResult(header, rows)
 
 
 # --- simulate ----------------------------------------------------------------
@@ -347,8 +331,8 @@ def _initial_fock(initial, modes, cutoff):
     raise ConfigError(f"unknown initial state type {kind!r}")
 
 
-def run_simulate(cfg):
-    """Per-period photon record for one schedule. Returns (header, rows, guard)."""
+def run_simulate(cfg) -> RunResult:
+    """Per-period photon record for one schedule."""
     schedule = _schedule_from_config(cfg)
     modes = cfg["modes"]
     if not _is_int(modes) or modes not in (1, 2):
@@ -403,15 +387,12 @@ def run_simulate(cfg):
                           gauss_traj.photons_per_mode[n][0])]
         rows.append(row)
 
-    guard = False
     status = []
     if gauss_traj is not None and gauss_traj.diverged:
-        guard = True
         status.append("gaussian-diverged")
     if fock_traj is not None and fock_traj.status != "ok":
-        guard = True
         status.append(f"fock-{fock_traj.status}")
-    return header, rows, guard, ("ok" if not status else ";".join(status))
+    return RunResult(header, rows, ";".join(status) or "ok")
 
 
 # --- estimate ----------------------------------------------------------------
@@ -438,14 +419,14 @@ def coupling_rate(eta, chi2, omega_a, omega_b, pump_intensity) -> float:
     return math.sqrt(eta**3 / 2.0 * chi2**2 * omega_a * omega_b * pump_intensity)
 
 
-def run_estimate(cfg):
+def run_estimate(cfg) -> RunResult:
     values = {k: _require_number(cfg, k, positive=True) for k in ESTIMATE_DEFAULTS}
     gamma_c = coupling_rate(values["eta"], values["chi2"], values["omega_a"],
                             values["omega_b"], values["pump_intensity"])
     gamma_tau1 = gamma_c * values["length"]
     header = list(ESTIMATE_DEFAULTS) + ["gamma_c_per_m", "gamma_tau1"]
     rows = [[values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]]
-    return header, rows, False
+    return RunResult(header, rows)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -557,24 +538,21 @@ def _estimate_overrides(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so that a wrapper installed on the module is used
+    defaults, overrides, run = {
+        "sweep": (SWEEP_DEFAULTS, _sweep_overrides, run_sweep),
+        "simulate": (SIMULATE_DEFAULTS, _simulate_overrides, run_simulate),
+        "estimate": (ESTIMATE_DEFAULTS, _estimate_overrides, run_estimate),
+    }[args.command]
     try:
-        if args.command == "sweep":
-            cfg = _resolve(SWEEP_DEFAULTS, args, _sweep_overrides(args))
-            header, rows, guard = run_sweep(cfg)
-            status = "ok"
-        elif args.command == "simulate":
-            cfg = _resolve(SIMULATE_DEFAULTS, args, _simulate_overrides(args))
-            header, rows, guard, status = run_simulate(cfg)
-        else:
-            cfg = _resolve(ESTIMATE_DEFAULTS, args, _estimate_overrides(args))
-            header, rows, guard = run_estimate(cfg)
-            status = "ok"
+        cfg = _resolve(defaults, args, overrides(args))
+        result = run(cfg)
     except ConfigError as exc:
         print(f"zenofloquet {args.command}: {exc}", file=sys.stderr)
         return 2
-    meta = _meta(args.command, cfg, status)
-    _write_output(args.out, args.format, meta, header, rows)
-    return 1 if guard else 0
+    meta = _meta(args.command, cfg, result.status)
+    _write_output(args.out, args.format, meta, result.header, result.rows)
+    return int(result.status != "ok")
 
 
 if __name__ == "__main__":

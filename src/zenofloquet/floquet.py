@@ -176,11 +176,19 @@ def stable_segment_matrix(omega: float, tau2: float) -> np.ndarray:
     return _rotation_transfer(omega * tau2)
 
 
+def pair_map(gamma_tau1: float, omega_tau2: float) -> np.ndarray:
+    """One-period map ``A_s(omega_tau2) @ A_u(gamma_tau1)`` of one quadrature pair.
+
+    Every pair map of the package is this function with signed products: the
+    amplifying segment acts first with ``A_u``, the exchange segment second
+    with the rotation ``A_s``.
+    """
+    return _rotation_transfer(omega_tau2) @ _hyperbolic_transfer(gamma_tau1)
+
+
 def monodromy(schedule: DriveSchedule) -> np.ndarray:
     """One-period map ``A = A_s @ A_u`` (amplifying segment acts first)."""
-    a_u = unstable_segment_matrix(schedule.gamma, schedule.tau1)
-    a_s = stable_segment_matrix(schedule.omega, schedule.tau2)
-    return a_s @ a_u
+    return pair_map(schedule.gamma_tau1, schedule.omega_tau2)
 
 
 def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
@@ -191,8 +199,7 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
     equals the trace of :func:`monodromy`, hence the stability condition is
     shared by both pairs.
     """
-    _require_finite_nonnegative("gamma", schedule.gamma)
-    return _rotation_transfer(-schedule.omega_tau2) @ _hyperbolic_transfer(-schedule.gamma_tau1)
+    return pair_map(-schedule.gamma_tau1, -schedule.omega_tau2)
 
 
 def classify(monodromy_matrix: np.ndarray, period: float,
@@ -258,7 +265,8 @@ def propagate_plus_mode(schedule: DriveSchedule, x0: float, p0: float) -> np.nda
     """Amplified-pair trajectory sampled at period boundaries.
 
     Returns an ``(N + 1, 2)`` array whose n-th row is ``A^n @ (x0, p0)``;
-    row 0 is the initial condition.
+    row 0 is the initial condition.  ``A`` is :func:`monodromy`, whose x<->p
+    swap is the plus pair of :func:`zenofloquet.gaussian.pm_period_blocks`.
     """
     a = monodromy(schedule)
     out = np.empty((schedule.periods + 1, 2))

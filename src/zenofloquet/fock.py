@@ -506,6 +506,9 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     if not isinstance(state, FockState):
         raise ValueError("initial state must be a FockState")
     _require_leakage_threshold(leakage_threshold)
+    # a NaN cap would never trip and a non-positive one trips on the vacuum
+    if photon_cap is not None and not photon_cap > 0:
+        raise ValueError(f"photon_cap must be > 0 or None, got {photon_cap!r}")
     cutoff, modes = state.cutoff, state.mode_count
     psi = state.amplitudes.reshape(-1, 1)
     observed = _observable_rows(cutoff, modes) @ (np.abs(psi[:, 0]) ** 2)

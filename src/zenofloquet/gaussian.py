@@ -11,24 +11,23 @@ Conventions (hbar = 1):
   orthogonal and symplectic.
 
 Heisenberg evolution under the switched drive maps each decoupled pair with
-the 2x2 segment matrices of :mod:`zenofloquet.floquet`: one full period
-advances the plus (difference) pair by ``A_s(-omega*tau2) @ A_u(gamma*tau1)``
-and the minus (sum) pair by ``A_s(omega*tau2) @ A_u(-gamma*tau1)``.  Both
-blocks share the half-trace ``|cos(omega*tau2) cosh(gamma*tau1)|``, so either
-one decides stability.
+:func:`zenofloquet.floquet.pair_map`: one full period advances the plus
+(difference) pair by ``pair_map(gamma*tau1, -omega*tau2)`` and the minus (sum)
+pair by ``pair_map(-gamma*tau1, omega*tau2)``.  Both blocks share the
+half-trace ``|cos(omega*tau2) cosh(gamma*tau1)|``, so either one decides
+stability.  With ``X`` the x<->p swap, the plus block is
+``X @ floquet.monodromy @ X`` and the minus block is
+``X @ floquet.minus_mode_monodromy @ X``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floquet import (
-    DriveSchedule,
-    _hyperbolic_transfer,
-    _rotation_transfer,
-)
+from .floquet import DriveSchedule, pair_map
 
 #: Default photon-number guard: evolution aborts with status "diverged"
 #: once the total expected photon number exceeds this value.
@@ -150,10 +149,15 @@ def squeezed_vacuum_state(rs, phis=None) -> GaussianState:
     return GaussianState(np.zeros(2 * rs.size), cov)
 
 
+def _photons_per_mode(mean, cov):
+    # n_i = (<x_i^2> + <p_i^2> - 1)/2, means included
+    diag = np.diag(cov) + mean**2
+    return (diag[0::2] + diag[1::2] - 1.0) / 2.0
+
+
 def photon_numbers(state: GaussianState) -> PhotonNumbers:
     """Expected photon numbers, means included: n_i = (<x_i^2> + <p_i^2> - 1)/2."""
-    diag = np.diag(state.covariance) + state.mean**2
-    per_mode = (diag[0::2] + diag[1::2] - 1.0) / 2.0
+    per_mode = _photons_per_mode(state.mean, state.covariance)
     return PhotonNumbers(per_mode=per_mode, total=float(per_mode.sum()))
 
 
@@ -185,9 +189,15 @@ def pm_to_quadratures(vector) -> np.ndarray:
 def pm_period_blocks(schedule: DriveSchedule):
     """One-period 2x2 maps of the decoupled plus and minus pairs."""
     g, w = schedule.gamma_tau1, schedule.omega_tau2
-    plus = _rotation_transfer(-w) @ _hyperbolic_transfer(g)
-    minus = _rotation_transfer(w) @ _hyperbolic_transfer(-g)
-    return plus, minus
+    return pair_map(g, -w), pair_map(-g, w)
+
+
+def _mode_basis(plus, minus) -> np.ndarray:
+    """block-diag(plus, minus) conjugated back to the (x_a, p_a, x_b, p_b) basis."""
+    blocks = np.zeros((4, 4))
+    blocks[:2, :2] = plus
+    blocks[2:, 2:] = minus
+    return PM_BASIS.T @ blocks @ PM_BASIS
 
 
 def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
@@ -197,40 +207,28 @@ def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     orthogonal basis change; equal to composing the two segment maps of
     :func:`segment_symplectics`.
     """
-    plus, minus = pm_period_blocks(schedule)
-    blocks = np.zeros((4, 4))
-    blocks[:2, :2] = plus
-    blocks[2:, 2:] = minus
-    return PM_BASIS.T @ blocks @ PM_BASIS
+    return _mode_basis(*pm_period_blocks(schedule))
 
 
 def single_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     """One-period 2x2 map of the degenerate (single-mode) drive.
 
     The sub-harmonic segment flows with the opposite hyperbolic sense, so the
-    map is ``A_s(omega*tau2) @ A_u(-gamma*tau1)``; its half-trace still equals
-    ``|cos(omega*tau2) cosh(gamma*tau1)|``.
+    map is the minus block ``pair_map(-gamma*tau1, omega*tau2)``; its
+    half-trace still equals ``|cos(omega*tau2) cosh(gamma*tau1)|``.
     """
-    return _rotation_transfer(schedule.omega_tau2) @ _hyperbolic_transfer(-schedule.gamma_tau1)
+    return pair_map(-schedule.gamma_tau1, schedule.omega_tau2)
 
 
 def segment_symplectics(schedule: DriveSchedule, mode_count: int = 2):
     """Per-segment symplectic maps (S_unstable, S_stable) in the mode basis."""
     g, w = schedule.gamma_tau1, schedule.omega_tau2
     if mode_count == 1:
-        return _hyperbolic_transfer(-g), _rotation_transfer(w)
+        return pair_map(-g, 0.0), pair_map(0.0, w)
     if mode_count != 2:
         raise ValueError(f"mode_count must be 1 or 2, got {mode_count}")
-    # generators: d/dt (xa,pa,xb,pb) = -gamma * perm  /  omega * xchg
-    perm = np.zeros((4, 4))
-    perm[0, 3] = perm[1, 2] = perm[2, 1] = perm[3, 0] = 1.0
-    xchg = np.array([[0.0, 0.0, 0.0, 1.0],
-                     [0.0, 0.0, -1.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0],
-                     [-1.0, 0.0, 0.0, 0.0]])
-    s_u = np.cosh(g) * np.eye(4) - np.sinh(g) * perm
-    s_s = np.cos(w) * np.eye(4) + np.sin(w) * xchg
-    return s_u, s_s
+    return (_mode_basis(pair_map(g, 0.0), pair_map(-g, 0.0)),
+            _mode_basis(pair_map(0.0, -w), pair_map(0.0, w)))
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,8 @@ class GaussianTrajectory:
 
     Behaves as a sequence of :class:`GaussianState` when states were
     recorded.  ``status`` is ``"ok"`` or ``"diverged"``; a diverged
-    trajectory ends at the first step whose total photon number exceeded the
-    cap.
+    trajectory ends at the first period whose total photon number exceeded
+    the cap or was not finite.
     """
 
     photons_per_mode: np.ndarray
@@ -265,12 +263,6 @@ class GaussianTrajectory:
         return self.status == "diverged"
 
 
-def _photon_stats(mean, cov):
-    diag = np.diag(cov) + mean**2
-    per_mode = (diag[0::2] + diag[1::2] - 1.0) / 2.0
-    return per_mode, float(per_mode.sum())
-
-
 def evolve(state: GaussianState, schedule: DriveSchedule, *,
            record_states: bool = True, per_segment: bool = False,
            photon_cap: float = PHOTON_CAP) -> GaussianTrajectory:
@@ -293,8 +285,9 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     per_segment : bool
         Sample after each segment rather than each full period.
     photon_cap : float
-        Divergence guard; evolution stops with status "diverged" once the
-        total photon number exceeds it.
+        Divergence guard, > 0 (``inf`` for no cap); evolution stops with
+        status "diverged" once the total photon number exceeds it or stops
+        being finite.
 
     Returns
     -------
@@ -302,6 +295,8 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     """
     if not isinstance(state, GaussianState):
         raise InvalidStateError("initial state must be a GaussianState")
+    if not photon_cap > 0:
+        raise ValueError(f"photon_cap must be > 0 (inf for no cap), got {photon_cap!r}")
     modes = state.mode_count
     if per_segment:
         s_u, s_s = segment_symplectics(schedule, modes)
@@ -314,9 +309,9 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     mean = state.mean.copy()
     cov = state.covariance.copy()
     states = [state] if record_states else None
-    per_mode0, total0 = _photon_stats(mean, cov)
-    per_mode_rec = [per_mode0]
-    totals = [total0]
+    per_mode = _photons_per_mode(mean, cov)
+    per_mode_rec = [per_mode]
+    totals = [float(per_mode.sum())]
     status = "ok"
     periods_completed = 0
 
@@ -326,13 +321,14 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
             cov = s @ cov @ s.T
             cov = (cov + cov.T) / 2.0
             if per_segment or s is step_maps[-1]:
-                per_mode, total = _photon_stats(mean, cov)
+                per_mode = _photons_per_mode(mean, cov)
                 per_mode_rec.append(per_mode)
-                totals.append(total)
+                totals.append(float(per_mode.sum()))
                 if record_states:
                     states.append(GaussianState(mean, cov))
         periods_completed = n
-        if totals[-1] > photon_cap:
+        # an overflowed total is inf, which an infinite cap does not exceed
+        if not (totals[-1] <= photon_cap and math.isfinite(totals[-1])):
             status = "diverged"
             break
 

@@ -32,6 +32,21 @@ def read_csv(path):
     return meta, rows[0], rows[1:]
 
 
+@pytest.mark.parametrize("run, cfg, status", [
+    (cli.run_sweep, cli.SWEEP_DEFAULTS, "ok"),
+    (cli.run_simulate, {**cli.SIMULATE_DEFAULTS, "schedule": {
+        "gamma": 0.5, "tau1": 1.0, "omega": 0.1, "tau2": 1.0, "periods": 3000}},
+     "gaussian-diverged"),
+    (cli.run_estimate, dict.fromkeys(cli.ESTIMATE_DEFAULTS, 1.0), "ok"),
+])
+def test_subcommands_return_one_result_shape(run, cfg, status):
+    result = run(cfg)
+    assert isinstance(result, cli.RunResult)
+    assert result[1] is result.rows
+    assert len(result.header) == len(result.rows[0])
+    assert result.status == status
+
+
 class TestEstimate:
     def test_reference_inputs_reproduce_quoted_orders(self, tmp_path):
         """Hand-evaluated: eta^3/2 * chi2^2 * wa * wb * Ip = 1.91664e-3 m^-2."""
@@ -167,13 +182,16 @@ class TestSweep:
         assert run_cli(["sweep", "--gamma-tau1", "1", "0", "5"]) == 2
         assert run_cli(["sweep", "--gamma-tau1", "0", "1", "1"]) == 2
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma_tau": {"min": 0}}))
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
+        for extra, key in (({"gamma_tau": {"min": 0}}, "gamma_tau"),
+                           ({"cross_check": {"cutoff": None}}, "cross_check.cutoff")):
+            cfg.write_text(json.dumps(extra))
+            assert run_cli(["sweep", "--config", str(cfg)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_zf_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZF_THREADS", "1")
+        """ZF_THREADS is retired: the sweep neither reads nor validates it."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gamma_tau1": {"min": 0.0, "max": 1.0, "steps": 5},
@@ -181,9 +199,12 @@ class TestSweep:
             "cross_check": {"enabled": True, "periods": 100},
         }))
         out = tmp_path / "s.csv"
+        monkeypatch.delenv("ZF_THREADS", raising=False)
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        unset = out.read_bytes()
         monkeypatch.setenv("ZF_THREADS", "zzz")
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == unset
 
     @pytest.mark.parametrize("cfg", [
         {"gamma_tau1": {"steps": True}},

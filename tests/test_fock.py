@@ -250,6 +250,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(vacuum_state(8, 2), s, leakage_threshold=threshold)
 
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
+    def test_invalid_photon_cap_rejected(self, cap):
+        s = DriveSchedule.from_products(0.0, 0.5, periods=3)
+        with pytest.raises(ValueError):
+            propagate(vacuum_state(8, 2), s, photon_cap=cap)
+
     def test_unsafe_initial_state_rejected(self):
         s = DriveSchedule.from_products(0.1, 0.1, periods=1)
         with pytest.raises(ValueError):

@@ -7,7 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from zenofloquet import gaussian
-from zenofloquet.floquet import Classification, DriveSchedule, classify_schedule
+from zenofloquet.floquet import (
+    Classification,
+    DriveSchedule,
+    classify_schedule,
+    minus_mode_monodromy,
+    monodromy,
+)
 from zenofloquet.gaussian import (
     GaussianState,
     InvalidStateError,
@@ -176,6 +182,23 @@ class TestPeriodMaps:
             assert np.trace(plus) == pytest.approx(expected, abs=1e-12)
             assert np.trace(minus) == pytest.approx(expected, abs=1e-12)
 
+    def test_pm_blocks_are_relabelled_floquet_maps(self):
+        """One pair map: gaussian's pairs are floquet's with x and p swapped.
+
+        The swap reorders the two products of each matrix element, which a
+        fused multiply-add in matmul may round differently, so the maps agree
+        to a rounding step of their largest entry.
+        """
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for s in random_schedules(200, seed=23):
+            plus, minus = pm_period_blocks(s)
+            for block, floquet_map in ((plus, monodromy(s)),
+                                       (minus, minus_mode_monodromy(s))):
+                np.testing.assert_allclose(
+                    block, swap @ floquet_map @ swap, rtol=0,
+                    atol=2 * np.finfo(float).eps * np.abs(block).max())
+            np.testing.assert_array_equal(single_mode_period_symplectic(s), minus)
+
     def test_quarter_turn_exchanges_modes(self):
         s = DriveSchedule.from_products(0.0, math.pi / 2, periods=1)
         m = two_mode_period_symplectic(s)
@@ -277,6 +300,22 @@ class TestEvolve:
         assert traj.photon_totals[-1] > 1e12
         assert traj.periods_completed < 10_000
         assert traj.photon_totals.size == traj.periods_completed + 1
+
+    def test_overflow_without_cap_is_divergence(self):
+        s = DriveSchedule.from_products(1.0, 0.1, periods=2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = evolve(vacuum_state(2), s, record_states=False,
+                          photon_cap=math.inf)
+        assert traj.diverged
+        assert traj.periods_completed < 2000
+        assert np.isfinite(traj.photon_totals[:-1]).all()
+        assert not np.isfinite(traj.photon_totals[-1])
+
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
+    def test_invalid_photon_cap_rejected(self, cap):
+        s = DriveSchedule.from_products(0.1, 0.5, periods=3)
+        with pytest.raises(ValueError):
+            evolve(vacuum_state(2), s, photon_cap=cap)
 
     def test_uncertainty_and_purity_preserved(self):
         s = DriveSchedule.from_products(0.3, 0.9, periods=50)
