@@ -5,15 +5,17 @@ exchange pass (product omega*tau2).  One period is advanced by the monodromy
 A = A_s @ A_u, and the motion is bounded exactly when |tr A|/2 =
 |cos(omega*tau2) cosh(gamma*tau1)| < 1.  This script prints a coarse text
 chart of that region and writes the fine-grid table to stability_chart.csv
-(same data the ``zenofloquet sweep`` subcommand emits).
+with the ``zenofloquet sweep`` subcommand, so the file starts with the
+sweep's ``# key=value`` meta lines.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from zenofloquet import cli
-from zenofloquet.floquet import Classification, DriveSchedule, classify_schedule
+from zenofloquet import cli, floquet
+from zenofloquet.floquet import DriveSchedule, classify_schedule
 
 
 def text_chart(rows=18, cols=64):
@@ -22,12 +24,11 @@ def text_chart(rows=18, cols=64):
     print("stability chart: '.' bounded (Zeno region), 'X' unstable")
     print(f"rows: gamma*tau1 from {gammas[0]:.2f} (top) to 0; "
           f"cols: omega*tau2 from 0 to pi")
-    for g in gammas:
-        line = ""
-        for w in thetas:
-            verdict = classify_schedule(
-                DriveSchedule.from_products(g, w, periods=1)).classification
-            line += "X" if verdict is Classification.UNSTABLE else "."
+    # the whole grid at once; unit segment durations give period 2
+    _, classes, _ = floquet.classify_stack(floquet.pair_map(gammas, thetas), 2.0)
+    for g, verdicts in zip(gammas, classes):
+        line = "".join("X" if v == floquet.Classification.UNSTABLE else "."
+                       for v in verdicts)
         print(f"{g:5.2f} |{line}|")
     print()
 
@@ -49,17 +50,10 @@ def boundary_examples():
 def main():
     text_chart()
     boundary_examples()
-    header, rows, _ = cli.run_sweep({
-        "gamma_tau1": {"min": 0.0, "max": 1.5, "steps": 151},
-        "omega_tau2": {"min": 0.0, "max": math.pi, "steps": 151},
-        "epsilon": 1e-9,
-        "cross_check": {"enabled": False, "periods": 10000, "photon_cap": 1e12},
-    })
-    with open("stability_chart.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cli._format_cell(v) for v in row) + "\n")
-    print(f"wrote stability_chart.csv ({len(rows)} grid points)")
+    code = cli.main(["sweep", "--out", "stability_chart.csv"])
+    if code != 0:
+        sys.exit(code)
+    print("wrote stability_chart.csv (the default 151x151 sweep)")
 
 
 if __name__ == "__main__":

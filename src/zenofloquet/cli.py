@@ -106,14 +106,6 @@ def _is_int(value):
 
 # --- output ------------------------------------------------------------------
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (np.floating,)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def _write_output(out_path, fmt, meta, header, rows):
     if fmt == "csv":
         buf = io.StringIO()
@@ -121,8 +113,9 @@ def _write_output(out_path, fmt, meta, header, rows):
             buf.write(f"# {key}={meta[key]}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        # np.float64 is a float subclass, so it takes the .17g branch too
+        writer.writerows(["%.17g" % v if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
         text = buf.getvalue()
     else:
         payload = {
@@ -170,53 +163,67 @@ def _axis_values(axis_cfg, name):
     return np.linspace(lo, hi, steps)
 
 
-def _bounded_outcomes(monodromies, periods, photon_cap):
+def _mul(x, y):
+    """2x2 products of two stacks held as their entry arrays ``(a, b, c, d)``."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa * ya + xb * yc, xa * yb + xb * yd,
+            xc * ya + xd * yc, xc * yb + xd * yd)
+
+
+def _bounded_outcomes(plus, minus, periods, photon_cap):
     """Vectorized Gaussian boundedness check from vacuum.
 
-    Tracks per-point monodromy powers at doubling checkpoints (photon growth
-    of an unstable map is eventually monotone, so checkpoint crossings catch
-    every divergence); points whose total photon number passes the cap are
-    frozen to avoid overflow.
+    ``plus`` and ``minus`` are ``(N, 2, 2)`` stacks of the decoupled pair
+    maps of N drives.  Tracks per-point powers at doubling checkpoints and at
+    ``periods`` (photon growth of an unstable map is eventually monotone, so
+    checkpoint crossings catch every divergence); points whose total photon
+    number passes the cap are frozen to the identity to avoid overflow.  The
+    powers are multiplied as four entry arrays, each holding both pairs of
+    every point, because batched ``@`` on 2x2 stacks is slow.
     """
-    total = monodromies.shape[0]
-    diverged = np.zeros(total, dtype=bool)
-    checkpoints = []
-    n = 1
-    while n < periods:
-        checkpoints.append(n)
-        n *= 2
-    checkpoints.append(periods)
+    diverged = np.zeros(plus.shape[0], dtype=bool)
 
-    for start in range(0, total, 4096):
-        slc = slice(start, min(start + 4096, total))
-        mats = monodromies[slc].copy()
-        power = mats.copy()
-        flags = diverged[slc]  # a view: updating it in place marks `diverged`
-        done = 1
-        for target in checkpoints:
-            if target > done:
-                # advance to the checkpoint: square, then top up by binary bits
-                remaining = target - done
-                step = mats
-                while remaining:
-                    if remaining & 1:
-                        power = step @ power
-                    remaining >>= 1
-                    if remaining:
-                        step = step @ step
-                done = target
-            # photons from vacuum after `done` periods: |S^n|_F^2 / 4 - 1
-            fro2 = np.einsum("kij,kij->k", power, power)
-            newly = ~flags & (fro2 / 4.0 - 1.0 > photon_cap)
-            flags |= newly
-            power[flags] = np.eye(4)
-            mats[flags] = np.eye(4)
+    def check(mats):
+        # photons from vacuum after n periods: the pm basis is orthogonal, so
+        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1
+        fro2 = sum(e * e for e in mats).sum(axis=0)
+        diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
+        for e, unit in zip(mats, (1.0, 0.0, 0.0, 1.0)):
+            e[:, diverged] = unit
+
+    # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
+    step = tuple(np.stack([plus[:, i, j], minus[:, i, j]])
+                 for i in (0, 1) for j in (0, 1))
+    power = None
+    n = 1
+    while True:
+        check(step)
+        if periods & n:
+            power = step if power is None else _mul(step, power)
+        if 2 * n > periods:
+            break
+        step = _mul(step, step)
+        n *= 2
+    check(power)
     return diverged
 
 
+def _require_gamma_tau1(name, value):
+    if value > floquet.MAX_GAMMA_TAU1:
+        raise ConfigError(
+            f"{name} = {value!r} exceeds {floquet.MAX_GAMMA_TAU1!r}, the largest "
+            "gamma*tau1 whose squared pair-map entries float64 can hold")
+
+
 def run_sweep(cfg) -> RunResult:
-    """Stability map over the (gamma*tau1, omega*tau2) grid."""
+    """Stability map over the (gamma*tau1, omega*tau2) grid.
+
+    The whole grid is classified in one pass, and the cross-check evolves
+    the plus and minus pair maps of every grid point together.
+    """
     gammas = _axis_values(cfg["gamma_tau1"], "gamma_tau1")
+    _require_gamma_tau1("gamma_tau1.max", float(gammas[-1]))
     thetas = _axis_values(cfg["omega_tau2"], "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
     cross = cfg["cross_check"]
@@ -227,35 +234,27 @@ def run_sweep(cfg) -> RunResult:
         if not _is_int(periods) or periods < 1:
             raise ConfigError("cross_check.periods must be a positive integer")
         cap = _require_number(cross, "photon_cap", positive=True)
-        mono = np.empty((gammas.size * thetas.size, 4, 4))
 
     header = ["gamma_tau1", "omega_tau2", "half_trace", "classification",
               "floquet_exponent"]
-    rows = []
-    reports = []
-    for g in gammas:
-        for t in thetas:
-            schedule = floquet.DriveSchedule.from_products(g, t, periods=1)
-            report = floquet.classify(floquet.monodromy(schedule),
-                                      schedule.period, epsilon)
-            if cross["enabled"]:
-                mono[len(rows)] = gaussian.two_mode_period_symplectic(schedule)
-            reports.append(report)
-            rows.append([float(g), float(t), report.half_trace,
-                         report.classification.value, report.floquet_exponent])
+    # unit segment durations, as DriveSchedule.from_products: period 2
+    half_trace, classes, exponent = floquet.classify_stack(
+        floquet.pair_map(gammas, thetas), 2.0, epsilon)
+    half_trace, classes = half_trace.ravel(), classes.ravel()
+    columns = [np.repeat(gammas, thetas.size).tolist(),
+               np.tile(thetas, gammas.size).tolist(),
+               half_trace.tolist(), classes.tolist(), exponent.ravel().tolist()]
 
     if cross["enabled"]:
-        diverged = _bounded_outcomes(mono, periods, cap)
+        plus, minus = gaussian.pm_pair_maps(gammas, thetas)
+        diverged = _bounded_outcomes(plus.reshape(-1, 2, 2),
+                                     minus.reshape(-1, 2, 2), periods, cap)
         header += ["gaussian_outcome", "disagreement"]
-        for row, report, div in zip(rows, reports, diverged):
-            outcome = "diverged" if div else "bounded"
-            in_band = abs(report.half_trace - 1.0) <= 1e-3
-            disagree = 0
-            if not in_band:
-                unstable = report.classification is floquet.Classification.UNSTABLE
-                disagree = int(unstable != bool(div))
-            row += [outcome, disagree]
-    return RunResult(header, rows)
+        unstable = classes == floquet.Classification.UNSTABLE.value
+        disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
+        columns += [np.where(diverged, "diverged", "bounded").tolist(),
+                    disagree.astype(int).tolist()]
+    return RunResult(header, [list(row) for row in zip(*columns)])
 
 
 # --- simulate ----------------------------------------------------------------
@@ -277,7 +276,7 @@ def _schedule_from_config(cfg):
     if not _is_int(periods) or periods < 0:
         raise ConfigError("schedule.periods must be a non-negative integer")
     try:
-        return floquet.DriveSchedule(
+        schedule = floquet.DriveSchedule(
             gamma=_require_number(sched, "gamma", nonnegative=True),
             tau1=_require_number(sched, "tau1", nonnegative=True),
             omega=_require_number(sched, "omega", nonnegative=True),
@@ -286,6 +285,8 @@ def _schedule_from_config(cfg):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _require_gamma_tau1("gamma*tau1", schedule.gamma_tau1)
+    return schedule
 
 
 def _initial_gaussian(initial, modes):

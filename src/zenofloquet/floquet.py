@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,16 @@ import numpy as np
 #: Half-trace distance from 1 below which a monodromy is reported Marginal.
 DEFAULT_EPSILON = 1e-9
 
-#: Tolerated determinant deviation for matrices fed to :func:`classify`.
+#: Floor of the tolerated determinant deviation for matrices fed to
+#: :func:`classify`; larger matrices are allowed their rounding bound (see
+#: :func:`_check_determinant`).
 DET_TOL = 1e-9
+
+#: Largest ``gamma*tau1`` for which every quantity formed from a pair map
+#: stays finite in float64.  The largest of them, the period-one Frobenius sum
+#: of the plus and minus maps in the sweep cross-check, is about
+#: ``8 cosh(gamma*tau1)^2``; a further factor 2 leaves room for rounding.
+MAX_GAMMA_TAU1 = math.acosh(math.sqrt(sys.float_info.max / 16.0))
 
 
 class InconsistentMatrixError(ValueError):
@@ -176,14 +185,23 @@ def stable_segment_matrix(omega: float, tau2: float) -> np.ndarray:
     return _rotation_transfer(omega * tau2)
 
 
-def pair_map(gamma_tau1: float, omega_tau2: float) -> np.ndarray:
+def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     """One-period map ``A_s(omega_tau2) @ A_u(gamma_tau1)`` of one quadrature pair.
 
     Every pair map of the package is this function with signed products: the
     amplifying segment acts first with ``A_u``, the exchange segment second
-    with the rotation ``A_s``.
+    with the rotation ``A_s``.  Two scalars give one 2x2 matrix; two 1-D
+    arrays give the maps of their product grid as a
+    ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stack, from one transfer
+    matrix per axis value and one batched matmul, equal bit for bit to the
+    scalar maps.
     """
-    return _rotation_transfer(omega_tau2) @ _hyperbolic_transfer(gamma_tau1)
+    if np.ndim(gamma_tau1) == 0 and np.ndim(omega_tau2) == 0:
+        hyp, rot = _hyperbolic_transfer(gamma_tau1), _rotation_transfer(omega_tau2)
+    else:
+        hyp = np.array([_hyperbolic_transfer(g) for g in gamma_tau1])[:, None]
+        rot = np.array([_rotation_transfer(w) for w in omega_tau2])[None, :]
+    return rot @ hyp
 
 
 def monodromy(schedule: DriveSchedule) -> np.ndarray:
@@ -202,6 +220,51 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
     return pair_map(-schedule.gamma_tau1, -schedule.omega_tau2)
 
 
+_BAND = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
+_BAND_VALUES = np.array([c.value for c in _BAND])
+
+
+def _check_determinant(a, b, c, d):
+    """Reject maps whose determinant ``a*d - b*c`` is not 1 within rounding.
+
+    Works on scalars and on arrays of entries.  An entry of a product of two
+    2x2 factors carries a rounding error of a few eps times the Frobenius
+    norm ``|A|_F``, so the determinant, bilinear in the entries, moves by a few
+    eps times ``|A|_F^2``; the largest deviation over 60000 random pair maps
+    (``gamma*tau1`` up to 354) and 20000 pendulum maps was 1.1 eps
+    ``|A|_F^2``, and the factor 4 leaves a margin above that.  ``DET_TOL`` is
+    the floor for small maps.  A NaN determinant fails the test, and so does
+    a map whose squared entries are not finite.
+    """
+    det = a * d - b * c
+    tol = np.maximum(DET_TOL, 4.0 * np.finfo(float).eps * (a * a + b * b + c * c + d * d))
+    bad = ~((np.abs(det - 1.0) <= tol) & np.isfinite(tol))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        raise InconsistentMatrixError(
+            f"determinant {float(np.ravel(det)[first])!r} deviates from 1 by "
+            f"more than {float(np.ravel(tol)[first])!r}")
+
+
+def _band_index(half_trace, epsilon):
+    """0 stable, 1 marginal, 2 unstable: the index into ``_BAND``."""
+    return 1 - (half_trace < 1.0 - epsilon) + (half_trace > 1.0 + epsilon)
+
+
+def _floquet_exponent(half_trace, period):
+    """Growth rate ``ln(lambda_max) / period`` of an unstable map.
+
+    Computed with ``math`` per value: ``np.log`` differs from ``math.log`` in
+    the last bit on some half-traces.
+    """
+    return math.log(half_trace + math.sqrt(half_trace**2 - 1.0)) / period
+
+
+def _require_period(period):
+    if not math.isfinite(period) or period <= 0:
+        raise ValueError(f"period must be positive and finite, got {period!r}")
+
+
 def classify(monodromy_matrix: np.ndarray, period: float,
              epsilon: float = DEFAULT_EPSILON) -> StabilityReport:
     """Classify a one-period map by its half-trace.
@@ -210,7 +273,7 @@ def classify(monodromy_matrix: np.ndarray, period: float,
     ----------
     monodromy_matrix : (2, 2) array
         Area-preserving one-period map; its determinant must equal 1 within
-        ``DET_TOL``.
+        rounding (see :func:`_check_determinant`).
     period : float
         Duration T of one period, used to convert the per-period eigenvalue
         growth into a rate.
@@ -224,25 +287,50 @@ def classify(monodromy_matrix: np.ndarray, period: float,
     m = np.asarray(monodromy_matrix, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not math.isfinite(period) or period <= 0:
-        raise ValueError(f"period must be positive and finite, got {period!r}")
+    _require_period(period)
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    det = a * d - b * c
-    if abs(det - 1.0) > DET_TOL:
-        raise InconsistentMatrixError(
-            f"determinant {det!r} deviates from 1 by more than {DET_TOL}")
+    _check_determinant(a, b, c, d)
     half_trace = abs(a + d) / 2.0
-    if half_trace > 1.0 + epsilon:
-        classification = Classification.UNSTABLE
-        exponent = math.log(half_trace + math.sqrt(half_trace**2 - 1.0)) / period
-    elif half_trace < 1.0 - epsilon:
-        classification = Classification.STABLE
-        exponent = 0.0
-    else:
-        classification = Classification.MARGINAL
-        exponent = 0.0
+    classification = _BAND[_band_index(half_trace, epsilon)]
+    exponent = 0.0
+    if classification is Classification.UNSTABLE:
+        exponent = _floquet_exponent(half_trace, period)
     return StabilityReport(half_trace=half_trace, classification=classification,
                            floquet_exponent=exponent, period=period)
+
+
+def classify_stack(maps: np.ndarray, period: float,
+                   epsilon: float = DEFAULT_EPSILON):
+    """:func:`classify` of a whole stack of one-period maps in one pass.
+
+    Parameters
+    ----------
+    maps : (..., 2, 2) array
+        One-period maps, such as the grid stack of :func:`pair_map`; every
+        determinant must equal 1 within rounding.
+    period, epsilon
+        As for :func:`classify`.
+
+    Returns
+    -------
+    (half_trace, classification, floquet_exponent)
+        Arrays of the stack's shape: float half-traces, the
+        :class:`Classification` values as strings, and float exponents.
+        Every entry equals the field :func:`classify` gives for its map.
+    """
+    m = np.asarray(maps, dtype=float)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
+    _require_period(period)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    _check_determinant(a, b, c, d)
+    half_trace = np.abs(a + d) / 2.0
+    band = _band_index(half_trace, epsilon)
+    exponent = np.zeros(half_trace.shape)
+    unstable = band == 2
+    exponent[unstable] = [_floquet_exponent(h, period)
+                          for h in half_trace[unstable].tolist()]
+    return half_trace, _BAND_VALUES[band], exponent
 
 
 def classify_schedule(schedule: DriveSchedule,

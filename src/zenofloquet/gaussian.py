@@ -186,10 +186,19 @@ def pm_to_quadratures(vector) -> np.ndarray:
     return PM_BASIS.T @ np.asarray(vector, dtype=float)
 
 
+def pm_pair_maps(gamma_tau1, omega_tau2):
+    """One-period 2x2 maps ``(plus, minus)`` of the decoupled pairs.
+
+    Takes the products as two scalars, or as two 1-D grid axes for the
+    ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stacks of
+    :func:`zenofloquet.floquet.pair_map`.
+    """
+    return pair_map(gamma_tau1, -omega_tau2), pair_map(-gamma_tau1, omega_tau2)
+
+
 def pm_period_blocks(schedule: DriveSchedule):
     """One-period 2x2 maps of the decoupled plus and minus pairs."""
-    g, w = schedule.gamma_tau1, schedule.omega_tau2
-    return pair_map(g, -w), pair_map(-g, w)
+    return pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
 
 
 def _mode_basis(plus, minus) -> np.ndarray:

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from zenofloquet import cli
+from zenofloquet import cli, floquet, gaussian
 
 
 SCHEDULE = {"gamma": 0.1, "tau1": 1.0, "omega": 0.5, "tau2": 1.0, "periods": 3}
@@ -165,6 +167,29 @@ class TestSweep:
                     else "bounded"
                 assert record["gaussian_outcome"] == expected
 
+    def test_large_gamma_tau1_keeps_determinant_within_rounding(self, tmp_path):
+        """Past gamma*tau1 ~ 8.5, a*d - b*c of a correct map misses 1 by more
+        than 1e-9; the determinant rule must allow its rounding."""
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--gamma-tau1", "0", "12", "3",
+                        "--omega-tau2", "0", "1", "2", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[3] for r in rows] == ["marginal", "stable"] + ["unstable"] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_tau1_at_the_limit_stays_finite(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--cross-check",
+                        "--gamma-tau1", "0", repr(floquet.MAX_GAMMA_TAU1), "2",
+                        "--omega-tau2", "0", repr(math.pi / 2), "3",
+                        "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        for row in rows[3:]:
+            record = dict(zip(header, row))
+            assert record["classification"] == "unstable"
+            assert math.isfinite(float(record["floquet_exponent"]))
+            assert record["gaussian_outcome"] == "diverged"
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         run_cli(["sweep", "--gamma-tau1", "0", "1", "2",
@@ -300,6 +325,16 @@ class TestSimulate:
         assert meta["status"] == "gaussian-diverged"
         assert len(rows) < 3001
 
+    def test_large_gamma_tau1_ends_in_divergence_guard(self, tmp_path):
+        out = tmp_path / "run.csv"
+        code = run_cli(["simulate", "--gamma", "30", "--tau1", "1",
+                        "--omega", "0", "--tau2", "1", "--periods", "3",
+                        "--out", str(out)])
+        assert code == 1
+        meta, _, rows = read_csv(out)
+        assert meta["status"] == "gaussian-diverged"
+        assert len(rows) == 2
+
     def test_single_mode_schema(self, tmp_path):
         out = tmp_path / "run.csv"
         run_cli(["simulate", "--gamma", "0.1", "--tau1", "1", "--omega", "0",
@@ -385,3 +420,63 @@ class TestSimulate:
         path.write_text(json.dumps(base).replace("true", "1"))
         assert run_cli(["simulate", "--config", str(path),
                         "--out", str(tmp_path / "run.csv")]) in (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma-tau1", "400", "401", "2", "--omega-tau2", "0", "1", "2"],
+    ["sweep", "--gamma-tau1", "711", "712", "2", "--omega-tau2", "0", "1", "2"],
+    ["simulate", "--gamma", "800", "--tau1", "1", "--omega", "0", "--tau2", "1",
+     "--periods", "3"],
+    ["simulate", "--gamma", "1e200", "--tau1", "1e200", "--omega", "0",
+     "--tau2", "1", "--periods", "3"],
+])
+def test_gamma_tau1_beyond_float64_range_is_usage_error(argv, capsys):
+    """cosh(gamma*tau1)^2 overflows near 355: reject, naming the limit."""
+    assert run_cli(argv) == 2
+    assert repr(floquet.MAX_GAMMA_TAU1) in capsys.readouterr().err
+
+
+def _grid_axis(lo, hi, steps):
+    return {"min": lo, "max": hi, "steps": steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(g_lo=st.just(0.0) | st.floats(0.0, 2.0), g_span=st.floats(0.01, 1.5),
+       g_steps=st.integers(2, 5), w_lo=st.just(0.0) | st.floats(0.0, 3.0),
+       w_hi=st.just(math.pi) | st.floats(0.1, 6.0), w_steps=st.integers(2, 5),
+       epsilon=st.sampled_from([1e-9, 1e-6, 1e-3, 0.05]),
+       periods=st.sampled_from([1, 2, 3, 777]))
+@example(g_lo=0.0, g_span=1.5, g_steps=4, w_lo=0.0, w_hi=math.pi, w_steps=5,
+         epsilon=1e-9, periods=777)
+def test_sweep_matches_pointwise_references(g_lo, g_span, g_steps, w_lo, w_hi,
+                                            w_steps, epsilon, periods):
+    """The whole-grid sweep equals the per-point references: ``classify`` of
+    each point's monodromy bit for bit, and, outside the 1e-3 band, the
+    photon-cap verdict of the 4x4 period map's ``periods``-th power."""
+    assume(w_lo < w_hi)
+    cap = 1e12
+    header, rows, status = cli.run_sweep({
+        "gamma_tau1": _grid_axis(g_lo, g_lo + g_span, g_steps),
+        "omega_tau2": _grid_axis(w_lo, w_hi, w_steps),
+        "epsilon": epsilon,
+        "cross_check": {"enabled": True, "periods": periods, "photon_cap": cap},
+    })
+    assert status == "ok"
+    gammas = np.linspace(g_lo, g_lo + g_span, g_steps).tolist()
+    thetas = np.linspace(w_lo, w_hi, w_steps).tolist()
+    assert [row[:2] for row in rows] == [[g, w] for g in gammas for w in thetas]
+    for row in rows:
+        schedule = floquet.DriveSchedule.from_products(row[0], row[1])
+        report = floquet.classify(floquet.monodromy(schedule), 2.0, epsilon)
+        assert row[2:5] == [report.half_trace, report.classification.value,
+                            report.floquet_exponent]
+        if abs(report.half_trace - 1.0) <= 1e-3:
+            assert row[6] == 0
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.linalg.matrix_power(
+                gaussian.two_mode_period_symplectic(schedule), periods)
+            diverged = not np.sum(power**2) / 4.0 - 1.0 <= cap
+        unstable = report.classification is floquet.Classification.UNSTABLE
+        assert row[5:] == ["diverged" if diverged else "bounded",
+                           int(unstable != diverged)]

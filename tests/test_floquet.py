@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zenofloquet import floquet
 from zenofloquet.floquet import (
@@ -172,6 +174,29 @@ class TestClassify:
     def test_determinant_violation_rejected(self):
         with pytest.raises(InconsistentMatrixError):
             classify(np.diag([2.0, 1.0]), period=1.0)
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ], ids=["singular", "nan", "inf"])
+    def test_singular_and_nonfinite_maps_rejected(self, matrix):
+        with pytest.raises(InconsistentMatrixError):
+            classify(np.array(matrix), period=1.0)
+        with pytest.raises(InconsistentMatrixError):
+            floquet.classify_stack(np.array([np.eye(2), matrix]), period=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.floats(0.0, floquet.MAX_GAMMA_TAU1), w=st.floats(-10.0, 10.0))
+    @example(g=20.0, w=0.0)  # a*d - b*c evaluates to 0.0 here
+    @example(g=14.239350012693112, w=-3.926961646672531)  # |ad| + |bc| << |A|_F^2
+    def test_pair_maps_pass_the_determinant_rule(self, g, w):
+        """Up to the float64 limit, rounding in a*d - b*c of a correct map
+        grows like eps * cosh(g)^2, far past the 1e-9 floor."""
+        for m in (floquet.pair_map(g, w), floquet.pair_map(-g, w)):
+            report = classify(m, period=2.0)
+            assert math.isfinite(report.floquet_exponent)
+            assert floquet.classify_stack(m[None], period=2.0)[0] == report.half_trace
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
