@@ -113,14 +113,15 @@ def _write_output(out_path, fmt, meta, header, rows):
             buf.write(f"# {key}={meta[key]}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        # np.float64 is a float subclass, so it takes the .17g branch too
+        # np.float64 is a float subclass, so it takes the .17g branch here
+        # and json encodes it as a float
         writer.writerows(["%.17g" % v if isinstance(v, float) else str(v)
                           for v in row] for row in rows)
         text = buf.getvalue()
     else:
         payload = {
             "meta": meta,
-            "rows": [dict(zip(header, (_json_cell(v) for v in row))) for row in rows],
+            "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, indent=1) + "\n"
     if out_path is None or out_path == "-":
@@ -128,14 +129,6 @@ def _write_output(out_path, fmt, meta, header, rows):
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _json_cell(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
 
 
 # --- sweep -------------------------------------------------------------------
@@ -161,52 +154,6 @@ def _axis_values(axis_cfg, name):
     if not lo < hi:
         raise ConfigError(f"{name}: require min < max")
     return np.linspace(lo, hi, steps)
-
-
-def _mul(x, y):
-    """2x2 products of two stacks held as their entry arrays ``(a, b, c, d)``."""
-    xa, xb, xc, xd = x
-    ya, yb, yc, yd = y
-    return (xa * ya + xb * yc, xa * yb + xb * yd,
-            xc * ya + xd * yc, xc * yb + xd * yd)
-
-
-def _bounded_outcomes(plus, minus, periods, photon_cap):
-    """Vectorized Gaussian boundedness check from vacuum.
-
-    ``plus`` and ``minus`` are ``(N, 2, 2)`` stacks of the decoupled pair
-    maps of N drives.  Tracks per-point powers at doubling checkpoints and at
-    ``periods`` (photon growth of an unstable map is eventually monotone, so
-    checkpoint crossings catch every divergence); points whose total photon
-    number passes the cap are frozen to the identity to avoid overflow.  The
-    powers are multiplied as four entry arrays, each holding both pairs of
-    every point, because batched ``@`` on 2x2 stacks is slow.
-    """
-    diverged = np.zeros(plus.shape[0], dtype=bool)
-
-    def check(mats):
-        # photons from vacuum after n periods: the pm basis is orthogonal, so
-        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1
-        fro2 = sum(e * e for e in mats).sum(axis=0)
-        diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
-        for e, unit in zip(mats, (1.0, 0.0, 0.0, 1.0)):
-            e[:, diverged] = unit
-
-    # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
-    step = tuple(np.stack([plus[:, i, j], minus[:, i, j]])
-                 for i in (0, 1) for j in (0, 1))
-    power = None
-    n = 1
-    while True:
-        check(step)
-        if periods & n:
-            power = step if power is None else _mul(step, power)
-        if 2 * n > periods:
-            break
-        step = _mul(step, step)
-        n *= 2
-    check(power)
-    return diverged
 
 
 def _require_gamma_tau1(name, value):
@@ -247,8 +194,8 @@ def run_sweep(cfg) -> RunResult:
 
     if cross["enabled"]:
         plus, minus = gaussian.pm_pair_maps(gammas, thetas)
-        diverged = _bounded_outcomes(plus.reshape(-1, 2, 2),
-                                     minus.reshape(-1, 2, 2), periods, cap)
+        diverged = gaussian.vacuum_diverges(plus.reshape(-1, 2, 2),
+                                            minus.reshape(-1, 2, 2), periods, cap)
         header += ["gaussian_outcome", "disagreement"]
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
@@ -294,16 +241,15 @@ def _initial_gaussian(initial, modes):
     if kind == "vacuum":
         return gaussian.vacuum_state(modes)
     if kind == "coherent":
-        alpha = initial.get("alpha")
-        if alpha is None:
-            raise ConfigError("initial.alpha required for a coherent state")
-        alphas = _parse_alphas(alpha, modes)
-        return gaussian.coherent_state(alphas)
+        return gaussian.coherent_state(_parse_alphas(initial, modes))
     raise ConfigError(f"initial state type {kind!r} not supported by the "
                       "gaussian backend (use vacuum or coherent)")
 
 
-def _parse_alphas(alpha, modes):
+def _parse_alphas(initial, modes):
+    alpha = initial.get("alpha")
+    if alpha is None:
+        raise ConfigError("initial.alpha required for a coherent state")
     arr = np.asarray(alpha, dtype=float)
     if arr.shape != (modes, 2):
         raise ConfigError(
@@ -317,10 +263,7 @@ def _initial_fock(initial, modes, cutoff):
         if kind == "vacuum":
             return fock.vacuum_state(cutoff, modes)
         if kind == "coherent":
-            alpha = initial.get("alpha")
-            if alpha is None:
-                raise ConfigError("initial.alpha required for a coherent state")
-            return fock.coherent_state(cutoff, _parse_alphas(alpha, modes))
+            return fock.coherent_state(cutoff, _parse_alphas(initial, modes))
         if kind == "number":
             occ = initial.get("occupations")
             if (not isinstance(occ, list) or len(occ) != modes
@@ -364,29 +307,24 @@ def run_simulate(cfg) -> RunResult:
     if backend == "both":
         header += ["delta_" + mode_cols[0]]
 
-    lengths = []
-    if gauss_traj is not None:
-        lengths.append(gauss_traj.photon_totals.size)
-    if fock_traj is not None:
-        lengths.append(fock_traj.n_total.size)
-    steps = min(lengths)
-
-    rows = []
-    for n in range(steps):
-        if backend == "gaussian":
-            per_mode = list(gauss_traj.photons_per_mode[n])
-            total = gauss_traj.photon_totals[n]
-        else:
-            per_mode = list(fock_traj.n_per_mode[n])
-            total = fock_traj.n_total[n]
-        row = [n] + [float(v) for v in per_mode] + [
-            float(total), report.half_trace, report.classification.value]
-        if backend == "fock":
-            row += [float(fock_traj.norm_drift[n]), float(fock_traj.leakage[n])]
-        if backend == "both":
-            row += [float(fock_traj.n_per_mode[n][0] -
-                          gauss_traj.photons_per_mode[n][0])]
-        rows.append(row)
+    # the fock record is printed whenever it exists; a run stopped by a guard
+    # records fewer periods, and the table ends with the shorter record
+    if backend == "gaussian":
+        per_mode, total = gauss_traj.photons_per_mode, gauss_traj.photon_totals
+    else:
+        per_mode, total = fock_traj.n_per_mode, fock_traj.n_total
+    steps = total.size
+    if backend == "both":
+        steps = min(steps, gauss_traj.photon_totals.size)
+    columns = [range(steps), *per_mode[:steps].T.tolist(), total[:steps].tolist(),
+               [report.half_trace] * steps, [report.classification.value] * steps]
+    if backend == "fock":
+        columns += [fock_traj.norm_drift[:steps].tolist(),
+                    fock_traj.leakage[:steps].tolist()]
+    if backend == "both":
+        columns.append((fock_traj.n_per_mode[:steps, 0]
+                        - gauss_traj.photons_per_mode[:steps, 0]).tolist())
+    rows = [list(row) for row in zip(*columns)]
 
     status = []
     if gauss_traj is not None and gauss_traj.diverged:
@@ -439,6 +377,8 @@ def _add_common(parser):
 
 
 def _build_parser():
+    """Each subcommand flag's dest is the config key it overrides, dotted for
+    a nested key; metavar keeps such a flag's --help text free of the dots."""
     parser = argparse.ArgumentParser(
         prog="zenofloquet",
         description="Stability maps and simulations of the switched "
@@ -450,17 +390,19 @@ def _build_parser():
     sweep.add_argument("--gamma-tau1", nargs=3, metavar=("MIN", "MAX", "STEPS"))
     sweep.add_argument("--omega-tau2", nargs=3, metavar=("MIN", "MAX", "STEPS"))
     sweep.add_argument("--epsilon", type=float)
-    sweep.add_argument("--cross-check", action="store_true", default=None,
+    sweep.add_argument("--cross-check", dest="cross_check.enabled",
+                       action="store_true", default=None,
                        help="add a Gaussian bounded/diverged column")
-    sweep.add_argument("--cross-check-periods", type=int)
+    sweep.add_argument("--cross-check-periods", dest="cross_check.periods",
+                       metavar="CROSS_CHECK_PERIODS", type=int)
 
     sim = sub.add_parser("simulate", help="per-period photon record of one run")
     _add_common(sim)
-    sim.add_argument("--gamma", type=float)
-    sim.add_argument("--tau1", type=float)
-    sim.add_argument("--omega", type=float)
-    sim.add_argument("--tau2", type=float)
-    sim.add_argument("--periods", type=int)
+    sim.add_argument("--gamma", dest="schedule.gamma", metavar="GAMMA", type=float)
+    sim.add_argument("--tau1", dest="schedule.tau1", metavar="TAU1", type=float)
+    sim.add_argument("--omega", dest="schedule.omega", metavar="OMEGA", type=float)
+    sim.add_argument("--tau2", dest="schedule.tau2", metavar="TAU2", type=float)
+    sim.add_argument("--periods", dest="schedule.periods", metavar="PERIODS", type=int)
     sim.add_argument("--modes", type=int, choices=(1, 2))
     sim.add_argument("--backend", choices=("gaussian", "fock", "both"))
     sim.add_argument("--cutoff", type=int)
@@ -483,70 +425,39 @@ def _axis_override(raw, name):
         raise ConfigError(f"--{name} expects MIN MAX STEPS numbers")
 
 
-def _resolve(defaults, args, overrides):
-    cfg = json.loads(json.dumps(defaults))  # deep copy
-    if args.config:
-        _deep_update(cfg, _load_config(args.config))
-    _deep_update(cfg, overrides)
-    return cfg
-
-
-def _sweep_overrides(args):
+def _overrides(args):
+    """The config overrides of the given flags, nested by the dots of a dest."""
+    flat = {key: value for key, value in vars(args).items() if value is not None
+            and key not in ("command", "config", "out", "format")}
+    for key in ("gamma_tau1", "omega_tau2"):
+        if key in flat:
+            flat[key] = _axis_override(flat[key], key.replace("_", "-"))
+    if "cross_check.periods" in flat:
+        flat["cross_check.enabled"] = True  # the periods flag turns the check on
     out = {}
-    if args.gamma_tau1:
-        out["gamma_tau1"] = _axis_override(args.gamma_tau1, "gamma-tau1")
-    if args.omega_tau2:
-        out["omega_tau2"] = _axis_override(args.omega_tau2, "omega-tau2")
-    if args.epsilon is not None:
-        out["epsilon"] = args.epsilon
-    cross = {}
-    if args.cross_check is not None:
-        cross["enabled"] = True
-    if args.cross_check_periods is not None:
-        cross["periods"] = args.cross_check_periods
-        cross.setdefault("enabled", True)
-    if cross:
-        out["cross_check"] = cross
-    return out
-
-
-def _simulate_overrides(args):
-    out = {}
-    sched = {}
-    for key in ("gamma", "tau1", "omega", "tau2", "periods"):
-        value = getattr(args, key)
-        if value is not None:
-            sched[key] = value
-    if sched:
-        out["schedule"] = sched
-    for key in ("modes", "backend", "cutoff"):
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _estimate_overrides(args):
-    out = {}
-    for key, attr in (("eta", "eta"), ("chi2", "chi2"), ("omega_a", "omega_a"),
-                      ("omega_b", "omega_b"), ("pump_intensity", "pump_intensity"),
-                      ("length", "length")):
-        value = getattr(args, attr)
-        if value is not None:
-            out[key] = value
+    for key, value in flat.items():
+        *parents, leaf = key.split(".")
+        node = out
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[leaf] = value
     return out
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # looked up per call, so that a wrapper installed on the module is used
-    defaults, overrides, run = {
-        "sweep": (SWEEP_DEFAULTS, _sweep_overrides, run_sweep),
-        "simulate": (SIMULATE_DEFAULTS, _simulate_overrides, run_simulate),
-        "estimate": (ESTIMATE_DEFAULTS, _estimate_overrides, run_estimate),
+    defaults, run = {
+        "sweep": (SWEEP_DEFAULTS, run_sweep),
+        "simulate": (SIMULATE_DEFAULTS, run_simulate),
+        "estimate": (ESTIMATE_DEFAULTS, run_estimate),
     }[args.command]
     try:
-        cfg = _resolve(defaults, args, overrides(args))
+        overrides = _overrides(args)
+        cfg = json.loads(json.dumps(defaults))  # deep copy
+        if args.config:
+            _deep_update(cfg, _load_config(args.config))
+        _deep_update(cfg, overrides)
         result = run(cfg)
     except ConfigError as exc:
         print(f"zenofloquet {args.command}: {exc}", file=sys.stderr)

@@ -151,8 +151,17 @@ class ClassicalPendulumParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
+def _cosh_sinh(name, product):
+    """``cosh`` and ``sinh`` of a product, which must lie in float64's range."""
+    try:
+        return math.cosh(product), math.sinh(product)
+    except OverflowError:
+        raise ValueError(f"cosh({name} = {float(product)!r}) exceeds "
+                         "float64's range") from None
+
+
 def _hyperbolic_transfer(product: float) -> np.ndarray:
-    c, s = math.cosh(product), math.sinh(product)
+    c, s = _cosh_sinh("gamma*tau1", product)
     return np.array([[c, s], [s, c]])
 
 
@@ -386,8 +395,8 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams,
     """
     k1, k2, tau = params.k1, params.k2, params.tau
     u1, u2 = k1 * tau, k2 * tau
-    a1 = np.array([[math.cosh(u1), math.sinh(u1) / k1],
-                   [k1 * math.sinh(u1), math.cosh(u1)]])
+    ch, sh = _cosh_sinh("k1*tau", u1)
+    a1 = np.array([[ch, sh / k1], [k1 * sh, ch]])
     a2 = np.array([[math.cos(u2), math.sin(u2) / k2],
                    [-k2 * math.sin(u2), math.cos(u2)]])
     a_cl = a2 @ a1

@@ -201,6 +201,55 @@ def pm_period_blocks(schedule: DriveSchedule):
     return pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
 
 
+def _mul(x, y):
+    """2x2 products of two stacks held as their entry arrays ``(a, b, c, d)``."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa * ya + xb * yc, xa * yb + xb * yd,
+            xc * ya + xd * yc, xc * yb + xd * yd)
+
+
+def vacuum_diverges(plus, minus, periods, photon_cap):
+    """Vectorized Gaussian boundedness check from vacuum.
+
+    ``plus`` and ``minus`` are ``(N, 2, 2)`` stacks of the decoupled pair
+    maps of N drives (as from :func:`pm_pair_maps`); returns a boolean array
+    marking the drives whose photon number from vacuum exceeds
+    ``photon_cap`` within ``periods`` periods.  Tracks per-point powers at
+    doubling checkpoints and at ``periods`` (photon growth of an unstable map
+    is eventually monotone, so checkpoint crossings catch every divergence);
+    points whose total photon number passes the cap are frozen to the
+    identity to avoid overflow.  The powers are multiplied as four entry
+    arrays, each holding both pairs of every point, because batched ``@`` on
+    2x2 stacks is slow.
+    """
+    diverged = np.zeros(plus.shape[0], dtype=bool)
+
+    def check(mats):
+        # photons from vacuum after n periods: the pm basis is orthogonal, so
+        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1
+        fro2 = sum(e * e for e in mats).sum(axis=0)
+        diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
+        for e, unit in zip(mats, (1.0, 0.0, 0.0, 1.0)):
+            e[:, diverged] = unit
+
+    # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
+    step = tuple(np.stack([plus[:, i, j], minus[:, i, j]])
+                 for i in (0, 1) for j in (0, 1))
+    power = None
+    n = 1
+    while True:
+        check(step)
+        if periods & n:
+            power = step if power is None else _mul(step, power)
+        if 2 * n > periods:
+            break
+        step = _mul(step, step)
+        n *= 2
+    check(power)
+    return diverged
+
+
 def _mode_basis(plus, minus) -> np.ndarray:
     """block-diag(plus, minus) conjugated back to the (x_a, p_a, x_b, p_b) basis."""
     blocks = np.zeros((4, 4))

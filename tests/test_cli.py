@@ -3,13 +3,15 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zenofloquet import cli, floquet, gaussian
+from zenofloquet import cli, floquet, fock, gaussian
 
 
 SCHEDULE = {"gamma": 0.1, "tau1": 1.0, "omega": 0.5, "tau2": 1.0, "periods": 3}
@@ -480,3 +482,201 @@ def test_sweep_matches_pointwise_references(g_lo, g_span, g_steps, w_lo, w_hi,
         unstable = report.classification is floquet.Classification.UNSTABLE
         assert row[5:] == ["diverged" if diverged else "bounded",
                            int(unstable != diverged)]
+
+
+# --- each flag is its config key ----------------------------------------------
+
+FLAG_BASES = {
+    "sweep": {"gamma_tau1": {"min": 0.5, "max": 1.5, "steps": 3},
+              "omega_tau2": {"min": 0.5, "max": 2.5, "steps": 4},
+              "cross_check": {"periods": 40}},
+    "simulate": {"schedule": SCHEDULE, "cutoff": 14},
+    "estimate": {"eta": 220.0, "chi2": 2e-23, "omega_a": 3e15, "omega_b": 3e15,
+                 "pump_intensity": 1e5, "length": 0.01},
+}
+
+
+def _merged(base, extra):
+    """``base`` with the keys of ``extra`` set, nested objects merged."""
+    out = dict(base)
+    for key, value in extra.items():
+        if isinstance(value, dict):
+            value = _merged(base.get(key, {}), value)
+        out[key] = value
+    return out
+
+
+FLAG_CASES = [
+    ("sweep", ["--gamma-tau1", "0", "1", "5"],
+     {"gamma_tau1": {"min": 0.0, "max": 1.0, "steps": 5}}),
+    ("sweep", ["--omega-tau2", "0", "1", "5"],
+     {"omega_tau2": {"min": 0.0, "max": 1.0, "steps": 5}}),
+    ("sweep", ["--epsilon", "0.001"], {"epsilon": 0.001}),
+    ("sweep", ["--cross-check"], {"cross_check": {"enabled": True}}),
+    ("sweep", ["--cross-check-periods", "5"],
+     {"cross_check": {"enabled": True, "periods": 5}}),
+    ("simulate", ["--gamma", "0.2"], {"schedule": {"gamma": 0.2}}),
+    ("simulate", ["--tau1", "0.5"], {"schedule": {"tau1": 0.5}}),
+    ("simulate", ["--omega", "0.7"], {"schedule": {"omega": 0.7}}),
+    ("simulate", ["--tau2", "1.5"], {"schedule": {"tau2": 1.5}}),
+    ("simulate", ["--periods", "4"], {"schedule": {"periods": 4}}),
+    ("simulate", ["--modes", "1"], {"modes": 1}),
+    ("simulate", ["--backend", "both"], {"backend": "both"}),
+    ("simulate", ["--cutoff", "20"], {"cutoff": 20}),
+    ("estimate", ["--eta", "300"], {"eta": 300.0}),
+    ("estimate", ["--chi2", "3e-23"], {"chi2": 3e-23}),
+    ("estimate", ["--omega-a", "2e15"], {"omega_a": 2e15}),
+    ("estimate", ["--omega-b", "4e15"], {"omega_b": 4e15}),
+    ("estimate", ["--pump-intensity", "2e5"], {"pump_intensity": 2e5}),
+    ("estimate", ["--length", "0.02"], {"length": 0.02}),
+]
+
+
+@pytest.mark.parametrize("command, flag, key", FLAG_CASES,
+                         ids=[flag[0] for _, flag, _ in FLAG_CASES])
+def test_flag_equals_its_config_key(tmp_path, command, flag, key):
+    """A flag gives the bytes of a config file holding its key, config_hash
+    line included; the key is also not already the base config's value."""
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(FLAG_BASES[command]))
+    merged = tmp_path / "merged.json"
+    merged.write_text(json.dumps(_merged(FLAG_BASES[command], key)))
+    outputs = []
+    for argv in (["--config", str(base), *flag], ["--config", str(merged)],
+                 ["--config", str(base)]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        assert cli.main([command, *argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != outputs[2]
+
+
+# --- simulate's columns equal the per-period row loop --------------------------
+
+def _row_loop(cfg):
+    """Rows of ``run_simulate`` as the per-period loop that its columns replaced."""
+    schedule = cli._schedule_from_config(cfg)
+    modes, backend, cap = cfg["modes"], cfg["backend"], cfg["photon_cap"]
+    report = floquet.classify_schedule(schedule)
+    gauss_traj = fock_traj = None
+    if backend in ("gaussian", "both"):
+        gauss_traj = gaussian.evolve(cli._initial_gaussian(cfg["initial"], modes),
+                                     schedule, record_states=False, photon_cap=cap)
+    if backend in ("fock", "both"):
+        state = cli._initial_fock(cfg["initial"], modes, cfg["cutoff"])
+        fock_traj = fock.propagate(state, schedule, record_states=False,
+                                   photon_cap=cap)
+    lengths = []
+    if gauss_traj is not None:
+        lengths.append(gauss_traj.photon_totals.size)
+    if fock_traj is not None:
+        lengths.append(fock_traj.n_total.size)
+    rows = []
+    for n in range(min(lengths)):
+        if backend == "gaussian":
+            per_mode = list(gauss_traj.photons_per_mode[n])
+            total = gauss_traj.photon_totals[n]
+        else:
+            per_mode = list(fock_traj.n_per_mode[n])
+            total = fock_traj.n_total[n]
+        row = [n] + [float(v) for v in per_mode] + [
+            float(total), report.half_trace, report.classification.value]
+        if backend == "fock":
+            row += [float(fock_traj.norm_drift[n]), float(fock_traj.leakage[n])]
+        if backend == "both":
+            row += [float(fock_traj.n_per_mode[n][0] -
+                          gauss_traj.photons_per_mode[n][0])]
+        rows.append(row)
+    return rows
+
+
+def _bits(rows):
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
+def _simulate_cfg(**cfg):
+    return _merged(cli.SIMULATE_DEFAULTS, cfg)
+
+
+COHERENT = {"type": "coherent", "alpha": [[0.6, -0.2], [0.1, 0.3]]}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(_simulate_cfg(
+        schedule={**SCHEDULE, "periods": 25}, modes=modes, backend=backend,
+        cutoff=12, initial={**COHERENT, "alpha": COHERENT["alpha"][:modes]}),
+        id=f"{backend}-{modes}-modes")
+    for backend in ("gaussian", "fock", "both") for modes in (1, 2)
+] + [
+    pytest.param(_simulate_cfg(schedule={"gamma": 0.5, "tau1": 1.0, "omega": 0.1,
+                                         "tau2": 1.0, "periods": 3000}),
+                 id="gaussian-diverged"),
+])
+def test_simulate_columns_equal_row_loop(cfg):
+    assert _bits(cli.run_simulate(cfg).rows) == _bits(_row_loop(cfg))
+
+
+def test_simulate_ends_with_the_shorter_record():
+    """The Gaussian record stops at the cap after 8 periods (9 entries); the
+    Fock record runs all 60 (61 entries: its leakage guard trips but does not
+    stop it)."""
+    cfg = _simulate_cfg(schedule={"gamma": 0.3, "tau1": 1.0, "omega": 0.2,
+                                  "tau2": 1.0, "periods": 60},
+                        backend="both", cutoff=8, photon_cap=20)
+    result = cli.run_simulate(cfg)
+    assert _bits(result.rows) == _bits(_row_loop(cfg))
+    assert len(result.rows) == 9
+    assert result.status == "gaussian-diverged;fock-truncation-unsafe"
+
+
+# --- the README's command-line examples run ------------------------------------
+
+def _readme_cli_examples():
+    """``(argv, config)`` for every command and JSON config block in the
+    README's command-line section; a config block runs its subsection's
+    subcommand."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command-line interface\n")[1].split("\n## ")[0]
+    examples, subcommand, block = [], None, None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            subcommand = line[4:].strip()
+        elif line.startswith("```"):
+            if block is None:
+                block, is_json = [], line == "```json"
+                continue
+            if is_json:
+                examples.append(([subcommand], json.loads("\n".join(block))))
+            else:
+                commands = "\n".join(block).replace("\\\n", " ")
+                examples += [(shlex.split(c)[1:], None) for c in commands.splitlines()
+                             if c.startswith("zenofloquet ")]
+            block = None
+        elif block is not None:
+            block.append(line)
+    return examples
+
+
+README_CLI_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_lists_cli_examples():
+    assert sum(config is None for _, config in README_CLI_EXAMPLES) >= 5
+    assert [argv for argv, config in README_CLI_EXAMPLES if config is not None] == [
+        ["sweep"], ["simulate"]]
+
+
+@pytest.mark.parametrize("argv, config", README_CLI_EXAMPLES, ids=[
+    f"{argv[0]}-{'config' if config else 'command'}"
+    for argv, config in README_CLI_EXAMPLES])
+def test_readme_cli_example_runs(tmp_path, argv, config):
+    argv = list(argv)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zenofloquet import floquet
+from zenofloquet import floquet, gaussian
 from zenofloquet.floquet import (
     Classification,
     ClassicalPendulumParams,
@@ -318,3 +318,23 @@ class TestClassicalPendulum:
             a_cl, _ = classical_pendulum_monodromy(
                 ClassicalPendulumParams(k1=k1, k2=k2, tau=tau))
             assert abs(np.linalg.det(a_cl) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("call, product", [
+    (lambda: classify_schedule(DriveSchedule.from_products(800.0, 0.0)),
+     "gamma*tau1"),
+    (lambda: floquet.pair_map(np.array([800.0]), np.array([0.0])), "gamma*tau1"),
+    (lambda: unstable_segment_matrix(800.0, 1.0), "gamma*tau1"),
+    (lambda: gaussian.evolve(gaussian.vacuum_state(2),
+                             DriveSchedule.from_products(800.0, 0.1, periods=2)),
+     "gamma*tau1"),
+    (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(800.0, 1.0, 1.0)),
+     "k1*tau"),
+], ids=["classify_schedule", "pair_map", "unstable_segment_matrix",
+        "gaussian.evolve", "classical_pendulum_monodromy"])
+def test_product_beyond_float64_range_is_value_error(call, product):
+    """cosh overflows float64 past 710.47: a ValueError naming the product."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"cosh({product} = 800.0) exceeds float64's range"
