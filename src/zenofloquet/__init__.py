@@ -12,7 +12,9 @@ The package has three computational layers plus a command-line front end:
   subcommands with deterministic CSV/JSON output.
 """
 
-from . import cli, floquet, fock, gaussian
+import importlib
+
+from . import floquet, fock, gaussian
 from ._version import __version__
 from .floquet import (
     Classification,
@@ -55,3 +57,11 @@ __all__ = [
     "unstable_segment_matrix",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # cli is imported on first use: imported here, it would already sit in
+    # sys.modules when ``python -m zenofloquet.cli`` runs it as a script
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

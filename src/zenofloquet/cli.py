@@ -250,8 +250,11 @@ def _parse_alphas(initial, modes):
     alpha = initial.get("alpha")
     if alpha is None:
         raise ConfigError("initial.alpha required for a coherent state")
-    arr = np.asarray(alpha, dtype=float)
-    if arr.shape != (modes, 2):
+    try:
+        arr = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)  # not numbers: fails the shape test below
+    if arr.shape != (modes, 2) or not np.isfinite(arr).all():
         raise ConfigError(
             f"initial.alpha must be a list of {modes} [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]

@@ -358,21 +358,34 @@ def small_tau_predicate(schedule: DriveSchedule) -> bool:
     return schedule.omega_tau2 > schedule.gamma_tau1
 
 
+def powers(maps, periods: int) -> np.ndarray:
+    """``maps^0 .. maps^periods`` of one square map or a stack, stacked on axis 0.
+
+    Prefix doubling: with ``maps^0 .. maps^k`` known, ``maps^(k+1) ..
+    maps^(2k)`` are ``maps^1 .. maps^k`` times ``maps^k`` in one batched
+    matmul, so the table takes ``log2(periods)`` Python steps.
+    """
+    m = np.asarray(maps, dtype=float)
+    out = np.empty((periods + 1,) + m.shape)
+    out[0] = np.eye(m.shape[-1])
+    out[1:2] = m
+    k = 1
+    while k < periods:
+        j = min(k, periods - k)
+        out[k + 1:k + 1 + j] = out[1:1 + j] @ out[k]
+        k += j
+    return out
+
+
 def propagate_plus_mode(schedule: DriveSchedule, x0: float, p0: float) -> np.ndarray:
     """Amplified-pair trajectory sampled at period boundaries.
 
     Returns an ``(N + 1, 2)`` array whose n-th row is ``A^n @ (x0, p0)``;
     row 0 is the initial condition.  ``A`` is :func:`monodromy`, whose x<->p
-    swap is the plus pair of :func:`zenofloquet.gaussian.pm_period_blocks`.
+    swap is the plus pair of :func:`zenofloquet.gaussian.pm_pair_maps`.
     """
-    a = monodromy(schedule)
-    out = np.empty((schedule.periods + 1, 2))
     v = np.array([float(x0), float(p0)])
-    out[0] = v
-    for n in range(1, schedule.periods + 1):
-        v = a @ v
-        out[n] = v
-    return out
+    return powers(monodromy(schedule), schedule.periods) @ v
 
 
 def classical_pendulum_monodromy(params: ClassicalPendulumParams,

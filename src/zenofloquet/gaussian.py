@@ -22,12 +22,11 @@ stability.  With ``X`` the x<->p swap, the plus block is
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DriveSchedule, pair_map
+from .floquet import DriveSchedule, pair_map, powers
 
 #: Default photon-number guard: evolution aborts with status "diverged"
 #: once the total expected photon number exceeds this value.
@@ -150,9 +149,9 @@ def squeezed_vacuum_state(rs, phis=None) -> GaussianState:
 
 
 def _photons_per_mode(mean, cov):
-    # n_i = (<x_i^2> + <p_i^2> - 1)/2, means included
-    diag = np.diag(cov) + mean**2
-    return (diag[0::2] + diag[1::2] - 1.0) / 2.0
+    # n_i = (<x_i^2> + <p_i^2> - 1)/2, means included; stacks of states too
+    diag = np.diagonal(cov, axis1=-2, axis2=-1) + mean**2
+    return (diag[..., 0::2] + diag[..., 1::2] - 1.0) / 2.0
 
 
 def photon_numbers(state: GaussianState) -> PhotonNumbers:
@@ -176,29 +175,17 @@ PM_BASIS = _SQRT_HALF * np.array([
 PM_BASIS.setflags(write=False)
 
 
-def quadratures_to_pm(vector) -> np.ndarray:
-    """Mode-basis 4-vector to the (plus, minus) quadrature pairs."""
-    return PM_BASIS @ np.asarray(vector, dtype=float)
-
-
-def pm_to_quadratures(vector) -> np.ndarray:
-    """Inverse of :func:`quadratures_to_pm` (the basis is orthogonal)."""
-    return PM_BASIS.T @ np.asarray(vector, dtype=float)
-
-
 def pm_pair_maps(gamma_tau1, omega_tau2):
     """One-period 2x2 maps ``(plus, minus)`` of the decoupled pairs.
 
     Takes the products as two scalars, or as two 1-D grid axes for the
     ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stacks of
-    :func:`zenofloquet.floquet.pair_map`.
+    :func:`zenofloquet.floquet.pair_map`.  The minus block is also the map of
+    the degenerate (single-mode) drive: its sub-harmonic segment flows with
+    the opposite hyperbolic sense, and the half-trace still equals
+    ``|cos(omega*tau2) cosh(gamma*tau1)|``.
     """
     return pair_map(gamma_tau1, -omega_tau2), pair_map(-gamma_tau1, omega_tau2)
-
-
-def pm_period_blocks(schedule: DriveSchedule):
-    """One-period 2x2 maps of the decoupled plus and minus pairs."""
-    return pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
 
 
 def _mul(x, y):
@@ -251,10 +238,13 @@ def vacuum_diverges(plus, minus, periods, photon_cap):
 
 
 def _mode_basis(plus, minus) -> np.ndarray:
-    """block-diag(plus, minus) conjugated back to the (x_a, p_a, x_b, p_b) basis."""
-    blocks = np.zeros((4, 4))
-    blocks[:2, :2] = plus
-    blocks[2:, 2:] = minus
+    """block-diag(plus, minus) conjugated back to the (x_a, p_a, x_b, p_b) basis.
+
+    ``plus`` and ``minus`` are 2x2 maps or equal-shaped stacks of them.
+    """
+    blocks = np.zeros(np.shape(plus)[:-2] + (4, 4))
+    blocks[..., :2, :2] = plus
+    blocks[..., 2:, 2:] = minus
     return PM_BASIS.T @ blocks @ PM_BASIS
 
 
@@ -265,17 +255,7 @@ def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     orthogonal basis change; equal to composing the two segment maps of
     :func:`segment_symplectics`.
     """
-    return _mode_basis(*pm_period_blocks(schedule))
-
-
-def single_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
-    """One-period 2x2 map of the degenerate (single-mode) drive.
-
-    The sub-harmonic segment flows with the opposite hyperbolic sense, so the
-    map is the minus block ``pair_map(-gamma*tau1, omega*tau2)``; its
-    half-trace still equals ``|cos(omega*tau2) cosh(gamma*tau1)|``.
-    """
-    return pair_map(-schedule.gamma_tau1, schedule.omega_tau2)
+    return _mode_basis(*pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2))
 
 
 def segment_symplectics(schedule: DriveSchedule, mode_count: int = 2):
@@ -289,14 +269,19 @@ def segment_symplectics(schedule: DriveSchedule, mode_count: int = 2):
             _mode_basis(pair_map(0.0, -w), pair_map(0.0, w)))
 
 
+#: Periods per power table in :func:`evolve`: bounds a long run's memory and
+#: the work that a run stopped by the photon cap does past the trip.
+_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class GaussianTrajectory:
     """Recorded Gaussian evolution at period (or segment) boundaries.
 
-    Behaves as a sequence of :class:`GaussianState` when states were
-    recorded.  ``status`` is ``"ok"`` or ``"diverged"``; a diverged
-    trajectory ends at the first period whose total photon number exceeded
-    the cap or was not finite.
+    With states recorded, ``means`` and ``covariances`` hold one entry per
+    sample and indexing builds the :class:`GaussianState`.  ``status`` is
+    ``"ok"`` or ``"diverged"``; a diverged trajectory ends at the first period
+    whose total photon number exceeded the cap or was not finite.
     """
 
     photons_per_mode: np.ndarray
@@ -304,23 +289,40 @@ class GaussianTrajectory:
     status: str
     periods_completed: int
     per_segment: bool
-    states: tuple | None = field(default=None)
+    means: np.ndarray | None = None
+    covariances: np.ndarray | None = None
 
     def __len__(self):
-        if self.states is None:
-            return self.photon_totals.size
-        return len(self.states)
+        return self.photon_totals.size
 
     def __getitem__(self, index):
-        if self.states is None:
+        if self.means is None:
             raise TypeError("trajectory was recorded without states")
-        return self.states[index]
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        return GaussianState(self.means[index], self.covariances[index])
 
     @property
     def diverged(self) -> bool:
         return self.status == "diverged"
 
 
+def _unit_determinant(maps):
+    """2x2 maps moved onto ``det = 1`` by one least-norm Newton step.
+
+    A product of two large 2x2 powers misses ``det = 1`` by about
+    ``eps |A| |B| |AB|``, which near the stability edge breaks the uncertainty
+    check of the evolved states.  The step subtracts ``(det - 1) / |A|_F^2``
+    times the cofactor matrix, the gradient of the determinant.
+    """
+    a, b, c, d = maps[..., 0, 0], maps[..., 0, 1], maps[..., 1, 0], maps[..., 1, 1]
+    step = (a * d - b * c - 1.0) / (a * a + b * b + c * c + d * d)
+    cofactor = np.flip(maps, (-2, -1)) * [[1.0, -1.0], [-1.0, 1.0]]
+    return maps - np.where(np.isfinite(step), step, 0.0)[..., None, None] * cofactor
+
+
+# table entries past a tripped cap may overflow; the cap test reports them
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(state: GaussianState, schedule: DriveSchedule, *,
            record_states: bool = True, per_segment: bool = False,
            photon_cap: float = PHOTON_CAP) -> GaussianTrajectory:
@@ -328,8 +330,11 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
 
     The mean advances as ``S^n @ mean`` and the covariance as
     ``S^n @ cov @ (S^n)^T`` with S the per-period symplectic map matching the
-    state's mode count.  With ``per_segment=True`` the trajectory is sampled
-    after every segment (2N + 1 entries) instead of every period (N + 1).
+    state's mode count, taken from one :func:`zenofloquet.floquet.powers`
+    table of the 2x2 plus/minus blocks (the minus block alone for one mode)
+    and applied to the last state of each run of up to ``_CHUNK`` periods.
+    With ``per_segment=True`` the trajectory is sampled after every segment
+    (2N + 1 entries) instead of every period (N + 1).
 
     Parameters
     ----------
@@ -338,8 +343,8 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     schedule : DriveSchedule
         Drive parameters, including the period count N.
     record_states : bool
-        Keep the full state at every sample (set False for long runs where
-        only photon records are needed).
+        Keep the mean and covariance of every sample (set False for long runs
+        where only photon records are needed, to save memory).
     per_segment : bool
         Sample after each segment rather than each full period.
     photon_cap : float
@@ -355,46 +360,51 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
         raise InvalidStateError("initial state must be a GaussianState")
     if not photon_cap > 0:
         raise ValueError(f"photon_cap must be > 0 (inf for no cap), got {photon_cap!r}")
-    modes = state.mode_count
+    periods, two_mode = schedule.periods, state.mode_count == 2
+    plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
+    # powers of the 2x2 blocks keep far smaller symplectic defects than powers
+    # of the 4x4 mode-basis map, which can break the uncertainty check
+    table = powers(np.stack([plus, minus]) if two_mode else minus, min(periods, _CHUNK))
+    table = _unit_determinant(table[1:])
+    table = _mode_basis(table[:, 0], table[:, 1]) if two_mode else table
+    step = 2 if per_segment else 1
     if per_segment:
-        s_u, s_s = segment_symplectics(schedule, modes)
-        step_maps = [s_u, s_s]
-    elif modes == 2:
-        step_maps = [two_mode_period_symplectic(schedule)]
-    else:
-        step_maps = [single_mode_period_symplectic(schedule)]
+        # sample pairs (S_u S^(n-1), S^n): the amplifying segment, then the period
+        s_u = segment_symplectics(schedule, state.mode_count)[0]
+        starts = np.concatenate([np.eye(s_u.shape[0])[None], table])[:-1]
+        table = np.stack([s_u @ starts, table], axis=1).reshape((-1,) + s_u.shape)
 
-    mean = state.mean.copy()
-    cov = state.covariance.copy()
-    states = [state] if record_states else None
-    per_mode = _photons_per_mode(mean, cov)
-    per_mode_rec = [per_mode]
-    totals = [float(per_mode.sum())]
+    mean, cov = state.mean, state.covariance
+    means, covs = [mean[None]], [cov[None]]
+    photons = [_photons_per_mode(mean, cov)[None]]
     status = "ok"
-    periods_completed = 0
-
-    for n in range(1, schedule.periods + 1):
-        for s in step_maps:
-            mean = s @ mean
-            cov = s @ cov @ s.T
-            cov = (cov + cov.T) / 2.0
-            if per_segment or s is step_maps[-1]:
-                per_mode = _photons_per_mode(mean, cov)
-                per_mode_rec.append(per_mode)
-                totals.append(float(per_mode.sum()))
-                if record_states:
-                    states.append(GaussianState(mean, cov))
-        periods_completed = n
+    done = 0
+    while done < periods and status == "ok":
+        maps = table[:step * (periods - done)]
+        covs_out = maps @ cov @ np.swapaxes(maps, 1, 2)
+        samples = maps @ mean, (covs_out + np.swapaxes(covs_out, 1, 2)) / 2.0
+        per_mode = _photons_per_mode(*samples)
+        totals = per_mode[step - 1::step].sum(axis=-1)
         # an overflowed total is inf, which an infinite cap does not exceed
-        if not (totals[-1] <= photon_cap and math.isfinite(totals[-1])):
+        tripped = np.flatnonzero(~((totals <= photon_cap) & np.isfinite(totals)))
+        if tripped.size:
             status = "diverged"
-            break
+            kept = step * (tripped[0] + 1)
+            samples, per_mode = tuple(x[:kept] for x in samples), per_mode[:kept]
+        photons.append(per_mode)
+        if record_states:
+            means.append(samples[0])
+            covs.append(samples[1])
+        done += per_mode.shape[0] // step
+        mean, cov = samples[0][-1], samples[1][-1]
 
+    per_mode = np.concatenate(photons)
     return GaussianTrajectory(
-        photons_per_mode=np.array(per_mode_rec),
-        photon_totals=np.array(totals),
+        photons_per_mode=per_mode,
+        photon_totals=per_mode.sum(axis=1),
         status=status,
-        periods_completed=periods_completed,
+        periods_completed=done,
         per_segment=per_segment,
-        states=tuple(states) if record_states else None,
+        means=np.concatenate(means) if record_states else None,
+        covariances=np.concatenate(covs) if record_states else None,
     )

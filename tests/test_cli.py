@@ -373,6 +373,18 @@ class TestSimulate:
         totals = [float(dict(zip(header, r))["n_total"]) for r in rows]
         np.testing.assert_allclose(totals, 1.0, atol=1e-12)  # sum conserved
 
+    @pytest.mark.parametrize("backend", ["gaussian", "fock"])
+    @pytest.mark.parametrize("alpha", [[["a", 0], [0, 0]], [[1, 0], [0]], [[None, 0], [0, 0]],
+                                       [[1e400, 0], [0, 0]]])
+    def test_malformed_alpha_is_usage_error(self, tmp_path, capsys, backend, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial": {"type": "coherent", "alpha": alpha}}))
+        code = run_cli(["simulate", "--config", str(cfg), "--gamma", "0.1", "--tau1", "1",
+                        "--omega", "0.5", "--tau2", "1", "--periods", "2",
+                        "--backend", backend, "--cutoff", "6"])
+        assert code == 2
+        assert "initial.alpha must be a list of 2 [re, im] pairs" in capsys.readouterr().err
+
     def test_fock_requires_cutoff(self):
         assert run_cli(["simulate", "--gamma", "0.1", "--tau1", "1",
                         "--omega", "0", "--tau2", "1", "--periods", "2",

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the package run as a module, exits cleanly."""
 
 import os
 import subprocess
@@ -17,3 +17,13 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["zenofloquet", "zenofloquet.cli"])
+def test_module_run_is_quiet(module, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "simulate" in proc.stdout

@@ -18,6 +18,7 @@ from zenofloquet.floquet import (
     classify_schedule,
     minus_mode_monodromy,
     monodromy,
+    powers,
     propagate_plus_mode,
     small_tau_predicate,
     stable_segment_matrix,
@@ -280,6 +281,49 @@ class TestPropagatePlusMode:
         traj = propagate_plus_mode(s, 1.0, 0.5)
         radii = np.hypot(traj[:, 0], traj[:, 1])
         assert radii.max() <= bound * (1 + 1e-9)
+
+
+    def test_matches_per_period_loop(self):
+        """Against the loop it replaced: ``v <- A @ v`` once per period."""
+        for i, s in enumerate(random_schedules(40, seed=71, max_product=1.5)):
+            s = DriveSchedule.from_products(s.gamma_tau1, s.omega_tau2, periods=25 * i)
+            a = monodromy(s)
+            v = np.array([0.4, -1.1])
+            expected = [v]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(s.periods):
+                    v = a @ v
+                    expected.append(v)
+                traj = propagate_plus_mode(s, 0.4, -1.1)
+            expected = np.array(expected)
+            assert traj.shape == expected.shape
+            # unstable runs overflow; compare the rows far below float64's range
+            rows = np.abs(expected).max(axis=1) < 1e300
+            assert np.isfinite(traj[rows]).all()
+            # errors grow with |A^n|, so compare against the largest entry so far
+            scale = np.maximum.accumulate(np.abs(expected).max(axis=1))
+            assert (np.abs(traj - expected).max(axis=1)[rows] <= 1e-10 * scale[rows]).all()
+
+
+class TestPowers:
+    def test_equals_matrix_power(self):
+        # a (2, 2) grid of stable pair maps, whose powers stay bounded
+        maps = floquet.pair_map(np.array([0.1, 0.5]), np.array([1.0, 2.5]))
+        for n in (0, 1, 2, 3, 7, 8, 9, 100, 1023, 1025):
+            table = powers(maps, n)
+            assert table.shape == (n + 1, 2, 2, 2, 2)
+            np.testing.assert_array_equal(table[0], np.broadcast_to(np.eye(2), maps.shape))
+            for k in sorted({0, min(1, n), n // 2, n}):
+                ref = np.linalg.matrix_power(maps, k)
+                np.testing.assert_allclose(table[k], ref, rtol=1e-9,
+                                           atol=1e-12 * np.abs(ref).max())
+
+    def test_single_map(self):
+        a = np.array([[1.0, 1.0], [0.0, 1.0]])  # shear: a^n = [[1, n], [0, 1]]
+        table = powers(a, 6)
+        assert table.shape == (7, 2, 2)
+        np.testing.assert_array_equal(table[:, 0, 1], np.arange(7.0))
+        assert powers(a, 0).shape == (1, 2, 2)
 
 
 class TestClassicalPendulum:

@@ -1,9 +1,12 @@
 """Gaussian-state simulator: basis change, symplectic maps, evolution."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from zenofloquet import gaussian
@@ -21,11 +24,8 @@ from zenofloquet.gaussian import (
     coherent_state,
     evolve,
     photon_numbers,
-    pm_period_blocks,
-    pm_to_quadratures,
-    quadratures_to_pm,
+    pm_pair_maps,
     segment_symplectics,
-    single_mode_period_symplectic,
     squeezed_vacuum_state,
     symplectic_eigenvalues,
     symplectic_form,
@@ -39,6 +39,58 @@ def random_schedules(count, seed, max_product=3.0, periods=1):
     for _ in range(count):
         g, w = rng.uniform(0.0, max_product, size=2)
         yield DriveSchedule.from_products(g, w, periods=periods)
+
+
+def pm_blocks(schedule):
+    return pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
+
+
+def single_mode_map(schedule):
+    """One-period map of the single-mode drive: the minus block."""
+    return pm_blocks(schedule)[1]
+
+
+def loop_evolve(state, schedule, *, record_states=True, per_segment=False,
+                photon_cap=gaussian.PHOTON_CAP):
+    """Reference: the per-period stepping loop that :func:`evolve` replaced.
+
+    Steps the state through the 4x4 period map (the minus block for one mode,
+    the two segment maps with ``per_segment``) one period at a time and
+    returns ``(photons_per_mode, photon_totals, status, periods_completed,
+    states)``.
+    """
+    modes = state.mode_count
+    if per_segment:
+        step_maps = list(segment_symplectics(schedule, modes))
+    elif modes == 2:
+        step_maps = [two_mode_period_symplectic(schedule)]
+    else:
+        step_maps = [single_mode_map(schedule)]
+    mean = state.mean.copy()
+    cov = state.covariance.copy()
+    states = [state] if record_states else None
+    per_mode = gaussian._photons_per_mode(mean, cov)
+    per_mode_rec = [per_mode]
+    totals = [float(per_mode.sum())]
+    status = "ok"
+    periods_completed = 0
+    for n in range(1, schedule.periods + 1):
+        for s in step_maps:
+            mean = s @ mean
+            cov = s @ cov @ s.T
+            cov = (cov + cov.T) / 2.0
+            if per_segment or s is step_maps[-1]:
+                per_mode = gaussian._photons_per_mode(mean, cov)
+                per_mode_rec.append(per_mode)
+                totals.append(float(per_mode.sum()))
+                if record_states:
+                    states.append(GaussianState(mean, cov))
+        periods_completed = n
+        if not (totals[-1] <= photon_cap and math.isfinite(totals[-1])):
+            status = "diverged"
+            break
+    return (np.array(per_mode_rec), np.array(totals), status,
+            periods_completed, states)
 
 
 def reference_segment_flows(schedule):
@@ -133,18 +185,17 @@ class TestPmBasis:
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.standard_normal(4)
-            np.testing.assert_allclose(pm_to_quadratures(quadratures_to_pm(v)),
-                                       v, atol=1e-14)
+            np.testing.assert_allclose(PM_BASIS.T @ (PM_BASIS @ v), v, atol=1e-14)
 
     def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(quadratures_to_pm(np.zeros(4)), np.zeros(4))
+        np.testing.assert_array_equal(PM_BASIS @ np.zeros(4), np.zeros(4))
 
     def test_vacuum_covariance_invariant(self):
         cov = np.eye(4) / 2
         np.testing.assert_allclose(PM_BASIS @ cov @ PM_BASIS.T, cov, atol=1e-15)
 
     def test_plus_is_difference_combination(self):
-        v = quadratures_to_pm([1.0, 0.0, 0.0, 0.0])  # x_a displacement only
+        v = PM_BASIS @ np.array([1.0, 0.0, 0.0, 0.0])  # x_a displacement only
         assert v[0] == pytest.approx(1 / math.sqrt(2))
         assert v[2] == pytest.approx(1 / math.sqrt(2))
 
@@ -177,7 +228,7 @@ class TestPeriodMaps:
 
     def test_pm_blocks_share_the_monodromy_trace(self):
         for s in random_schedules(200, seed=8):
-            plus, minus = pm_period_blocks(s)
+            plus, minus = pm_blocks(s)
             expected = 2 * math.cos(s.omega_tau2) * math.cosh(s.gamma_tau1)
             assert np.trace(plus) == pytest.approx(expected, abs=1e-12)
             assert np.trace(minus) == pytest.approx(expected, abs=1e-12)
@@ -191,13 +242,14 @@ class TestPeriodMaps:
         """
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         for s in random_schedules(200, seed=23):
-            plus, minus = pm_period_blocks(s)
+            plus, minus = pm_blocks(s)
             for block, floquet_map in ((plus, monodromy(s)),
                                        (minus, minus_mode_monodromy(s))):
                 np.testing.assert_allclose(
                     block, swap @ floquet_map @ swap, rtol=0,
                     atol=2 * np.finfo(float).eps * np.abs(block).max())
-            np.testing.assert_array_equal(single_mode_period_symplectic(s), minus)
+            s_u, s_s = segment_symplectics(s, 1)
+            np.testing.assert_array_equal(s_s @ s_u, minus)
 
     def test_quarter_turn_exchanges_modes(self):
         s = DriveSchedule.from_products(0.0, math.pi / 2, periods=1)
@@ -210,26 +262,26 @@ class TestPeriodMaps:
 
     def test_single_mode_pure_rotation_without_pump(self):
         s = DriveSchedule.from_products(0.0, 0.8, periods=1)
-        m = single_mode_period_symplectic(s)
+        m = single_mode_map(s)
         np.testing.assert_allclose(m, [[math.cos(0.8), math.sin(0.8)],
                                        [-math.sin(0.8), math.cos(0.8)]], atol=1e-15)
 
     def test_single_mode_half_trace_matches_two_mode_criterion(self):
         for s in random_schedules(200, seed=17):
-            half_trace = abs(np.trace(single_mode_period_symplectic(s))) / 2
+            half_trace = abs(np.trace(single_mode_map(s))) / 2
             expected = abs(math.cos(s.omega_tau2) * math.cosh(s.gamma_tau1))
             assert half_trace == pytest.approx(expected, abs=1e-12)
 
     def test_single_mode_pi_rotation_is_unstable(self):
         s = DriveSchedule.from_products(0.5, math.pi, periods=1)
-        half_trace = abs(np.trace(single_mode_period_symplectic(s))) / 2
+        half_trace = abs(np.trace(single_mode_map(s))) / 2
         assert half_trace == pytest.approx(math.cosh(0.5), abs=1e-12)
         assert half_trace > 1
 
     def test_single_mode_symplectic(self):
         form = symplectic_form(1)
         for s in random_schedules(100, seed=91):
-            m = single_mode_period_symplectic(s)
+            m = single_mode_map(s)
             np.testing.assert_allclose(m @ form @ m.T, form, atol=1e-10)
 
 
@@ -266,7 +318,7 @@ class TestEvolve:
                 continue
             if abs(report.half_trace - 1.0) <= 1e-3:
                 continue
-            plus, minus = pm_period_blocks(s)
+            plus, minus = pm_blocks(s)
             kappas = [np.linalg.cond(np.linalg.eig(b)[1]) for b in (plus, minus)]
             bound = (kappas[0] ** 2 + kappas[1] ** 2 - 2.0) / 2.0
             traj = evolve(vacuum_state(2), s, record_states=False)
@@ -337,7 +389,7 @@ class TestEvolve:
         s = DriveSchedule.from_products(0.4, 1.1, periods=30)
         state = coherent_state([0.7 + 0.2j, -0.5j])
         traj = evolve(state, s)
-        plus, minus = pm_period_blocks(s)
+        plus, minus = pm_blocks(s)
         blocks = np.zeros((4, 4))
         blocks[:2, :2], blocks[2:, 2:] = plus, minus
         mean_pm = PM_BASIS @ state.mean
@@ -366,6 +418,92 @@ class TestEvolve:
         traj = evolve(vacuum_state(1), s)
         assert traj.photons_per_mode[-1, 0] == pytest.approx(
             math.sinh(n * g) ** 2, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["vacuum", "coherent", "squeezed"]),
+           modes=st.sampled_from([1, 2]), per_segment=st.booleans(),
+           cap=st.sampled_from([1e3, 1e6, 1e12, math.inf]),
+           periods=st.integers(0, 10_000), g=st.floats(0.0, 1.5),
+           w=st.floats(0.0, math.pi), amplitude=st.floats(-2.0, 2.0))
+    def test_matches_per_period_loop(self, kind, modes, per_segment, cap,
+                                     periods, g, w, amplitude):
+        """The power-table engine against the loop it replaced.
+
+        Totals agree within ``1e-7 |t| + 1e-10``, widened by
+        ``eps * k * max(t_0 .. t_k)`` at sample k: a stable run that comes
+        back near vacuum after an excursion carries the loop's rounding of
+        that excursion (at ``g = 0.7578125, w = 2.4453125``, one mode, the
+        loop is 1.6e-10 off a 60-digit reference at period 4396, the table
+        8.5e-14).  With no cap a run stops where a product first overflows;
+        the loop's products and the table's overflow a few periods apart
+        there, so past 1e300 photons only the verdict is compared.
+        """
+        if kind == "vacuum":
+            state = vacuum_state(modes)
+        elif kind == "coherent":
+            state = coherent_state([amplitude + 0.5j, -0.3][:modes])
+        else:
+            state = squeezed_vacuum_state([abs(amplitude) / 2, 0.3][:modes], [1.0, 0.0][:modes])
+        s = DriveSchedule.from_products(g, w, periods=periods)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, totals, status, completed, _ = loop_evolve(
+                state, s, record_states=False, per_segment=per_segment, photon_cap=cap)
+        traj = evolve(state, s, record_states=False, per_segment=per_segment,
+                      photon_cap=cap)
+        got = traj.photon_totals
+        assert traj.photons_per_mode.shape == (got.size, modes)
+        if (totals < 1e300).all():
+            assert traj.status == status
+            assert traj.periods_completed == completed
+            assert got.shape == totals.shape
+        else:
+            assert cap == math.inf and not (got < 1e300).all()
+            totals = totals[:got.size]
+        below = totals < 1e300
+        k = np.flatnonzero(below)
+        atol = 1e-10 + np.finfo(float).eps * k * np.maximum.accumulate(totals[below])
+        assert (np.abs(got[below] - totals[below]) <= 1e-7 * totals[below] + atol).all()
+
+    def test_near_marginal_states_construct(self):
+        """Stable drives close to the stability edge give valid states.
+
+        The per-period loop raised InvalidStateError on many of these: its
+        rounding broke the uncertainty relation of the recorded states.
+        """
+        drives = [(0.44615674286790835, 0.43230246653417354, 1810)]
+        rng = np.random.default_rng(606)
+        for _ in range(60):
+            g, half_trace = rng.uniform(0.0, 1.5), rng.uniform(0.999, 0.99999)
+            drives.append((g, math.acos(half_trace / math.cosh(g)), 3000))
+        for g, w, periods in drives:
+            s = DriveSchedule.from_products(g, w, periods=periods)
+            assert classify_schedule(s).classification is Classification.STABLE
+            traj = evolve(vacuum_state(2), s)
+            assert traj.status == "ok"
+            for k in range(len(traj)):
+                traj[k]
+
+    def test_long_unstable_run_stops_in_first_table(self):
+        s = DriveSchedule.from_products(0.1, 0.01, periods=10**6)
+        start = time.perf_counter()
+        traj = evolve(vacuum_state(2), s, record_states=False)
+        elapsed = time.perf_counter() - start
+        assert traj.diverged
+        assert traj.periods_completed == 143
+        assert elapsed < 0.5
+
+    def test_states_recorded_as_arrays(self):
+        s = DriveSchedule.from_products(0.2, 0.9, periods=7)
+        state = coherent_state([0.3 - 0.1j, 0.5j])
+        traj = evolve(state, s, per_segment=True)
+        _, _, _, _, states = loop_evolve(state, s, per_segment=True)
+        assert traj.means.shape == (15, 4) and traj.covariances.shape == (15, 4, 4)
+        assert len(traj) == len(states)
+        for k, ref in enumerate(states):
+            np.testing.assert_allclose(traj[k].mean, ref.mean, atol=1e-12)
+            np.testing.assert_allclose(traj[k].covariance, ref.covariance, atol=1e-12)
+        assert [st.mean.tolist() for st in traj[3:9:2]] == traj.means[3:9:2].tolist()
+        assert evolve(state, s, record_states=False).means is None
 
     def test_rejects_non_state_input(self):
         s = DriveSchedule.from_products(0.1, 0.1, periods=1)
