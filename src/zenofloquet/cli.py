@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -106,29 +105,75 @@ def _is_int(value):
 
 # --- output ------------------------------------------------------------------
 
+#: Rows per encoded block of JSON output: bounds the text held at once.
+_JSON_BLOCK = 4096
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_cells(row):
+    # np.float64 is a float subclass, so it takes the .17g branch here
+    return ["%.17g" % v if isinstance(v, float) else str(v) for v in row]
+
+
+def _write_csv(fh, meta, header, rows):
+    for key in ("tool", "version", "command", "schema", "config_hash", "status"):
+        fh.write(f"# {key}={meta[key]}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    # one row template: .17g for a column of floats, str for one without
+    kinds = [{issubclass(t, float) for t in set(map(type, column))}
+             for column in zip(*rows)]
+    if {True, False} in kinds:
+        writer.writerows(map(_csv_cells, rows))
+        return
+    template = ",".join("%.17g" if kind == {True} else "%s" for kind in kinds) + "\n"
+    for row in rows:
+        line = template % tuple(row)
+        # a row that csv.writer would quote goes through it
+        if (line.count(",") != len(header) - 1 or '"' in line or "\r" in line
+                or line.count("\n") > 1 or line == "\n"):
+            writer.writerow(_csv_cells(row))
+        else:
+            fh.write(line)
+
+
+def _json_texts(column):
+    """The cells of one column as ``json.dumps(indent=1)`` writes them in a row."""
+    types = set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        texts = list(map(float.__repr__, column))
+        return list(map(_JSON_NONFINITE.get, texts, texts))
+    if types == {int}:
+        return list(map(int.__repr__, column))
+    if types == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, column))
+    # a row's values sit three levels deep
+    return [json.dumps(v, indent=1).replace("\n", "\n   ") for v in column]
+
+
+def _write_json(fh, meta, header, rows):
+    fh.write(json.dumps({"meta": meta}, indent=1)[:-2])  # without the final "\n}"
+    if not rows:
+        fh.write(',\n "rows": []\n}\n')
+        return
+    fh.write(',\n "rows": [\n')
+    keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
+    template = "  {\n%s\n  }" % ",\n".join(f"   {k}: %s" for k in keys)
+    for start in range(0, len(rows), _JSON_BLOCK):
+        columns = map(_json_texts, zip(*rows[start:start + _JSON_BLOCK]))
+        fh.write((",\n" if start else "")
+                 + ",\n".join(template % cells for cells in zip(*columns)))
+    fh.write("\n ]\n}\n")
+
+
 def _write_output(out_path, fmt, meta, header, rows):
-    if fmt == "csv":
-        buf = io.StringIO()
-        for key in ("tool", "version", "command", "schema", "config_hash", "status"):
-            buf.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        # np.float64 is a float subclass, so it takes the .17g branch here
-        # and json encodes it as a float
-        writer.writerows(["%.17g" % v if isinstance(v, float) else str(v)
-                          for v in row] for row in rows)
-        text = buf.getvalue()
-    else:
-        payload = {
-            "meta": meta,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=1) + "\n"
+    """Write the table to ``out_path`` (stdout for None or "-") as it is formatted."""
+    write = _write_csv if fmt == "csv" else _write_json
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout, meta, header, rows)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh, meta, header, rows)
 
 
 # --- sweep -------------------------------------------------------------------

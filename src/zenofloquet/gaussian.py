@@ -85,7 +85,8 @@ class GaussianState:
         # the eigensolve behind nu carries an error growing like
         # eps * |cov| * cond(eigenvectors) ~ eps * |cov|^2 for squeezed states,
         # so the certifiable tolerance must widen quadratically with scale
-        if nu_min < 0.5 - max(1e-10, 4e-15 * scale**2):
+        # (scale * scale overflows to inf, where scale**2 would raise)
+        if nu_min < 0.5 - max(1e-10, 4e-15 * scale * scale):
             raise InvalidStateError(
                 f"uncertainty relation violated: min symplectic eigenvalue {nu_min}")
         mean.setflags(write=False)
@@ -381,7 +382,12 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     done = 0
     while done < periods and status == "ok":
         maps = table[:step * (periods - done)]
-        covs_out = maps @ cov @ np.swapaxes(maps, 1, 2)
+        # near float64's range maps @ cov can overflow before the total does;
+        # a power-of-two scale is exact, so runs far from it keep their bits
+        big = np.abs(cov).max()
+        shift = np.frexp(big)[1] if big > 2.0**512 else 0
+        covs_out = np.ldexp(maps @ np.ldexp(cov, -shift) @ np.swapaxes(maps, 1, 2),
+                            shift)
         samples = maps @ mean, (covs_out + np.swapaxes(covs_out, 1, 2)) / 2.0
         per_mode = _photons_per_mode(*samples)
         totals = per_mode[step - 1::step].sum(axis=-1)

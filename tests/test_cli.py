@@ -1,6 +1,8 @@
 """CLI subcommands: deterministic output, schemas, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import shlex
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenofloquet import cli, floquet, fock, gaussian
@@ -692,3 +694,99 @@ def test_readme_cli_example_runs(tmp_path, argv, config):
     else:
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
+
+
+# --- the streaming writer against the whole-text writer it replaced -----------
+
+def _reference_output(fmt, meta, header, rows):
+    """Output text as the writer built it before streaming: csv.writer with
+    the per-cell .17g/str rule, or ``json.dumps(indent=1)`` of the payload."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        for key in ("tool", "version", "command", "schema", "config_hash", "status"):
+            buf.write(f"# {key}={meta[key]}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
+        return buf.getvalue()
+    payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def _assert_writes_reference(tmp_path, fmt, meta, header, rows):
+    expected = _reference_output(fmt, meta, header, rows)
+    out = tmp_path / f"out.{fmt}"
+    cli._write_output(str(out), fmt, meta, header, rows)
+    assert out.read_bytes() == expected.encode("utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._write_output(None, fmt, meta, header, rows)
+    assert stdout.getvalue() == expected
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                  1e308, -1.7976931348623157e308, 0.1]
+FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+TEXT = st.text(st.sampled_from(list(',"\r\n %\\é中 ab1')) | st.characters(
+    blacklist_categories=("Cs",)), max_size=6)
+COLUMN_CELLS = {
+    "float": FLOATS,
+    "float64": FLOATS.map(np.float64),
+    "int": st.sampled_from([0, -1, 2**63, 2**64 + 1, -2**63 - 5]) | st.integers(),
+    "bool": st.booleans(),
+    "str": TEXT,
+    "float-or-str": FLOATS | TEXT,
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1,
+                          max_size=8))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds),
+                           unique=True))
+    rows = draw(st.lists(st.tuples(*(COLUMN_CELLS[k] for k in kinds)).map(list),
+                         max_size=60))
+    return header, rows
+
+
+META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["csv", "json"]), table=tables())
+@example(fmt="csv", table=(["a"], [[""], ["x"], [""]]))
+@example(fmt="json", table=(["a", "b"], []))
+@example(fmt="json", table=(["%s", "b%%", '"\n'], [[1.5, "%d", True]]))
+@example(fmt="csv", table=(["a", "b"], []))
+def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
+    _assert_writes_reference(tmp_path, fmt, META, *table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 8193])
+def test_streamed_output_across_json_block_seams(tmp_path, fmt, size):
+    rng = np.random.default_rng(size)
+    floats = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    floats[::97] = math.nan
+    floats[::89] = -math.inf
+    header = ["period", "n", "n_total", "label", "flag"]
+    rows = [[k, float(v), np.float64(-v), "ab,c" if k % 1000 == 3 else "ok", k % 2]
+            for k, v in enumerate(floats)]
+    _assert_writes_reference(tmp_path, fmt, META, header, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--cross-check"],
+    ["sweep", "--cross-check", "--format", "json"],
+    ["simulate", "--gamma", "0.05", "--tau1", "1", "--omega", "0.3", "--tau2", "1",
+     "--periods", "5000", "--format", "json"],
+])
+def test_stdout_and_out_file_give_the_same_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

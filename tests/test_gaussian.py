@@ -139,6 +139,16 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             state.covariance[0, 0] = 3.0
 
+    def test_covariance_beyond_squared_float_range_constructs(self):
+        """The uncertainty tolerance grows like scale^2 and overflows to inf
+        past scale ~ 1.3e154, without raising."""
+        state = GaussianState(np.zeros(2), np.eye(2) * 1e155)
+        assert state.covariance[0, 0] == 1e155
+        s = DriveSchedule.from_products(0.5, 0.1, periods=3000)
+        traj = evolve(vacuum_state(2), s, photon_cap=1e200)
+        assert traj.diverged and traj.periods_completed == 472
+        assert traj[-1].covariance.max() > 1e154
+
     def test_squeezed_vacuum_variances(self):
         r = 0.8
         state = squeezed_vacuum_state(r)
@@ -363,6 +373,18 @@ class TestEvolve:
         assert np.isfinite(traj.photon_totals[:-1]).all()
         assert not np.isfinite(traj.photon_totals[-1])
 
+    def test_uncapped_run_stops_where_the_loop_does(self):
+        """Near float64's range only the photon total may overflow, not the
+        ``maps @ cov`` product of a later table."""
+        s = DriveSchedule.from_products(0.759765625, 2.44921875, periods=6000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, totals, status, completed, _ = loop_evolve(
+                vacuum_state(1), s, record_states=False, photon_cap=math.inf)
+        traj = evolve(vacuum_state(1), s, record_states=False, photon_cap=math.inf)
+        assert status == traj.status == "diverged"
+        assert traj.periods_completed == completed == 4722
+        np.testing.assert_allclose(traj.photon_totals[:-1], totals[:-1], rtol=1e-7)
+
     @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
     def test_invalid_photon_cap_rejected(self, cap):
         s = DriveSchedule.from_products(0.1, 0.5, periods=3)
@@ -434,9 +456,9 @@ class TestEvolve:
         back near vacuum after an excursion carries the loop's rounding of
         that excursion (at ``g = 0.7578125, w = 2.4453125``, one mode, the
         loop is 1.6e-10 off a 60-digit reference at period 4396, the table
-        8.5e-14).  With no cap a run stops where a product first overflows;
-        the loop's products and the table's overflow a few periods apart
-        there, so past 1e300 photons only the verdict is compared.
+        8.5e-14).  With no cap a run stops where its total overflows; totals
+        that differ in their last digits can overflow a period apart, so past
+        1e300 photons only the verdict is compared.
         """
         if kind == "vacuum":
             state = vacuum_state(modes)
