@@ -49,11 +49,31 @@ class Classification(str, enum.Enum):
     UNSTABLE = "unstable"
 
 
-def _require_finite_nonnegative(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
+def _require_real(name, value, positive=False):
+    """Reject a ``value`` that is not finite and ``>= 0`` (``> 0`` if ``positive``)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def _require_int(name, value, lo=0, hi=None):
+    """``value`` as an ``int``: an integer or integral float, not a bool, in [lo, hi]."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+        n = None
+    if isinstance(value, bool) or n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < lo or (hi is not None and n > hi):
+        raise ValueError(f"{name} {n} outside [{lo}, {'inf' if hi is None else hi}]")
+    return n
+
+
+def _require_cap(photon_cap):
+    """Reject a photon cap that is not ``> 0``; ``inf`` means no cap."""
+    # a NaN cap would never trip and a non-positive one trips on the vacuum
+    if not photon_cap > 0:
+        raise ValueError(f"photon_cap must be > 0 (inf for no cap), got {photon_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +102,8 @@ class DriveSchedule:
 
     def __post_init__(self):
         for name in ("gamma", "tau1", "omega", "tau2"):
-            _require_finite_nonnegative(name, float(getattr(self, name)))
-        if not isinstance(self.periods, int):
-            # an integral float such as 3.0 becomes 3, which range() accepts
-            if not math.isfinite(self.periods) or int(self.periods) != self.periods:
-                raise ValueError(f"periods must be an integer, got {self.periods!r}")
-            object.__setattr__(self, "periods", int(self.periods))
-        if self.periods < 0:
-            raise ValueError(f"periods must be a non-negative integer, got {self.periods!r}")
+            _require_real(name, getattr(self, name))
+        object.__setattr__(self, "periods", _require_int("periods", self.periods))
         if self.periods > 0 and self.period <= 0:
             raise ValueError("period tau1 + tau2 must be positive when periods > 0")
 
@@ -143,12 +157,9 @@ class ClassicalPendulumParams:
 
     def __post_init__(self):
         for name in ("k1", "k2", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.k1 > self.k2 > 0:
+            _require_real(name, getattr(self, name), positive=True)
+        if not self.k1 > self.k2:
             raise ValueError(f"require k1 > k2 > 0, got k1={self.k1}, k2={self.k2}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 def _cosh_sinh(name, product):
@@ -178,8 +189,8 @@ def unstable_segment_matrix(gamma: float, tau1: float) -> np.ndarray:
     squeezes the antidiagonal, with determinant exactly
     ``cosh^2 - sinh^2 = 1``.
     """
-    _require_finite_nonnegative("gamma", gamma)
-    _require_finite_nonnegative("tau1", tau1)
+    _require_real("gamma", gamma)
+    _require_real("tau1", tau1)
     return _hyperbolic_transfer(gamma * tau1)
 
 
@@ -189,8 +200,8 @@ def stable_segment_matrix(omega: float, tau2: float) -> np.ndarray:
     Returns the rotation ``[[cos(w), sin(w)], [-sin(w), cos(w)]]`` with
     ``w = omega * tau2``.
     """
-    _require_finite_nonnegative("omega", omega)
-    _require_finite_nonnegative("tau2", tau2)
+    _require_real("omega", omega)
+    _require_real("tau2", tau2)
     return _rotation_transfer(omega * tau2)
 
 
@@ -269,11 +280,6 @@ def _floquet_exponent(half_trace, period):
     return math.log(half_trace + math.sqrt(half_trace**2 - 1.0)) / period
 
 
-def _require_period(period):
-    if not math.isfinite(period) or period <= 0:
-        raise ValueError(f"period must be positive and finite, got {period!r}")
-
-
 def classify(monodromy_matrix: np.ndarray, period: float,
              epsilon: float = DEFAULT_EPSILON) -> StabilityReport:
     """Classify a one-period map by its half-trace.
@@ -296,7 +302,7 @@ def classify(monodromy_matrix: np.ndarray, period: float,
     m = np.asarray(monodromy_matrix, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    _require_period(period)
+    _require_real("period", period, positive=True)
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     _check_determinant(a, b, c, d)
     half_trace = abs(a + d) / 2.0
@@ -330,7 +336,7 @@ def classify_stack(maps: np.ndarray, period: float,
     m = np.asarray(maps, dtype=float)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    _require_period(period)
+    _require_real("period", period, positive=True)
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     _check_determinant(a, b, c, d)
     half_trace = np.abs(a + d) / 2.0

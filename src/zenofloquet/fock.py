@@ -30,9 +30,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .floquet import DriveSchedule
+from .floquet import DriveSchedule, _require_cap, _require_int, _require_real
 
-#: Population fraction allowed in levels above HIGH_LEVEL_FRACTION * cutoff.
+#: Population fraction allowed in levels above HIGH_LEVEL_FRACTION * cutoff:
+#: the one definition of a truncation-safe state.
 LEAKAGE_THRESHOLD = 1e-8
 HIGH_LEVEL_FRACTION = 0.9
 
@@ -98,14 +99,12 @@ def build_hamiltonian(label: HamiltonianLabel, coupling: float,
     Creation out of the top level D maps to zero (hard truncation).  The
     matrix is real symmetric, hence Hermitian.
     """
-    if int(cutoff) != cutoff or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    if not math.isfinite(coupling) or coupling < 0:
-        raise ValueError(f"coupling must be finite and >= 0, got {coupling!r}")
-    matrix = coupling * _generator_dense(label, int(cutoff))
+    cutoff = _require_int("cutoff", cutoff, 1)
+    _require_real("coupling", coupling)
+    matrix = coupling * _generator_dense(label, cutoff)
     matrix.setflags(write=False)
     return HamiltonianMatrix(matrix=matrix, label=label,
-                             coupling=float(coupling), cutoff=int(cutoff))
+                             coupling=float(coupling), cutoff=cutoff)
 
 
 def segment_unitary(hamiltonian: HamiltonianMatrix, duration: float) -> np.ndarray:
@@ -143,10 +142,8 @@ class FockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.mode_count not in (1, 2):
-            raise ValueError(f"mode_count must be 1 or 2, got {self.mode_count}")
-        if int(self.cutoff) != self.cutoff or self.cutoff < 1:
-            raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff}")
+        for name, hi in (("mode_count", 2), ("cutoff", None)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 1, hi))
         dim = (self.cutoff + 1) ** self.mode_count
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != dim:
@@ -165,17 +162,18 @@ class FockState:
 
 def basis_index(cutoff: int, *occupations: int) -> int:
     """Lexicographic basis index of |n_a, n_b> (or |n> for one mode)."""
+    cutoff = _require_int("cutoff", cutoff, 1)
+    if len(occupations) not in (1, 2):
+        raise ValueError(f"expected one or two occupations, got {len(occupations)}")
+    index = 0
     for n in occupations:
-        if not 0 <= n <= cutoff:
-            raise ValueError(f"occupation {n} outside [0, {cutoff}]")
-    if len(occupations) == 1:
-        return occupations[0]
-    n_a, n_b = occupations
-    return n_a * (cutoff + 1) + n_b
+        index = index * (cutoff + 1) + _require_int("occupation", n, 0, cutoff)
+    return index
 
 
 def number_state(cutoff: int, *occupations: int) -> FockState:
     """|n> or |n_a, n_b>; the cutoff must host every requested occupation."""
+    cutoff = _require_int("cutoff", cutoff, 1)
     amps = np.zeros((cutoff + 1) ** len(occupations), dtype=complex)
     amps[basis_index(cutoff, *occupations)] = 1.0
     return FockState(mode_count=len(occupations), cutoff=cutoff, amplitudes=amps)
@@ -236,9 +234,8 @@ def leakage_fraction(state: FockState) -> float:
     return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
 
 
-def is_truncation_safe(state: FockState,
-                       threshold: float = LEAKAGE_THRESHOLD) -> bool:
-    return leakage_fraction(state) < threshold
+def is_truncation_safe(state: FockState) -> bool:
+    return leakage_fraction(state) < LEAKAGE_THRESHOLD
 
 
 def expectation(state: FockState, observable) -> float:
@@ -453,12 +450,6 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
                 break
 
 
-def _require_leakage_threshold(value):
-    # a NaN threshold would never trip, so truncated runs would pass as safe
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"leakage_threshold must be finite and > 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FockTrajectory:
     """Per-period records of a truncated propagation.
@@ -492,27 +483,23 @@ class FockTrajectory:
 
 def propagate(state: FockState, schedule: DriveSchedule, *,
               record_states: bool = True,
-              leakage_threshold: float = LEAKAGE_THRESHOLD,
-              stop_on_unsafe: bool = False,
-              photon_cap: float | None = None) -> FockTrajectory:
+              photon_cap: float = math.inf) -> FockTrajectory:
     """Propagate through N periods, recording observables at each boundary.
 
     Each period applies the amplifying segment (angle ``gamma * tau1``) then
     the exchange segment (angle ``omega * tau2``).  The state is renormalized
-    every period and the pre-renormalization drift logged.  Leakage past the
-    monitor threshold marks the trajectory truncation-unsafe from that period
-    on; with ``stop_on_unsafe`` (or a ``photon_cap``) propagation stops early.
+    every period and the pre-renormalization drift logged.  Leakage past
+    ``LEAKAGE_THRESHOLD`` marks the trajectory truncation-unsafe from that
+    period on.  Propagation stops early once the total photon number exceeds
+    ``photon_cap`` (> 0; ``inf``, the default, for no cap).
     """
     if not isinstance(state, FockState):
         raise ValueError("initial state must be a FockState")
-    _require_leakage_threshold(leakage_threshold)
-    # a NaN cap would never trip and a non-positive one trips on the vacuum
-    if photon_cap is not None and not photon_cap > 0:
-        raise ValueError(f"photon_cap must be > 0 or None, got {photon_cap!r}")
+    _require_cap(photon_cap)
     cutoff, modes = state.cutoff, state.mode_count
     psi = state.amplitudes.reshape(-1, 1)
     observed = _observable_rows(cutoff, modes) @ (np.abs(psi[:, 0]) ** 2)
-    if observed[-1] >= leakage_threshold:
+    if observed[-1] >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
                          f"(leakage {observed[-1]:.2e} at cutoff {cutoff})")
 
@@ -532,16 +519,13 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         if record_states:
             states.append(FockState(modes, cutoff, psi[:, 0]))
         completed = n
-        stop = False
-        if leak[0] >= leakage_threshold and first_unsafe is None:
+        if leak[0] >= LEAKAGE_THRESHOLD and first_unsafe is None:
             first_unsafe = n
             status = "truncation-unsafe"
-            stop = stop_on_unsafe
-        if photon_cap is not None and per_mode[:, 0].sum() > photon_cap:
-            if status == "ok":
-                status = "photon-cap"
-            stop = True
-        return np.array([stop])
+        capped = per_mode[:, 0].sum() > photon_cap
+        if capped and status == "ok":
+            status = "photon-cap"
+        return np.array([capped])
 
     _step_periods(psi, modes, cutoff, schedule.gamma_tau1, schedule.omega_tau2,
                   schedule.periods, settle)
@@ -558,15 +542,14 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     )
 
 
-def default_cutoff(gamma_tau1: float, periods: int,
-                   cap: int = MAX_DEFAULT_CUTOFF) -> int:
-    """Heuristic cutoff for squeezing-dominated runs, capped at ``cap``.
+def default_cutoff(gamma_tau1: float, periods: int) -> int:
+    """Heuristic cutoff for squeezing-dominated runs, capped at ``MAX_DEFAULT_CUTOFF``.
 
     Sized from the worst case of uninterrupted amplification over all
     periods; the leakage monitor, not this guess, certifies a run.
     """
     squeeze = math.sinh(min(periods * gamma_tau1, 20.0)) ** 2
-    return int(min(cap, max(20, math.ceil(10.0 * squeeze + 10.0))))
+    return int(min(MAX_DEFAULT_CUTOFF, max(20, math.ceil(10.0 * squeeze + 10.0))))
 
 
 @dataclass(frozen=True)
@@ -581,8 +564,7 @@ class ZenoScanPoint:
 
 def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
                         periods: int = 150, growth_factor: float = 25.0,
-                        cutoff: int | None = None,
-                        leakage_threshold: float = LEAKAGE_THRESHOLD):
+                        cutoff: int | None = None):
     """Classify photon growth from vacuum along a grid of exchange angles.
 
     A point is "growth" once the total photon number exceeds
@@ -606,19 +588,12 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
         raise ValueError("omega_tau2 grid must be finite")
     if grid.size and (grid.min() < -1e-12 or grid.max() > math.pi + 1e-12):
         raise ValueError("omega_tau2 grid must lie within [0, pi]")
-    if not math.isfinite(gamma_tau1) or gamma_tau1 < 0:
-        raise ValueError(f"gamma_tau1 must be finite and >= 0, got {gamma_tau1!r}")
-    _require_leakage_threshold(leakage_threshold)
-    if not math.isfinite(growth_factor) or growth_factor <= 0:
-        raise ValueError(f"growth_factor must be finite and > 0, got {growth_factor!r}")
-    if isinstance(periods, bool) or not math.isfinite(periods) \
-            or int(periods) != periods:
-        raise ValueError(f"periods must be an integer, got {periods!r}")
-    periods = int(periods)
-    if not 1 <= periods <= 200:
-        raise ValueError("periods must be between 1 and 200 for the scan")
+    _require_real("gamma_tau1", gamma_tau1)
+    _require_real("growth_factor", growth_factor, positive=True)
+    periods = _require_int("periods", periods, 1, 200)
     if cutoff is None:
         cutoff = default_cutoff(gamma_tau1, periods)
+    cutoff = _require_int("cutoff", cutoff, 1)
     if not grid.size:
         return ()
 
@@ -631,7 +606,7 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
         n_tot = per_mode.sum(axis=0)
         n_final[active] = n_tot
         periods_run[active] = n
-        leaky = leak >= leakage_threshold
+        leaky = leak >= LEAKAGE_THRESHOLD
         if n == 1:
             n_ref[active] = n_tot
             grown = np.zeros_like(leaky)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DriveSchedule, pair_map, powers
+from .floquet import DriveSchedule, _require_cap, _require_int, pair_map, powers
 
 #: Default photon-number guard: evolution aborts with status "diverged"
 #: once the total expected photon number exceeds this value.
@@ -60,10 +60,10 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
 class GaussianState:
     """Mean vector and covariance matrix of a 1- or 2-mode Gaussian state.
 
-    The constructor symmetrizes the covariance (rejecting asymmetry beyond
-    1e-12 relative to its scale) and verifies the uncertainty relation via
-    the symplectic spectrum.  Arrays are copied and frozen, so states are
-    immutable values.
+    The constructor rejects non-finite entries, symmetrizes the covariance
+    (rejecting asymmetry beyond 1e-12 relative to its scale) and verifies the
+    uncertainty relation via the symplectic spectrum.  Arrays are copied and
+    frozen, so states are immutable values.
     """
 
     mean: np.ndarray
@@ -72,6 +72,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.array(self.covariance, dtype=float)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise InvalidStateError("mean and covariance must be finite")
         if mean.size not in (2, 4):
             raise InvalidStateError(f"mean must have length 2 or 4, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
@@ -211,7 +213,10 @@ def vacuum_diverges(plus, minus, periods, photon_cap):
     arrays, each holding both pairs of every point, because batched ``@`` on
     2x2 stacks is slow.
     """
+    periods = _require_int("periods", periods)
     diverged = np.zeros(plus.shape[0], dtype=bool)
+    if not periods:
+        return diverged  # only the vacuum, which no cap > 0 trips
 
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
@@ -359,8 +364,7 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     """
     if not isinstance(state, GaussianState):
         raise InvalidStateError("initial state must be a GaussianState")
-    if not photon_cap > 0:
-        raise ValueError(f"photon_cap must be > 0 (inf for no cap), got {photon_cap!r}")
+    _require_cap(photon_cap)
     periods, two_mode = schedule.periods, state.mode_count == 2
     plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
     # powers of the 2x2 blocks keep far smaller symplectic defects than powers

@@ -149,6 +149,19 @@ class TestStateConstruction:
         assert traj.diverged and traj.periods_completed == 472
         assert traj[-1].covariance.max() > 1e154
 
+    def test_non_finite_state_rejected(self):
+        """Checked before the eigensolve, which raised numpy's LinAlgError."""
+        with pytest.raises(InvalidStateError, match="finite"):
+            GaussianState(np.zeros(2), np.full((2, 2), np.nan))
+        with pytest.raises(InvalidStateError, match="finite"):
+            GaussianState([0.0, math.inf], np.eye(2) / 2)
+        s = DriveSchedule.from_products(0.5, 0.1, periods=3000)
+        traj = evolve(vacuum_state(2), s, photon_cap=math.inf)
+        assert traj.periods_completed == 727 and traj.photon_totals[-1] == math.inf
+        with pytest.raises(InvalidStateError, match="finite"):
+            traj[-1]
+        assert np.isfinite(traj[-2].covariance).all()
+
     def test_squeezed_vacuum_variances(self):
         r = 0.8
         state = squeezed_vacuum_state(r)
@@ -208,6 +221,34 @@ class TestPmBasis:
         v = PM_BASIS @ np.array([1.0, 0.0, 0.0, 0.0])  # x_a displacement only
         assert v[0] == pytest.approx(1 / math.sqrt(2))
         assert v[2] == pytest.approx(1 / math.sqrt(2))
+
+
+class TestVacuumDiverges:
+    def test_zero_periods_keeps_only_the_vacuum(self):
+        """Zero periods check nothing past the vacuum, as ``evolve`` keeps
+        only the initial state; the period-one maps here all trip the cap."""
+        plus, minus = pm_pair_maps(np.array([3.0, 5.0]), np.array([0.0, 0.1]))
+        plus, minus = plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2)
+        assert gaussian.vacuum_diverges(plus, minus, 1, 10.0).all()
+        assert not gaussian.vacuum_diverges(plus, minus, 0, 10.0).any()
+        s = DriveSchedule.from_products(3.0, 0.0, periods=0)
+        assert not evolve(vacuum_state(2), s, photon_cap=10.0).diverged
+
+    @pytest.mark.parametrize("periods", [True, False, -1, 2.5, math.inf])
+    def test_invalid_period_count_rejected(self, periods):
+        plus, minus = pm_pair_maps(np.array([0.2]), np.array([0.5]))
+        with pytest.raises(ValueError, match="periods"):
+            gaussian.vacuum_diverges(plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2),
+                                     periods, 1e12)
+
+    def test_integral_float_period_count(self):
+        plus, minus = pm_pair_maps(np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 5))
+        plus, minus = plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2)
+        expected = gaussian.vacuum_diverges(plus, minus, 300, 1e6)
+        assert expected.any() and not expected.all()
+        for periods in (300.0, np.int64(300)):
+            np.testing.assert_array_equal(
+                gaussian.vacuum_diverges(plus, minus, periods, 1e6), expected)
 
 
 class TestPeriodMaps:

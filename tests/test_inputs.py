@@ -1,0 +1,66 @@
+"""One count rule at the library boundary.
+
+Every period count, cutoff and mode count is an integer or an integral float,
+never a bool, within its range; it is stored as an ``int``.  Each rejected
+call below raises ``ValueError``, and each accepted one keeps a plain ``int``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from zenofloquet import fock
+from zenofloquet.floquet import DriveSchedule
+from zenofloquet.fock import FockState, HamiltonianLabel
+
+AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=True),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=False),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=2.5),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=math.nan),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods="3"),
+    lambda: FockState(True, 4, AMPS[:5]),
+    lambda: FockState(2, True, AMPS[:4]),
+    lambda: FockState(2, 4.5, AMPS),
+    lambda: FockState(3, 4, AMPS),
+    lambda: fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, math.inf),
+    lambda: fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, True),
+    lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=True, periods=3),
+    lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=2.5, periods=3),
+    lambda: fock.zeno_threshold_scan(0.1, [], cutoff=2.5, periods=3),
+    lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=0, periods=3),
+    lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=0),
+    lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=math.inf),
+], ids=["schedule-true", "schedule-false", "schedule-2.5", "schedule-nan",
+        "schedule-str", "fock-state-modes-true", "fock-state-cutoff-true",
+        "fock-state-cutoff-4.5", "fock-state-modes-3", "hamiltonian-cutoff-inf",
+        "hamiltonian-cutoff-true", "scan-cutoff-true", "scan-cutoff-2.5", "empty-scan-cutoff-2.5",
+        "scan-cutoff-0", "scan-periods-0", "scan-periods-inf"])
+def test_invalid_count_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# floats first: the Fock engine caches its tables per cutoff, and 17 == 17.0
+@pytest.mark.parametrize("count", [3.0, np.float64(3.0), 3, np.int64(3)],
+                         ids=["float", "np.float64", "int", "np.int64"])
+def test_integral_counts_stored_as_int(count):
+    schedule = DriveSchedule.from_products(0.1, 0.5, periods=count)
+    assert type(schedule.periods) is int and schedule.periods == 3
+
+    cutoff = count + 1  # 4 of the same type
+    state = FockState(count - 1, cutoff, AMPS)
+    assert (type(state.mode_count), type(state.cutoff)) == (int, int)
+    assert (state.mode_count, state.cutoff, state.dim) == (2, 4, 25)
+    traj = fock.propagate(state, schedule, record_states=False)
+    assert traj.periods_completed == 3
+
+    h = fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, cutoff)
+    assert type(h.cutoff) is int and h.matrix.shape == (25, 25)
+
+    scan = fock.zeno_threshold_scan(0.1, [0.5], cutoff=4 * cutoff + 1, periods=count)
+    assert scan == fock.zeno_threshold_scan(0.1, [0.5], cutoff=17, periods=3)
