@@ -16,6 +16,12 @@ into a few padded eigenvector tensors, and a segment acts on a matrix of
 amplitude columns, so one propagation can carry many states (one per
 exchange angle in :func:`zeno_threshold_scan`).
 
+Every segment generator also conserves the parity of the total photon
+number, even under hard truncation, and every block lies in one parity
+sector.  A propagation whose initial amplitudes all share one parity (the
+vacuum, any number state) carries only that sector's rows, half the basis;
+mixed-parity states such as coherent states carry every row.
+
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
 """
@@ -246,6 +252,9 @@ def expectation(state: FockState, observable) -> float:
     ``|amplitude|^2`` is returned.
     """
     probs = np.abs(state.amplitudes) ** 2
+    if isinstance(observable, (bool, np.bool_)):
+        # the rule of floquet._require_int: a bool is never a count or index
+        raise ValueError(f"basis index must be an integer, got {observable!r}")
     if isinstance(observable, (int, np.integer)):
         if not 0 <= observable < state.dim:
             raise IndexError(f"basis index {observable} outside [0, {state.dim})")
@@ -295,19 +304,38 @@ def _chains(label: HamiltonianLabel, cutoff: int):
             yield ns, np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
 
 
+@lru_cache(maxsize=None)
+def _sector_rows(cutoff: int, mode_count: int, parity) -> np.ndarray:
+    """Basis rows whose total photon number has ``parity`` (``None``: every row)."""
+    total = sum(_number_diagonals(cutoff, mode_count))
+    rows = np.arange(total.size) if parity is None else np.flatnonzero(total % 2 == parity)
+    rows.setflags(write=False)
+    return rows
+
+
+def _sector_parity(columns: np.ndarray, mode_count: int, cutoff: int):
+    """The photon parity of every nonzero amplitude in ``columns``, or ``None``
+    if they mix parities (a coherent state, say)."""
+    total = sum(_number_diagonals(cutoff, mode_count))
+    parities = np.unique(total[(columns != 0).any(axis=1)] % 2)
+    return int(parities[0]) if parities.size == 1 else None
+
+
 @dataclass(frozen=True)
 class _Packing:
     """Eigendecomposed conserved-quantity blocks of one generator, packed.
 
-    The blocks are sorted by length and packed ``BUCKET_BLOCKS`` at a time
-    into buckets padded to their longest block; the packed rows are the
-    buckets' rows one after another.  ``gather`` is the basis row of every
-    packed row (padding repeats row 0), ``unpack`` the packed row of every
-    basis row and ``weights`` the eigenvalue of every packed row (0 on
-    padding).  Each bucket is ``(start, stop, vectors)``: its packed row
-    range and its ``(nblocks, L, L)`` real eigenvectors, zero on padding so
-    that padding neither reads nor writes an amplitude.  A diagonal
-    generator has no buckets.
+    Only the blocks of one photon-parity sector are kept (all of them for
+    parity ``None``), and rows are numbered within the sector, in the order
+    of :func:`_sector_rows`.  The blocks are sorted by length and packed
+    ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
+    the packed rows are the buckets' rows one after another.  ``gather`` is
+    the sector row of every packed row (padding repeats row 0), ``unpack``
+    the packed row of every sector row and ``weights`` the eigenvalue of
+    every packed row (0 on padding).  Each bucket is ``(start, stop,
+    vectors)``: its packed row range and its ``(nblocks, L, L)`` real
+    eigenvectors, zero on padding so that padding neither reads nor writes
+    an amplitude.  A diagonal generator has no buckets.
     """
 
     gather: np.ndarray
@@ -317,14 +345,22 @@ class _Packing:
 
 
 @lru_cache(maxsize=None)
-def _packed_blocks(label: HamiltonianLabel, cutoff: int) -> _Packing:
-    """The packed eigendecomposition of a unit-coupling generator."""
+def _packed_blocks(label: HamiltonianLabel, cutoff: int, parity) -> _Packing:
+    """The packed eigendecomposition of a unit-coupling generator on the rows
+    of one photon-parity sector (``None``: every row)."""
+    rows = _sector_rows(cutoff, label.mode_count, parity)
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
-        rows = np.arange(cutoff + 1)
-        packing = _Packing(rows, rows, rows + 0.5, ())
+        index = np.arange(rows.size)
+        packing = _Packing(index, index, rows + 0.5, ())
     else:
-        chains = sorted(_chains(label, cutoff), key=lambda chain: chain[0].size)
+        # each chain conserves photon parity, so it lies wholly in or out
+        # of the sector; position is -1 outside it
+        position = np.full((cutoff + 1) ** label.mode_count, -1, dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+        chains = sorted(((position[idx], off) for idx, off in _chains(label, cutoff)
+                         if position[idx[0]] >= 0),
+                        key=lambda chain: chain[0].size)
         gather, real, weights, buckets = [], [], [], []
         start = 0
         for first in range(0, len(chains), BUCKET_BLOCKS):
@@ -348,7 +384,7 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int) -> _Packing:
             real.append(used.ravel())
             weights.append(w.ravel())
         gather, real = np.concatenate(gather), np.concatenate(real)
-        unpack = np.empty((cutoff + 1) ** label.mode_count, dtype=np.intp)
+        unpack = np.empty(rows.size, dtype=np.intp)
         unpack[gather[real]] = np.flatnonzero(real)
         packing = _Packing(gather, unpack, np.concatenate(weights), tuple(buckets))
     for arr in (packing.gather, packing.unpack, packing.weights):
@@ -359,13 +395,14 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int) -> _Packing:
 class _Segment:
     """``exp(-i * angle * generator)`` of one segment on amplitude columns.
 
-    ``angles`` is one angle shared by every column or one angle per column.
-    The phases ``exp(-i * w * angle)`` are computed here, once per
-    propagation, not once per period.
+    The columns hold the rows of one photon-parity sector (``parity`` 0 or
+    1) or every basis row (``None``).  ``angles`` is one angle shared by
+    every column or one angle per column.  The phases ``exp(-i * w * angle)``
+    are computed here, once per propagation, not once per period.
     """
 
-    def __init__(self, label: HamiltonianLabel, cutoff: int, angles):
-        self.packing = _packed_blocks(label, cutoff)
+    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, parity):
+        self.packing = _packed_blocks(label, cutoff, parity)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
         self.phases = np.exp(-1j * self.packing.weights[:, None] * angles)
@@ -376,7 +413,7 @@ class _Segment:
             self.phases = self.phases[:, columns]
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """The segment applied to ``psi`` of shape (dim, columns)."""
+        """The segment applied to ``psi`` of shape (sector rows, columns)."""
         packing = self.packing
         if self.identity:
             return psi
@@ -406,10 +443,12 @@ def _segment_labels(mode_count: int):
 
 
 @lru_cache(maxsize=None)
-def _observable_rows(cutoff: int, mode_count: int) -> np.ndarray:
-    """Rows mapping basis probabilities to (n per mode..., leakage)."""
-    rows = np.vstack(_number_diagonals(cutoff, mode_count)
-                     + (_high_level_mask(cutoff, mode_count),)).astype(float)
+def _observable_rows(cutoff: int, mode_count: int, parity) -> np.ndarray:
+    """Rows mapping the probabilities of one photon-parity sector's rows
+    (``None``: every row) to (n per mode..., leakage)."""
+    sector = _sector_rows(cutoff, mode_count, parity)
+    rows = np.vstack([d[sector] for d in _number_diagonals(cutoff, mode_count)
+                      + (_high_level_mask(cutoff, mode_count),)]).astype(float)
     rows.setflags(write=False)
     return rows
 
@@ -418,22 +457,28 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
                   gamma_tau1: float, omega_tau2, periods: int, settle):
     """The per-period stepping loop of every Fock propagation.
 
-    ``columns`` (dim, k) holds k initial amplitude vectors.  Each period
-    applies the amplifying segment (angle ``gamma_tau1``, shared by every
-    column) and then the exchange segment (``omega_tau2``, one angle or one
-    per column) to the active columns, and renormalizes them.  Then
-    ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
-    number, the original numbers of the m active columns, their amplitudes
-    (dim, m), their norms before renormalization (m,), photons per mode
-    (modes, m) and leakage (m,), and returns a boolean mask (m,) of the
-    columns that stop.  Stopped columns leave the active set; the loop ends
-    after ``periods`` periods or when no column is left.
+    ``columns`` (dim, k) holds k initial amplitude vectors.  If all their
+    nonzero amplitudes share one photon parity, only the rows of that
+    sector are propagated (the rest stay exactly zero); otherwise every
+    row is.  Each period applies the amplifying segment (angle
+    ``gamma_tau1``, shared by every column) and then the exchange segment
+    (``omega_tau2``, one angle or one per column) to the active columns,
+    and renormalizes them.  Then ``settle(n, active, psi, norm, per_mode,
+    leak)`` receives the period number, the original numbers of the m
+    active columns, their amplitudes on the propagated rows (rows, m),
+    their norms before renormalization (m,), photons per mode (modes, m)
+    and leakage (m,), and returns a boolean mask (m,) of the columns that
+    stop.  Stopped columns leave the active set; the loop ends after
+    ``periods`` periods or when no column is left.  Returns the basis
+    indices of the propagated rows.
     """
+    parity = _sector_parity(columns, mode_count, cutoff)
+    sector = _sector_rows(cutoff, mode_count, parity)
     label_u, label_s = _segment_labels(mode_count)
-    amplify = _Segment(label_u, cutoff, gamma_tau1)
-    exchange = _Segment(label_s, cutoff, omega_tau2)
-    rows = _observable_rows(cutoff, mode_count)
-    psi = np.array(columns, dtype=complex)  # renormalized in place below
+    amplify = _Segment(label_u, cutoff, gamma_tau1, parity)
+    exchange = _Segment(label_s, cutoff, omega_tau2, parity)
+    rows = _observable_rows(cutoff, mode_count, parity)
+    psi = np.asarray(columns[sector], dtype=complex)  # a copy, renormalized in place
     active = np.arange(columns.shape[1])
     for n in range(1, periods + 1):
         psi = exchange(amplify(psi))
@@ -448,6 +493,7 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
             exchange.keep(keep)
             if not active.size:
                 break
+    return sector
 
 
 @dataclass(frozen=True)
@@ -498,7 +544,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     _require_cap(photon_cap)
     cutoff, modes = state.cutoff, state.mode_count
     psi = state.amplitudes.reshape(-1, 1)
-    observed = _observable_rows(cutoff, modes) @ (np.abs(psi[:, 0]) ** 2)
+    observed = _observable_rows(cutoff, modes, None) @ (np.abs(psi[:, 0]) ** 2)
     if observed[-1] >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
                          f"(leakage {observed[-1]:.2e} at cutoff {cutoff})")
@@ -506,7 +552,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     n_rec = [observed[:-1]]
     drift_rec = [0.0]
     leak_rec = [float(observed[-1])]
-    states = [state] if record_states else None
+    recorded = []  # amplitudes on the propagated rows, one per period
     status = "ok"
     first_unsafe = None
     completed = 0
@@ -517,7 +563,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         drift_rec.append(float(norm[0] - 1.0))
         leak_rec.append(float(leak[0]))
         if record_states:
-            states.append(FockState(modes, cutoff, psi[:, 0]))
+            recorded.append(psi[:, 0].copy())
         completed = n
         if leak[0] >= LEAKAGE_THRESHOLD and first_unsafe is None:
             first_unsafe = n
@@ -527,8 +573,13 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
             status = "photon-cap"
         return np.array([capped])
 
-    _step_periods(psi, modes, cutoff, schedule.gamma_tau1, schedule.omega_tau2,
-                  schedule.periods, settle)
+    sector = _step_periods(psi, modes, cutoff, schedule.gamma_tau1,
+                           schedule.omega_tau2, schedule.periods, settle)
+    states = [state]
+    for amps in recorded:
+        full = np.zeros(state.dim, dtype=complex)
+        full[sector] = amps
+        states.append(FockState(modes, cutoff, full))
     n_per_mode = np.array(n_rec)
     return FockTrajectory(
         n_per_mode=n_per_mode,

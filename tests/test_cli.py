@@ -2,10 +2,14 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +197,24 @@ class TestSweep:
             assert record["classification"] == "unstable"
             assert math.isfinite(float(record["floquet_exponent"]))
             assert record["gaussian_outcome"] == "diverged"
+
+    def test_cross_check_cap_near_float_range_is_quiet(self, tmp_path):
+        """With a cap near float64's range the cross-check's squared entries
+        overflow to inf, which still marks the drive diverged; no numpy
+        warning reaches stderr, and stdout keeps the digest it had while
+        the warnings were printed."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cross_check": {
+            "enabled": True, "periods": 500, "photon_cap": 1e300}}))
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "zenofloquet", "sweep", "--config", str(cfg)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            "5b42bebaabce9f5df28d23e2c19f25d42cb11f5da98b138f0195b82b017a982b"
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"

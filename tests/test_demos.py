@@ -13,10 +13,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo, tmp_path):
+    """Each demo exits 0 with empty stderr, so that a numpy warning from the
+    Fock or Gaussian engines (which the zeno_threshold and gaussian_vs_fock
+    demos drive end to end) fails here."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("module", ["zenofloquet", "zenofloquet.cli"])

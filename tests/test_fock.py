@@ -26,6 +26,39 @@ from zenofloquet.fock import (
 )
 
 
+def basis_parity(cutoff, mode_count):
+    """Parity of the total photon number of every basis row."""
+    index = np.arange((cutoff + 1) ** mode_count)
+    if mode_count == 1:
+        return index % 2
+    return (index // (cutoff + 1) + index % (cutoff + 1)) % 2
+
+
+def dense_period(mode_count, cutoff, gamma_tau1, omega_tau2):
+    """One drive period as a product of dense segment unitaries."""
+    if mode_count == 2:
+        label_u, label_s = HamiltonianLabel.TWO_MODE_UNSTABLE, HamiltonianLabel.TWO_MODE_STABLE
+    else:
+        label_u, label_s = (HamiltonianLabel.SINGLE_MODE_UNSTABLE,
+                            HamiltonianLabel.SINGLE_MODE_STABLE)
+    return (segment_unitary(build_hamiltonian(label_s, 1.0, cutoff), omega_tau2)
+            @ segment_unitary(build_hamiltonian(label_u, 1.0, cutoff), gamma_tau1))
+
+
+def assert_matches_dense_products(state, schedule):
+    """Every recorded state of ``propagate`` equals U^n psi_0 to 1e-12."""
+    traj = propagate(state, schedule)
+    u = dense_period(state.mode_count, state.cutoff, schedule.gamma_tau1,
+                     schedule.omega_tau2)
+    psi = state.amplitudes
+    assert len(traj) == schedule.periods + 1
+    for n in range(len(traj)):
+        assert traj[n].amplitudes.shape == (state.dim,)
+        np.testing.assert_allclose(traj[n].amplitudes, psi, rtol=0, atol=1e-12)
+        psi = u @ psi
+    return traj
+
+
 def dense_ladder(cutoff, mode_count=2):
     """Test-side ladder operators for independent oracle computations."""
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
@@ -121,22 +154,32 @@ class TestSegmentUnitary:
 
     def test_blockwise_engine_matches_dense_unitary(self):
         """The packed block engine equals exp(-iHt) column by column, with
-        one angle shared by the columns or one angle each."""
+        one angle shared by the columns or one angle each, on every row
+        (parity None) or on the rows of one photon-parity sector."""
         rng = np.random.default_rng(6)
         cutoff = 7
         angles = np.array([0.4, 1.7, 2.3, math.pi])
         for label in HamiltonianLabel:
             h = build_hamiltonian(label, 1.0, cutoff)
             dim = h.matrix.shape[0]
-            psi = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-            psi /= np.linalg.norm(psi, axis=0)
-            one = fock._Segment(label, cutoff, 0.6)(psi[:, :1])
-            np.testing.assert_allclose(one, segment_unitary(h, 0.6) @ psi[:, :1],
-                                       atol=1e-12)
-            many = fock._Segment(label, cutoff, angles)(psi)
-            for j, angle in enumerate(angles):
-                np.testing.assert_allclose(
-                    many[:, j], segment_unitary(h, angle) @ psi[:, j], atol=1e-12)
+            parity = basis_parity(cutoff, label.mode_count)
+            for sector in (None, 0, 1):
+                rows = np.arange(dim) if sector is None else np.flatnonzero(parity == sector)
+                np.testing.assert_array_equal(
+                    fock._sector_rows(cutoff, label.mode_count, sector), rows)
+                psi = np.zeros((dim, 4), dtype=complex)
+                psi[rows] = rng.standard_normal((rows.size, 4)) \
+                    + 1j * rng.standard_normal((rows.size, 4))
+                psi /= np.linalg.norm(psi, axis=0)
+                one = fock._Segment(label, cutoff, 0.6, sector)(psi[rows, :1])
+                full = segment_unitary(h, 0.6) @ psi[:, :1]
+                np.testing.assert_allclose(one, full[rows], atol=1e-12)
+                assert np.abs(np.delete(full, rows, axis=0)).max(initial=0.0) < 1e-12
+                many = fock._Segment(label, cutoff, angles, sector)(psi[rows])
+                for j, angle in enumerate(angles):
+                    np.testing.assert_allclose(
+                        many[:, j], (segment_unitary(h, angle) @ psi[:, j])[rows],
+                        atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(label=st.sampled_from(list(HamiltonianLabel)),
@@ -149,7 +192,7 @@ class TestSegmentUnitary:
         psi = rng.standard_normal(h.matrix.shape[0]) \
             + 1j * rng.standard_normal(h.matrix.shape[0])
         psi /= np.linalg.norm(psi)
-        via_blocks = fock._Segment(label, cutoff, angle)(psi[:, None])[:, 0]
+        via_blocks = fock._Segment(label, cutoff, angle, None)(psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
                                    atol=1e-12)
 
@@ -208,6 +251,11 @@ class TestStatesAndExpectations:
         assert basis_index(4, 3.0) == 3
         np.testing.assert_array_equal(number_state(4, 1.0, np.int64(2)).amplitudes,
                                       number_state(4, 1, 2).amplitudes)
+
+    @pytest.mark.parametrize("index", [True, False, np.bool_(True)])
+    def test_bool_basis_index_rejected(self, index):
+        with pytest.raises(ValueError, match="basis index"):
+            expectation(number_state(3, 0, 1), index)
 
     def test_coherent_state_photon_number(self):
         alpha = 0.8 - 0.4j
@@ -317,6 +365,63 @@ class TestPropagate:
         for k in range(n + 1):
             assert traj.n_per_mode[k, 0] == pytest.approx(
                 math.sinh(k * g) ** 2, abs=1e-8)
+
+
+class TestParitySector:
+    """Number states are propagated on the rows of their photon-parity
+    sector only; mixed-parity states on every row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode_count=st.sampled_from([1, 2]),
+           cutoff=st.integers(2, 12),
+           gamma_tau1=st.floats(0.0, 1.0),
+           omega_tau2=st.floats(0.0, math.pi),
+           periods=st.integers(1, 8),
+           data=st.data())
+    def test_number_state_matches_dense_products(self, mode_count, cutoff, gamma_tau1,
+                                                 omega_tau2, periods, data):
+        # levels above 0.9 * cutoff count as leakage, which the start may not have
+        occupation = st.integers(0, int(fock.HIGH_LEVEL_FRACTION * cutoff))
+        occupations = data.draw(st.tuples(*[occupation] * mode_count))
+        state = number_state(cutoff, *occupations)
+        schedule = DriveSchedule.from_products(gamma_tau1, omega_tau2, periods=periods)
+        traj = assert_matches_dense_products(state, schedule)
+        outside = basis_parity(cutoff, mode_count) != sum(occupations) % 2
+        for recorded in traj.states:
+            assert not recorded.amplitudes[outside].any()
+
+    @settings(max_examples=20, deadline=None)
+    @given(mode_count=st.sampled_from([1, 2]),
+           cutoff=st.integers(8, 12),
+           alpha=st.complex_numbers(min_magnitude=0.05, max_magnitude=0.5),
+           gamma_tau1=st.floats(0.0, 1.0),
+           omega_tau2=st.floats(0.0, math.pi),
+           periods=st.integers(1, 8))
+    def test_coherent_state_matches_dense_products(self, mode_count, cutoff, alpha,
+                                                   gamma_tau1, omega_tau2, periods):
+        state = coherent_state(cutoff, [alpha] * mode_count)
+        parity = basis_parity(cutoff, mode_count)
+        assert state.amplitudes[parity == 0].any() and state.amplitudes[parity == 1].any()
+        schedule = DriveSchedule.from_products(gamma_tau1, omega_tau2, periods=periods)
+        assert_matches_dense_products(state, schedule)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma_tau1=st.floats(0.02, 0.4),
+           grid=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6),
+           periods=st.integers(1, 60),
+           cutoff=st.integers(8, 24))
+    def test_scan_equals_full_space_scan(self, gamma_tau1, grid, periods, cutoff):
+        """The kept slow reference: the same scan with the parity sector
+        switched off, so that every basis row is propagated."""
+        kwargs = {"periods": periods, "cutoff": cutoff}
+        sector = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_sector_parity", lambda *args: None)
+            full = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
+        for point, reference in zip(sector, full, strict=True):
+            assert (point.omega_tau2, point.outcome, point.periods_run) == \
+                (reference.omega_tau2, reference.outcome, reference.periods_run)
+            assert point.n_final == pytest.approx(reference.n_final, rel=1e-12, abs=0)
 
 
 class TestGaussianAgreement:
