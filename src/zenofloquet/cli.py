@@ -86,6 +86,8 @@ def _require_number(cfg, key, *, positive=False, nonnegative=False):
     if value is None:
         raise ConfigError(f"missing required value {key!r}")
     try:
+        if isinstance(value, bool):  # a JSON true/false is never a number
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be a number, got {cfg[key]!r}")
@@ -238,9 +240,7 @@ def run_sweep(cfg) -> RunResult:
                half_trace.tolist(), classes.tolist(), exponent.ravel().tolist()]
 
     if cross["enabled"]:
-        plus, minus = gaussian.pm_pair_maps(gammas, thetas)
-        diverged = gaussian.vacuum_diverges(plus.reshape(-1, 2, 2),
-                                            minus.reshape(-1, 2, 2), periods, cap)
+        diverged = gaussian.vacuum_diverges(gammas, thetas, periods, cap).ravel()
         header += ["gaussian_outcome", "disagreement"]
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
@@ -295,11 +295,13 @@ def _parse_alphas(initial, modes):
     alpha = initial.get("alpha")
     if alpha is None:
         raise ConfigError("initial.alpha required for a coherent state")
+    cells = np.asarray(alpha, dtype=object)
     try:
-        arr = np.asarray(alpha, dtype=float)
+        arr = cells.astype(float)
     except (TypeError, ValueError):
         arr = np.empty(0)  # not numbers: fails the shape test below
-    if arr.shape != (modes, 2) or not np.isfinite(arr).all():
+    if (arr.shape != (modes, 2) or not np.isfinite(arr).all()
+            or any(isinstance(v, bool) for v in cells.flat)):
         raise ConfigError(
             f"initial.alpha must be a list of {modes} [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -398,19 +400,31 @@ def coupling_rate(eta, chi2, omega_a, omega_b, pump_intensity) -> float:
     """Classical nonlinear coupling rate per unit length (MKS).
 
     ``Gamma_c = sqrt(eta^3 / 2 * chi2^2 * omega_a * omega_b * I_p)`` in 1/m.
+    Every input must be finite and > 0; a rate that overflows float64 is a
+    ``ValueError``.
     """
     for name, v in (("eta", eta), ("chi2", chi2), ("omega_a", omega_a),
                     ("omega_b", omega_b), ("pump_intensity", pump_intensity)):
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"{name} must be positive and finite")
-    return math.sqrt(eta**3 / 2.0 * chi2**2 * omega_a * omega_b * pump_intensity)
+        floquet._require_real(name, v, positive=True)
+    try:
+        rate = math.sqrt(eta**3 / 2.0 * chi2**2 * omega_a * omega_b * pump_intensity)
+    except OverflowError:  # a float ** raises where * gives inf
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError("coupling rate Gamma_c overflows float64")
+    return rate
 
 
 def run_estimate(cfg) -> RunResult:
     values = {k: _require_number(cfg, k, positive=True) for k in ESTIMATE_DEFAULTS}
-    gamma_c = coupling_rate(values["eta"], values["chi2"], values["omega_a"],
-                            values["omega_b"], values["pump_intensity"])
+    try:
+        gamma_c = coupling_rate(values["eta"], values["chi2"], values["omega_a"],
+                                values["omega_b"], values["pump_intensity"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     gamma_tau1 = gamma_c * values["length"]
+    if not math.isfinite(gamma_tau1):
+        raise ConfigError("gamma_tau1 = Gamma_c * length overflows float64")
     header = list(ESTIMATE_DEFAULTS) + ["gamma_c_per_m", "gamma_tau1"]
     rows = [[values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]]
     return RunResult(header, rows)

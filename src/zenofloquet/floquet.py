@@ -50,8 +50,10 @@ class Classification(str, enum.Enum):
 
 
 def _require_real(name, value, positive=False):
-    """Reject a ``value`` that is not finite and ``>= 0`` (``> 0`` if ``positive``)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    """Reject a ``value`` that is a bool, or is not finite and ``>= 0`` (``> 0``
+    if ``positive``)."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            math.isfinite(value) and (value > 0 if positive else value >= 0)):
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
@@ -121,11 +123,10 @@ class DriveSchedule:
         return self.omega * self.tau2
 
     @classmethod
-    def from_products(cls, gamma_tau1, omega_tau2, periods=1,
-                      tau1=1.0, tau2=1.0) -> "DriveSchedule":
+    def from_products(cls, gamma_tau1, omega_tau2, periods=1) -> "DriveSchedule":
         """Build a schedule from the dimensionless products with unit durations."""
-        return cls(gamma=gamma_tau1 / tau1, tau1=tau1,
-                   omega=omega_tau2 / tau2, tau2=tau2, periods=periods)
+        return cls(gamma=gamma_tau1, tau1=1.0, omega=omega_tau2, tau2=1.0,
+                   periods=periods)
 
 
 @dataclass(frozen=True)
@@ -348,10 +349,9 @@ def classify_stack(maps: np.ndarray, period: float,
     return half_trace, _BAND_VALUES[band], exponent
 
 
-def classify_schedule(schedule: DriveSchedule,
-                      epsilon: float = DEFAULT_EPSILON) -> StabilityReport:
+def classify_schedule(schedule: DriveSchedule) -> StabilityReport:
     """Monodromy construction and classification in one step."""
-    return classify(monodromy(schedule), schedule.period, epsilon)
+    return classify(monodromy(schedule), schedule.period)
 
 
 def small_tau_predicate(schedule: DriveSchedule) -> bool:
@@ -394,8 +394,7 @@ def propagate_plus_mode(schedule: DriveSchedule, x0: float, p0: float) -> np.nda
     return powers(monodromy(schedule), schedule.periods) @ v
 
 
-def classical_pendulum_monodromy(params: ClassicalPendulumParams,
-                                 epsilon: float = DEFAULT_EPSILON):
+def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     """One-period map and verdict of the classical inverted pendulum.
 
     The pivot-driven pendulum alternates between an inverted (rate ``k1``)
@@ -419,4 +418,4 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams,
     a2 = np.array([[math.cos(u2), math.sin(u2) / k2],
                    [-k2 * math.sin(u2), math.cos(u2)]])
     a_cl = a2 @ a1
-    return a_cl, classify(a_cl, 2.0 * tau, epsilon)
+    return a_cl, classify(a_cl, 2.0 * tau)

@@ -84,52 +84,35 @@ def _generator_dense(label: HamiltonianLabel, cutoff: int) -> np.ndarray:
     return np.diag(np.arange(cutoff + 1) + 0.5)
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense segment Hamiltonian over the truncated basis."""
-
-    matrix: np.ndarray
-    label: HamiltonianLabel
-    coupling: float
-    cutoff: int
-
-    @property
-    def mode_count(self) -> int:
-        return self.label.mode_count
-
-
 def build_hamiltonian(label: HamiltonianLabel, coupling: float,
-                      cutoff: int) -> HamiltonianMatrix:
+                      cutoff: int) -> np.ndarray:
     """Segment Hamiltonian from standard ladder-operator actions.
 
     Creation out of the top level D maps to zero (hard truncation).  The
-    matrix is real symmetric, hence Hermitian.
+    returned read-only matrix is real symmetric, hence Hermitian.
     """
     cutoff = _require_int("cutoff", cutoff, 1)
     _require_real("coupling", coupling)
     matrix = coupling * _generator_dense(label, cutoff)
     matrix.setflags(write=False)
-    return HamiltonianMatrix(matrix=matrix, label=label,
-                             coupling=float(coupling), cutoff=cutoff)
+    return matrix
 
 
-def segment_unitary(hamiltonian: HamiltonianMatrix, duration: float) -> np.ndarray:
-    """U = exp(-i H t) via Hermitian eigendecomposition.
+def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
+    """U = exp(-i H t) of a Hamiltonian matrix via Hermitian eigendecomposition.
 
-    Raises a numeric error carrying the matrix condition if the
+    Raises a numeric error naming the matrix size and largest entry if the
     eigendecomposition fails; the returned matrix satisfies
     ``max |U+ U - I| < 1e-10``.
     """
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration!r}")
-    h = hamiltonian.matrix
     try:
         w, v = eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ArithmeticError(
-            f"eigendecomposition failed for {hamiltonian.label.value} "
-            f"(cutoff {hamiltonian.cutoff}, |H|_max {np.abs(h).max():.3e}): {exc}"
-        ) from exc
+            f"eigendecomposition failed for a {h.shape[0]}x{h.shape[1]} "
+            f"Hamiltonian (|H|_max {np.abs(h).max():.3e}): {exc}") from exc
     u = (v * np.exp(-1j * w * duration)) @ v.conj().T
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
     if err > 1e-10:

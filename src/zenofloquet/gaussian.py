@@ -199,22 +199,25 @@ def _mul(x, y):
             xc * ya + xd * yc, xc * yb + xd * yd)
 
 
-def vacuum_diverges(plus, minus, periods, photon_cap):
-    """Vectorized Gaussian boundedness check from vacuum.
+def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
+    """Vectorized Gaussian boundedness check from vacuum on a product grid.
 
-    ``plus`` and ``minus`` are ``(N, 2, 2)`` stacks of the decoupled pair
-    maps of N drives (as from :func:`pm_pair_maps`); returns a boolean array
-    marking the drives whose photon number from vacuum exceeds
-    ``photon_cap`` within ``periods`` periods.  Tracks per-point powers at
-    doubling checkpoints and at ``periods`` (photon growth of an unstable map
-    is eventually monotone, so checkpoint crossings catch every divergence);
-    points whose total photon number passes the cap are frozen to the
-    identity to avoid overflow.  The powers are multiplied as four entry
-    arrays, each holding both pairs of every point, because batched ``@`` on
-    2x2 stacks is slow.
+    Takes the 1-D grid axes, as :func:`zenofloquet.floquet.pair_map` does, and
+    returns a ``(len(gamma_tau1), len(omega_tau2))`` boolean array marking the
+    drives whose photon number from vacuum exceeds ``photon_cap`` at a
+    checkpoint: after ``1, 2, 4, ...`` periods (powers of two up to
+    ``periods``) and after ``periods``.  Photon growth of an unstable map is
+    eventually monotone, so the checkpoints catch its divergence; a stable
+    drive whose bounded excursion passes the cap only between checkpoints is
+    reported bounded, where :func:`evolve`, which tests every period, reports
+    it diverged.  Points past the cap are frozen to the identity to avoid
+    overflow.  The powers of the :func:`pm_pair_maps` blocks are multiplied as
+    four entry arrays, each holding both pairs of every point, because
+    batched ``@`` on 2x2 stacks is slow.
     """
     periods = _require_int("periods", periods)
-    diverged = np.zeros(plus.shape[0], dtype=bool)
+    plus, minus = pm_pair_maps(gamma_tau1, omega_tau2)
+    diverged = np.zeros(plus.shape[:-2], dtype=bool)
     if not periods:
         return diverged  # only the vacuum, which no cap > 0 trips
 
@@ -231,7 +234,7 @@ def vacuum_diverges(plus, minus, periods, photon_cap):
             e[:, diverged] = unit
 
     # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
-    step = tuple(np.stack([plus[:, i, j], minus[:, i, j]])
+    step = tuple(np.stack([plus[..., i, j], minus[..., i, j]])
                  for i in (0, 1) for j in (0, 1))
     power = None
     n = 1
@@ -298,7 +301,6 @@ class GaussianTrajectory:
     photon_totals: np.ndarray
     status: str
     periods_completed: int
-    per_segment: bool
     means: np.ndarray | None = None
     covariances: np.ndarray | None = None
 
@@ -418,7 +420,6 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
         photon_totals=per_mode.sum(axis=1),
         status=status,
         periods_completed=done,
-        per_segment=per_segment,
         means=np.concatenate(means) if record_states else None,
         covariances=np.concatenate(covs) if record_states else None,
     )

@@ -98,6 +98,20 @@ class TestEstimate:
     def test_missing_input_is_usage_error(self):
         assert run_cli(["estimate", "--eta", "220"]) == 2
 
+    @pytest.mark.parametrize("inputs, message", [
+        (["--eta", "1e200", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c overflows"),
+        (["--eta", "1", "--chi2", "1", "--omega-a", "1e300", "--omega-b", "1e300",
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c overflows"),
+        (["--eta", "1", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
+          "--pump-intensity", "10", "--length", "1e308"], "gamma_tau1"),
+    ], ids=["power-overflow", "product-overflow", "length-overflow"])
+    def test_overflow_is_usage_error(self, capsys, inputs, message):
+        """An overflowing rate is a usage error, never a traceback or an inf."""
+        assert run_cli(["estimate", *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestSweep:
     def test_output_is_byte_identical_across_runs(self, tmp_path):
@@ -267,6 +281,20 @@ class TestSweep:
         path.write_text(json.dumps(cfg))
         assert run_cli(["sweep", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("cfg, key, value", [
+        ({"epsilon": True}, "epsilon", True),
+        ({"gamma_tau1": {"min": False, "max": 1.0, "steps": 3}}, "min", False),
+        ({"cross_check": {"enabled": True, "periods": 5, "photon_cap": True}},
+         "photon_cap", True),
+    ], ids=["epsilon", "axis-min", "cross-check-cap"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
+        grid = {"gamma_tau1": {"min": 0.0, "max": 1.0, "steps": 2},
+                "omega_tau2": {"min": 0.0, "max": 1.0, "steps": 2}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**grid, **cfg}))
+        assert run_cli(["sweep", "--config", str(path)]) == 2
+        assert f"{key!r} must be a number, got {value!r}" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_vacuum_without_pump_is_flat_zero(self, tmp_path):
@@ -399,7 +427,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("backend", ["gaussian", "fock"])
     @pytest.mark.parametrize("alpha", [[["a", 0], [0, 0]], [[1, 0], [0]], [[None, 0], [0, 0]],
-                                       [[1e400, 0], [0, 0]]])
+                                       [[1e400, 0], [0, 0]], [[True, 0], [0, 0]]])
     def test_malformed_alpha_is_usage_error(self, tmp_path, capsys, backend, alpha):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"initial": {"type": "coherent", "alpha": alpha}}))
@@ -458,6 +486,17 @@ class TestSimulate:
         path.write_text(json.dumps(base).replace("true", "1"))
         assert run_cli(["simulate", "--config", str(path),
                         "--out", str(tmp_path / "run.csv")]) in (0, 1)
+
+    @pytest.mark.parametrize("cfg, key, value", [
+        ({"schedule": {**SCHEDULE, "gamma": True}}, "gamma", True),
+        ({"schedule": {**SCHEDULE, "omega": False}}, "omega", False),
+        ({"photon_cap": True}, "photon_cap", True),
+    ], ids=["schedule-gamma", "schedule-omega", "photon-cap"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schedule": SCHEDULE, **cfg}))
+        assert run_cli(["simulate", "--config", str(path)]) == 2
+        assert f"{key!r} must be a number, got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

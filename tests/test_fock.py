@@ -75,18 +75,18 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, omega, 1)
         i = basis_index(1, 0, 1)
         j = basis_index(1, 1, 0)
-        assert h.matrix[i, j] == pytest.approx(omega)
+        assert h[i, j] == pytest.approx(omega)
 
     def test_pair_creation_element_by_hand(self):
         gamma = 0.35
         h = build_hamiltonian(HamiltonianLabel.TWO_MODE_UNSTABLE, gamma, 2)
-        assert h.matrix[basis_index(2, 1, 1), basis_index(2, 0, 0)] == \
+        assert h[basis_index(2, 1, 1), basis_index(2, 0, 0)] == \
             pytest.approx(gamma)
 
     def test_single_mode_exchange_is_diagonal_number_plus_half(self):
         omega = 1.1
         h = build_hamiltonian(HamiltonianLabel.SINGLE_MODE_STABLE, omega, 6)
-        np.testing.assert_allclose(h.matrix,
+        np.testing.assert_allclose(h,
                                    np.diag(omega * (np.arange(7) + 0.5)))
 
     def test_single_mode_pair_creation_elements(self):
@@ -94,16 +94,16 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(HamiltonianLabel.SINGLE_MODE_UNSTABLE, gamma, 5)
         # <n+2| (G/2) a+^2 |n> = G/2 sqrt((n+1)(n+2))
         for n in range(4):
-            assert h.matrix[n + 2, n] == pytest.approx(
+            assert h[n + 2, n] == pytest.approx(
                 gamma / 2 * math.sqrt((n + 1) * (n + 2)))
 
     @pytest.mark.parametrize("label", list(HamiltonianLabel))
     def test_hermitian(self, label):
         h = build_hamiltonian(label, 0.8, 7)
-        np.testing.assert_allclose(h.matrix, h.matrix.conj().T, atol=1e-12)
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
     def test_exchange_commutes_with_total_number(self):
-        h = build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.3, 8).matrix
+        h = build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.3, 8)
         n_a, n_b = dense_ladder(8)
         total = n_a.T @ n_a + n_b.T @ n_b
         assert np.abs(h @ total - total @ h).max() < 1e-12
@@ -113,11 +113,11 @@ class TestBuildHamiltonian:
         mode_a, mode_b = dense_ladder(4)
         h_u = 0.6 * (mode_a.T @ mode_b.T + mode_a @ mode_b)
         np.testing.assert_allclose(
-            build_hamiltonian(HamiltonianLabel.TWO_MODE_UNSTABLE, 0.6, 4).matrix,
+            build_hamiltonian(HamiltonianLabel.TWO_MODE_UNSTABLE, 0.6, 4),
             h_u, atol=1e-14)
         h_s = 0.9 * (mode_a.T @ mode_b + mode_a @ mode_b.T)
         np.testing.assert_allclose(
-            build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 0.9, 4).matrix,
+            build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 0.9, 4),
             h_s, atol=1e-14)
 
     def test_invalid_parameters(self):
@@ -161,7 +161,7 @@ class TestSegmentUnitary:
         angles = np.array([0.4, 1.7, 2.3, math.pi])
         for label in HamiltonianLabel:
             h = build_hamiltonian(label, 1.0, cutoff)
-            dim = h.matrix.shape[0]
+            dim = h.shape[0]
             parity = basis_parity(cutoff, label.mode_count)
             for sector in (None, 0, 1):
                 rows = np.arange(dim) if sector is None else np.flatnonzero(parity == sector)
@@ -189,8 +189,8 @@ class TestSegmentUnitary:
     def test_blockwise_engine_property(self, label, cutoff, angle, seed):
         h = build_hamiltonian(label, 1.0, cutoff)
         rng = np.random.default_rng(seed)
-        psi = rng.standard_normal(h.matrix.shape[0]) \
-            + 1j * rng.standard_normal(h.matrix.shape[0])
+        psi = rng.standard_normal(h.shape[0]) \
+            + 1j * rng.standard_normal(h.shape[0])
         psi /= np.linalg.norm(psi)
         via_blocks = fock._Segment(label, cutoff, angle, None)(psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,

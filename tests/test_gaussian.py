@@ -227,28 +227,54 @@ class TestVacuumDiverges:
     def test_zero_periods_keeps_only_the_vacuum(self):
         """Zero periods check nothing past the vacuum, as ``evolve`` keeps
         only the initial state; the period-one maps here all trip the cap."""
-        plus, minus = pm_pair_maps(np.array([3.0, 5.0]), np.array([0.0, 0.1]))
-        plus, minus = plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2)
-        assert gaussian.vacuum_diverges(plus, minus, 1, 10.0).all()
-        assert not gaussian.vacuum_diverges(plus, minus, 0, 10.0).any()
+        gammas, thetas = np.array([3.0, 5.0]), np.array([0.0, 0.1])
+        assert gaussian.vacuum_diverges(gammas, thetas, 1, 10.0).all()
+        assert not gaussian.vacuum_diverges(gammas, thetas, 0, 10.0).any()
         s = DriveSchedule.from_products(3.0, 0.0, periods=0)
         assert not evolve(vacuum_state(2), s, photon_cap=10.0).diverged
 
     @pytest.mark.parametrize("periods", [True, False, -1, 2.5, math.inf])
     def test_invalid_period_count_rejected(self, periods):
-        plus, minus = pm_pair_maps(np.array([0.2]), np.array([0.5]))
         with pytest.raises(ValueError, match="periods"):
-            gaussian.vacuum_diverges(plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2),
-                                     periods, 1e12)
+            gaussian.vacuum_diverges(np.array([0.2]), np.array([0.5]), periods, 1e12)
 
     def test_integral_float_period_count(self):
-        plus, minus = pm_pair_maps(np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 5))
-        plus, minus = plus.reshape(-1, 2, 2), minus.reshape(-1, 2, 2)
-        expected = gaussian.vacuum_diverges(plus, minus, 300, 1e6)
-        assert expected.any() and not expected.all()
+        gammas, thetas = np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 5)
+        expected = gaussian.vacuum_diverges(gammas, thetas, 300, 1e6)
+        assert expected.shape == (7, 5) and expected.any() and not expected.all()
         for periods in (300.0, np.int64(300)):
             np.testing.assert_array_equal(
-                gaussian.vacuum_diverges(plus, minus, periods, 1e6), expected)
+                gaussian.vacuum_diverges(gammas, thetas, periods, 1e6), expected)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+           thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3),
+           periods=st.integers(1, 2000), cap=st.floats(1e4, 1e12))
+    def test_matches_evolve_outside_band(self, gammas, thetas, periods, cap):
+        """Checkpoints against every period: the verdicts agree at every grid
+        point with ``|half_trace - 1| > 1e-3``.  Stable excursions from vacuum
+        stay far below the smallest cap drawn here."""
+        diverged = gaussian.vacuum_diverges(np.array(gammas), np.array(thetas),
+                                            periods, cap)
+        assert diverged.shape == (len(gammas), len(thetas))
+        for i, g in enumerate(gammas):
+            for j, w in enumerate(thetas):
+                s = DriveSchedule.from_products(g, w, periods=periods)
+                if abs(classify_schedule(s).half_trace - 1.0) <= 1e-3:
+                    continue
+                traj = evolve(vacuum_state(2), s, record_states=False, photon_cap=cap)
+                assert diverged[i, j] == traj.diverged, (g, w)
+
+    def test_stable_excursion_between_checkpoints_is_bounded(self):
+        """A stable drive whose excursion passes a small cap only between
+        checkpoints is bounded here and diverged for ``evolve``."""
+        g, w = 1.2735667827889081, 1.1394457816130437
+        s = DriveSchedule.from_products(g, w, periods=599)
+        assert classify_schedule(s).classification is Classification.STABLE
+        traj = evolve(vacuum_state(2), s, record_states=False, photon_cap=15.32)
+        assert traj.diverged and traj.periods_completed == 42
+        assert not gaussian.vacuum_diverges(np.array([g]), np.array([w]), 599, 15.32)[0, 0]
 
 
 class TestPeriodMaps:

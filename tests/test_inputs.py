@@ -1,8 +1,9 @@
-"""One count rule at the library boundary.
+"""One rule per input kind at the library boundary.
 
 Every period count, cutoff and mode count is an integer or an integral float,
-never a bool, within its range; it is stored as an ``int``.  Each rejected
-call below raises ``ValueError``, and each accepted one keeps a plain ``int``.
+never a bool, within its range; it is stored as an ``int``.  Every rate,
+duration, coupling and product is a finite real, never a bool.  Each rejected
+call below raises ``ValueError``, and each accepted count keeps a plain ``int``.
 """
 
 import math
@@ -10,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from zenofloquet import fock
-from zenofloquet.floquet import DriveSchedule
+from zenofloquet import cli, floquet, fock
+from zenofloquet.floquet import ClassicalPendulumParams, DriveSchedule
 from zenofloquet.fock import FockState, HamiltonianLabel
 
 AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
@@ -45,6 +46,24 @@ def test_invalid_count_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DriveSchedule(gamma=True, tau1=1, omega=False, tau2=1, periods=1),
+    lambda: DriveSchedule(gamma=0.1, tau1=1.0, omega=0.5, tau2=np.bool_(True), periods=1),
+    lambda: DriveSchedule.from_products(True, 0.5),
+    lambda: floquet.unstable_segment_matrix(0.1, True),
+    lambda: floquet.classify(np.eye(2), True),
+    lambda: ClassicalPendulumParams(2.0, True, 1.0),
+    lambda: fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, True, 4),
+    lambda: fock.zeno_threshold_scan(False, [0.5], cutoff=4, periods=3),
+    lambda: cli.coupling_rate(220.0, 2e-23, 3e15, 3e15, True),
+], ids=["schedule-rates", "schedule-np-bool", "products-true", "segment-tau1-true",
+        "classify-period-true", "pendulum-k2-true", "hamiltonian-coupling-true",
+        "scan-gamma-false", "coupling-pump-true"])
+def test_bool_real_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 # floats first: the Fock engine caches its tables per cutoff, and 17 == 17.0
 @pytest.mark.parametrize("count", [3.0, np.float64(3.0), 3, np.int64(3)],
                          ids=["float", "np.float64", "int", "np.int64"])
@@ -60,7 +79,7 @@ def test_integral_counts_stored_as_int(count):
     assert traj.periods_completed == 3
 
     h = fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, cutoff)
-    assert type(h.cutoff) is int and h.matrix.shape == (25, 25)
+    assert h.shape == (25, 25)
 
     scan = fock.zeno_threshold_scan(0.1, [0.5], cutoff=4 * cutoff + 1, periods=count)
     assert scan == fock.zeno_threshold_scan(0.1, [0.5], cutoff=17, periods=3)
