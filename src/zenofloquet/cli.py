@@ -400,8 +400,8 @@ def coupling_rate(eta, chi2, omega_a, omega_b, pump_intensity) -> float:
     """Classical nonlinear coupling rate per unit length (MKS).
 
     ``Gamma_c = sqrt(eta^3 / 2 * chi2^2 * omega_a * omega_b * I_p)`` in 1/m.
-    Every input must be finite and > 0; a rate that overflows float64 is a
-    ``ValueError``.
+    Every input must be finite and > 0; a rate that overflows float64 or
+    underflows to 0 is a ``ValueError``.
     """
     for name, v in (("eta", eta), ("chi2", chi2), ("omega_a", omega_a),
                     ("omega_b", omega_b), ("pump_intensity", pump_intensity)):
@@ -412,6 +412,8 @@ def coupling_rate(eta, chi2, omega_a, omega_b, pump_intensity) -> float:
         rate = math.inf
     if not math.isfinite(rate):
         raise ValueError("coupling rate Gamma_c overflows float64")
+    if rate == 0.0:
+        raise ValueError("coupling rate Gamma_c underflows float64 to 0")
     return rate
 
 
@@ -425,6 +427,8 @@ def run_estimate(cfg) -> RunResult:
     gamma_tau1 = gamma_c * values["length"]
     if not math.isfinite(gamma_tau1):
         raise ConfigError("gamma_tau1 = Gamma_c * length overflows float64")
+    if gamma_tau1 == 0.0:
+        raise ConfigError("gamma_tau1 = Gamma_c * length underflows float64 to 0")
     header = list(ESTIMATE_DEFAULTS) + ["gamma_c_per_m", "gamma_tau1"]
     rows = [[values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]]
     return RunResult(header, rows)

@@ -22,6 +22,17 @@ sector.  A propagation whose initial amplitudes all share one parity (the
 vacuum, any number state) carries only that sector's rows, half the basis;
 mixed-parity states such as coherent states carry every row.
 
+Both two-mode generators, and the hard cutoff, are also symmetric under the
+mode swap ``a <-> b``.  A propagation whose initial columns all equal their
+own swap exactly (``psi[n_a, n_b] == psi[n_b, n_a]``: the vacuum, ``|n, n>``,
+a coherent state with equal real amplitudes) carries only the sector's rows
+with ``n_a >= n_b``, in the orthonormal symmetric basis, where an amplitude
+off the diagonal ``n_a == n_b`` is multiplied by sqrt2.  The amplifying
+chains with ``n_a >= n_b`` are unchanged there; each exchange chain ``|k,
+s - k>`` folds onto its half ``k >= s/2``, with its first off-diagonal
+multiplied by sqrt2 for even ``s`` and, for odd ``s``, the diagonal entry
+``sqrt(k0 (s - k0 + 1))`` at its first position ``k0 = (s + 1)/2``.
+
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
 """
@@ -262,55 +273,105 @@ def expectation(state: FockState, observable) -> float:
 BUCKET_BLOCKS = 8
 
 
-def _chains(label: HamiltonianLabel, cutoff: int):
-    """(basis indices, off-diagonal) of each conserved-quantity block.
+def _chains(label: HamiltonianLabel, cutoff: int, swap: bool):
+    """(basis indices, diagonal, off-diagonal) of each conserved-quantity block.
 
     Every block of a non-diagonal unit-coupling generator is a tridiagonal
-    chain with a zero diagonal.
+    chain with a zero diagonal.  With ``swap`` (two-mode only) the blocks act
+    on the orthonormal swap-symmetric basis ``|n, n>`` and ``(|n_a, n_b> +
+    |n_b, n_a>) / sqrt2`` for ``n_a > n_b``, each vector indexed by its row
+    ``|n_a, n_b>``: the amplifying chains with ``n_a >= n_b`` keep their
+    entries, and each exchange chain folds onto its half with ``n_a >= n_b``.
     """
     d = cutoff
     if label is HamiltonianLabel.TWO_MODE_UNSTABLE:
         # amplification conserves n_a - n_b; chains |n, n - delta>
-        for delta in range(-d, d + 1):
+        for delta in range(0 if swap else -d, d + 1):
             ns = np.arange(max(delta, 0), min(d, d + delta) + 1)
-            yield (ns * (d + 1) + (ns - delta),
+            yield (ns * (d + 1) + (ns - delta), np.zeros(ns.size),
                    np.sqrt((ns[:-1] + 1.0) * (ns[:-1] - delta + 1.0)))
     elif label is HamiltonianLabel.TWO_MODE_STABLE:
-        # exchange conserves n_a + n_b; chains |k, s - k>
+        # exchange conserves n_a + n_b; chains |k, s - k>, folded onto k >= s/2
         for s in range(0, 2 * d + 1):
-            ks = np.arange(max(0, s - d), min(d, s) + 1)
-            yield ks * (d + 1) + (s - ks), np.sqrt((ks[:-1] + 1.0) * (s - ks[:-1]))
+            ks = np.arange((s + 1) // 2 if swap else max(0, s - d), min(d, s) + 1)
+            diag = np.zeros(ks.size)
+            off = np.sqrt((ks[:-1] + 1.0) * (s - ks[:-1]))
+            if swap and s % 2:
+                # the mirror pair |k0, k0 - 1>, |k0 - 1, k0> is one vector,
+                # and the entry that joined them becomes its diagonal
+                diag[0] = math.sqrt(ks[0] * (s - ks[0] + 1.0))
+            elif swap and off.size:
+                # |k0, k0> meets both mirror halves of its neighbour
+                off[0] *= math.sqrt(2.0)
+            yield ks * (d + 1) + (s - ks), diag, off
     elif label is HamiltonianLabel.SINGLE_MODE_UNSTABLE:
         # pair creation conserves photon parity; chains n, n+2, ...
         for parity in (0, 1):
             ns = np.arange(parity, d + 1, 2)
-            yield ns, np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
+            yield ns, np.zeros(ns.size), np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
 
 
 @lru_cache(maxsize=None)
-def _sector_rows(cutoff: int, mode_count: int, parity) -> np.ndarray:
-    """Basis rows whose total photon number has ``parity`` (``None``: every row)."""
-    total = sum(_number_diagonals(cutoff, mode_count))
-    rows = np.arange(total.size) if parity is None else np.flatnonzero(total % 2 == parity)
+def _sector_rows(cutoff: int, mode_count: int, key) -> np.ndarray:
+    """Basis rows of the sector ``key = (parity, swap)``: the rows whose total
+    photon number has ``parity`` (``None``: any), and with ``swap`` only
+    those with ``n_a >= n_b``."""
+    parity, swap = key
+    diags = _number_diagonals(cutoff, mode_count)
+    keep = np.full(diags[0].size, True) if parity is None else sum(diags) % 2 == parity
+    if swap:
+        keep &= diags[0] >= diags[1]
+    rows = np.flatnonzero(keep)
     rows.setflags(write=False)
     return rows
 
 
-def _sector_parity(columns: np.ndarray, mode_count: int, cutoff: int):
-    """The photon parity of every nonzero amplitude in ``columns``, or ``None``
-    if they mix parities (a coherent state, say)."""
+@lru_cache(maxsize=None)
+def _sector_fold(cutoff: int, mode_count: int, key):
+    """(mirror, scale) of the rows of sector ``key``.
+
+    In a swap sector ``mirror`` is the row of ``|n_b, n_a>`` for each row
+    ``|n_a, n_b>``, and ``scale`` is sqrt2 off the diagonal ``n_a == n_b``
+    and 1 on it: a symmetric vector's amplitude on a row times ``scale`` is
+    its coordinate on the orthonormal symmetric basis.  Elsewhere ``mirror``
+    is the rows themselves and ``scale`` is 1.
+    """
+    rows = _sector_rows(cutoff, mode_count, key)
+    if key[1]:
+        n_a, n_b = divmod(rows, cutoff + 1)
+        mirror = n_b * (cutoff + 1) + n_a
+        scale = np.where(n_a == n_b, 1.0, math.sqrt(2.0))
+    else:
+        mirror, scale = rows, np.ones(rows.size)
+    mirror.setflags(write=False)
+    scale.setflags(write=False)
+    return mirror, scale
+
+
+def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
+    """The smallest sector ``(parity, swap)`` that holds ``columns``.
+
+    ``parity`` is the photon parity of every nonzero amplitude, or ``None``
+    if they mix parities (a coherent state, say); ``swap`` is whether every
+    column is two-mode and exactly equal to its own swap, ``psi[n_a, n_b] ==
+    psi[n_b, n_a]`` (the vacuum, ``|n, n>``, equal coherent amplitudes).
+    """
     total = sum(_number_diagonals(cutoff, mode_count))
     parities = np.unique(total[(columns != 0).any(axis=1)] % 2)
-    return int(parities[0]) if parities.size == 1 else None
+    parity = int(parities[0]) if parities.size == 1 else None
+    if mode_count == 1:
+        return parity, False
+    grid = columns.reshape(cutoff + 1, cutoff + 1, -1)
+    return parity, bool(np.array_equal(grid, grid.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)
 class _Packing:
     """Eigendecomposed conserved-quantity blocks of one generator, packed.
 
-    Only the blocks of one photon-parity sector are kept (all of them for
-    parity ``None``), and rows are numbered within the sector, in the order
-    of :func:`_sector_rows`.  The blocks are sorted by length and packed
+    Only the blocks of one sector (see :func:`_sector_rows`) are kept, on the
+    sector's basis, and rows are numbered within the sector, in the order of
+    :func:`_sector_rows`.  The blocks are sorted by length and packed
     ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
     the packed rows are the buckets' rows one after another.  ``gather`` is
     the sector row of every packed row (padding repeats row 0), ``unpack``
@@ -328,20 +389,22 @@ class _Packing:
 
 
 @lru_cache(maxsize=None)
-def _packed_blocks(label: HamiltonianLabel, cutoff: int, parity) -> _Packing:
+def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
     """The packed eigendecomposition of a unit-coupling generator on the rows
-    of one photon-parity sector (``None``: every row)."""
-    rows = _sector_rows(cutoff, label.mode_count, parity)
+    of the sector ``key = (parity, swap)``."""
+    rows = _sector_rows(cutoff, label.mode_count, key)
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
         index = np.arange(rows.size)
         packing = _Packing(index, index, rows + 0.5, ())
     else:
-        # each chain conserves photon parity, so it lies wholly in or out
-        # of the sector; position is -1 outside it
+        # each chain conserves photon parity and, folded in a swap sector,
+        # keeps n_a >= n_b, so it lies wholly in or out of the sector;
+        # position is -1 outside it
         position = np.full((cutoff + 1) ** label.mode_count, -1, dtype=np.intp)
         position[rows] = np.arange(rows.size)
-        chains = sorted(((position[idx], off) for idx, off in _chains(label, cutoff)
+        chains = sorted(((position[idx], diag, off)
+                         for idx, diag, off in _chains(label, cutoff, key[1])
                          if position[idx[0]] >= 0),
                         key=lambda chain: chain[0].size)
         gather, real, weights, buckets = [], [], [], []
@@ -353,13 +416,13 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, parity) -> _Packing:
             used = np.zeros(shape, dtype=bool)
             w = np.zeros(shape)
             vectors = np.zeros(shape + shape[1:])
-            for k, (idx, off) in enumerate(group):
+            for k, (idx, diag, off) in enumerate(group):
                 m = idx.size
                 index[k, :m], used[k, :m] = idx, True
                 if m == 1:
-                    vectors[k, 0, 0] = 1.0
+                    w[k, 0], vectors[k, 0, 0] = diag[0], 1.0
                 else:
-                    w[k, :m], vectors[k, :m, :m] = eigh_tridiagonal(np.zeros(m), off)
+                    w[k, :m], vectors[k, :m, :m] = eigh_tridiagonal(diag, off)
             vectors.setflags(write=False)
             buckets.append((start, start + index.size, vectors))
             start += index.size
@@ -378,14 +441,14 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, parity) -> _Packing:
 class _Segment:
     """``exp(-i * angle * generator)`` of one segment on amplitude columns.
 
-    The columns hold the rows of one photon-parity sector (``parity`` 0 or
-    1) or every basis row (``None``).  ``angles`` is one angle shared by
+    The columns hold the rows of the sector ``key = (parity, swap)`` on its
+    basis (see :func:`_sector_rows`).  ``angles`` is one angle shared by
     every column or one angle per column.  The phases ``exp(-i * w * angle)``
     are computed here, once per propagation, not once per period.
     """
 
-    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, parity):
-        self.packing = _packed_blocks(label, cutoff, parity)
+    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key):
+        self.packing = _packed_blocks(label, cutoff, key)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
         self.phases = np.exp(-1j * self.packing.weights[:, None] * angles)
@@ -426,11 +489,16 @@ def _segment_labels(mode_count: int):
 
 
 @lru_cache(maxsize=None)
-def _observable_rows(cutoff: int, mode_count: int, parity) -> np.ndarray:
-    """Rows mapping the probabilities of one photon-parity sector's rows
-    (``None``: every row) to (n per mode..., leakage)."""
-    sector = _sector_rows(cutoff, mode_count, parity)
-    rows = np.vstack([d[sector] for d in _number_diagonals(cutoff, mode_count)
+def _observable_rows(cutoff: int, mode_count: int, key) -> np.ndarray:
+    """Rows mapping the probabilities on the basis of the sector ``key =
+    (parity, swap)`` to (n per mode..., leakage)."""
+    sector = _sector_rows(cutoff, mode_count, key)
+    diags = _number_diagonals(cutoff, mode_count)
+    if key[1]:
+        # the symmetric basis vector of row |n_a, n_b> has
+        # <n_a> = <n_b> = (n_a + n_b) / 2
+        diags = ((diags[0] + diags[1]) / 2.0,) * 2
+    rows = np.vstack([d[sector] for d in diags
                       + (_high_level_mask(cutoff, mode_count),)]).astype(float)
     rows.setflags(write=False)
     return rows
@@ -440,28 +508,32 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
                   gamma_tau1: float, omega_tau2, periods: int, settle):
     """The per-period stepping loop of every Fock propagation.
 
-    ``columns`` (dim, k) holds k initial amplitude vectors.  If all their
-    nonzero amplitudes share one photon parity, only the rows of that
-    sector are propagated (the rest stay exactly zero); otherwise every
-    row is.  Each period applies the amplifying segment (angle
-    ``gamma_tau1``, shared by every column) and then the exchange segment
-    (``omega_tau2``, one angle or one per column) to the active columns,
-    and renormalizes them.  Then ``settle(n, active, psi, norm, per_mode,
-    leak)`` receives the period number, the original numbers of the m
-    active columns, their amplitudes on the propagated rows (rows, m),
-    their norms before renormalization (m,), photons per mode (modes, m)
-    and leakage (m,), and returns a boolean mask (m,) of the columns that
-    stop.  Stopped columns leave the active set; the loop ends after
-    ``periods`` periods or when no column is left.  Returns the basis
-    indices of the propagated rows.
+    ``columns`` (dim, k) holds k initial amplitude vectors.  Only the rows of
+    their sector (see :func:`_sector_key`) are propagated, on its basis; the
+    rest stay exactly zero, or in a swap sector the mirror of a propagated
+    row.  If all their nonzero amplitudes share one photon parity, the
+    sector holds that parity's rows; if every column equals its own swap,
+    it holds only the rows with ``n_a >= n_b``.  Each period applies the
+    amplifying segment (angle ``gamma_tau1``, shared by every column) and
+    then the exchange segment (``omega_tau2``, one angle or one per column)
+    to the active columns, and renormalizes them.  Then ``settle(n, active,
+    psi, norm, per_mode, leak)`` receives the period number, the original
+    numbers of the m active columns, their coordinates on the sector basis
+    (rows, m), their norms before renormalization (m,), photons per mode
+    (modes, m) and leakage (m,), and returns a boolean mask (m,) of the
+    columns that stop.  Stopped columns leave the active set; the loop ends
+    after ``periods`` periods or when no column is left.  Returns the sector
+    key.
     """
-    parity = _sector_parity(columns, mode_count, cutoff)
-    sector = _sector_rows(cutoff, mode_count, parity)
+    key = _sector_key(columns, mode_count, cutoff)
+    sector = _sector_rows(cutoff, mode_count, key)
     label_u, label_s = _segment_labels(mode_count)
-    amplify = _Segment(label_u, cutoff, gamma_tau1, parity)
-    exchange = _Segment(label_s, cutoff, omega_tau2, parity)
-    rows = _observable_rows(cutoff, mode_count, parity)
-    psi = np.asarray(columns[sector], dtype=complex)  # a copy, renormalized in place
+    amplify = _Segment(label_u, cutoff, gamma_tau1, key)
+    exchange = _Segment(label_s, cutoff, omega_tau2, key)
+    rows = _observable_rows(cutoff, mode_count, key)
+    # a copy, renormalized in place
+    psi = np.asarray(columns[sector] * _sector_fold(cutoff, mode_count, key)[1][:, None],
+                     dtype=complex)
     active = np.arange(columns.shape[1])
     for n in range(1, periods + 1):
         psi = exchange(amplify(psi))
@@ -476,7 +548,7 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
             exchange.keep(keep)
             if not active.size:
                 break
-    return sector
+    return key
 
 
 @dataclass(frozen=True)
@@ -527,7 +599,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     _require_cap(photon_cap)
     cutoff, modes = state.cutoff, state.mode_count
     psi = state.amplitudes.reshape(-1, 1)
-    observed = _observable_rows(cutoff, modes, None) @ (np.abs(psi[:, 0]) ** 2)
+    observed = _observable_rows(cutoff, modes, (None, False)) @ (np.abs(psi[:, 0]) ** 2)
     if observed[-1] >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
                          f"(leakage {observed[-1]:.2e} at cutoff {cutoff})")
@@ -535,7 +607,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     n_rec = [observed[:-1]]
     drift_rec = [0.0]
     leak_rec = [float(observed[-1])]
-    recorded = []  # amplitudes on the propagated rows, one per period
+    recorded = []  # coordinates on the sector basis, one per period
     status = "ok"
     first_unsafe = None
     completed = 0
@@ -556,12 +628,14 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
             status = "photon-cap"
         return np.array([capped])
 
-    sector = _step_periods(psi, modes, cutoff, schedule.gamma_tau1,
-                           schedule.omega_tau2, schedule.periods, settle)
+    key = _step_periods(psi, modes, cutoff, schedule.gamma_tau1,
+                        schedule.omega_tau2, schedule.periods, settle)
+    sector = _sector_rows(cutoff, modes, key)
+    mirror, scale = _sector_fold(cutoff, modes, key)
     states = [state]
-    for amps in recorded:
+    for coords in recorded:
         full = np.zeros(state.dim, dtype=complex)
-        full[sector] = amps
+        full[mirror] = full[sector] = coords / scale
         states.append(FockState(modes, cutoff, full))
     n_per_mode = np.array(n_rec)
     return FockTrajectory(

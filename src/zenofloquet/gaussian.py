@@ -199,6 +199,11 @@ def _mul(x, y):
             xc * ya + xd * yc, xc * yb + xd * yd)
 
 
+# a diverged point's entries keep growing to inf, then nan (inf - inf), and a
+# cap near float64's range lets entries below it square to inf; the flag is
+# sticky and inf > photon_cap still trips it, so the overflow is expected and
+# must not reach stderr
+@np.errstate(over="ignore", invalid="ignore")
 def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     """Vectorized Gaussian boundedness check from vacuum on a product grid.
 
@@ -210,12 +215,14 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     eventually monotone, so the checkpoints catch its divergence; a stable
     drive whose bounded excursion passes the cap only between checkpoints is
     reported bounded, where :func:`evolve`, which tests every period, reports
-    it diverged.  Points past the cap are frozen to the identity to avoid
-    overflow.  The powers of the :func:`pm_pair_maps` blocks are multiplied as
-    four entry arrays, each holding both pairs of every point, because
-    batched ``@`` on 2x2 stacks is slow.
+    it diverged.  A point stays marked once past the cap; its entries may
+    then overflow to ``inf`` or ``nan``, silently.  The powers of the
+    :func:`pm_pair_maps` blocks are multiplied as four entry arrays, each
+    holding both pairs of every point, because batched ``@`` on 2x2 stacks
+    is slow.
     """
     periods = _require_int("periods", periods)
+    _require_cap(photon_cap)
     plus, minus = pm_pair_maps(gamma_tau1, omega_tau2)
     diverged = np.zeros(plus.shape[:-2], dtype=bool)
     if not periods:
@@ -224,14 +231,8 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
         # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1
-        # a cap near float64's range lets entries below it square to inf;
-        # inf > photon_cap still marks the drive diverged, so the overflow
-        # is expected and must not reach stderr
-        with np.errstate(over="ignore"):
-            fro2 = sum(e * e for e in mats).sum(axis=0)
+        fro2 = sum(e * e for e in mats).sum(axis=0)
         diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
-        for e, unit in zip(mats, (1.0, 0.0, 0.0, 1.0)):
-            e[:, diverged] = unit
 
     # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
     step = tuple(np.stack([plus[..., i, j], minus[..., i, j]])

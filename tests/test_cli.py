@@ -112,6 +112,19 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    @pytest.mark.parametrize("inputs, message", [
+        (["--eta", "1e-200", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c underflows"),
+        (["--eta", "1e-100", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
+          "--pump-intensity", "1", "--length", "1e-200"],
+         "gamma_tau1 = Gamma_c * length underflows"),
+    ], ids=["power-underflow", "length-underflow"])
+    def test_underflow_is_usage_error(self, capsys, inputs, message):
+        """A rate that underflows to 0 is a usage error, never a silent 0."""
+        assert run_cli(["estimate", *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestSweep:
     def test_output_is_byte_identical_across_runs(self, tmp_path):

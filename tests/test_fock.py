@@ -1,10 +1,11 @@
 """Truncated number-basis oracle: Hamiltonians, unitaries, propagation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenofloquet import fock, gaussian
@@ -26,6 +27,10 @@ from zenofloquet.fock import (
 )
 
 
+#: The sector key of the full basis: neither reduction applied.
+FULL_SPACE = (None, False)
+
+
 def basis_parity(cutoff, mode_count):
     """Parity of the total photon number of every basis row."""
     index = np.arange((cutoff + 1) ** mode_count)
@@ -43,6 +48,32 @@ def dense_period(mode_count, cutoff, gamma_tau1, omega_tau2):
                             HamiltonianLabel.SINGLE_MODE_STABLE)
     return (segment_unitary(build_hamiltonian(label_s, 1.0, cutoff), omega_tau2)
             @ segment_unitary(build_hamiltonian(label_u, 1.0, cutoff), gamma_tau1))
+
+
+#: Scan inputs of the full-space comparisons.
+SCAN_CASES = given(gamma_tau1=st.floats(0.02, 0.4),
+                   grid=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6),
+                   periods=st.integers(1, 60),
+                   cutoff=st.integers(8, 24))
+
+
+def assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff, sector_key):
+    """The scan with ``sector_key`` choosing the sector equals the kept slow
+    reference, the same scan with parity and swap both switched off so that
+    every basis row is propagated: same verdicts and periods, and photon
+    numbers within 1e-12 * max(1, n).  The bound is absolute below one
+    photon: the paths sum in different orders, and a point that ends near
+    vacuum carries the rounding of amplitudes of order 1."""
+    kwargs = {"periods": periods, "cutoff": cutoff}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_sector_key", sector_key)
+        sector = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
+        patch.setattr(fock, "_sector_key", lambda *args: FULL_SPACE)
+        full = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
+    for point, reference in zip(sector, full, strict=True):
+        assert (point.omega_tau2, point.outcome, point.periods_run) == \
+            (reference.omega_tau2, reference.outcome, reference.periods_run)
+        assert abs(point.n_final - reference.n_final) <= 1e-12 * max(1.0, reference.n_final)
 
 
 def assert_matches_dense_products(state, schedule):
@@ -155,7 +186,9 @@ class TestSegmentUnitary:
     def test_blockwise_engine_matches_dense_unitary(self):
         """The packed block engine equals exp(-iHt) column by column, with
         one angle shared by the columns or one angle each, on every row
-        (parity None) or on the rows of one photon-parity sector."""
+        (parity None) or on the rows of one photon-parity sector, and for
+        the two-mode labels also on the swap-symmetric basis of each sector,
+        fed random symmetric columns."""
         rng = np.random.default_rng(6)
         cutoff = 7
         angles = np.array([0.4, 1.7, 2.3, math.pi])
@@ -163,22 +196,35 @@ class TestSegmentUnitary:
             h = build_hamiltonian(label, 1.0, cutoff)
             dim = h.shape[0]
             parity = basis_parity(cutoff, label.mode_count)
-            for sector in (None, 0, 1):
+            n_a, n_b = np.divmod(np.arange(dim), cutoff + 1)
+            for sector, swap in itertools.product((None, 0, 1),
+                                                  (False, True)[:label.mode_count]):
+                key = (sector, swap)
                 rows = np.arange(dim) if sector is None else np.flatnonzero(parity == sector)
-                np.testing.assert_array_equal(
-                    fock._sector_rows(cutoff, label.mode_count, sector), rows)
                 psi = np.zeros((dim, 4), dtype=complex)
                 psi[rows] = rng.standard_normal((rows.size, 4)) \
                     + 1j * rng.standard_normal((rows.size, 4))
+                kept, scale = rows, np.ones(dim)
+                if swap:
+                    grid = psi.reshape(cutoff + 1, cutoff + 1, 4)
+                    psi = (grid + grid.transpose(1, 0, 2)).reshape(dim, 4)
+                    kept = rows[n_a[rows] >= n_b[rows]]
+                    scale = np.where(n_a == n_b, 1.0, math.sqrt(2.0))
                 psi /= np.linalg.norm(psi, axis=0)
-                one = fock._Segment(label, cutoff, 0.6, sector)(psi[rows, :1])
+                np.testing.assert_array_equal(
+                    fock._sector_rows(cutoff, label.mode_count, key), kept)
+                # coordinates on the orthonormal sector basis keep the norm
+                coords = psi[kept] * scale[kept, None]
+                np.testing.assert_allclose(np.linalg.norm(coords, axis=0), 1.0, rtol=1e-14)
+                one = fock._Segment(label, cutoff, 0.6, key)(coords[:, :1])
                 full = segment_unitary(h, 0.6) @ psi[:, :1]
-                np.testing.assert_allclose(one, full[rows], atol=1e-12)
+                np.testing.assert_allclose(one, full[kept] * scale[kept, None], atol=1e-12)
                 assert np.abs(np.delete(full, rows, axis=0)).max(initial=0.0) < 1e-12
-                many = fock._Segment(label, cutoff, angles, sector)(psi[rows])
+                many = fock._Segment(label, cutoff, angles, key)(coords)
                 for j, angle in enumerate(angles):
                     np.testing.assert_allclose(
-                        many[:, j], (segment_unitary(h, angle) @ psi[:, j])[rows],
+                        many[:, j],
+                        (segment_unitary(h, angle) @ psi[:, j])[kept] * scale[kept],
                         atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -192,7 +238,7 @@ class TestSegmentUnitary:
         psi = rng.standard_normal(h.shape[0]) \
             + 1j * rng.standard_normal(h.shape[0])
         psi /= np.linalg.norm(psi)
-        via_blocks = fock._Segment(label, cutoff, angle, None)(psi[:, None])[:, 0]
+        via_blocks = fock._Segment(label, cutoff, angle, (None, False))(psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
                                    atol=1e-12)
 
@@ -406,22 +452,60 @@ class TestParitySector:
         assert_matches_dense_products(state, schedule)
 
     @settings(max_examples=25, deadline=None)
-    @given(gamma_tau1=st.floats(0.02, 0.4),
-           grid=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6),
-           periods=st.integers(1, 60),
-           cutoff=st.integers(8, 24))
+    @SCAN_CASES
+    @example(gamma_tau1=1 / 3, grid=[0.0, 0.0, 0.0, 1.0, 2.0382759550002842, 0.5],
+             periods=38, cutoff=20)
     def test_scan_equals_full_space_scan(self, gamma_tau1, grid, periods, cutoff):
-        """The kept slow reference: the same scan with the parity sector
-        switched off, so that every basis row is propagated."""
-        kwargs = {"periods": periods, "cutoff": cutoff}
-        sector = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_sector_parity", lambda *args: None)
-            full = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
-        for point, reference in zip(sector, full, strict=True):
-            assert (point.omega_tau2, point.outcome, point.periods_run) == \
-                (reference.omega_tau2, reference.outcome, reference.periods_run)
-            assert point.n_final == pytest.approx(reference.n_final, rel=1e-12, abs=0)
+        """The parity sector alone (the swap sector switched off) against the
+        full space.  In the example the point at 2.038 ends near vacuum, at
+        n = 9.6e-7, where the two paths differ by 1.2e-12 relative."""
+        sector_key = fock._sector_key
+        assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff,
+                                       lambda *args: (sector_key(*args)[0], False))
+
+
+class TestSwapSector:
+    """Two-mode inputs equal to their own swap (psi[n_a, n_b] == psi[n_b, n_a])
+    are propagated on the n_a >= n_b half of their sector, in the orthonormal
+    swap-symmetric basis; every other input on the full sector."""
+
+    @pytest.mark.parametrize("state", [
+        vacuum_state(8, 2), number_state(8, 2, 2), number_state(8, 3, 3),
+        coherent_state(10, [0.4, 0.4])],
+        ids=["vacuum", "2,2", "3,3", "coherent-equal"])
+    def test_symmetric_input_takes_swap_sector(self, state):
+        columns = state.amplitudes[:, None]
+        assert fock._sector_key(columns, 2, state.cutoff)[1] is True
+        schedule = DriveSchedule.from_products(0.2, 1.1, periods=6)
+        traj = assert_matches_dense_products(state, schedule)
+        np.testing.assert_array_equal(traj.n_per_mode[:, 0], traj.n_per_mode[:, 1])
+        for recorded in traj.states:
+            grid = recorded.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
+            np.testing.assert_array_equal(grid, grid.T)
+
+    @pytest.mark.parametrize("state", [
+        number_state(8, 1, 0), number_state(8, 2, 3),
+        coherent_state(10, [0.3, 0.2]), coherent_state(10, [0.3, 0.3j])],
+        ids=["1,0", "2,3", "coherent-0.3-0.2", "coherent-0.3-0.3j"])
+    def test_asymmetric_input_keeps_full_sector(self, state):
+        columns = state.amplitudes[:, None]
+        assert fock._sector_key(columns, 2, state.cutoff)[1] is False
+        schedule = DriveSchedule.from_products(0.2, 1.1, periods=6)
+        assert_matches_dense_products(state, schedule)
+
+    def test_one_asymmetric_column_keeps_full_sector(self):
+        vacuum = vacuum_state(6, 2).amplitudes
+        columns = np.stack([vacuum, number_state(6, 1, 0).amplitudes], axis=1)
+        assert fock._sector_key(columns, 2, 6) == (None, False)
+        assert fock._sector_key(columns[:, :1], 2, 6) == (0, True)
+        assert fock._sector_key(vacuum_state(6, 1).amplitudes[:, None], 1, 6) == (0, False)
+
+    @settings(max_examples=25, deadline=None)
+    @SCAN_CASES
+    def test_scan_equals_full_space_scan(self, gamma_tau1, grid, periods, cutoff):
+        """Both reductions on, as every scan runs, against the full space."""
+        assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff,
+                                       fock._sector_key)
 
 
 class TestGaussianAgreement:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from zenofloquet import cli, floquet, fock
+from zenofloquet import cli, floquet, fock, gaussian
 from zenofloquet.floquet import ClassicalPendulumParams, DriveSchedule
 from zenofloquet.fock import FockState, HamiltonianLabel
 
@@ -62,6 +62,21 @@ def test_invalid_count_rejected(call):
 def test_bool_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda cap: gaussian.evolve(gaussian.vacuum_state(2),
+                                DriveSchedule.from_products(0.1, 0.5, periods=3),
+                                photon_cap=cap),
+    lambda cap: fock.propagate(fock.vacuum_state(4), DriveSchedule.from_products(
+        0.1, 0.5, periods=3), photon_cap=cap),
+    lambda cap: gaussian.vacuum_diverges([1.0], [2.0], 100, cap),
+], ids=["evolve", "propagate", "vacuum-diverges"])
+def test_invalid_cap_rejected(call, cap):
+    """A NaN cap would never trip and a cap <= 0 trips on the vacuum."""
+    with pytest.raises(ValueError, match="photon_cap must be > 0"):
+        call(cap)
 
 
 # floats first: the Fock engine caches its tables per cutoff, and 17 == 17.0
