@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -107,14 +109,42 @@ def _is_int(value):
 
 # --- output ------------------------------------------------------------------
 
-#: Rows per encoded block of JSON output: bounds the text held at once.
-_JSON_BLOCK = 4096
+#: Rows per formatted block of CSV or JSON output: bounds the text held at once.
+_BLOCK_ROWS = 4096
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: Characters in a field that can make csv.writer quote it.
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
-def _csv_cells(row):
+def _csv_cells(cells):
     # np.float64 is a float subclass, so it takes the .17g branch here
-    return ["%.17g" % v if isinstance(v, float) else str(v) for v in row]
+    return ["%.17g" % v if isinstance(v, float) else str(v) for v in cells]
+
+
+def _csv_field(text):
+    """``text`` as csv.writer writes it in a row of two or more fields."""
+    if not _CSV_SPECIAL(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _csv_texts(column):
+    """The cells of one column as csv.writer writes them in a row of two or
+    more fields, each distinct cell formatted once."""
+    types = set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        # keyed by bit pattern, so 0.0 and -0.0 stay apart; .17g needs no quotes
+        keys, inverse = np.unique(np.array(column, dtype=float).view(np.int64),
+                                  return_inverse=True)
+        texts = np.array(_csv_cells(keys.view(np.float64).tolist()), dtype=object)
+        return texts[inverse].tolist()
+    if types in ({str}, {int}, {bool}):  # equal cells of one such type print alike
+        texts = {v: _csv_field(str(v)) for v in set(column)}
+        return list(map(texts.__getitem__, column))
+    # True, 1 and 1.0 are equal but print differently
+    return list(map(_csv_field, _csv_cells(column)))
 
 
 def _write_csv(fh, meta, header, rows):
@@ -122,21 +152,12 @@ def _write_csv(fh, meta, header, rows):
         fh.write(f"# {key}={meta[key]}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    # one row template: .17g for a column of floats, str for one without
-    kinds = [{issubclass(t, float) for t in set(map(type, column))}
-             for column in zip(*rows)]
-    if {True, False} in kinds:
+    if len(header) == 1:  # csv.writer quotes a lone empty field
         writer.writerows(map(_csv_cells, rows))
         return
-    template = ",".join("%.17g" if kind == {True} else "%s" for kind in kinds) + "\n"
-    for row in rows:
-        line = template % tuple(row)
-        # a row that csv.writer would quote goes through it
-        if (line.count(",") != len(header) - 1 or '"' in line or "\r" in line
-                or line.count("\n") > 1 or line == "\n"):
-            writer.writerow(_csv_cells(row))
-        else:
-            fh.write(line)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        columns = map(_csv_texts, zip(*rows[start:start + _BLOCK_ROWS]))
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _json_texts(column):
@@ -161,8 +182,8 @@ def _write_json(fh, meta, header, rows):
     fh.write(',\n "rows": [\n')
     keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
     template = "  {\n%s\n  }" % ",\n".join(f"   {k}: %s" for k in keys)
-    for start in range(0, len(rows), _JSON_BLOCK):
-        columns = map(_json_texts, zip(*rows[start:start + _JSON_BLOCK]))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        columns = map(_json_texts, zip(*rows[start:start + _BLOCK_ROWS]))
         fh.write((",\n" if start else "")
                  + ",\n".join(template % cells for cells in zip(*columns)))
     fh.write("\n ]\n}\n")

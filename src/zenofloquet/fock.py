@@ -25,7 +25,7 @@ mixed-parity states such as coherent states carry every row.
 Both two-mode generators, and the hard cutoff, are also symmetric under the
 mode swap ``a <-> b``.  A propagation whose initial columns all equal their
 own swap exactly (``psi[n_a, n_b] == psi[n_b, n_a]``: the vacuum, ``|n, n>``,
-a coherent state with equal real amplitudes) carries only the sector's rows
+a coherent state with equal amplitudes) carries only the sector's rows
 with ``n_a >= n_b``, in the orthonormal symmetric basis, where an amplitude
 off the diagonal ``n_a == n_b`` is multiplied by sqrt2.  The amplifying
 chains with ``n_a >= n_b`` are unchanged there; each exchange chain ``|k,
@@ -201,6 +201,11 @@ def coherent_state(cutoff: int, alphas) -> FockState:
                 f"cutoff {cutoff} too small for |alpha|^2 = {abs(alpha)**2:.3g} "
                 f"(truncated weight {lost:.2e})")
         amps = single if amps is None else np.kron(amps, single)
+    if alphas.size == 2 and alphas[0] == alphas[1]:
+        # complex products x[i]*x[j] and x[j]*x[i] can round apart; keep the
+        # state exactly swap-symmetric, so that it takes the swap sector
+        grid = amps.reshape(cutoff + 1, cutoff + 1)
+        amps = (np.triu(grid) + np.triu(grid, 1).T).ravel()
     return FockState(mode_count=alphas.size, cutoff=cutoff, amplitudes=amps)
 
 

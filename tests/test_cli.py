@@ -812,16 +812,31 @@ COLUMN_CELLS = {
     "str": TEXT,
     "float-or-str": FLOATS | TEXT,
 }
+#: Values that a "repeats" column draws its pool of 2-4 cells from: cells
+#: that are equal, or hash equal, but print differently, and strings that
+#: csv.writer quotes, so that a repeated cell meets each case again.
+REPEAT_SOURCES = [
+    [0.0, -0.0, math.nan, math.inf],
+    [1, True, 1.0, False],
+    ["", ",", '"', "a"],
+]
+
+
+@st.composite
+def repeat_pools(draw):
+    pool = draw(st.permutations(draw(st.sampled_from(REPEAT_SOURCES))))
+    return pool[:draw(st.integers(2, len(pool)))]
 
 
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1,
-                          max_size=8))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS) + ["repeats"]),
+                          min_size=1, max_size=8))
     header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds),
                            unique=True))
-    rows = draw(st.lists(st.tuples(*(COLUMN_CELLS[k] for k in kinds)).map(list),
-                         max_size=60))
+    cells = [st.sampled_from(draw(repeat_pools())) if k == "repeats"
+             else COLUMN_CELLS[k] for k in kinds]
+    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=60))
     return header, rows
 
 
@@ -835,6 +850,8 @@ META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe
 @example(fmt="json", table=(["a", "b"], []))
 @example(fmt="json", table=(["%s", "b%%", '"\n'], [[1.5, "%d", True]]))
 @example(fmt="csv", table=(["a", "b"], []))
+@example(fmt="csv", table=(["x", "y"], [[0.0, ""], [-0.0, ","], [0.0, '"']]))
+@example(fmt="csv", table=(["x", "y"], [[1, "a"], [True, "a"], [1.0, "a"]]))
 def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
@@ -850,6 +867,18 @@ def test_streamed_output_across_json_block_seams(tmp_path, fmt, size):
     rows = [[k, float(v), np.float64(-v), "ab,c" if k % 1000 == 3 else "ok", k % 2]
             for k, v in enumerate(floats)]
     _assert_writes_reference(tmp_path, fmt, META, header, rows)
+
+
+def test_cross_check_chart_equals_reference_writer(tmp_path):
+    """The default chart: 22801 rows over 5 block seams, columns of 1-151
+    distinct cells next to columns of thousands."""
+    out = tmp_path / "chart.csv"
+    assert cli.main(["sweep", "--cross-check", "--out", str(out)]) == 0
+    cfg = _merged(cli.SWEEP_DEFAULTS, {"cross_check": {"enabled": True}})
+    header, rows, status = cli.run_sweep(cfg)
+    assert len(rows) == 22801
+    expected = _reference_output("csv", cli._meta("sweep", cfg, status), header, rows)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", [

@@ -471,8 +471,8 @@ class TestSwapSector:
 
     @pytest.mark.parametrize("state", [
         vacuum_state(8, 2), number_state(8, 2, 2), number_state(8, 3, 3),
-        coherent_state(10, [0.4, 0.4])],
-        ids=["vacuum", "2,2", "3,3", "coherent-equal"])
+        coherent_state(10, [0.4, 0.4]), coherent_state(10, [0.3 + 0.1j] * 2)],
+        ids=["vacuum", "2,2", "3,3", "coherent-equal", "coherent-equal-complex"])
     def test_symmetric_input_takes_swap_sector(self, state):
         columns = state.amplitudes[:, None]
         assert fock._sector_key(columns, 2, state.cutoff)[1] is True
