@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -463,9 +464,12 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     """Each subcommand flag's dest is the config key it overrides, dotted for
-    a nested key; metavar keeps such a flag's --help text free of the dots."""
+    a nested key; metavar keeps such a flag's --help text free of the dots.
+
+    Built once per process: parsing reads the parser and never changes it."""
     parser = argparse.ArgumentParser(
         prog="zenofloquet",
         description="Stability maps and simulations of the switched "

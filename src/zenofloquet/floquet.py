@@ -64,7 +64,7 @@ def _require_int(name, value, lo=0, hi=None):
         n = int(value)
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
         n = None
-    if isinstance(value, bool) or n is None or n != value:
+    if isinstance(value, (bool, np.bool_)) or n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < lo or (hi is not None and n > hi):
         raise ValueError(f"{name} {n} outside [{lo}, {'inf' if hi is None else hi}]")

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .floquet import DriveSchedule, _require_cap, _require_int, _require_real
 
@@ -119,7 +118,7 @@ def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration!r}")
     try:
-        w, v = eigh(h)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ArithmeticError(
             f"eigendecomposition failed for a {h.shape[0]}x{h.shape[1]} "
@@ -231,45 +230,6 @@ def _high_level_mask(cutoff: int, mode_count: int) -> np.ndarray:
         mask = mask | (d > level)
     mask.setflags(write=False)
     return mask
-
-
-def leakage_fraction(state: FockState) -> float:
-    """Population in levels with any occupation above 0.9 * cutoff."""
-    mask = _high_level_mask(state.cutoff, state.mode_count)
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-
-
-def is_truncation_safe(state: FockState) -> bool:
-    return leakage_fraction(state) < LEAKAGE_THRESHOLD
-
-
-def expectation(state: FockState, observable) -> float:
-    """Expectation value of a number observable or a basis projector.
-
-    ``observable`` is ``"na"``/``"nb"`` (two-mode), ``"n"`` (single-mode),
-    ``"ntotal"``, or an integer basis index whose projector probability
-    ``|amplitude|^2`` is returned.
-    """
-    probs = np.abs(state.amplitudes) ** 2
-    if isinstance(observable, (bool, np.bool_)):
-        # the rule of floquet._require_int: a bool is never a count or index
-        raise ValueError(f"basis index must be an integer, got {observable!r}")
-    if isinstance(observable, (int, np.integer)):
-        if not 0 <= observable < state.dim:
-            raise IndexError(f"basis index {observable} outside [0, {state.dim})")
-        return float(probs[observable])
-    diags = _number_diagonals(state.cutoff, state.mode_count)
-    if observable == "ntotal":
-        return float(sum(d @ probs for d in diags))
-    if state.mode_count == 2:
-        if observable == "na":
-            return float(diags[0] @ probs)
-        if observable == "nb":
-            return float(diags[1] @ probs)
-    elif observable == "n":
-        return float(diags[0] @ probs)
-    raise ValueError(f"unknown observable {observable!r} for "
-                     f"{state.mode_count}-mode state")
 
 
 # --- packed propagation engine -------------------------------------------------
@@ -424,10 +384,8 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
             for k, (idx, diag, off) in enumerate(group):
                 m = idx.size
                 index[k, :m], used[k, :m] = idx, True
-                if m == 1:
-                    w[k, 0], vectors[k, 0, 0] = diag[0], 1.0
-                else:
-                    w[k, :m], vectors[k, :m, :m] = eigh_tridiagonal(diag, off)
+                chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                w[k, :m], vectors[k, :m, :m] = np.linalg.eigh(chain)
             vectors.setflags(write=False)
             buckets.append((start, start + index.size, vectors))
             start += index.size

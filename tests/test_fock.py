@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from zenofloquet import fock, gaussian
 from zenofloquet.floquet import Classification, DriveSchedule, classify_schedule
@@ -16,9 +17,6 @@ from zenofloquet.fock import (
     build_hamiltonian,
     coherent_state,
     default_cutoff,
-    expectation,
-    is_truncation_safe,
-    leakage_fraction,
     number_state,
     propagate,
     segment_unitary,
@@ -243,36 +241,78 @@ class TestSegmentUnitary:
                                    atol=1e-12)
 
 
+class TestPacking:
+    """Each chain's dense eigendecomposition in the packing, checked against
+    scipy's tridiagonal solver, the routine it replaced."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 30, 60])
+    @pytest.mark.parametrize("label, swap", [
+        (HamiltonianLabel.TWO_MODE_UNSTABLE, False),
+        (HamiltonianLabel.TWO_MODE_UNSTABLE, True),
+        (HamiltonianLabel.TWO_MODE_STABLE, False),
+        (HamiltonianLabel.TWO_MODE_STABLE, True),
+        (HamiltonianLabel.SINGLE_MODE_UNSTABLE, False),
+    ], ids=["amplify", "amplify-swap", "exchange", "exchange-swap", "single-amplify"])
+    def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
+        chains = {tuple(idx): (diag, off) for idx, diag, off in fock._chains(label, cutoff, swap)}
+        for parity in (None, 0, 1):
+            key = (parity, swap)
+            sector = fock._sector_rows(cutoff, label.mode_count, key)
+            packing = fock._packed_blocks(label, cutoff, key)
+            used = np.zeros(packing.gather.size, dtype=bool)
+            used[packing.unpack] = True
+            seen = []
+            for start, stop, vectors in packing.buckets:
+                length = vectors.shape[1]
+                rows = sector[packing.gather[start:stop]].reshape(-1, length)
+                weights = packing.weights[start:stop].reshape(-1, length)
+                for k, m in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
+                    seen.append(tuple(rows[k, :m]))
+                    diag, off = chains[seen[-1]]
+                    chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                    scale = max(np.abs(chain).max(), 1.0)
+                    np.testing.assert_allclose(weights[k, :m], eigh_tridiagonal(diag, off)[0],
+                                               rtol=1e-12, atol=1e-12 * scale)
+                    assert not weights[k, m:].any()
+                    v = vectors[k]
+                    assert not v[m:].any() and not v[:, m:].any()
+                    np.testing.assert_allclose(v[:m, :m].T @ v[:m, :m], np.eye(m), atol=1e-12)
+                    np.testing.assert_allclose((v[:m, :m] * weights[k, :m]) @ v[:m, :m].T,
+                                               chain, rtol=0, atol=1e-12 * scale)
+            # every chain of the sector, each once
+            in_sector = set(sector.tolist())
+            assert sorted(seen) == sorted(idx for idx in chains if idx[0] in in_sector)
+            assert used.sum() == sector.size
+
+
+def initial_photons(state):
+    """Photons per mode of ``state``: the period-0 record of a propagation."""
+    return propagate(state, DriveSchedule.from_products(0.0, 0.0, periods=1),
+                     record_states=False).n_per_mode[0]
+
+
 class TestStatesAndExpectations:
     def test_vacuum_expectations(self):
-        vac = vacuum_state(5, 2)
-        assert expectation(vac, "na") == 0.0
-        assert expectation(vac, "nb") == 0.0
-        assert expectation(vac, "ntotal") == 0.0
+        assert initial_photons(vacuum_state(5, 2)).tolist() == [0.0, 0.0]
+        assert initial_photons(vacuum_state(5, 1)).tolist() == [0.0]
 
     def test_number_state_total(self):
-        state = number_state(4, 1, 1)
-        assert expectation(state, "ntotal") == pytest.approx(2.0)
+        assert initial_photons(number_state(4, 1, 1)).sum() == pytest.approx(2.0)
+        assert initial_photons(number_state(4, 3, 1)).tolist() == [3.0, 1.0]
+        assert initial_photons(number_state(4, 3)).tolist() == [3.0]
 
     def test_equal_superposition(self):
         amps = np.zeros(25, dtype=complex)
         amps[basis_index(4, 0, 0)] = 1.0
         amps[basis_index(4, 1, 1)] = 1.0
         state = fock.FockState(2, 4, amps)
-        assert expectation(state, "na") == pytest.approx(0.5)
+        np.testing.assert_allclose(initial_photons(state), [0.5, 0.5])
 
     def test_projection_probability(self):
-        state = number_state(3, 2, 1)
-        assert expectation(state, basis_index(3, 2, 1)) == pytest.approx(1.0)
-        assert expectation(state, 0) == 0.0
-        with pytest.raises(IndexError):
-            expectation(state, 16 * 16)
-
-    def test_observable_name_validation(self):
-        with pytest.raises(ValueError):
-            expectation(vacuum_state(3, 2), "n")
-        with pytest.raises(ValueError):
-            expectation(vacuum_state(3, 1), "na")
+        probs = np.abs(number_state(3, 2, 1).amplitudes) ** 2
+        assert basis_index(3, 2, 1) == 2 * 4 + 1
+        assert probs[basis_index(3, 2, 1)] == 1.0
+        assert probs.sum() == 1.0
 
     def test_number_state_occupation_beyond_cutoff(self):
         with pytest.raises(ValueError):
@@ -300,24 +340,36 @@ class TestStatesAndExpectations:
 
     @pytest.mark.parametrize("index", [True, False, np.bool_(True)])
     def test_bool_basis_index_rejected(self, index):
-        with pytest.raises(ValueError, match="basis index"):
-            expectation(number_state(3, 0, 1), index)
+        # the rule of floquet._require_int: a bool is never a count or index
+        with pytest.raises(ValueError, match="occupation"):
+            basis_index(3, 0, index)
+        with pytest.raises(ValueError, match="occupation"):
+            number_state(3, index, 0)
 
     def test_coherent_state_photon_number(self):
         alpha = 0.8 - 0.4j
-        state = coherent_state(25, [alpha, 0.0])
-        assert expectation(state, "na") == pytest.approx(abs(alpha) ** 2, rel=1e-10)
-        assert expectation(state, "nb") == pytest.approx(0.0, abs=1e-12)
+        n_a, n_b = initial_photons(coherent_state(25, [alpha, 0.0]))
+        assert n_a == pytest.approx(abs(alpha) ** 2, rel=1e-10)
+        assert n_b == pytest.approx(0.0, abs=1e-12)
 
     def test_coherent_state_cutoff_guard(self):
         with pytest.raises(ValueError):
             coherent_state(3, [2.5])
 
     def test_leakage_monitor(self):
-        top = number_state(10, 10, 0)
-        assert leakage_fraction(top) == pytest.approx(1.0)
-        assert not is_truncation_safe(top)
-        assert is_truncation_safe(vacuum_state(10, 2))
+        """Leakage is the population with an occupation above 0.9 * cutoff."""
+        schedule = DriveSchedule.from_products(0.0, 0.0, periods=1)
+        assert propagate(vacuum_state(10, 2), schedule).leakage[0] == 0.0
+        amps = np.zeros(121, dtype=complex)
+        amps[basis_index(10, 0, 0)] = math.sqrt(0.75 - 4e-9)
+        amps[basis_index(10, 9, 9)] = 0.5  # level 9 is not above 0.9 * 10
+        amps[basis_index(10, 10, 0)] = amps[basis_index(10, 3, 10)] = math.sqrt(2e-9)
+        traj = propagate(fock.FockState(2, 10, amps), schedule)
+        np.testing.assert_allclose(traj.leakage, 4e-9, rtol=1e-12)
+        assert traj.truncation_safe
+        for top in (number_state(10, 10, 0), number_state(10, 0, 10), number_state(10, 10)):
+            with pytest.raises(ValueError, match="initial state is not cutoff-safe"):
+                propagate(top, schedule)
 
 
 class TestPropagate:
@@ -343,7 +395,7 @@ class TestPropagate:
         """One-photon sector reduces to a two-level rotation by omega*tau2."""
         s = DriveSchedule.from_products(0.0, math.pi / 4, periods=1)
         traj = propagate(number_state(6, 1, 0), s)
-        survival = expectation(traj[1], basis_index(6, 1, 0))
+        survival = abs(traj[1].amplitudes[basis_index(6, 1, 0)]) ** 2
         assert survival == pytest.approx(0.5, abs=1e-12)
 
     def test_photon_sum_conserved_during_exchange(self):

@@ -21,6 +21,7 @@ AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
 @pytest.mark.parametrize("call", [
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=True),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=False),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=np.bool_(True)),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=2.5),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=math.nan),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods="3"),
@@ -36,8 +37,8 @@ AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=0, periods=3),
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=0),
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=math.inf),
-], ids=["schedule-true", "schedule-false", "schedule-2.5", "schedule-nan",
-        "schedule-str", "fock-state-modes-true", "fock-state-cutoff-true",
+], ids=["schedule-true", "schedule-false", "schedule-np-bool", "schedule-2.5",
+        "schedule-nan", "schedule-str", "fock-state-modes-true", "fock-state-cutoff-true",
         "fock-state-cutoff-4.5", "fock-state-modes-3", "hamiltonian-cutoff-inf",
         "hamiltonian-cutoff-true", "scan-cutoff-true", "scan-cutoff-2.5", "empty-scan-cutoff-2.5",
         "scan-cutoff-0", "scan-periods-0", "scan-periods-inf"])
