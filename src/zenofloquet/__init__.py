@@ -27,7 +27,6 @@ from .floquet import (
     minus_mode_monodromy,
     monodromy,
     propagate_plus_mode,
-    small_tau_predicate,
     stable_segment_matrix,
     unstable_segment_matrix,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "monodromy",
     "photon_numbers",
     "propagate_plus_mode",
-    "small_tau_predicate",
     "stable_segment_matrix",
     "unstable_segment_matrix",
     "__version__",

@@ -4,7 +4,7 @@ Output is deterministic: CSV uses 17-significant-digit floats, LF endings
 and a fixed column order; JSON mirrors the same rows under a ``rows`` key
 next to a ``meta`` object carrying the resolved-config hash and tool
 version.  Exit codes: 0 success, 1 numerical guard tripped (divergence or
-truncation), 2 usage/config error.
+truncation), 2 usage/config error or a request too big to allocate.
 """
 
 from __future__ import annotations
@@ -33,13 +33,23 @@ class ConfigError(ValueError):
 class RunResult(NamedTuple):
     """Output table of one subcommand and its run status.
 
-    ``status`` is ``"ok"`` or the ``;``-joined guards that tripped; anything
-    but ``"ok"`` exits with code 1.
+    ``rows`` is a 1-D structured array with one field per ``header`` name,
+    each ``float64``, ``int64`` or ``str``.  ``status`` is ``"ok"`` or the
+    ``;``-joined guards that tripped; anything but ``"ok"`` exits with code 1.
     """
 
     header: list
-    rows: list
+    rows: np.ndarray
     status: str = "ok"
+
+
+def _table(header, columns):
+    """The equal-length ``columns`` as rows of one structured array."""
+    columns = [np.asarray(column) for column in columns]
+    rows = np.empty(len(columns[0]), [(k, c.dtype) for k, c in zip(header, columns)])
+    for key, column in zip(header, columns):
+        rows[key] = column
+    return rows
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -117,11 +127,6 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
-def _csv_cells(cells):
-    # np.float64 is a float subclass, so it takes the .17g branch here
-    return ["%.17g" % v if isinstance(v, float) else str(v) for v in cells]
-
-
 def _csv_field(text):
     """``text`` as csv.writer writes it in a row of two or more fields."""
     if not _CSV_SPECIAL(text):
@@ -131,60 +136,54 @@ def _csv_field(text):
     return buf.getvalue()[:-1]
 
 
-def _csv_texts(column):
-    """The cells of one column as csv.writer writes them in a row of two or
-    more fields, each distinct cell formatted once."""
-    types = set(map(type, column))
-    if all(issubclass(t, float) for t in types):
+def _csv_texts(field):
+    """The cells of one typed field as csv.writer writes them in a row of two
+    or more fields, each distinct cell formatted once."""
+    if field.dtype.kind == "f":
         # keyed by bit pattern, so 0.0 and -0.0 stay apart; .17g needs no quotes
-        keys, inverse = np.unique(np.array(column, dtype=float).view(np.int64),
-                                  return_inverse=True)
-        texts = np.array(_csv_cells(keys.view(np.float64).tolist()), dtype=object)
+        keys, inverse = np.unique(field.view(np.int64), return_inverse=True)
+        texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()],
+                         dtype=object)
         return texts[inverse].tolist()
-    if types in ({str}, {int}, {bool}):  # equal cells of one such type print alike
-        texts = {v: _csv_field(str(v)) for v in set(column)}
-        return list(map(texts.__getitem__, column))
-    # True, 1 and 1.0 are equal but print differently
-    return list(map(_csv_field, _csv_cells(column)))
+    cells = field.tolist()
+    texts = {v: _csv_field(str(v)) for v in set(cells)}
+    return list(map(texts.__getitem__, cells))
 
 
 def _write_csv(fh, meta, header, rows):
     for key in ("tool", "version", "command", "schema", "config_hash", "status"):
         fh.write(f"# {key}={meta[key]}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    if len(header) == 1:  # csv.writer quotes a lone empty field
-        writer.writerows(map(_csv_cells, rows))
-        return
+    csv.writer(fh, lineterminator="\n").writerow(header)
     for start in range(0, len(rows), _BLOCK_ROWS):
-        columns = map(_csv_texts, zip(*rows[start:start + _BLOCK_ROWS]))
+        block = rows[start:start + _BLOCK_ROWS]
+        columns = [_csv_texts(block[name]) for name in rows.dtype.names]
+        if len(columns) == 1:  # csv.writer quotes a lone empty field
+            columns = [[text or '""' for text in columns[0]]]
         fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _json_texts(column):
-    """The cells of one column as ``json.dumps(indent=1)`` writes them in a row."""
-    types = set(map(type, column))
-    if all(issubclass(t, float) for t in types):
-        texts = list(map(float.__repr__, column))
+def _json_texts(field):
+    """The cells of one typed field as ``json.dumps(indent=1)`` writes them."""
+    cells = field.tolist()
+    if field.dtype.kind == "f":
+        texts = list(map(float.__repr__, cells))
         return list(map(_JSON_NONFINITE.get, texts, texts))
-    if types == {int}:
-        return list(map(int.__repr__, column))
-    if types == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, column))
-    # a row's values sit three levels deep
-    return [json.dumps(v, indent=1).replace("\n", "\n   ") for v in column]
+    if field.dtype.kind == "i":
+        return list(map(int.__repr__, cells))
+    return list(map(json.encoder.encode_basestring_ascii, cells))
 
 
 def _write_json(fh, meta, header, rows):
     fh.write(json.dumps({"meta": meta}, indent=1)[:-2])  # without the final "\n}"
-    if not rows:
+    if not len(rows):
         fh.write(',\n "rows": []\n}\n')
         return
     fh.write(',\n "rows": [\n')
     keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
     template = "  {\n%s\n  }" % ",\n".join(f"   {k}: %s" for k in keys)
     for start in range(0, len(rows), _BLOCK_ROWS):
-        columns = map(_json_texts, zip(*rows[start:start + _BLOCK_ROWS]))
+        block = rows[start:start + _BLOCK_ROWS]
+        columns = [_json_texts(block[name]) for name in rows.dtype.names]
         fh.write((",\n" if start else "")
                  + ",\n".join(template % cells for cells in zip(*columns)))
     fh.write("\n ]\n}\n")
@@ -257,18 +256,17 @@ def run_sweep(cfg) -> RunResult:
     half_trace, classes, exponent = floquet.classify_stack(
         floquet.pair_map(gammas, thetas), 2.0, epsilon)
     half_trace, classes = half_trace.ravel(), classes.ravel()
-    columns = [np.repeat(gammas, thetas.size).tolist(),
-               np.tile(thetas, gammas.size).tolist(),
-               half_trace.tolist(), classes.tolist(), exponent.ravel().tolist()]
+    columns = [np.repeat(gammas, thetas.size), np.tile(thetas, gammas.size),
+               half_trace, classes, exponent.ravel()]
 
     if cross["enabled"]:
         diverged = gaussian.vacuum_diverges(gammas, thetas, periods, cap).ravel()
         header += ["gaussian_outcome", "disagreement"]
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
-        columns += [np.where(diverged, "diverged", "bounded").tolist(),
-                    disagree.astype(int).tolist()]
-    return RunResult(header, [list(row) for row in zip(*columns)])
+        columns += [np.where(diverged, "diverged", "bounded"),
+                    disagree.astype(np.int64)]
+    return RunResult(header, _table(header, columns))
 
 
 # --- simulate ----------------------------------------------------------------
@@ -388,22 +386,21 @@ def run_simulate(cfg) -> RunResult:
     steps = total.size
     if backend == "both":
         steps = min(steps, gauss_traj.photon_totals.size)
-    columns = [range(steps), *per_mode[:steps].T.tolist(), total[:steps].tolist(),
-               [report.half_trace] * steps, [report.classification.value] * steps]
+    columns = [np.arange(steps), *per_mode[:steps].T, total[:steps],
+               np.full(steps, report.half_trace),
+               np.full(steps, report.classification.value)]
     if backend == "fock":
-        columns += [fock_traj.norm_drift[:steps].tolist(),
-                    fock_traj.leakage[:steps].tolist()]
+        columns += [fock_traj.norm_drift[:steps], fock_traj.leakage[:steps]]
     if backend == "both":
-        columns.append((fock_traj.n_per_mode[:steps, 0]
-                        - gauss_traj.photons_per_mode[:steps, 0]).tolist())
-    rows = [list(row) for row in zip(*columns)]
+        columns.append(fock_traj.n_per_mode[:steps, 0]
+                       - gauss_traj.photons_per_mode[:steps, 0])
 
     status = []
     if gauss_traj is not None and gauss_traj.diverged:
         status.append("gaussian-diverged")
     if fock_traj is not None and fock_traj.status != "ok":
         status.append(f"fock-{fock_traj.status}")
-    return RunResult(header, rows, ";".join(status) or "ok")
+    return RunResult(header, _table(header, columns), ";".join(status) or "ok")
 
 
 # --- estimate ----------------------------------------------------------------
@@ -452,8 +449,8 @@ def run_estimate(cfg) -> RunResult:
     if gamma_tau1 == 0.0:
         raise ConfigError("gamma_tau1 = Gamma_c * length underflows float64 to 0")
     header = list(ESTIMATE_DEFAULTS) + ["gamma_c_per_m", "gamma_tau1"]
-    rows = [[values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]]
-    return RunResult(header, rows)
+    cells = [values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]
+    return RunResult(header, _table(header, [[v] for v in cells]))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -552,6 +549,10 @@ def main(argv=None) -> int:
         result = run(cfg)
     except ConfigError as exc:
         print(f"zenofloquet {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a request too big to allocate is a usage error
+        print(f"zenofloquet {args.command}: out of memory: "
+              f"{str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     meta = _meta(args.command, cfg, result.status)
     _write_output(args.out, args.format, meta, result.header, result.rows)

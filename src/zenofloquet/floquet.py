@@ -354,16 +354,6 @@ def classify_schedule(schedule: DriveSchedule) -> StabilityReport:
     return classify(monodromy(schedule), schedule.period)
 
 
-def small_tau_predicate(schedule: DriveSchedule) -> bool:
-    """Leading-order stability predicate for short segments.
-
-    Expanding the half-trace to second order in the segment products gives
-    ``1 - ((omega*tau2)^2 - (gamma*tau1)^2) / 2``, so to this order the
-    drive is stable exactly when ``omega * tau2 > gamma * tau1``.
-    """
-    return schedule.omega_tau2 > schedule.gamma_tau1
-
-
 def powers(maps, periods: int) -> np.ndarray:
     """``maps^0 .. maps^periods`` of one square map or a stack, stacked on axis 0.
 

@@ -216,27 +216,27 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     drive whose bounded excursion passes the cap only between checkpoints is
     reported bounded, where :func:`evolve`, which tests every period, reports
     it diverged.  A point stays marked once past the cap; its entries may
-    then overflow to ``inf`` or ``nan``, silently.  The powers of the
-    :func:`pm_pair_maps` blocks are multiplied as four entry arrays, each
-    holding both pairs of every point, because batched ``@`` on 2x2 stacks
-    is slow.
+    then overflow to ``inf`` or ``nan``, silently.
+
+    Only the plus pair of :func:`pm_pair_maps` is evolved: the minus map is
+    ``D @ plus @ D`` with ``D = diag(1, -1)``, so its powers have the plus
+    powers' norms.  The powers are multiplied as four entry arrays, because
+    batched ``@`` on 2x2 stacks is slow.
     """
     periods = _require_int("periods", periods)
     _require_cap(photon_cap)
-    plus, minus = pm_pair_maps(gamma_tau1, omega_tau2)
+    plus = pair_map(gamma_tau1, -omega_tau2)
     diverged = np.zeros(plus.shape[:-2], dtype=bool)
     if not periods:
         return diverged  # only the vacuum, which no cap > 0 trips
 
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
-        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1
-        fro2 = sum(e * e for e in mats).sum(axis=0)
-        diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
+        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1
+        diverged[sum(e * e for e in mats) / 2.0 - 1.0 > photon_cap] = True
 
-    # step holds S^n for n = 1, 2, 4, ...; power collects S^periods from them
-    step = tuple(np.stack([plus[..., i, j], minus[..., i, j]])
-                 for i in (0, 1) for j in (0, 1))
+    # step holds P^n for n = 1, 2, 4, ...; power collects P^periods from them
+    step = tuple(plus[..., i, j] for i in (0, 1) for j in (0, 1))
     power = None
     n = 1
     while True:
@@ -266,21 +266,9 @@ def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     """One-period 4x4 symplectic map in the mode (x_a, p_a, x_b, p_b) basis.
 
     Built as block-diag of the plus/minus pair maps conjugated back with the
-    orthogonal basis change; equal to composing the two segment maps of
-    :func:`segment_symplectics`.
+    orthogonal basis change.
     """
     return _mode_basis(*pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2))
-
-
-def segment_symplectics(schedule: DriveSchedule, mode_count: int = 2):
-    """Per-segment symplectic maps (S_unstable, S_stable) in the mode basis."""
-    g, w = schedule.gamma_tau1, schedule.omega_tau2
-    if mode_count == 1:
-        return pair_map(-g, 0.0), pair_map(0.0, w)
-    if mode_count != 2:
-        raise ValueError(f"mode_count must be 1 or 2, got {mode_count}")
-    return (_mode_basis(pair_map(g, 0.0), pair_map(-g, 0.0)),
-            _mode_basis(pair_map(0.0, -w), pair_map(0.0, w)))
 
 
 #: Periods per power table in :func:`evolve`: bounds a long run's memory and
@@ -290,7 +278,7 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class GaussianTrajectory:
-    """Recorded Gaussian evolution at period (or segment) boundaries.
+    """Recorded Gaussian evolution at period boundaries.
 
     With states recorded, ``means`` and ``covariances`` hold one entry per
     sample and indexing builds the :class:`GaussianState`.  ``status`` is
@@ -337,7 +325,7 @@ def _unit_determinant(maps):
 # table entries past a tripped cap may overflow; the cap test reports them
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(state: GaussianState, schedule: DriveSchedule, *,
-           record_states: bool = True, per_segment: bool = False,
+           record_states: bool = True,
            photon_cap: float = PHOTON_CAP) -> GaussianTrajectory:
     """Evolve a Gaussian state through N full periods of the switched drive.
 
@@ -346,8 +334,7 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     state's mode count, taken from one :func:`zenofloquet.floquet.powers`
     table of the 2x2 plus/minus blocks (the minus block alone for one mode)
     and applied to the last state of each run of up to ``_CHUNK`` periods.
-    With ``per_segment=True`` the trajectory is sampled after every segment
-    (2N + 1 entries) instead of every period (N + 1).
+    The trajectory is sampled after every period (N + 1 entries).
 
     Parameters
     ----------
@@ -358,8 +345,6 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     record_states : bool
         Keep the mean and covariance of every sample (set False for long runs
         where only photon records are needed, to save memory).
-    per_segment : bool
-        Sample after each segment rather than each full period.
     photon_cap : float
         Divergence guard, > 0 (``inf`` for no cap); evolution stops with
         status "diverged" once the total photon number exceeds it or stops
@@ -379,12 +364,6 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     table = powers(np.stack([plus, minus]) if two_mode else minus, min(periods, _CHUNK))
     table = _unit_determinant(table[1:])
     table = _mode_basis(table[:, 0], table[:, 1]) if two_mode else table
-    step = 2 if per_segment else 1
-    if per_segment:
-        # sample pairs (S_u S^(n-1), S^n): the amplifying segment, then the period
-        s_u = segment_symplectics(schedule, state.mode_count)[0]
-        starts = np.concatenate([np.eye(s_u.shape[0])[None], table])[:-1]
-        table = np.stack([s_u @ starts, table], axis=1).reshape((-1,) + s_u.shape)
 
     mean, cov = state.mean, state.covariance
     means, covs = [mean[None]], [cov[None]]
@@ -392,7 +371,7 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     status = "ok"
     done = 0
     while done < periods and status == "ok":
-        maps = table[:step * (periods - done)]
+        maps = table[:periods - done]
         # near float64's range maps @ cov can overflow before the total does;
         # a power-of-two scale is exact, so runs far from it keep their bits
         big = np.abs(cov).max()
@@ -401,18 +380,18 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
                             shift)
         samples = maps @ mean, (covs_out + np.swapaxes(covs_out, 1, 2)) / 2.0
         per_mode = _photons_per_mode(*samples)
-        totals = per_mode[step - 1::step].sum(axis=-1)
+        totals = per_mode.sum(axis=-1)
         # an overflowed total is inf, which an infinite cap does not exceed
         tripped = np.flatnonzero(~((totals <= photon_cap) & np.isfinite(totals)))
         if tripped.size:
             status = "diverged"
-            kept = step * (tripped[0] + 1)
+            kept = tripped[0] + 1
             samples, per_mode = tuple(x[:kept] for x in samples), per_mode[:kept]
         photons.append(per_mode)
         if record_states:
             means.append(samples[0])
             covs.append(samples[1])
-        done += per_mode.shape[0] // step
+        done += per_mode.shape[0]
         mean, cov = samples[0][-1], samples[1][-1]
 
     per_mode = np.concatenate(photons)

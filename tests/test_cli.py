@@ -57,6 +57,36 @@ def test_subcommands_return_one_result_shape(run, cfg, status):
     assert result.status == status
 
 
+SMALL_SWEEP = {**cli.SWEEP_DEFAULTS,
+               "gamma_tau1": {"min": 0.0, "max": 1.5, "steps": 3},
+               "omega_tau2": {"min": 0.0, "max": 3.0, "steps": 4},
+               "cross_check": {"enabled": True, "periods": 50, "photon_cap": 1e12}}
+
+
+@pytest.mark.parametrize("run, cfg, count", [
+    (cli.run_sweep, {**SMALL_SWEEP, "cross_check": {"enabled": False}}, 12),
+    (cli.run_sweep, SMALL_SWEEP, 12),
+    *[(cli.run_simulate, {**cli.SIMULATE_DEFAULTS, "schedule": SCHEDULE,
+                          "modes": modes, "backend": backend, "cutoff": 10}, 4)
+      for modes in (1, 2) for backend in ("gaussian", "fock", "both")],
+    (cli.run_simulate, {**cli.SIMULATE_DEFAULTS, "schedule": {
+        "gamma": 0.5, "tau1": 1.0, "omega": 0.1, "tau2": 1.0, "periods": 3000}}, 30),
+    (cli.run_estimate, dict.fromkeys(cli.ESTIMATE_DEFAULTS, 1.0), 1),
+], ids=["sweep", "sweep-cross-check"] + [
+    f"simulate-{backend}-{modes}" for modes in (1, 2)
+    for backend in ("gaussian", "fock", "both")] + ["simulate-diverged", "estimate"])
+def test_rows_are_one_typed_field_per_header_name(run, cfg, count):
+    """``rows`` is one structured array: ``len`` counts the table rows, and
+    each header name is a float64, int64 or str field, in header order."""
+    header, rows, _ = run(cfg)
+    assert isinstance(rows, np.ndarray) and rows.ndim == 1
+    assert len(rows) == count
+    assert list(rows.dtype.names) == header
+    for name in header:
+        dtype = rows.dtype[name]
+        assert dtype in (np.float64, np.int64) or dtype.kind == "U", (name, dtype)
+
+
 class TestEstimate:
     def test_reference_inputs_reproduce_quoted_orders(self, tmp_path):
         """Hand-evaluated: eta^3/2 * chi2^2 * wa * wb * Ip = 1.91664e-3 m^-2."""
@@ -450,6 +480,27 @@ class TestSimulate:
         assert code == 2
         assert "initial.alpha must be a list of 2 [re, im] pairs" in capsys.readouterr().err
 
+    def test_request_too_big_to_allocate_is_usage_error(self, capsys):
+        """A two-mode state at cutoff 1e8 holds 1e16 amplitudes, so its first
+        allocation fails at once: one stderr line and exit 2, not a
+        traceback and not the guard code 1."""
+        assert run_cli(["simulate", "--gamma", "0.1", "--tau1", "1",
+                        "--omega", "0.5", "--tau2", "1", "--periods", "2",
+                        "--backend", "fock", "--cutoff", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zenofloquet simulate: out of memory: ")
+        assert captured.err.count("\n") == 1
+
+    def test_memory_error_without_message_is_named(self, capsys, monkeypatch):
+        def run(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_simulate", run)
+        assert run_cli(["simulate"]) == 2
+        assert capsys.readouterr().err == \
+            "zenofloquet simulate: out of memory: allocation failed\n"
+
     def test_fock_requires_cutoff(self):
         assert run_cli(["simulate", "--gamma", "0.1", "--tau1", "1",
                         "--omega", "0", "--tau2", "1", "--periods", "2",
@@ -554,22 +605,25 @@ def test_sweep_matches_pointwise_references(g_lo, g_span, g_steps, w_lo, w_hi,
     assert status == "ok"
     gammas = np.linspace(g_lo, g_lo + g_span, g_steps).tolist()
     thetas = np.linspace(w_lo, w_hi, w_steps).tolist()
-    assert [row[:2] for row in rows] == [[g, w] for g in gammas for w in thetas]
+    assert list(zip(rows["gamma_tau1"].tolist(), rows["omega_tau2"].tolist())) == [
+        (g, w) for g in gammas for w in thetas]
     for row in rows:
-        schedule = floquet.DriveSchedule.from_products(row[0], row[1])
+        schedule = floquet.DriveSchedule.from_products(float(row["gamma_tau1"]),
+                                                       float(row["omega_tau2"]))
         report = floquet.classify(floquet.monodromy(schedule), 2.0, epsilon)
-        assert row[2:5] == [report.half_trace, report.classification.value,
-                            report.floquet_exponent]
+        assert row["half_trace"] == report.half_trace
+        assert row["classification"] == report.classification.value
+        assert row["floquet_exponent"] == report.floquet_exponent
         if abs(report.half_trace - 1.0) <= 1e-3:
-            assert row[6] == 0
+            assert row["disagreement"] == 0
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             power = np.linalg.matrix_power(
                 gaussian.two_mode_period_symplectic(schedule), periods)
             diverged = not np.sum(power**2) / 4.0 - 1.0 <= cap
         unstable = report.classification is floquet.Classification.UNSTABLE
-        assert row[5:] == ["diverged" if diverged else "bounded",
-                           int(unstable != diverged)]
+        assert row["gaussian_outcome"] == ("diverged" if diverged else "bounded")
+        assert row["disagreement"] == int(unstable != diverged)
 
 
 # --- each flag is its config key ----------------------------------------------
@@ -701,7 +755,7 @@ COHERENT = {"type": "coherent", "alpha": [[0.6, -0.2], [0.1, 0.3]]}
                  id="gaussian-diverged"),
 ])
 def test_simulate_columns_equal_row_loop(cfg):
-    assert _bits(cli.run_simulate(cfg).rows) == _bits(_row_loop(cfg))
+    assert _bits(cli.run_simulate(cfg).rows.tolist()) == _bits(_row_loop(cfg))
 
 
 def test_simulate_ends_with_the_shorter_record():
@@ -712,7 +766,7 @@ def test_simulate_ends_with_the_shorter_record():
                                   "tau2": 1.0, "periods": 60},
                         backend="both", cutoff=8, photon_cap=20)
     result = cli.run_simulate(cfg)
-    assert _bits(result.rows) == _bits(_row_loop(cfg))
+    assert _bits(result.rows.tolist()) == _bits(_row_loop(cfg))
     assert len(result.rows) == 9
     assert result.status == "gaussian-diverged;fock-truncation-unsafe"
 
@@ -774,7 +828,9 @@ def test_readme_cli_example_runs(tmp_path, argv, config):
 
 def _reference_output(fmt, meta, header, rows):
     """Output text as the writer built it before streaming: csv.writer with
-    the per-cell .17g/str rule, or ``json.dumps(indent=1)`` of the payload."""
+    the per-cell .17g/str rule, or ``json.dumps(indent=1)`` of the payload,
+    over the rows as Python values."""
+    rows = rows.tolist()
     if fmt == "csv":
         buf = io.StringIO()
         for key in ("tool", "version", "command", "schema", "config_hash", "status"):
@@ -799,45 +855,52 @@ def _assert_writes_reference(tmp_path, fmt, meta, header, rows):
     assert stdout.getvalue() == expected
 
 
+def typed_table(header, columns, kinds):
+    """``(header, rows)`` with ``rows`` one structured array holding each
+    column as a field of its kind ("float", "int" or "str").  The writers read
+    fields by position, so the fields are named ``f0, f1, ...`` whatever the
+    header holds."""
+    arrays = [np.array(c, dtype=TYPED_DTYPES[k]) for c, k in zip(columns, kinds)]
+    return header, cli._table([f"f{i}" for i in range(len(arrays))], arrays)
+
+
+TYPED_DTYPES = {"float": np.float64, "int": np.int64, "str": str}
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
                   1e308, -1.7976931348623157e308, 0.1]
-FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+INT64 = st.sampled_from([0, -1, 2**63 - 1, -2**63, 2**53 + 1]) | st.integers(-2**63, 2**63 - 1)
 TEXT = st.text(st.sampled_from(list(',"\r\n %\\é中 ab1')) | st.characters(
     blacklist_categories=("Cs",)), max_size=6)
-COLUMN_CELLS = {
-    "float": FLOATS,
-    "float64": FLOATS.map(np.float64),
-    "int": st.sampled_from([0, -1, 2**63, 2**64 + 1, -2**63 - 5]) | st.integers(),
-    "bool": st.booleans(),
+FIELD_CELLS = {
+    "float": st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+    "int": INT64,
     "str": TEXT,
-    "float-or-str": FLOATS | TEXT,
 }
-#: Values that a "repeats" column draws its pool of 2-4 cells from: cells
-#: that are equal, or hash equal, but print differently, and strings that
-#: csv.writer quotes, so that a repeated cell meets each case again.
-REPEAT_SOURCES = [
-    [0.0, -0.0, math.nan, math.inf],
-    [1, True, 1.0, False],
-    ["", ",", '"', "a"],
-]
-
-
-@st.composite
-def repeat_pools(draw):
-    pool = draw(st.permutations(draw(st.sampled_from(REPEAT_SOURCES))))
-    return pool[:draw(st.integers(2, len(pool)))]
+#: Per kind, the values that a "repeats" field draws its pool of 2-4 cells
+#: from: cells that are equal, or hash equal, but print differently, and
+#: strings that csv.writer quotes, so that a repeated cell meets each case
+#: again.
+REPEAT_SOURCES = {
+    "float": [0.0, -0.0, math.nan, math.inf],
+    "int": [0, 1, -1, -2],  # hash(-1) == hash(-2)
+    "str": ["", ",", '"', "a"],
+}
 
 
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS) + ["repeats"]),
-                          min_size=1, max_size=8))
+    kinds = draw(st.lists(st.sampled_from(sorted(FIELD_CELLS)), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
     header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds),
                            unique=True))
-    cells = [st.sampled_from(draw(repeat_pools())) if k == "repeats"
-             else COLUMN_CELLS[k] for k in kinds]
-    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=60))
-    return header, rows
+    size = draw(st.integers(0, 60))
+    columns = []
+    for kind, repeat in zip(kinds, repeats):
+        cells = FIELD_CELLS[kind]
+        if repeat:
+            pool = draw(st.permutations(REPEAT_SOURCES[kind]))
+            cells = st.sampled_from(pool[:draw(st.integers(2, len(pool)))])
+        columns.append(draw(st.lists(cells, min_size=size, max_size=size)))
+    return typed_table(header, columns, kinds)
 
 
 META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe")
@@ -846,12 +909,15 @@ META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fmt=st.sampled_from(["csv", "json"]), table=tables())
-@example(fmt="csv", table=(["a"], [[""], ["x"], [""]]))
-@example(fmt="json", table=(["a", "b"], []))
-@example(fmt="json", table=(["%s", "b%%", '"\n'], [[1.5, "%d", True]]))
-@example(fmt="csv", table=(["a", "b"], []))
-@example(fmt="csv", table=(["x", "y"], [[0.0, ""], [-0.0, ","], [0.0, '"']]))
-@example(fmt="csv", table=(["x", "y"], [[1, "a"], [True, "a"], [1.0, "a"]]))
+@example(fmt="csv", table=typed_table(["a"], [["", "x", ""]], ["str"]))
+@example(fmt="json", table=typed_table(["a", "b"], [[], []], ["float", "str"]))
+@example(fmt="json", table=typed_table(["%s", "b%%", '"\n'], [[1.5], ["%d"], [1]],
+                                       ["float", "str", "int"]))
+@example(fmt="csv", table=typed_table(["a", "b"], [[], []], ["int", "str"]))
+@example(fmt="csv", table=typed_table(["x", "y"], [[0.0, -0.0, 0.0], ["", ",", '"']],
+                                      ["float", "str"]))
+@example(fmt="csv", table=typed_table(["x", "y"], [[-1, -2, -1], ["a", "a", "a"]],
+                                      ["int", "str"]))
 def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
@@ -863,10 +929,11 @@ def test_streamed_output_across_json_block_seams(tmp_path, fmt, size):
     floats = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
     floats[::97] = math.nan
     floats[::89] = -math.inf
-    header = ["period", "n", "n_total", "label", "flag"]
-    rows = [[k, float(v), np.float64(-v), "ab,c" if k % 1000 == 3 else "ok", k % 2]
-            for k, v in enumerate(floats)]
-    _assert_writes_reference(tmp_path, fmt, META, header, rows)
+    k = np.arange(size)
+    table = typed_table(["period", "n", "n_total", "label", "flag"],
+                        [k, floats, -floats, np.where(k % 1000 == 3, "ab,c", "ok"), k % 2],
+                        ["int", "float", "float", "str", "int"])
+    _assert_writes_reference(tmp_path, fmt, META, *table)
 
 
 def test_cross_check_chart_equals_reference_writer(tmp_path):

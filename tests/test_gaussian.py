@@ -16,6 +16,7 @@ from zenofloquet.floquet import (
     classify_schedule,
     minus_mode_monodromy,
     monodromy,
+    pair_map,
 )
 from zenofloquet.gaussian import (
     GaussianState,
@@ -25,7 +26,6 @@ from zenofloquet.gaussian import (
     evolve,
     photon_numbers,
     pm_pair_maps,
-    segment_symplectics,
     squeezed_vacuum_state,
     symplectic_eigenvalues,
     symplectic_form,
@@ -50,22 +50,27 @@ def single_mode_map(schedule):
     return pm_blocks(schedule)[1]
 
 
-def loop_evolve(state, schedule, *, record_states=True, per_segment=False,
+def segment_symplectics(schedule, mode_count=2):
+    """Per-segment symplectic maps ``(S_unstable, S_stable)`` in the mode basis."""
+    g, w = schedule.gamma_tau1, schedule.omega_tau2
+    if mode_count == 1:
+        return pair_map(-g, 0.0), pair_map(0.0, w)
+    return (gaussian._mode_basis(pair_map(g, 0.0), pair_map(-g, 0.0)),
+            gaussian._mode_basis(pair_map(0.0, -w), pair_map(0.0, w)))
+
+
+def loop_evolve(state, schedule, *, record_states=True,
                 photon_cap=gaussian.PHOTON_CAP):
     """Reference: the per-period stepping loop that :func:`evolve` replaced.
 
-    Steps the state through the 4x4 period map (the minus block for one mode,
-    the two segment maps with ``per_segment``) one period at a time and
-    returns ``(photons_per_mode, photon_totals, status, periods_completed,
-    states)``.
+    Steps the state through the 4x4 period map (the minus block for one mode)
+    one period at a time and returns ``(photons_per_mode, photon_totals,
+    status, periods_completed, states)``.
     """
-    modes = state.mode_count
-    if per_segment:
-        step_maps = list(segment_symplectics(schedule, modes))
-    elif modes == 2:
-        step_maps = [two_mode_period_symplectic(schedule)]
+    if state.mode_count == 2:
+        period_map = two_mode_period_symplectic(schedule)
     else:
-        step_maps = [single_mode_map(schedule)]
+        period_map = single_mode_map(schedule)
     mean = state.mean.copy()
     cov = state.covariance.copy()
     states = [state] if record_states else None
@@ -75,22 +80,53 @@ def loop_evolve(state, schedule, *, record_states=True, per_segment=False,
     status = "ok"
     periods_completed = 0
     for n in range(1, schedule.periods + 1):
-        for s in step_maps:
-            mean = s @ mean
-            cov = s @ cov @ s.T
-            cov = (cov + cov.T) / 2.0
-            if per_segment or s is step_maps[-1]:
-                per_mode = gaussian._photons_per_mode(mean, cov)
-                per_mode_rec.append(per_mode)
-                totals.append(float(per_mode.sum()))
-                if record_states:
-                    states.append(GaussianState(mean, cov))
+        mean = period_map @ mean
+        cov = period_map @ cov @ period_map.T
+        cov = (cov + cov.T) / 2.0
+        per_mode = gaussian._photons_per_mode(mean, cov)
+        per_mode_rec.append(per_mode)
+        totals.append(float(per_mode.sum()))
+        if record_states:
+            states.append(GaussianState(mean, cov))
         periods_completed = n
         if not (totals[-1] <= photon_cap and math.isfinite(totals[-1])):
             status = "diverged"
             break
     return (np.array(per_mode_rec), np.array(totals), status,
             periods_completed, states)
+
+
+# the overflow to inf or nan of a diverged point is expected, as in the library
+@np.errstate(over="ignore", invalid="ignore")
+def two_pair_vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
+    """Reference: :func:`gaussian.vacuum_diverges` as it evolved both pairs.
+
+    The plus and minus powers of every grid point are multiplied together,
+    and the photon number is ``(|P^n|_F^2 + |M^n|_F^2) / 4 - 1``.
+    """
+    plus, minus = pm_pair_maps(gamma_tau1, omega_tau2)
+    diverged = np.zeros(plus.shape[:-2], dtype=bool)
+    if not periods:
+        return diverged
+
+    def check(mats):
+        fro2 = sum(e * e for e in mats).sum(axis=0)
+        diverged[fro2 / 4.0 - 1.0 > photon_cap] = True
+
+    step = tuple(np.stack([plus[..., i, j], minus[..., i, j]])
+                 for i in (0, 1) for j in (0, 1))
+    power = None
+    n = 1
+    while True:
+        check(step)
+        if periods & n:
+            power = step if power is None else gaussian._mul(step, power)
+        if 2 * n > periods:
+            break
+        step = gaussian._mul(step, step)
+        n *= 2
+    check(power)
+    return diverged
 
 
 def reference_segment_flows(schedule):
@@ -266,6 +302,39 @@ class TestVacuumDiverges:
                 traj = evolve(vacuum_state(2), s, record_states=False, photon_cap=cap)
                 assert diverged[i, j] == traj.diverged, (g, w)
 
+    @settings(max_examples=200, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=4),
+           thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4),
+           periods=st.integers(1, 10_000),
+           cap=st.sampled_from([1e-3, 1.0, 1e4, 1e12, 1e300, 4.49e307, math.inf])
+           | st.floats(1e-300, 4.49e307))
+    def test_plus_pair_alone_equals_two_pair_reference(self, gammas, thetas,
+                                                       periods, cap):
+        """Evolving the plus pair alone gives the verdicts of evolving both.
+
+        The minus powers equal the plus powers with b and c negated, bit for
+        bit up to the sign of a zero, so the two-pair sum is exactly twice
+        the plus norm, and
+        ``(2 s) / 4 == s / 2``, until ``2 s`` overflows: for caps below
+        ``max_float / 4`` the verdicts are identical.
+        """
+        gammas, thetas = np.array(gammas), np.array(thetas)
+        np.testing.assert_array_equal(
+            gaussian.vacuum_diverges(gammas, thetas, periods, cap),
+            two_pair_vacuum_diverges(gammas, thetas, periods, cap))
+
+    def test_cap_above_a_quarter_of_float_max_may_differ(self):
+        """Where ``2 |P^n|_F^2`` overflows but ``|P^n|_F^2 / 2`` does not,
+        the two-pair sum read inf photons and the plus pair reads a finite
+        count, so a cap between the two no longer trips: two periods of
+        ``gamma*tau1 = 177.3`` give about 5.02e307 photons."""
+        gammas, thetas = np.array([177.3]), np.array([0.0])
+        for cap in (1e307, 5e307):
+            assert gaussian.vacuum_diverges(gammas, thetas, 2, cap)[0, 0]
+            assert two_pair_vacuum_diverges(gammas, thetas, 2, cap)[0, 0]
+        assert not gaussian.vacuum_diverges(gammas, thetas, 2, 1e308)[0, 0]
+        assert two_pair_vacuum_diverges(gammas, thetas, 2, 1e308)[0, 0]
+
     def test_stable_excursion_between_checkpoints_is_bounded(self):
         """A stable drive whose excursion passes a small cap only between
         checkpoints is bounded here and diverged for ``evolve``."""
@@ -278,6 +347,21 @@ class TestVacuumDiverges:
 
 
 class TestPeriodMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 354.0), min_size=1, max_size=4),
+           thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4))
+    def test_minus_is_plus_conjugated_by_parity(self, gammas, thetas):
+        """``minus == D @ plus @ D`` with ``D = diag(1, -1)``: the minus map is
+        the plus map with its off-diagonal entries negated, bit for bit but
+        for the sign of a zero, because sin and sinh are odd."""
+        parity = np.diag([1.0, -1.0])
+        plus, minus = pm_pair_maps(np.array(gammas), np.array(thetas))
+        np.testing.assert_array_equal(minus, parity @ plus @ parity)
+        flipped = plus * [[1.0, -1.0], [-1.0, 1.0]]
+        # adding +0.0 maps -0.0 to 0.0 and leaves every other value's bits
+        np.testing.assert_array_equal((minus + 0.0).view(np.int64),
+                                      (flipped + 0.0).view(np.int64))
+
     def test_identity_without_couplings(self):
         s = DriveSchedule.from_products(0.0, 0.0, periods=1)
         np.testing.assert_allclose(two_mode_period_symplectic(s), np.eye(4), atol=1e-15)
@@ -490,16 +574,6 @@ class TestEvolve:
         np.testing.assert_allclose(traj[-1].covariance,
                                    PM_BASIS.T @ cov_pm @ PM_BASIS, atol=1e-10)
 
-    def test_per_segment_sampling(self):
-        s = DriveSchedule.from_products(0.3, 0.8, periods=4)
-        traj = evolve(vacuum_state(2), s, per_segment=True)
-        assert len(traj) == 9
-        whole = evolve(vacuum_state(2), s)
-        np.testing.assert_allclose(traj[2].covariance, whole[1].covariance, atol=1e-12)
-        s_u, _ = segment_symplectics(s, 2)
-        np.testing.assert_allclose(traj[1].covariance,
-                                   s_u @ (np.eye(4) / 2) @ s_u.T, atol=1e-12)
-
     def test_single_mode_evolution_photons(self):
         n = 10
         g = 0.08
@@ -510,12 +584,12 @@ class TestEvolve:
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["vacuum", "coherent", "squeezed"]),
-           modes=st.sampled_from([1, 2]), per_segment=st.booleans(),
+           modes=st.sampled_from([1, 2]),
            cap=st.sampled_from([1e3, 1e6, 1e12, math.inf]),
            periods=st.integers(0, 10_000), g=st.floats(0.0, 1.5),
            w=st.floats(0.0, math.pi), amplitude=st.floats(-2.0, 2.0))
-    def test_matches_per_period_loop(self, kind, modes, per_segment, cap,
-                                     periods, g, w, amplitude):
+    def test_matches_per_period_loop(self, kind, modes, cap, periods, g, w,
+                                     amplitude):
         """The power-table engine against the loop it replaced.
 
         Totals agree within ``1e-7 |t| + 1e-10``, widened by
@@ -536,9 +610,8 @@ class TestEvolve:
         s = DriveSchedule.from_products(g, w, periods=periods)
         with np.errstate(over="ignore", invalid="ignore"):
             _, totals, status, completed, _ = loop_evolve(
-                state, s, record_states=False, per_segment=per_segment, photon_cap=cap)
-        traj = evolve(state, s, record_states=False, per_segment=per_segment,
-                      photon_cap=cap)
+                state, s, record_states=False, photon_cap=cap)
+        traj = evolve(state, s, record_states=False, photon_cap=cap)
         got = traj.photon_totals
         assert traj.photons_per_mode.shape == (got.size, modes)
         if (totals < 1e300).all():
@@ -584,9 +657,9 @@ class TestEvolve:
     def test_states_recorded_as_arrays(self):
         s = DriveSchedule.from_products(0.2, 0.9, periods=7)
         state = coherent_state([0.3 - 0.1j, 0.5j])
-        traj = evolve(state, s, per_segment=True)
-        _, _, _, _, states = loop_evolve(state, s, per_segment=True)
-        assert traj.means.shape == (15, 4) and traj.covariances.shape == (15, 4, 4)
+        traj = evolve(state, s)
+        _, _, _, _, states = loop_evolve(state, s)
+        assert traj.means.shape == (8, 4) and traj.covariances.shape == (8, 4, 4)
         assert len(traj) == len(states)
         for k, ref in enumerate(states):
             np.testing.assert_allclose(traj[k].mean, ref.mean, atol=1e-12)
