@@ -21,10 +21,8 @@ def compare(gamma_tau1, omega_tau2, periods, cutoff):
     print(f"gamma*tau1 = {gamma_tau1}, omega*tau2 = {omega_tau2}: "
           f"{verdict.classification.value} (|trA|/2 = {verdict.half_trace:.4f}), "
           f"cutoff {cutoff}")
-    ftraj = fock.propagate(fock.vacuum_state(cutoff, 2), schedule,
-                           record_states=False)
-    gtraj = gaussian.evolve(gaussian.vacuum_state(2), schedule,
-                            record_states=False)
+    ftraj = fock.propagate(fock.vacuum_state(cutoff, 2), schedule)
+    gtraj = gaussian.evolve(gaussian.vacuum_state(2), schedule)
     print(f"{'period':>7} {'<n_a> gaussian':>15} {'<n_a> fock':>12} "
           f"{'|delta|':>9} {'leakage':>9}")
     for k in range(periods + 1):
@@ -40,8 +38,7 @@ def compare(gamma_tau1, omega_tau2, periods, cutoff):
 def closed_form_check():
     g, n = 0.05, 10
     schedule = DriveSchedule.from_products(g, 0.0, periods=n)
-    traj = fock.propagate(fock.vacuum_state(40, 2), schedule,
-                          record_states=False)
+    traj = fock.propagate(fock.vacuum_state(40, 2), schedule)
     worst = max(abs(traj.n_per_mode[k, 0] - math.sinh(k * g) ** 2)
                 for k in range(n + 1))
     print("amplification-only run matches <n_a(nT)> = sinh^2(n gamma tau1): "
@@ -53,8 +50,7 @@ def main():
     compare(0.12, 1.0, 12, cutoff=30)    # stable: bounded oscillation
     compare(0.12, 0.05, 12, cutoff=45)   # unstable: exponential growth
     schedule = DriveSchedule.from_products(0.1, 1.0, periods=10_000)
-    traj = gaussian.evolve(gaussian.vacuum_state(2), schedule,
-                           record_states=False)
+    traj = gaussian.evolve(gaussian.vacuum_state(2), schedule)
     print("stable point over 10^4 periods: max total photons = "
           f"{traj.photon_totals.max():.4f} (no growth)")
 

@@ -47,8 +47,7 @@ def pi_pulse():
 
 def photon_sum_conservation():
     schedule = DriveSchedule.from_products(0.0, 0.85, periods=50)
-    traj = fock.propagate(fock.number_state(12, 2, 1), schedule,
-                          record_states=False)
+    traj = fock.propagate(fock.number_state(12, 2, 1), schedule)
     print("exchange-only run from |2,1>: n_a + n_b spread over 50 periods ="
           f" {np.ptp(traj.n_total):.2e} (conserved)")
     print(f"  n_a oscillates between {traj.n_per_mode[:, 0].min():.3f} "

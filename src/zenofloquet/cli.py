@@ -360,15 +360,16 @@ def run_simulate(cfg) -> RunResult:
     photon_cap = _require_number(cfg, "photon_cap", positive=True)
     if backend in ("gaussian", "both"):
         state = _initial_gaussian(cfg["initial"], modes)
-        gauss_traj = gaussian.evolve(state, schedule, record_states=False,
-                                     photon_cap=photon_cap)
+        gauss_traj = gaussian.evolve(state, schedule, photon_cap=photon_cap)
     if backend in ("fock", "both"):
         cutoff = cfg.get("cutoff")
         if not _is_int(cutoff) or cutoff < 1:
             raise ConfigError("the fock backend requires an integer cutoff >= 1")
         state = _initial_fock(cfg["initial"], modes, cutoff)
-        fock_traj = fock.propagate(state, schedule, record_states=False,
-                                   photon_cap=photon_cap)
+        try:
+            fock_traj = fock.propagate(state, schedule, photon_cap=photon_cap)
+        except ValueError as exc:  # an initial state that is not cutoff-safe
+            raise ConfigError(str(exc)) from exc
 
     mode_cols = ["n_a", "n_b"] if modes == 2 else ["n"]
     header = ["period"] + mode_cols + ["n_total", "half_trace", "classification"]

@@ -18,6 +18,10 @@ half-trace ``|cos(omega*tau2) cosh(gamma*tau1)|``, so either one decides
 stability.  With ``X`` the x<->p swap, the plus block is
 ``X @ floquet.monodromy @ X`` and the minus block is
 ``X @ floquet.minus_mode_monodromy @ X``.
+
+:func:`evolve` returns the photon numbers of every period, the bounded or
+growing second moments from which stability is read; the evolved means and
+covariances pass through its stepping loop and are not kept.
 """
 
 from __future__ import annotations
@@ -271,37 +275,27 @@ def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     return _mode_basis(*pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2))
 
 
-#: Periods per power table in :func:`evolve`: bounds a long run's memory and
-#: the work that a run stopped by the photon cap does past the trip.
+#: Periods per power table in :func:`_step_periods`: bounds a long run's
+#: memory and the work that a run stopped by the photon cap does past the trip.
 _CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class GaussianTrajectory:
-    """Recorded Gaussian evolution at period boundaries.
+    """Per-period photon records of a Gaussian evolution.
 
-    With states recorded, ``means`` and ``covariances`` hold one entry per
-    sample and indexing builds the :class:`GaussianState`.  ``status`` is
-    ``"ok"`` or ``"diverged"``; a diverged trajectory ends at the first period
-    whose total photon number exceeded the cap or was not finite.
+    ``status`` is ``"ok"`` or ``"diverged"``; a diverged trajectory ends at
+    the first period whose total photon number exceeded the cap or was not
+    finite.
     """
 
     photons_per_mode: np.ndarray
     photon_totals: np.ndarray
     status: str
     periods_completed: int
-    means: np.ndarray | None = None
-    covariances: np.ndarray | None = None
 
     def __len__(self):
         return self.photon_totals.size
-
-    def __getitem__(self, index):
-        if self.means is None:
-            raise TypeError("trajectory was recorded without states")
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        return GaussianState(self.means[index], self.covariances[index])
 
     @property
     def diverged(self) -> bool:
@@ -324,17 +318,61 @@ def _unit_determinant(maps):
 
 # table entries past a tripped cap may overflow; the cap test reports them
 @np.errstate(over="ignore", invalid="ignore")
-def evolve(state: GaussianState, schedule: DriveSchedule, *,
-           record_states: bool = True,
-           photon_cap: float = PHOTON_CAP) -> GaussianTrajectory:
-    """Evolve a Gaussian state through N full periods of the switched drive.
+def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, settle):
+    """The per-period stepping loop of every Gaussian evolution.
 
     The mean advances as ``S^n @ mean`` and the covariance as
     ``S^n @ cov @ (S^n)^T`` with S the per-period symplectic map matching the
     state's mode count, taken from one :func:`zenofloquet.floquet.powers`
     table of the 2x2 plus/minus blocks (the minus block alone for one mode)
     and applied to the last state of each run of up to ``_CHUNK`` periods.
-    The trajectory is sampled after every period (N + 1 entries).
+    ``settle(means, covs, per_mode)`` receives each run's samples, one per
+    period, with their photons per mode; a run that the photon cap stops ends
+    at the first period whose total photon number exceeds ``photon_cap`` or
+    is not finite, and no run follows it.  Returns the status, ``"ok"`` or
+    ``"diverged"``.
+    """
+    periods, two_mode = schedule.periods, state.mode_count == 2
+    plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
+    # powers of the 2x2 blocks keep far smaller symplectic defects than powers
+    # of the 4x4 mode-basis map, which can break the uncertainty check
+    table = powers(np.stack([plus, minus]) if two_mode else minus, min(periods, _CHUNK))
+    table = _unit_determinant(table[1:])
+    table = _mode_basis(table[:, 0], table[:, 1]) if two_mode else table
+
+    mean, cov = state.mean, state.covariance
+    status = "ok"
+    done = 0
+    while done < periods and status == "ok":
+        maps = table[:periods - done]
+        # near float64's range maps @ cov can overflow before the total does;
+        # a power-of-two scale is exact, so runs far from it keep their bits
+        big = np.abs(cov).max()
+        shift = np.frexp(big)[1] if big > 2.0**512 else 0
+        covs = np.ldexp(maps @ np.ldexp(cov, -shift) @ np.swapaxes(maps, 1, 2), shift)
+        means, covs = maps @ mean, (covs + np.swapaxes(covs, 1, 2)) / 2.0
+        per_mode = _photons_per_mode(means, covs)
+        totals = per_mode.sum(axis=-1)
+        # an overflowed total is inf, which an infinite cap does not exceed
+        tripped = np.flatnonzero(~((totals <= photon_cap) & np.isfinite(totals)))
+        if tripped.size:
+            status = "diverged"
+            kept = tripped[0] + 1
+            means, covs, per_mode = means[:kept], covs[:kept], per_mode[:kept]
+        settle(means, covs, per_mode)
+        done += per_mode.shape[0]
+        mean, cov = means[-1], covs[-1]
+    return status
+
+
+# the total of a tripped sample may overflow; the status reports it
+@np.errstate(over="ignore", invalid="ignore")
+def evolve(state: GaussianState, schedule: DriveSchedule, *,
+           photon_cap: float = PHOTON_CAP) -> GaussianTrajectory:
+    """Evolve a Gaussian state through N full periods of the switched drive.
+
+    The photon numbers are sampled after every period (N + 1 entries), from
+    the exact per-period symplectic map applied to the mean and covariance.
 
     Parameters
     ----------
@@ -342,9 +380,6 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
         Initial state; must satisfy the uncertainty invariant.
     schedule : DriveSchedule
         Drive parameters, including the period count N.
-    record_states : bool
-        Keep the mean and covariance of every sample (set False for long runs
-        where only photon records are needed, to save memory).
     photon_cap : float
         Divergence guard, > 0 (``inf`` for no cap); evolution stops with
         status "diverged" once the total photon number exceeds it or stops
@@ -357,49 +392,13 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     if not isinstance(state, GaussianState):
         raise InvalidStateError("initial state must be a GaussianState")
     _require_cap(photon_cap)
-    periods, two_mode = schedule.periods, state.mode_count == 2
-    plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
-    # powers of the 2x2 blocks keep far smaller symplectic defects than powers
-    # of the 4x4 mode-basis map, which can break the uncertainty check
-    table = powers(np.stack([plus, minus]) if two_mode else minus, min(periods, _CHUNK))
-    table = _unit_determinant(table[1:])
-    table = _mode_basis(table[:, 0], table[:, 1]) if two_mode else table
-
-    mean, cov = state.mean, state.covariance
-    means, covs = [mean[None]], [cov[None]]
-    photons = [_photons_per_mode(mean, cov)[None]]
-    status = "ok"
-    done = 0
-    while done < periods and status == "ok":
-        maps = table[:periods - done]
-        # near float64's range maps @ cov can overflow before the total does;
-        # a power-of-two scale is exact, so runs far from it keep their bits
-        big = np.abs(cov).max()
-        shift = np.frexp(big)[1] if big > 2.0**512 else 0
-        covs_out = np.ldexp(maps @ np.ldexp(cov, -shift) @ np.swapaxes(maps, 1, 2),
-                            shift)
-        samples = maps @ mean, (covs_out + np.swapaxes(covs_out, 1, 2)) / 2.0
-        per_mode = _photons_per_mode(*samples)
-        totals = per_mode.sum(axis=-1)
-        # an overflowed total is inf, which an infinite cap does not exceed
-        tripped = np.flatnonzero(~((totals <= photon_cap) & np.isfinite(totals)))
-        if tripped.size:
-            status = "diverged"
-            kept = tripped[0] + 1
-            samples, per_mode = tuple(x[:kept] for x in samples), per_mode[:kept]
-        photons.append(per_mode)
-        if record_states:
-            means.append(samples[0])
-            covs.append(samples[1])
-        done += per_mode.shape[0]
-        mean, cov = samples[0][-1], samples[1][-1]
-
+    photons = [_photons_per_mode(state.mean, state.covariance)[None]]
+    status = _step_periods(state, schedule, photon_cap,
+                           lambda means, covs, per_mode: photons.append(per_mode))
     per_mode = np.concatenate(photons)
     return GaussianTrajectory(
         photons_per_mode=per_mode,
         photon_totals=per_mode.sum(axis=1),
         status=status,
-        periods_completed=done,
-        means=np.concatenate(means) if record_states else None,
-        covariances=np.concatenate(covs) if record_states else None,
+        periods_completed=per_mode.shape[0] - 1,
     )

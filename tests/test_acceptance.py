@@ -66,7 +66,7 @@ def test_02_stability_iff_boundedness():
     for g, w, verdict in points:
         schedule = DriveSchedule.from_products(g, w, periods=10_000)
         traj = gaussian.evolve(gaussian.vacuum_state(2), schedule,
-                               record_states=False, photon_cap=1e12)
+                               photon_cap=1e12)
         bounded = not traj.diverged
         failures += bounded != (verdict is Classification.STABLE)
     elapsed = time.perf_counter() - start
@@ -87,10 +87,8 @@ def test_03_gaussian_fock_equivalence():
         n = int(rng.integers(5, 51))
         schedule = DriveSchedule.from_products(g, w, periods=n)
         cutoff = min(60, fock.default_cutoff(g, n))
-        ftraj = fock.propagate(fock.vacuum_state(cutoff, 2), schedule,
-                               record_states=False)
-        gtraj = gaussian.evolve(gaussian.vacuum_state(2), schedule,
-                                record_states=False)
+        ftraj = fock.propagate(fock.vacuum_state(cutoff, 2), schedule)
+        gtraj = gaussian.evolve(gaussian.vacuum_state(2), schedule)
         last_safe = ftraj.first_unsafe_period
         steps = min(len(ftraj), gtraj.photon_totals.size)
         for k in range(steps):
@@ -132,11 +130,9 @@ def test_05_pi_pulse_swap():
 def test_06_photon_sum_conserved_under_exchange():
     """<n_a + n_b> constant within 1e-10 when only the exchange runs."""
     schedule = DriveSchedule.from_products(0.0, 0.9, periods=100)
-    gtraj = gaussian.evolve(gaussian.coherent_state([1.0, 0.5j]), schedule,
-                            record_states=False)
+    gtraj = gaussian.evolve(gaussian.coherent_state([1.0, 0.5j]), schedule)
     spread_g = float(np.ptp(gtraj.photon_totals))
-    ftraj = fock.propagate(fock.coherent_state(25, [1.0, 0.5j]), schedule,
-                           record_states=False)
+    ftraj = fock.propagate(fock.coherent_state(25, [1.0, 0.5j]), schedule)
     spread_f = float(np.ptp(ftraj.n_total))
     ok = spread_g < 1e-10 and spread_f < 1e-10
     report(6, ok, f"total-photon spread: gaussian {spread_g:.2e}, "
@@ -216,9 +212,12 @@ def test_10_symplectic_and_unitary_hygiene():
         # the covariance stays moderate, i.e. along bounded trajectories
         if classify_schedule(schedule).classification is not Classification.STABLE:
             continue
-        traj = gaussian.evolve(gaussian.squeezed_vacuum_state([0.3, 0.1]),
-                               schedule)
-        for state in traj:
+        # the states of every period, through the engine's stepping loop
+        states = [gaussian.squeezed_vacuum_state([0.3, 0.1])]
+        gaussian._step_periods(states[0], schedule, gaussian.PHOTON_CAP,
+                               lambda means, covs, per_mode: states.extend(
+                                   map(gaussian.GaussianState, means, covs)))
+        for state in states:
             min_nu = min(min_nu,
                          gaussian.symplectic_eigenvalues(state.covariance).min())
         checked += 1

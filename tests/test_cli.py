@@ -481,16 +481,44 @@ class TestSimulate:
         assert "initial.alpha must be a list of 2 [re, im] pairs" in capsys.readouterr().err
 
     def test_request_too_big_to_allocate_is_usage_error(self, capsys):
-        """A two-mode state at cutoff 1e8 holds 1e16 amplitudes, so its first
-        allocation fails at once: one stderr line and exit 2, not a
-        traceback and not the guard code 1."""
-        assert run_cli(["simulate", "--gamma", "0.1", "--tau1", "1",
-                        "--omega", "0.5", "--tau2", "1", "--periods", "2",
-                        "--backend", "fock", "--cutoff", "100000000"]) == 2
+        """A sweep axis of 1e18 steps needs 8e18 bytes, more than any address
+        space, so its first allocation fails at once: one stderr line and
+        exit 2, not a traceback and not the guard code 1."""
+        assert run_cli(["sweep", "--gamma-tau1", "0", "1.5", str(10**18)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("zenofloquet simulate: out of memory: ")
+        assert captured.err.startswith("zenofloquet sweep: out of memory: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_cutoff_above_the_ceiling_is_usage_error(self, capsys, modes):
+        """The cutoff ceiling of the mode count is checked before the state
+        is allocated: one stderr line naming the bound, and exit 2."""
+        ceiling = fock.MAX_CUTOFF[modes]
+        assert run_cli(["simulate", "--gamma", "0.1", "--tau1", "1",
+                        "--omega", "0.5", "--tau2", "1", "--periods", "2",
+                        "--modes", str(modes), "--backend", "fock",
+                        "--cutoff", str(ceiling + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"zenofloquet simulate: cutoff {ceiling + 1} "
+                                f"outside [1, {ceiling}]\n")
+
+    @pytest.mark.parametrize("occupations", [[10], [10, 0]], ids=["one-mode", "two-modes"])
+    def test_leaky_initial_state_is_usage_error(self, tmp_path, capsys, occupations):
+        """An initial state with population above 90% of the cutoff is
+        refused before the run: one stderr line and exit 2."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial": {"type": "number",
+                                               "occupations": occupations}}))
+        assert run_cli(["simulate", "--config", str(cfg), "--gamma", "0.1",
+                        "--tau1", "1", "--omega", "0.5", "--tau2", "1",
+                        "--periods", "2", "--modes", str(len(occupations)),
+                        "--backend", "fock", "--cutoff", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("zenofloquet simulate: initial state is not "
+                                "cutoff-safe (leakage 1.00e+00 at cutoff 10)\n")
 
     def test_memory_error_without_message_is_named(self, capsys, monkeypatch):
         def run(cfg):
@@ -703,11 +731,10 @@ def _row_loop(cfg):
     gauss_traj = fock_traj = None
     if backend in ("gaussian", "both"):
         gauss_traj = gaussian.evolve(cli._initial_gaussian(cfg["initial"], modes),
-                                     schedule, record_states=False, photon_cap=cap)
+                                     schedule, photon_cap=cap)
     if backend in ("fock", "both"):
         state = cli._initial_fock(cfg["initial"], modes, cfg["cutoff"])
-        fock_traj = fock.propagate(state, schedule, record_states=False,
-                                   photon_cap=cap)
+        fock_traj = fock.propagate(state, schedule, photon_cap=cap)
     lengths = []
     if gauss_traj is not None:
         lengths.append(gauss_traj.photon_totals.size)

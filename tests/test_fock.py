@@ -74,18 +74,66 @@ def assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff, sector_key
         assert abs(point.n_final - reference.n_final) <= 1e-12 * max(1.0, reference.n_final)
 
 
+def recorded_amplitudes(state, schedule):
+    """The amplitudes of ``state`` after each period, ``(periods + 1, dim)``.
+
+    They are recorded through the engine's stepping loop, which holds them as
+    coordinates on the sector basis, and unfolded onto the full basis: zero
+    outside the sector, and in a swap sector divided by the sqrt2 of the
+    symmetric basis off the diagonal and copied onto both mirror rows.
+    """
+    cutoff, modes = state.cutoff, state.mode_count
+    columns = state.amplitudes[:, None]
+    key = fock._sector_key(columns, modes, cutoff)
+    rows = mirror = fock._sector_rows(cutoff, modes, key)
+    scale = 1.0
+    if key[1]:
+        n_a, n_b = np.divmod(rows, cutoff + 1)
+        mirror = n_b * (cutoff + 1) + n_a
+        scale = np.where(n_a == n_b, 1.0, math.sqrt(2.0))
+    amplitudes = [state.amplitudes]
+
+    def settle(n, active, psi, norm, per_mode, leak):
+        full = np.zeros(state.dim, dtype=complex)
+        full[mirror] = full[rows] = psi[:, 0] / scale
+        amplitudes.append(full)
+        return np.zeros(1, dtype=bool)
+
+    fock._step_periods(columns, modes, cutoff, schedule.gamma_tau1,
+                       schedule.omega_tau2, schedule.periods, settle)
+    return np.array(amplitudes)
+
+
 def assert_matches_dense_products(state, schedule):
-    """Every recorded state of ``propagate`` equals U^n psi_0 to 1e-12."""
-    traj = propagate(state, schedule)
+    """Every state recorded by the stepping loop equals U^n psi_0 to 1e-12,
+    and ``propagate`` reports the photons per mode, leakage and norm drift
+    of the dense-product states at every period to ``1e-12 * max(1, n)``.
+    Returns the trajectory and the recorded amplitudes."""
+    amplitudes = recorded_amplitudes(state, schedule)
     u = dense_period(state.mode_count, state.cutoff, schedule.gamma_tau1,
                      schedule.omega_tau2)
-    psi = state.amplitudes
-    assert len(traj) == schedule.periods + 1
-    for n in range(len(traj)):
-        assert traj[n].amplitudes.shape == (state.dim,)
-        np.testing.assert_allclose(traj[n].amplitudes, psi, rtol=0, atol=1e-12)
-        psi = u @ psi
-    return traj
+    dense = [state.amplitudes]
+    for _ in range(schedule.periods):
+        dense.append(u @ dense[-1])
+    dense = np.array(dense)
+    assert amplitudes.shape == dense.shape == (schedule.periods + 1, state.dim)
+    np.testing.assert_allclose(amplitudes, dense, rtol=0, atol=1e-12)
+
+    traj = propagate(state, schedule)
+    assert traj.periods_completed == schedule.periods
+    probs = np.abs(dense) ** 2
+    norm_sq = probs.sum(axis=1)
+    index = np.arange(state.dim)
+    occupations = [index] if state.mode_count == 1 else list(np.divmod(index, state.cutoff + 1))
+    n_per_mode = np.stack([probs @ n for n in occupations], axis=1) / norm_sq[:, None]
+    high = np.any([n > fock.HIGH_LEVEL_FRACTION * state.cutoff for n in occupations], axis=0)
+    drift = np.concatenate(([0.0], np.sqrt(norm_sq[1:] / norm_sq[:-1]) - 1.0))
+    tol = 1e-12 * np.maximum(1.0, n_per_mode)
+    assert (np.abs(traj.n_per_mode - n_per_mode) <= tol).all()
+    np.testing.assert_allclose(traj.leakage, probs[:, high].sum(axis=1) / norm_sq,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_drift, drift, rtol=0, atol=1e-12)
+    return traj, amplitudes
 
 
 def dense_ladder(cutoff, mode_count=2):
@@ -287,8 +335,8 @@ class TestPacking:
 
 def initial_photons(state):
     """Photons per mode of ``state``: the period-0 record of a propagation."""
-    return propagate(state, DriveSchedule.from_products(0.0, 0.0, periods=1),
-                     record_states=False).n_per_mode[0]
+    idle = DriveSchedule.from_products(0.0, 0.0, periods=1)
+    return propagate(state, idle).n_per_mode[0]
 
 
 class TestStatesAndExpectations:
@@ -352,6 +400,28 @@ class TestStatesAndExpectations:
         assert n_a == pytest.approx(abs(alpha) ** 2, rel=1e-10)
         assert n_b == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_cutoff_ceiling(self, modes):
+        """Every entry point takes the ceiling of its mode count and refuses
+        one level more, before it allocates anything of that size."""
+        ceiling = fock.MAX_CUTOFF[modes]
+        assert vacuum_state(ceiling, modes).cutoff == ceiling
+        zeros = [0] * modes
+        label = HamiltonianLabel.TWO_MODE_STABLE if modes == 2 \
+            else HamiltonianLabel.SINGLE_MODE_STABLE
+        message = rf"cutoff {ceiling + 1} outside \[1, {ceiling}\]"
+        for build in (lambda c: vacuum_state(c, modes),
+                      lambda c: number_state(c, *zeros),
+                      lambda c: coherent_state(c, [0.5] * modes),
+                      lambda c: basis_index(c, *zeros),
+                      lambda c: fock.FockState(modes, c, np.ones(1)),
+                      lambda c: build_hamiltonian(label, 1.0, c)):
+            with pytest.raises(ValueError, match=message):
+                build(ceiling + 1)
+        if modes == 2:
+            with pytest.raises(ValueError, match="cutoff"):
+                zeno_threshold_scan(0.1, [0.5], cutoff=ceiling + 1)
+
     def test_coherent_state_cutoff_guard(self):
         with pytest.raises(ValueError):
             coherent_state(3, [2.5])
@@ -379,7 +449,7 @@ class TestPropagate:
         np.testing.assert_allclose(traj.n_total, 0.0, atol=1e-12)
         assert traj.status == "ok"
         assert traj.truncation_safe
-        assert abs(traj[10].amplitudes[0]) == pytest.approx(1.0)
+        assert abs(recorded_amplitudes(vacuum_state(8, 2), s)[10, 0]) == pytest.approx(1.0)
 
     def test_two_mode_squeezing_closed_form(self):
         g, n = 0.05, 5
@@ -394,8 +464,8 @@ class TestPropagate:
     def test_single_photon_partial_swap(self):
         """One-photon sector reduces to a two-level rotation by omega*tau2."""
         s = DriveSchedule.from_products(0.0, math.pi / 4, periods=1)
-        traj = propagate(number_state(6, 1, 0), s)
-        survival = abs(traj[1].amplitudes[basis_index(6, 1, 0)]) ** 2
+        amplitudes = recorded_amplitudes(number_state(6, 1, 0), s)
+        survival = abs(amplitudes[1, basis_index(6, 1, 0)]) ** 2
         assert survival == pytest.approx(0.5, abs=1e-12)
 
     def test_photon_sum_conserved_during_exchange(self):
@@ -435,24 +505,17 @@ class TestPropagate:
         assert traj.n_total[-1] > 1.0
         assert traj.periods_completed < 60
 
-    def test_record_states_off(self):
-        s = DriveSchedule.from_products(0.1, 0.5, periods=5)
-        traj = propagate(vacuum_state(10, 2), s, record_states=False)
-        assert traj.states is None
-        with pytest.raises(TypeError):
-            traj[0]
-
     def test_idle_drive_keeps_the_state(self):
         """With both angles zero each segment is the identity."""
         state = number_state(6, 2, 1)
-        traj = propagate(state, DriveSchedule.from_products(0.0, 0.0, periods=3))
-        np.testing.assert_array_equal(traj[3].amplitudes, state.amplitudes)
-        np.testing.assert_array_equal(traj.n_total, 3.0)
+        s = DriveSchedule.from_products(0.0, 0.0, periods=3)
+        np.testing.assert_array_equal(recorded_amplitudes(state, s)[3], state.amplitudes)
+        np.testing.assert_array_equal(propagate(state, s).n_total, 3.0)
 
     def test_integral_float_periods(self):
         s = DriveSchedule.from_products(0.05, 1.0, periods=3.0)
         assert s.periods == 3 and isinstance(s.periods, int)
-        traj = propagate(vacuum_state(20, 2), s, record_states=False)
+        traj = propagate(vacuum_state(20, 2), s)
         assert traj.periods_completed == 3
         assert len(traj) == 4
 
@@ -483,10 +546,9 @@ class TestParitySector:
         occupations = data.draw(st.tuples(*[occupation] * mode_count))
         state = number_state(cutoff, *occupations)
         schedule = DriveSchedule.from_products(gamma_tau1, omega_tau2, periods=periods)
-        traj = assert_matches_dense_products(state, schedule)
+        _, amplitudes = assert_matches_dense_products(state, schedule)
         outside = basis_parity(cutoff, mode_count) != sum(occupations) % 2
-        for recorded in traj.states:
-            assert not recorded.amplitudes[outside].any()
+        assert not amplitudes[:, outside].any()
 
     @settings(max_examples=20, deadline=None)
     @given(mode_count=st.sampled_from([1, 2]),
@@ -529,11 +591,10 @@ class TestSwapSector:
         columns = state.amplitudes[:, None]
         assert fock._sector_key(columns, 2, state.cutoff)[1] is True
         schedule = DriveSchedule.from_products(0.2, 1.1, periods=6)
-        traj = assert_matches_dense_products(state, schedule)
+        traj, amplitudes = assert_matches_dense_products(state, schedule)
         np.testing.assert_array_equal(traj.n_per_mode[:, 0], traj.n_per_mode[:, 1])
-        for recorded in traj.states:
-            grid = recorded.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
-            np.testing.assert_array_equal(grid, grid.T)
+        grids = amplitudes.reshape(-1, state.cutoff + 1, state.cutoff + 1)
+        np.testing.assert_array_equal(grids, grids.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("state", [
         number_state(8, 1, 0), number_state(8, 2, 3),
@@ -571,8 +632,8 @@ class TestGaussianAgreement:
             n = int(rng.integers(5, 25))
             s = DriveSchedule.from_products(g, w, periods=n)
             cutoff = min(45, default_cutoff(g, n))
-            ftraj = propagate(vacuum_state(cutoff, 2), s, record_states=False)
-            gtraj = gaussian.evolve(gaussian.vacuum_state(2), s, record_states=False)
+            ftraj = propagate(vacuum_state(cutoff, 2), s)
+            gtraj = gaussian.evolve(gaussian.vacuum_state(2), s)
             safe = (np.arange(len(ftraj)) < ftraj.first_unsafe_period) \
                 if ftraj.first_unsafe_period is not None \
                 else np.ones(len(ftraj), dtype=bool)
@@ -605,8 +666,8 @@ class TestGaussianAgreement:
         s = DriveSchedule.from_products(0.15, 0.7, periods=4)
 
         fstate = coherent_state(cutoff, alphas)
-        ftraj = propagate(fstate, s)
-        assert ftraj.truncation_safe
+        assert propagate(fstate, s).truncation_safe
+        amplitudes = recorded_amplitudes(fstate, s)
 
         mode_a, mode_b = dense_ladder(cutoff)
         quad_ops = []
@@ -615,11 +676,14 @@ class TestGaussianAgreement:
             quad_ops.append((m - m.T) / (1j * math.sqrt(2)))   # p = -i(a - a+)/sqrt2
         quad_ops = [quad_ops[0], quad_ops[1], quad_ops[2], quad_ops[3]]
 
-        gtraj = gaussian.evolve(gaussian.coherent_state(alphas), s)
-        for k in range(5):
-            psi = ftraj[k].amplitudes
+        gstates = [gaussian.coherent_state(alphas)]
+        gaussian._step_periods(gstates[0], s, gaussian.PHOTON_CAP,
+                               lambda means, covs, per_mode: gstates.extend(
+                                   map(gaussian.GaussianState, means, covs)))
+        assert len(gstates) == len(amplitudes) == 5
+        for psi, gstate in zip(amplitudes, gstates):
             means_fock = [np.real(psi.conj() @ (op @ psi)) for op in quad_ops]
-            np.testing.assert_allclose(means_fock, gtraj[k].mean, atol=1e-7)
+            np.testing.assert_allclose(means_fock, gstate.mean, atol=1e-7)
 
     def test_single_mode_grows_iff_two_mode_criterion_unstable(self):
         for w, expect_growth in [(0.05, True), (0.8, False)]:
@@ -627,8 +691,7 @@ class TestGaussianAgreement:
             report = classify_schedule(s)
             assert abs(report.half_trace - 1.0) > 1e-3
             assert (report.classification is Classification.UNSTABLE) == expect_growth
-            traj = propagate(vacuum_state(40, 1), s, record_states=False,
-                             photon_cap=2.0)
+            traj = propagate(vacuum_state(40, 1), s, photon_cap=2.0)
             if expect_growth:
                 assert traj.n_total[-1] > 2.0
                 assert traj.periods_completed < 60

@@ -59,13 +59,12 @@ def segment_symplectics(schedule, mode_count=2):
             gaussian._mode_basis(pair_map(0.0, -w), pair_map(0.0, w)))
 
 
-def loop_evolve(state, schedule, *, record_states=True,
-                photon_cap=gaussian.PHOTON_CAP):
+def loop_evolve(state, schedule, *, photon_cap=gaussian.PHOTON_CAP):
     """Reference: the per-period stepping loop that :func:`evolve` replaced.
 
     Steps the state through the 4x4 period map (the minus block for one mode)
     one period at a time and returns ``(photons_per_mode, photon_totals,
-    status, periods_completed, states)``.
+    status, periods_completed, means, covariances)``.
     """
     if state.mode_count == 2:
         period_map = two_mode_period_symplectic(schedule)
@@ -73,7 +72,7 @@ def loop_evolve(state, schedule, *, record_states=True,
         period_map = single_mode_map(schedule)
     mean = state.mean.copy()
     cov = state.covariance.copy()
-    states = [state] if record_states else None
+    means, covs = [mean], [cov]
     per_mode = gaussian._photons_per_mode(mean, cov)
     per_mode_rec = [per_mode]
     totals = [float(per_mode.sum())]
@@ -86,14 +85,37 @@ def loop_evolve(state, schedule, *, record_states=True,
         per_mode = gaussian._photons_per_mode(mean, cov)
         per_mode_rec.append(per_mode)
         totals.append(float(per_mode.sum()))
-        if record_states:
-            states.append(GaussianState(mean, cov))
+        means.append(mean)
+        covs.append(cov)
         periods_completed = n
         if not (totals[-1] <= photon_cap and math.isfinite(totals[-1])):
             status = "diverged"
             break
     return (np.array(per_mode_rec), np.array(totals), status,
-            periods_completed, states)
+            periods_completed, np.array(means), np.array(covs))
+
+
+def evolve_with_states(state, schedule, *, photon_cap=gaussian.PHOTON_CAP):
+    """``(trajectory, means, covariances)``: :func:`evolve`'s trajectory and
+    the mean and covariance of each of its samples.
+
+    The samples are recorded through the engine's stepping loop, and the
+    trajectory's photon numbers must equal theirs bit for bit.
+    """
+    means, covs = [state.mean[None]], [state.covariance[None]]
+
+    def settle(period_means, period_covs, per_mode):
+        means.append(period_means)
+        covs.append(period_covs)
+
+    status = gaussian._step_periods(state, schedule, photon_cap, settle)
+    means, covs = np.concatenate(means), np.concatenate(covs)
+    traj = evolve(state, schedule, photon_cap=photon_cap)
+    assert (traj.status, traj.periods_completed) == (status, len(means) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        photons = gaussian._photons_per_mode(means, covs)
+    np.testing.assert_array_equal(traj.photons_per_mode, photons)
+    return traj, means, covs
 
 
 # the overflow to inf or nan of a diverged point is expected, as in the library
@@ -181,9 +203,9 @@ class TestStateConstruction:
         state = GaussianState(np.zeros(2), np.eye(2) * 1e155)
         assert state.covariance[0, 0] == 1e155
         s = DriveSchedule.from_products(0.5, 0.1, periods=3000)
-        traj = evolve(vacuum_state(2), s, photon_cap=1e200)
+        traj, means, covs = evolve_with_states(vacuum_state(2), s, photon_cap=1e200)
         assert traj.diverged and traj.periods_completed == 472
-        assert traj[-1].covariance.max() > 1e154
+        assert GaussianState(means[-1], covs[-1]).covariance.max() > 1e154
 
     def test_non_finite_state_rejected(self):
         """Checked before the eigensolve, which raised numpy's LinAlgError."""
@@ -192,11 +214,11 @@ class TestStateConstruction:
         with pytest.raises(InvalidStateError, match="finite"):
             GaussianState([0.0, math.inf], np.eye(2) / 2)
         s = DriveSchedule.from_products(0.5, 0.1, periods=3000)
-        traj = evolve(vacuum_state(2), s, photon_cap=math.inf)
+        traj, means, covs = evolve_with_states(vacuum_state(2), s, photon_cap=math.inf)
         assert traj.periods_completed == 727 and traj.photon_totals[-1] == math.inf
         with pytest.raises(InvalidStateError, match="finite"):
-            traj[-1]
-        assert np.isfinite(traj[-2].covariance).all()
+            GaussianState(means[-1], covs[-1])
+        assert np.isfinite(GaussianState(means[-2], covs[-2]).covariance).all()
 
     def test_squeezed_vacuum_variances(self):
         r = 0.8
@@ -299,7 +321,7 @@ class TestVacuumDiverges:
                 s = DriveSchedule.from_products(g, w, periods=periods)
                 if abs(classify_schedule(s).half_trace - 1.0) <= 1e-3:
                     continue
-                traj = evolve(vacuum_state(2), s, record_states=False, photon_cap=cap)
+                traj = evolve(vacuum_state(2), s, photon_cap=cap)
                 assert diverged[i, j] == traj.diverged, (g, w)
 
     @settings(max_examples=200, deadline=None)
@@ -341,7 +363,7 @@ class TestVacuumDiverges:
         g, w = 1.2735667827889081, 1.1394457816130437
         s = DriveSchedule.from_products(g, w, periods=599)
         assert classify_schedule(s).classification is Classification.STABLE
-        traj = evolve(vacuum_state(2), s, record_states=False, photon_cap=15.32)
+        traj = evolve(vacuum_state(2), s, photon_cap=15.32)
         assert traj.diverged and traj.periods_completed == 42
         assert not gaussian.vacuum_diverges(np.array([g]), np.array([w]), 599, 15.32)[0, 0]
 
@@ -449,9 +471,9 @@ class TestPeriodMaps:
 class TestEvolve:
     def test_vacuum_fixed_without_couplings(self):
         s = DriveSchedule.from_products(0.0, 0.0, periods=5)
-        traj = evolve(vacuum_state(2), s)
+        traj, means, covs = evolve_with_states(vacuum_state(2), s)
         assert len(traj) == 6
-        for state in traj:
+        for state in map(GaussianState, means, covs):
             np.testing.assert_allclose(state.mean, np.zeros(4), atol=1e-15)
             np.testing.assert_allclose(state.covariance, np.eye(4) / 2, atol=1e-15)
 
@@ -468,7 +490,7 @@ class TestEvolve:
 
     def test_stable_run_stays_bounded(self):
         s = DriveSchedule.from_products(0.1, 1.0, periods=10_000)
-        traj = evolve(vacuum_state(2), s, record_states=False)
+        traj = evolve(vacuum_state(2), s)
         assert traj.status == "ok"
         assert traj.photon_totals.max() < 1.0
 
@@ -482,7 +504,7 @@ class TestEvolve:
             plus, minus = pm_blocks(s)
             kappas = [np.linalg.cond(np.linalg.eig(b)[1]) for b in (plus, minus)]
             bound = (kappas[0] ** 2 + kappas[1] ** 2 - 2.0) / 2.0
-            traj = evolve(vacuum_state(2), s, record_states=False)
+            traj = evolve(vacuum_state(2), s)
             assert traj.photon_totals.max() <= bound * (1 + 1e-9)
 
     def test_unstable_run_exceeds_megaphoton_deadline(self):
@@ -500,15 +522,14 @@ class TestEvolve:
             deadline = int(10_000 * min(
                 1.0, 1.0 / (report.floquet_exponent * report.period)))
             s = DriveSchedule.from_products(g, w, periods=10_000)
-            traj = evolve(vacuum_state(2), s, record_states=False,
-                          photon_cap=1e6)
+            traj = evolve(vacuum_state(2), s, photon_cap=1e6)
             assert traj.diverged
             assert traj.periods_completed <= deadline
             checked += 1
 
     def test_unstable_run_trips_divergence_guard(self):
         s = DriveSchedule.from_products(0.5, 0.1, periods=10_000)
-        traj = evolve(vacuum_state(2), s, record_states=False)
+        traj = evolve(vacuum_state(2), s)
         assert traj.diverged
         assert traj.photon_totals[-1] > 1e12
         assert traj.periods_completed < 10_000
@@ -517,8 +538,7 @@ class TestEvolve:
     def test_overflow_without_cap_is_divergence(self):
         s = DriveSchedule.from_products(1.0, 0.1, periods=2000)
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = evolve(vacuum_state(2), s, record_states=False,
-                          photon_cap=math.inf)
+            traj = evolve(vacuum_state(2), s, photon_cap=math.inf)
         assert traj.diverged
         assert traj.periods_completed < 2000
         assert np.isfinite(traj.photon_totals[:-1]).all()
@@ -529,9 +549,9 @@ class TestEvolve:
         ``maps @ cov`` product of a later table."""
         s = DriveSchedule.from_products(0.759765625, 2.44921875, periods=6000)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, totals, status, completed, _ = loop_evolve(
-                vacuum_state(1), s, record_states=False, photon_cap=math.inf)
-        traj = evolve(vacuum_state(1), s, record_states=False, photon_cap=math.inf)
+            _, totals, status, completed, *_ = loop_evolve(
+                vacuum_state(1), s, photon_cap=math.inf)
+        traj = evolve(vacuum_state(1), s, photon_cap=math.inf)
         assert status == traj.status == "diverged"
         assert traj.periods_completed == completed == 4722
         np.testing.assert_allclose(traj.photon_totals[:-1], totals[:-1], rtol=1e-7)
@@ -545,23 +565,24 @@ class TestEvolve:
     def test_uncertainty_and_purity_preserved(self):
         s = DriveSchedule.from_products(0.3, 0.9, periods=50)
         state = squeezed_vacuum_state([0.4, 0.2], [0.0, 1.0])
-        traj = evolve(state, s)
+        _, means, covs = evolve_with_states(state, s)
         det0 = np.linalg.det(state.covariance)
-        for st in traj:
+        for st in map(GaussianState, means, covs):
             assert symplectic_eigenvalues(st.covariance).min() >= 0.5 - 1e-10
             assert np.linalg.det(st.covariance) == pytest.approx(det0, abs=1e-10)
 
     def test_photon_sum_conserved_during_exchange_only(self):
         s = DriveSchedule.from_products(0.0, 0.7, periods=200)
         state = coherent_state([1.2, 0.4 - 0.3j])
-        traj = evolve(state, s, record_states=False)
+        traj = evolve(state, s)
         total0 = traj.photon_totals[0]
         np.testing.assert_allclose(traj.photon_totals, total0, atol=1e-12)
 
     def test_mode_basis_equals_block_evolution(self):
         s = DriveSchedule.from_products(0.4, 1.1, periods=30)
         state = coherent_state([0.7 + 0.2j, -0.5j])
-        traj = evolve(state, s)
+        _, means, covs = evolve_with_states(state, s)
+        last = GaussianState(means[-1], covs[-1])
         plus, minus = pm_blocks(s)
         blocks = np.zeros((4, 4))
         blocks[:2, :2], blocks[2:, 2:] = plus, minus
@@ -570,8 +591,8 @@ class TestEvolve:
         for _ in range(30):
             mean_pm = blocks @ mean_pm
             cov_pm = blocks @ cov_pm @ blocks.T
-        np.testing.assert_allclose(traj[-1].mean, PM_BASIS.T @ mean_pm, atol=1e-10)
-        np.testing.assert_allclose(traj[-1].covariance,
+        np.testing.assert_allclose(last.mean, PM_BASIS.T @ mean_pm, atol=1e-10)
+        np.testing.assert_allclose(last.covariance,
                                    PM_BASIS.T @ cov_pm @ PM_BASIS, atol=1e-10)
 
     def test_single_mode_evolution_photons(self):
@@ -609,9 +630,9 @@ class TestEvolve:
             state = squeezed_vacuum_state([abs(amplitude) / 2, 0.3][:modes], [1.0, 0.0][:modes])
         s = DriveSchedule.from_products(g, w, periods=periods)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, totals, status, completed, _ = loop_evolve(
-                state, s, record_states=False, photon_cap=cap)
-        traj = evolve(state, s, record_states=False, photon_cap=cap)
+            _, totals, status, completed, *_ = loop_evolve(
+                state, s, photon_cap=cap)
+        traj = evolve(state, s, photon_cap=cap)
         got = traj.photon_totals
         assert traj.photons_per_mode.shape == (got.size, modes)
         if (totals < 1e300).all():
@@ -640,32 +661,32 @@ class TestEvolve:
         for g, w, periods in drives:
             s = DriveSchedule.from_products(g, w, periods=periods)
             assert classify_schedule(s).classification is Classification.STABLE
-            traj = evolve(vacuum_state(2), s)
-            assert traj.status == "ok"
-            for k in range(len(traj)):
-                traj[k]
+            traj, means, covs = evolve_with_states(vacuum_state(2), s)
+            assert traj.status == "ok" and len(traj) == periods + 1
+            for mean, cov in zip(means, covs):
+                GaussianState(mean, cov)
 
     def test_long_unstable_run_stops_in_first_table(self):
         s = DriveSchedule.from_products(0.1, 0.01, periods=10**6)
         start = time.perf_counter()
-        traj = evolve(vacuum_state(2), s, record_states=False)
+        traj = evolve(vacuum_state(2), s)
         elapsed = time.perf_counter() - start
         assert traj.diverged
         assert traj.periods_completed == 143
         assert elapsed < 0.5
 
     def test_states_recorded_as_arrays(self):
+        """The stepping loop's samples against the per-period loop's states."""
         s = DriveSchedule.from_products(0.2, 0.9, periods=7)
         state = coherent_state([0.3 - 0.1j, 0.5j])
-        traj = evolve(state, s)
-        _, _, _, _, states = loop_evolve(state, s)
-        assert traj.means.shape == (8, 4) and traj.covariances.shape == (8, 4, 4)
-        assert len(traj) == len(states)
-        for k, ref in enumerate(states):
-            np.testing.assert_allclose(traj[k].mean, ref.mean, atol=1e-12)
-            np.testing.assert_allclose(traj[k].covariance, ref.covariance, atol=1e-12)
-        assert [st.mean.tolist() for st in traj[3:9:2]] == traj.means[3:9:2].tolist()
-        assert evolve(state, s, record_states=False).means is None
+        traj, means, covs = evolve_with_states(state, s)
+        *_, ref_means, ref_covs = loop_evolve(state, s)
+        assert means.shape == (8, 4) and covs.shape == (8, 4, 4)
+        assert len(traj) == len(ref_means)
+        for got, ref in zip(map(GaussianState, means, covs),
+                            map(GaussianState, ref_means, ref_covs)):
+            np.testing.assert_allclose(got.mean, ref.mean, atol=1e-12)
+            np.testing.assert_allclose(got.covariance, ref.covariance, atol=1e-12)
 
     def test_rejects_non_state_input(self):
         s = DriveSchedule.from_products(0.1, 0.1, periods=1)

@@ -91,7 +91,7 @@ def test_integral_counts_stored_as_int(count):
     state = FockState(count - 1, cutoff, AMPS)
     assert (type(state.mode_count), type(state.cutoff)) == (int, int)
     assert (state.mode_count, state.cutoff, state.dim) == (2, 4, 25)
-    traj = fock.propagate(state, schedule, record_states=False)
+    traj = fock.propagate(state, schedule)
     assert traj.periods_completed == 3
 
     h = fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, cutoff)
