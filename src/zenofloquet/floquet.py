@@ -243,6 +243,8 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
 
 _BAND = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
 _BAND_VALUES = np.array([c.value for c in _BAND])
+_CLASSIFICATION = {c.value: c for c in _BAND}
+_FOUR_EPS = 4.0 * np.finfo(float).eps
 
 
 def _check_determinant(a, b, c, d):
@@ -258,8 +260,9 @@ def _check_determinant(a, b, c, d):
     a map whose squared entries are not finite.
     """
     det = a * d - b * c
-    tol = np.maximum(DET_TOL, 4.0 * np.finfo(float).eps * (a * a + b * b + c * c + d * d))
-    bad = ~((np.abs(det - 1.0) <= tol) & np.isfinite(tol))
+    norm_sq = a * a + b * b + c * c + d * d
+    tol = np.maximum(DET_TOL, _FOUR_EPS * norm_sq)
+    bad = ~((abs(det - 1.0) <= tol) & (norm_sq < math.inf))
     if bad.any():
         first = np.flatnonzero(bad)[0]
         raise InconsistentMatrixError(
@@ -283,7 +286,8 @@ def _floquet_exponent(half_trace, period):
 
 def classify(monodromy_matrix: np.ndarray, period: float,
              epsilon: float = DEFAULT_EPSILON) -> StabilityReport:
-    """Classify a one-period map by its half-trace.
+    """Classify a one-period map by its half-trace: the report of
+    :func:`classify_stack` on the one map.
 
     Parameters
     ----------
@@ -303,16 +307,10 @@ def classify(monodromy_matrix: np.ndarray, period: float,
     m = np.asarray(monodromy_matrix, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    _require_real("period", period, positive=True)
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    _check_determinant(a, b, c, d)
-    half_trace = abs(a + d) / 2.0
-    classification = _BAND[_band_index(half_trace, epsilon)]
-    exponent = 0.0
-    if classification is Classification.UNSTABLE:
-        exponent = _floquet_exponent(half_trace, period)
-    return StabilityReport(half_trace=half_trace, classification=classification,
-                           floquet_exponent=exponent, period=period)
+    half_trace, classification, exponent = classify_stack(m, period, epsilon)
+    return StabilityReport(half_trace=float(half_trace),
+                           classification=_CLASSIFICATION[classification],
+                           floquet_exponent=float(exponent), period=period)
 
 
 def classify_stack(maps: np.ndarray, period: float,
@@ -323,7 +321,8 @@ def classify_stack(maps: np.ndarray, period: float,
     ----------
     maps : (..., 2, 2) array
         One-period maps, such as the grid stack of :func:`pair_map`; every
-        determinant must equal 1 within rounding.
+        determinant must equal 1 within rounding.  A single (2, 2) map is a
+        stack of shape ``()``, with scalar results.
     period, epsilon
         As for :func:`classify`.
 
@@ -338,14 +337,19 @@ def classify_stack(maps: np.ndarray, period: float,
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
     _require_real("period", period, positive=True)
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    # [()] makes the entries of a single (2, 2) map numpy scalars, whose
+    # arithmetic costs a fraction of that of 0-d arrays
+    a, b, c, d = m[..., 0, 0][()], m[..., 0, 1][()], m[..., 1, 0][()], m[..., 1, 1][()]
     _check_determinant(a, b, c, d)
-    half_trace = np.abs(a + d) / 2.0
+    half_trace = abs(a + d) / 2.0
     band = _band_index(half_trace, epsilon)
-    exponent = np.zeros(half_trace.shape)
-    unstable = band == 2
-    exponent[unstable] = [_floquet_exponent(h, period)
-                          for h in half_trace[unstable].tolist()]
+    if band.ndim == 0:
+        exponent = _floquet_exponent(half_trace, period) if band == 2 else 0.0
+    else:
+        exponent = np.zeros(half_trace.shape)
+        unstable = band == 2
+        exponent[unstable] = [_floquet_exponent(h, period)
+                              for h in half_trace[unstable].tolist()]
     return half_trace, _BAND_VALUES[band], exponent
 
 

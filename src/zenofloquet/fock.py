@@ -14,7 +14,14 @@ every schedule.  Both segment generators conserve a number-like quantity
 splits them into small tridiagonal blocks.  The blocks are packed by length
 into a few padded eigenvector tensors, and a segment acts on a matrix of
 amplitude columns, so one propagation can carry many states (one per
-exchange angle in :func:`zeno_threshold_scan`).
+exchange angle in :func:`zeno_threshold_scan`).  A segment is applied in
+one of two ways.  One angle on one column (both segments of
+:func:`propagate`) gets one complex unitary per bucket, built once per
+propagation.  Several columns keep the real eigenvector products around a
+phase multiply, whether they share one angle (the amplifying segment of a
+scan) or take one each (its exchange segment).  Each period gathers the
+columns into the amplifying packing, moves them into the exchange packing by
+one composite permutation and scatters them back to the sector basis.
 
 Every segment generator also conserves the parity of the total photon
 number, even under hard truncation, and every block lies in one parity
@@ -67,6 +74,12 @@ MAX_DEFAULT_CUTOFF = 60
 #: grows like cutoff^3 for one mode and cutoff^4 for two.
 MAX_CUTOFF = {1: 2000, 2: 200}
 
+#: Largest dimension ``(cutoff + 1) ** modes`` of the dense reference
+#: :func:`build_hamiltonian`: two-mode cutoff 31.  Building both two-mode
+#: generators there peaked at 37 MB of new RSS (93 MB at cutoff 40); the peak
+#: grows like the dimension squared.
+MAX_DENSE_DIM = 1024
+
 
 class HamiltonianLabel(enum.Enum):
     """The four segment Hamiltonians of the switched drive."""
@@ -115,9 +128,14 @@ def build_hamiltonian(label: HamiltonianLabel, coupling: float,
     """Segment Hamiltonian from standard ladder-operator actions.
 
     Creation out of the top level D maps to zero (hard truncation).  The
-    returned read-only matrix is real symmetric, hence Hermitian.
+    returned read-only matrix is real symmetric, hence Hermitian.  Its
+    dimension ``(D + 1) ** modes`` is at most ``MAX_DENSE_DIM``.
     """
     cutoff = _require_cutoff(cutoff, label.mode_count)
+    dim = (cutoff + 1) ** label.mode_count
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {dim} (cutoff {cutoff}) exceeds "
+                         f"the dense reference's ceiling {MAX_DENSE_DIM}")
     _require_real("coupling", coupling)
     matrix = coupling * _generator_dense(label, cutoff)
     matrix.setflags(write=False)
@@ -402,43 +420,77 @@ class _Segment:
 
     The columns hold the rows of the sector ``key = (parity, swap)`` on its
     basis (see :func:`_sector_rows`).  ``angles`` is one angle shared by
-    every column or one angle per column.  The phases ``exp(-i * w * angle)``
-    are computed here, once per propagation, not once per period.
+    every column or one angle per column, and ``columns`` the number of
+    columns the segment is built for.  Together they choose how each bucket
+    of eigenvectors ``V`` (see :class:`_Packing`) is applied:
+
+    - one angle on one column: the bucket's unitary ``(V * phase) @ V.T`` is
+      built here, once per propagation, and each application is one complex
+      matrix-vector product per bucket;
+    - otherwise only the phases ``exp(-i * w * angle)`` (packed rows, one
+      column or one per column) are built here, and each application
+      projects onto ``V``, multiplies by the phases and projects back, two
+      real matmuls per bucket.  A unitary per column would hold ``columns *
+      sum(L^2)`` entries, and on several columns a complex product of these
+      small blocks runs slower than the two real ones.  This path is also
+      the reference the first is tested against.
+
+    Either way the result holds for any number of columns.  A diagonal
+    generator has no buckets and only multiplies by the phases.
     """
 
-    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key):
-        self.packing = _packed_blocks(label, cutoff, key)
+    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key,
+                 columns: int = 1):
+        self.packing = packing = _packed_blocks(label, cutoff, key)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
-        self.phases = np.exp(-1j * self.packing.weights[:, None] * angles)
+        self.phases = np.exp(-1j * packing.weights[:, None] * angles)
+        self.unitaries = None
+        if angles.size == 1 and columns == 1 and packing.buckets:
+            self.unitaries = tuple(
+                (start, stop,
+                 (v * self.phases[start:stop, 0].reshape(v.shape[0], 1, -1))
+                 @ v.transpose(0, 2, 1))
+                for start, stop, v in packing.buckets)
 
     def keep(self, columns):
         """Drop the phases of columns that left the active set."""
         if self.phases.shape[1] > 1:
             self.phases = self.phases[:, columns]
 
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """The segment applied to ``psi`` of shape (sector rows, columns)."""
-        packing = self.packing
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """The segment applied to ``x`` of shape (packed rows, columns), a
+        fresh array that it may overwrite.  Padding rows are read as zero and
+        come back zero, or as they were for the identity."""
         if self.identity:
-            return psi
-        if not packing.buckets:
-            return psi * self.phases
+            return x
+        if not self.packing.buckets:
+            return x * self.phases
+        y = np.empty_like(x)
+        if self.unitaries is not None:
+            for start, stop, u in self.unitaries:
+                shape = u.shape[:2] + x.shape[1:]
+                np.matmul(u, x[start:stop].reshape(shape),
+                          out=y[start:stop].reshape(shape))
+            return y
         # the eigenvectors are real, so both products run on the float64
         # view of the complex columns: (rows, k) complex is (rows, 2k) real
-        x = psi[packing.gather].view(np.float64)
-        y = np.empty_like(x)
-        for start, stop, v in packing.buckets:
+        x, y = x.view(np.float64), y.view(np.float64)
+        for start, stop, v in self.packing.buckets:
             shape = v.shape[:2] + x.shape[1:]
             np.matmul(v.transpose(0, 2, 1), x[start:stop].reshape(shape),
                       out=y[start:stop].reshape(shape))
         phased = y.view(np.complex128)
         phased *= self.phases
-        for start, stop, v in packing.buckets:
+        for start, stop, v in self.packing.buckets:
             shape = v.shape[:2] + x.shape[1:]
             np.matmul(v, y[start:stop].reshape(shape),
                       out=x[start:stop].reshape(shape))
-        return x.view(np.complex128)[packing.unpack]
+        return x.view(np.complex128)
+
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """The segment applied to ``psi`` of shape (sector rows, columns)."""
+        return self.packed(psi[self.packing.gather])[self.packing.unpack]
 
 
 def _segment_labels(mode_count: int):
@@ -475,19 +527,21 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     it holds only the rows with ``n_a >= n_b``.  Each period applies the
     amplifying segment (angle ``gamma_tau1``, shared by every column) and
     then the exchange segment (``omega_tau2``, one angle or one per column)
-    to the active columns, and renormalizes them.  Then ``settle(n, active,
-    psi, norm, per_mode, leak)`` receives the period number, the original
-    numbers of the m active columns, their coordinates on the sector basis
-    (rows, m), their norms before renormalization (m,), photons per mode
-    (modes, m) and leakage (m,), and returns a boolean mask (m,) of the
-    columns that stop.  Stopped columns leave the active set; the loop ends
-    after ``periods`` periods or when no column is left.
+    to the active columns, and renormalizes them; in between, the columns go
+    from the amplifying packing to the exchange packing by one composite
+    permutation.  Then ``settle(n, active, psi, norm, per_mode, leak)``
+    receives the period number, the original numbers of the m active
+    columns, their coordinates on the sector basis (rows, m), their norms
+    before renormalization (m,), photons per mode (modes, m) and leakage
+    (m,), and returns a boolean mask (m,) of the columns that stop.
+    Stopped columns leave the active set; the loop ends after ``periods``
+    periods or when no column is left.
     """
     key = _sector_key(columns, mode_count, cutoff)
     sector = _sector_rows(cutoff, mode_count, key)
     label_u, label_s = _segment_labels(mode_count)
-    amplify = _Segment(label_u, cutoff, gamma_tau1, key)
-    exchange = _Segment(label_s, cutoff, omega_tau2, key)
+    amplify = _Segment(label_u, cutoff, gamma_tau1, key, columns.shape[1])
+    exchange = _Segment(label_s, cutoff, omega_tau2, key, columns.shape[1])
     rows = _observable_rows(cutoff, mode_count, key)
     # a copy (fancy indexing), renormalized in place
     psi = np.asarray(columns[sector], dtype=complex)
@@ -497,8 +551,11 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
         n_a, n_b = divmod(sector, cutoff + 1)
         psi[n_a != n_b] *= math.sqrt(2.0)
     active = np.arange(columns.shape[1])
+    gather, scatter = amplify.packing.gather, exchange.packing.unpack
+    # unpack from the amplifying packing, then gather into the exchange one
+    between = amplify.packing.unpack[exchange.packing.gather]
     for n in range(1, periods + 1):
-        psi = exchange(amplify(psi))
+        psi = exchange.packed(amplify.packed(psi[gather])[between])[scatter]
         probs = psi.real ** 2 + psi.imag ** 2
         norm_sq = probs.sum(axis=0)
         psi /= np.sqrt(norm_sq)

@@ -203,6 +203,22 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0, 0)
 
+    def test_dense_dimension_ceiling(self):
+        """The dense reference takes the dimension ``MAX_DENSE_DIM`` and
+        refuses one level more, naming the dimension and the ceiling."""
+        ceiling = fock.MAX_DENSE_DIM
+        side = math.isqrt(ceiling)
+        assert side * side == ceiling
+        assert build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, 1.0,
+                                 side - 1).shape == (ceiling, ceiling)
+        assert build_hamiltonian(HamiltonianLabel.SINGLE_MODE_UNSTABLE, 1.0,
+                                 ceiling - 1).shape == (ceiling, ceiling)
+        for label, cutoff, dim in ((HamiltonianLabel.TWO_MODE_UNSTABLE, side, (side + 1) ** 2),
+                                   (HamiltonianLabel.SINGLE_MODE_STABLE, ceiling, ceiling + 1)):
+            with pytest.raises(ValueError,
+                               match=rf"dense dimension {dim} .*ceiling {ceiling}"):
+                build_hamiltonian(label, 1.0, cutoff)
+
 
 class TestSegmentUnitary:
     def test_zero_duration_is_identity(self):
@@ -331,6 +347,75 @@ class TestPacking:
             in_sector = set(sector.tolist())
             assert sorted(seen) == sorted(idx for idx in chains if idx[0] in in_sector)
             assert used.sum() == sector.size
+
+
+class TestSegmentPaths:
+    """The unitary per bucket of one angle on one column, and the stepping
+    loop's composite permutation, against the kept per-column path."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 60])
+    def test_one_angle_equals_per_column_path(self, cutoff):
+        """A one-angle segment built for one column (a unitary per bucket)
+        equals the per-column path fed that angle in every column, on every
+        sector of every label."""
+        rng = np.random.default_rng(cutoff)
+        for label in HamiltonianLabel:
+            for key in itertools.product((None, 0, 1), (False, True)[:label.mode_count]):
+                rows = fock._sector_rows(cutoff, label.mode_count, key).size
+                coords = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+                coords /= np.linalg.norm(coords, axis=0)
+                for angle in (0.6, 2.3):
+                    one = fock._Segment(label, cutoff, angle, key)
+                    assert (one.unitaries is None) == (not one.packing.buckets)
+                    per_column = fock._Segment(label, cutoff, np.full(3, angle), key, 3)
+                    assert per_column.unitaries is None
+                    expected = per_column(coords)
+                    for j in range(3):
+                        np.testing.assert_allclose(one(coords[:, j:j + 1])[:, 0],
+                                                   expected[:, j], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("state, omega_tau2", [
+        (vacuum_state(9, 1), 1.1),
+        (coherent_state(9, [0.3 + 0.2j]), 1.1),
+        (vacuum_state(9, 2), 1.1),
+        (number_state(9, 2, 1), 1.1),
+        (coherent_state(9, [0.3, 0.2j]), 1.1),
+        (vacuum_state(9, 2), [0.4, 1.1, 2.9]),
+        (number_state(9, 2, 1), [0.4, 1.1]),
+    ], ids=["single-vacuum", "single-coherent", "vacuum", "2,1", "coherent",
+            "vacuum-per-column", "2,1-per-column"])
+    def test_period_equals_unpack_then_gather(self, state, omega_tau2):
+        """One period of the stepping loop, which carries the columns from
+        the amplifying packing to the exchange packing by one composite
+        permutation, equals the two segments applied one after the other,
+        each unpacking to and gathering from the sector basis."""
+        cutoff, modes = state.cutoff, state.mode_count
+        k = np.size(omega_tau2)
+        columns = np.repeat(state.amplitudes[:, None], k, axis=1)
+        key = fock._sector_key(columns, modes, cutoff)
+        label_u, label_s = fock._segment_labels(modes)
+        amplify = fock._Segment(label_u, cutoff, 0.3, key, k)
+        exchange = fock._Segment(label_s, cutoff, omega_tau2, key, k)
+        # the composite index on packed input, padding rows included
+        packed = np.arange(amplify.packing.gather.size)
+        np.testing.assert_array_equal(
+            packed[amplify.packing.unpack[exchange.packing.gather]],
+            packed[amplify.packing.unpack][exchange.packing.gather])
+
+        recorded = []
+
+        def settle(n, active, psi, norm, per_mode, leak):
+            recorded.append(psi * norm)
+            return np.ones(active.size, dtype=bool)
+
+        fock._step_periods(columns, modes, cutoff, 0.3, omega_tau2, 5, settle)
+        sector = fock._sector_rows(cutoff, modes, key)
+        psi = columns[sector]
+        if key[1]:
+            n_a, n_b = np.divmod(sector, cutoff + 1)
+            psi[n_a != n_b] *= math.sqrt(2.0)
+        assert len(recorded) == 1
+        np.testing.assert_allclose(recorded[0], exchange(amplify(psi)), rtol=0, atol=1e-14)
 
 
 def initial_photons(state):

@@ -118,6 +118,29 @@ def evolve_with_states(state, schedule, *, photon_cap=gaussian.PHOTON_CAP):
     return traj, means, covs
 
 
+def valid_state_margins(means, covs):
+    """Assert that every ``(means[i], covs[i])`` passes the checks of the
+    :class:`GaussianState` constructor, and return each state's smallest
+    symplectic eigenvalue.
+
+    The checks are the constructor's, at its tolerances: finite entries, a
+    covariance symmetric to 1e-12 of its scale ``max(1, |cov|_max)``, and a
+    smallest symplectic eigenvalue of at least ``0.5 - max(1e-10, 4e-15 *
+    scale^2)``.  The spectra of the whole stack come from one stacked
+    eigensolve of ``J @ cov``, as :func:`symplectic_eigenvalues` takes each.
+    """
+    assert means.ndim == 2 and means.shape[1] in (2, 4)
+    assert covs.shape == means.shape + means.shape[1:]
+    assert np.isfinite(means).all() and np.isfinite(covs).all()
+    transposed = covs.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+    assert (np.abs(covs - transposed).max(axis=(1, 2)) <= 1e-12 * scale).all()
+    form = symplectic_form(means.shape[1] // 2)
+    nu_min = np.abs(np.linalg.eigvals(form @ ((covs + transposed) / 2.0))).min(axis=1)
+    assert (nu_min >= 0.5 - np.maximum(1e-10, 4e-15 * scale * scale)).all()
+    return nu_min
+
+
 # the overflow to inf or nan of a diverged point is expected, as in the library
 @np.errstate(over="ignore", invalid="ignore")
 def two_pair_vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
@@ -652,6 +675,9 @@ class TestEvolve:
 
         The per-period loop raised InvalidStateError on many of these: its
         rounding broke the uncertainty relation of the recorded states.
+        Every recorded state passes :class:`GaussianState`'s checks, made
+        for all of a drive's states at once by :func:`valid_state_margins`;
+        every 97th state goes through the constructor itself.
         """
         drives = [(0.44615674286790835, 0.43230246653417354, 1810)]
         rng = np.random.default_rng(606)
@@ -663,8 +689,28 @@ class TestEvolve:
             assert classify_schedule(s).classification is Classification.STABLE
             traj, means, covs = evolve_with_states(vacuum_state(2), s)
             assert traj.status == "ok" and len(traj) == periods + 1
-            for mean, cov in zip(means, covs):
-                GaussianState(mean, cov)
+            nu_min = valid_state_margins(means, covs)
+            for i in range(0, periods + 1, 97):
+                state = GaussianState(means[i], covs[i])
+                np.testing.assert_allclose(
+                    symplectic_eigenvalues(state.covariance).min(), nu_min[i], rtol=1e-12)
+
+    @pytest.mark.parametrize("cov", [
+        np.eye(4) * 0.4,
+        np.eye(4) / 2.0 + np.diag([1e-9, 0.0, 0.0], k=1),
+        np.diag([0.5, 0.5, 0.5, np.inf]),
+        np.diag([0.5, 0.5, 2.0, 0.1]),
+    ], ids=["below-vacuum", "asymmetric", "non-finite", "uncertainty"])
+    def test_stacked_state_check_rejects_what_constructor_rejects(self, cov):
+        """The stacked check of the near-marginal test fails where the
+        constructor does, and passes the vacuum stacked beside it."""
+        vacuum = vacuum_state(2)
+        means, covs = np.zeros((2, 4)), np.stack([vacuum.covariance, cov])
+        with pytest.raises(InvalidStateError):
+            GaussianState(means[1], covs[1])
+        with pytest.raises(AssertionError):
+            valid_state_margins(means, covs)
+        np.testing.assert_allclose(valid_state_margins(means[:1], covs[:1]), [0.5], rtol=1e-15)
 
     def test_long_unstable_run_stops_in_first_table(self):
         s = DriveSchedule.from_products(0.1, 0.01, periods=10**6)
