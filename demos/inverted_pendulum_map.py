@@ -16,7 +16,8 @@ from zenofloquet.floquet import (
     DriveSchedule,
     classical_pendulum_monodromy,
     classify_schedule,
-    propagate_plus_mode,
+    monodromy,
+    powers,
 )
 
 
@@ -41,7 +42,7 @@ def quadrature_trajectories():
     unstable = DriveSchedule.from_products(0.1, 0.05, periods=60)
     for name, schedule in (("stable", stable), ("unstable", unstable)):
         verdict = classify_schedule(schedule)
-        traj = propagate_plus_mode(schedule, 1.0, 0.0)
+        traj = powers(monodromy(schedule), schedule.periods) @ np.array([1.0, 0.0])
         radius = np.hypot(traj[:, 0], traj[:, 1])
         print(f"  {name}: |trA|/2 = {verdict.half_trace:.4f}, "
               f"max radius over {schedule.periods} periods = {radius.max():.4g}, "

@@ -26,18 +26,16 @@ from .floquet import (
     classify_schedule,
     minus_mode_monodromy,
     monodromy,
-    propagate_plus_mode,
     stable_segment_matrix,
     unstable_segment_matrix,
 )
-from .gaussian import GaussianState, PhotonNumbers, evolve, photon_numbers
+from .gaussian import GaussianState, evolve
 
 __all__ = [
     "Classification",
     "ClassicalPendulumParams",
     "DriveSchedule",
     "GaussianState",
-    "PhotonNumbers",
     "StabilityReport",
     "classical_pendulum_monodromy",
     "classify",
@@ -49,8 +47,6 @@ __all__ = [
     "gaussian",
     "minus_mode_monodromy",
     "monodromy",
-    "photon_numbers",
-    "propagate_plus_mode",
     "stable_segment_matrix",
     "unstable_segment_matrix",
     "__version__",

@@ -5,6 +5,13 @@ and a fixed column order; JSON mirrors the same rows under a ``rows`` key
 next to a ``meta`` object carrying the resolved-config hash and tool
 version.  Exit codes: 0 success, 1 numerical guard tripped (divergence or
 truncation), 2 usage/config error or a request too big to allocate.
+
+Both formats are streamed in blocks of ``_BLOCK_ROWS`` rows.  JSON rows go
+through one row template per table, one slot per field chosen once for the
+whole table: a field with one value in every row has that value's JSON text
+in its slot; an integer field, or a float field with no NaN or inf, gets
+``%r``; any other field gets ``%s``, filled with its JSON texts.  Each block
+is one ``%`` of the template repeated for its rows.
 """
 
 from __future__ import annotations
@@ -173,6 +180,24 @@ def _json_texts(field):
     return list(map(json.encoder.encode_basestring_ascii, cells))
 
 
+def _json_slot(field):
+    """The row-template slot of one typed field of a whole table, and the
+    function that turns a block of the field into the cells that fill it.
+
+    One value in every row (floats compared by bit pattern) is written into
+    the slot as its JSON text, with no cells.  An integer field, or a float
+    field with no NaN or inf, gets ``%r``: the ``%`` operator formats each
+    cell with ``repr``, which is how ``json.dumps`` writes it.  Any other
+    field gets ``%s``, filled with its texts from ``_json_texts``.
+    """
+    same = field.view(np.int64) if field.dtype.kind == "f" else field
+    if (same == same[0]).all():
+        return _json_texts(field[:1])[0].replace("%", "%%"), None
+    if field.dtype.kind == "i" or (field.dtype.kind == "f" and np.isfinite(field).all()):
+        return "%r", np.ndarray.tolist
+    return "%s", _json_texts
+
+
 def _write_json(fh, meta, header, rows):
     fh.write(json.dumps({"meta": meta}, indent=1)[:-2])  # without the final "\n}"
     if not len(rows):
@@ -180,12 +205,19 @@ def _write_json(fh, meta, header, rows):
         return
     fh.write(',\n "rows": [\n')
     keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
-    template = "  {\n%s\n  }" % ",\n".join(f"   {k}: %s" for k in keys)
+    slots = [_json_slot(rows[name]) for name in rows.dtype.names]
+    template = "  {\n%s\n  }" % ",\n".join(
+        f"   {k}: {slot}" for k, (slot, _) in zip(keys, slots))
+    filled = [(name, to_cells) for name, (_, to_cells) in zip(rows.dtype.names, slots)
+              if to_cells]
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        columns = [_json_texts(block[name]) for name in rows.dtype.names]
+        # the block's cells row by row, as one flat tuple for one % of the block
+        cells = [None] * (len(block) * len(filled))
+        for i, (name, to_cells) in enumerate(filled):
+            cells[i::len(filled)] = to_cells(block[name])
         fh.write((",\n" if start else "")
-                 + ",\n".join(template % cells for cells in zip(*columns)))
+                 + ",\n".join([template] * len(block)) % tuple(cells))
     fh.write("\n ]\n}\n")
 
 

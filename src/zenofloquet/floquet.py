@@ -377,17 +377,6 @@ def powers(maps, periods: int) -> np.ndarray:
     return out
 
 
-def propagate_plus_mode(schedule: DriveSchedule, x0: float, p0: float) -> np.ndarray:
-    """Amplified-pair trajectory sampled at period boundaries.
-
-    Returns an ``(N + 1, 2)`` array whose n-th row is ``A^n @ (x0, p0)``;
-    row 0 is the initial condition.  ``A`` is :func:`monodromy`, whose x<->p
-    swap is the plus pair of :func:`zenofloquet.gaussian.pm_pair_maps`.
-    """
-    v = np.array([float(x0), float(p0)])
-    return powers(monodromy(schedule), schedule.periods) @ v
-
-
 def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     """One-period map and verdict of the classical inverted pendulum.
 

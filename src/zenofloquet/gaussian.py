@@ -105,14 +105,6 @@ class GaussianState:
         return self.mean.size // 2
 
 
-@dataclass(frozen=True)
-class PhotonNumbers:
-    """Expected photon number per mode and in total."""
-
-    per_mode: np.ndarray
-    total: float
-
-
 def vacuum_state(mode_count: int = 2) -> GaussianState:
     """Vacuum: zero mean, covariance I/2."""
     return GaussianState(np.zeros(2 * mode_count), np.eye(2 * mode_count) / 2.0)
@@ -159,12 +151,6 @@ def _photons_per_mode(mean, cov):
     # n_i = (<x_i^2> + <p_i^2> - 1)/2, means included; stacks of states too
     diag = np.diagonal(cov, axis1=-2, axis2=-1) + mean**2
     return (diag[..., 0::2] + diag[..., 1::2] - 1.0) / 2.0
-
-
-def photon_numbers(state: GaussianState) -> PhotonNumbers:
-    """Expected photon numbers, means included: n_i = (<x_i^2> + <p_i^2> - 1)/2."""
-    per_mode = _photons_per_mode(state.mean, state.covariance)
-    return PhotonNumbers(per_mode=per_mode, total=float(per_mode.sum()))
 
 
 # --- difference/sum ("plus/minus") basis -----------------------------------

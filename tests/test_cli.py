@@ -917,9 +917,15 @@ REPEAT_SOURCES = {
 def tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(FIELD_CELLS)), min_size=1, max_size=8))
     repeats = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
-    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds),
-                           unique=True))
-    size = draw(st.integers(0, 60))
+    # unique names without a filter: a repeated name gets its position appended
+    header = []
+    for i, name in enumerate(draw(st.lists(TEXT, min_size=len(kinds),
+                                           max_size=len(kinds)))):
+        while name in header:
+            name += str(i)
+        header.append(name)
+    # a row count drawn as st.lists draws a length: mostly short, up to 60
+    size = len(draw(st.lists(st.just(None), max_size=60)))
     columns = []
     for kind, repeat in zip(kinds, repeats):
         cells = FIELD_CELLS[kind]
@@ -931,6 +937,26 @@ def tables(draw):
 
 
 META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe")
+
+
+def one_value_fields(size):
+    """A ``size``-row table whose fields each hold one value in every row
+    (NaN, -0.0, an int, a string that needs escaping), next to a float field
+    that mixes 0.0 and -0.0."""
+    return typed_table(
+        ["nan", "minus_zero", "zeros", "int", "text"],
+        [[math.nan] * size, [-0.0] * size, [(0.0, -0.0)[k % 3 == 1] for k in range(size)],
+         [-7] * size, ['%s "1,%%"'] * size],
+        ["float", "float", "float", "int", "str"])
+
+
+#: Floats that are finite in the first block and not in the second, and the
+#: other way round, beside a field that is finite in both.
+NONFINITE_IN_ONE_BLOCK = typed_table(
+    ["late_nan", "early_inf", "finite"],
+    [[0.5 * k for k in range(4096)] + [math.nan],
+     [-math.inf] + [1.5] * 4096, [0.25 * k for k in range(4097)]],
+    ["float", "float", "float"])
 
 
 @settings(max_examples=300, deadline=None,
@@ -945,6 +971,15 @@ META = cli._meta("simulate", {"a": 1}, "gaussian-diverged;fock-truncation-unsafe
                                       ["float", "str"]))
 @example(fmt="csv", table=typed_table(["x", "y"], [[-1, -2, -1], ["a", "a", "a"]],
                                       ["int", "str"]))
+@example(fmt="json", table=one_value_fields(4097))
+@example(fmt="json", table=one_value_fields(8193))
+@example(fmt="csv", table=one_value_fields(4097))
+@example(fmt="json", table=NONFINITE_IN_ONE_BLOCK)
+@example(fmt="json", table=typed_table(["a", "b", "c", "d"], [[math.inf], [-0.0], [-5], ["x%"]],
+                                       ["float", "float", "int", "str"]))
+@example(fmt="json", table=typed_table(["%s", "%%", "%r"],
+                                       [["%s%%"] * 3, [1.5, 2.5, 1.5], ["a", "%%", "a"]],
+                                       ["str", "float", "str"]))
 def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
@@ -972,6 +1007,24 @@ def test_cross_check_chart_equals_reference_writer(tmp_path):
     header, rows, status = cli.run_sweep(cfg)
     assert len(rows) == 22801
     expected = _reference_output("csv", cli._meta("sweep", cfg, status), header, rows)
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("gamma, omega, code", [(0.05, 0.3, 0), (0.5, 0.1, 1)])
+def test_trajectory_json_equals_reference_writer(tmp_path, gamma, omega, code):
+    """5000 periods of a stable and of a diverging drive as JSON: photon
+    columns next to one-value half_trace and classification fields."""
+    schedule = {"gamma": gamma, "tau1": 1.0, "omega": omega, "tau2": 1.0,
+                "periods": 5000}
+    out = tmp_path / "trajectory.json"
+    argv = ["simulate", "--format", "json", "--out", str(out)]
+    for key, value in schedule.items():
+        argv += [f"--{key}", str(value)]
+    assert cli.main(argv) == code
+    cfg = _merged(cli.SIMULATE_DEFAULTS, {"schedule": schedule})
+    header, rows, status = cli.run_simulate(cfg)
+    assert (len(rows) == 5001) == (code == 0)
+    expected = _reference_output("json", cli._meta("simulate", cfg, status), header, rows)
     assert out.read_bytes() == expected.encode("utf-8")
 
 

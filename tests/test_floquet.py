@@ -19,7 +19,6 @@ from zenofloquet.floquet import (
     minus_mode_monodromy,
     monodromy,
     powers,
-    propagate_plus_mode,
     stable_segment_matrix,
     unstable_segment_matrix,
 )
@@ -258,24 +257,30 @@ class TestSmallTau:
             assert remainder(scale) >= 0.95 * c_fit * scale**4
 
 
+def plus_mode_trajectory(s, x0, p0):
+    """The amplified pair at period boundaries: row n is ``A^n @ (x0, p0)``
+    with ``A = monodromy(s)``, row 0 the initial condition."""
+    return powers(monodromy(s), s.periods) @ np.array([x0, p0])
+
+
 class TestPropagatePlusMode:
     def test_fixed_point_at_origin(self):
         s = DriveSchedule.from_products(0.4, 0.9, periods=20)
-        traj = propagate_plus_mode(s, 0.0, 0.0)
+        traj = plus_mode_trajectory(s, 0.0, 0.0)
         assert traj.shape == (21, 2)
         np.testing.assert_array_equal(traj, 0.0)
 
     def test_pure_squeezing_closed_form(self):
         n = 12
         s = DriveSchedule.from_products(0.05, 0.0, periods=n)
-        traj = propagate_plus_mode(s, 1.0, 0.0)
+        traj = plus_mode_trajectory(s, 1.0, 0.0)
         # A_u^n = A_u(n g): x grows as cosh(n g) from (1, 0)
         assert traj[-1, 0] == pytest.approx(math.cosh(n * 0.05), rel=1e-12)
         assert traj[-1, 1] == pytest.approx(math.sinh(n * 0.05), rel=1e-12)
 
     def test_first_entry_is_input(self):
         s = DriveSchedule.from_products(0.2, 0.4, periods=3)
-        traj = propagate_plus_mode(s, 0.3, -0.7)
+        traj = plus_mode_trajectory(s, 0.3, -0.7)
         np.testing.assert_array_equal(traj[0], [0.3, -0.7])
 
     def test_stable_trajectory_bounded_by_eigenvector_condition(self):
@@ -283,7 +288,7 @@ class TestPropagatePlusMode:
         assert classify_schedule(s).classification is Classification.STABLE
         _, vecs = np.linalg.eig(monodromy(s))
         bound = np.linalg.cond(vecs) * math.hypot(1.0, 0.5)
-        traj = propagate_plus_mode(s, 1.0, 0.5)
+        traj = plus_mode_trajectory(s, 1.0, 0.5)
         radii = np.hypot(traj[:, 0], traj[:, 1])
         assert radii.max() <= bound * (1 + 1e-9)
 
@@ -299,7 +304,7 @@ class TestPropagatePlusMode:
                 for _ in range(s.periods):
                     v = a @ v
                     expected.append(v)
-                traj = propagate_plus_mode(s, 0.4, -1.1)
+                traj = plus_mode_trajectory(s, 0.4, -1.1)
             expected = np.array(expected)
             assert traj.shape == expected.shape
             # unstable runs overflow; compare the rows far below float64's range

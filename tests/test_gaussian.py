@@ -24,7 +24,6 @@ from zenofloquet.gaussian import (
     PM_BASIS,
     coherent_state,
     evolve,
-    photon_numbers,
     pm_pair_maps,
     squeezed_vacuum_state,
     symplectic_eigenvalues,
@@ -257,26 +256,29 @@ class TestStateConstruction:
         assert state.covariance[1, 1] == pytest.approx(math.exp(-1.0) / 2)
 
 
+def photons(state):
+    """Photon number per mode of one state, means included."""
+    return gaussian._photons_per_mode(state.mean, state.covariance)
+
+
 class TestPhotonNumbers:
     def test_vacuum_is_zero(self):
-        numbers = photon_numbers(vacuum_state(2))
-        np.testing.assert_allclose(numbers.per_mode, 0.0, atol=1e-12)
-        assert numbers.total == pytest.approx(0.0, abs=1e-12)
+        per_mode = photons(vacuum_state(2))
+        np.testing.assert_allclose(per_mode, 0.0, atol=1e-12)
+        assert per_mode.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_coherent_amplitude(self):
         # mean (sqrt(2), 0) is |alpha| = 1, hence one photon
-        numbers = photon_numbers(coherent_state([1.0]))
-        assert numbers.per_mode[0] == pytest.approx(1.0)
+        assert photons(coherent_state([1.0]))[0] == pytest.approx(1.0)
 
     def test_two_mode_coherent(self):
-        numbers = photon_numbers(coherent_state([1.0 + 1.0j, 2.0j]))
-        np.testing.assert_allclose(numbers.per_mode, [2.0, 4.0])
-        assert numbers.total == pytest.approx(6.0)
+        per_mode = photons(coherent_state([1.0 + 1.0j, 2.0j]))
+        np.testing.assert_allclose(per_mode, [2.0, 4.0])
+        assert per_mode.sum() == pytest.approx(6.0)
 
     def test_squeezed_vacuum_photons(self):
         r = 0.65
-        numbers = photon_numbers(squeezed_vacuum_state(r))
-        assert numbers.per_mode[0] == pytest.approx(math.sinh(r) ** 2)
+        assert photons(squeezed_vacuum_state(r))[0] == pytest.approx(math.sinh(r) ** 2)
 
 
 class TestPmBasis:
