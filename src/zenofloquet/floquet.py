@@ -218,16 +218,20 @@ def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     scalar maps.
     """
     if np.ndim(gamma_tau1) == 0 and np.ndim(omega_tau2) == 0:
-        hyp, rot = _hyperbolic_transfer(gamma_tau1), _rotation_transfer(omega_tau2)
-    else:
-        hyp = np.array([_hyperbolic_transfer(g) for g in gamma_tau1])[:, None]
-        rot = np.array([_rotation_transfer(w) for w in omega_tau2])[None, :]
+        return _scalar_pair_map(gamma_tau1, omega_tau2)
+    hyp = np.array([_hyperbolic_transfer(g) for g in gamma_tau1])[:, None]
+    rot = np.array([_rotation_transfer(w) for w in omega_tau2])[None, :]
     return rot @ hyp
+
+
+def _scalar_pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
+    """:func:`pair_map` of two scalars, without its shape test."""
+    return _rotation_transfer(omega_tau2) @ _hyperbolic_transfer(gamma_tau1)
 
 
 def monodromy(schedule: DriveSchedule) -> np.ndarray:
     """One-period map ``A = A_s @ A_u`` (amplifying segment acts first)."""
-    return pair_map(schedule.gamma_tau1, schedule.omega_tau2)
+    return _scalar_pair_map(schedule.gamma_tau1, schedule.omega_tau2)
 
 
 def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
@@ -238,7 +242,7 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
     equals the trace of :func:`monodromy`, hence the stability condition is
     shared by both pairs.
     """
-    return pair_map(-schedule.gamma_tau1, -schedule.omega_tau2)
+    return _scalar_pair_map(-schedule.gamma_tau1, -schedule.omega_tau2)
 
 
 _BAND = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
@@ -250,24 +254,28 @@ _FOUR_EPS = 4.0 * np.finfo(float).eps
 def _check_determinant(a, b, c, d):
     """Reject maps whose determinant ``a*d - b*c`` is not 1 within rounding.
 
-    Works on scalars and on arrays of entries.  An entry of a product of two
-    2x2 factors carries a rounding error of a few eps times the Frobenius
-    norm ``|A|_F``, so the determinant, bilinear in the entries, moves by a few
-    eps times ``|A|_F^2``; the largest deviation over 60000 random pair maps
-    (``gamma*tau1`` up to 354) and 20000 pendulum maps was 1.1 eps
-    ``|A|_F^2``, and the factor 4 leaves a margin above that.  ``DET_TOL`` is
-    the floor for small maps.  A NaN determinant fails the test, and so does
+    Works on the Python floats of one map and on arrays of entries.  An
+    entry of a product of two 2x2 factors carries a rounding error of a few
+    eps times the Frobenius norm ``|A|_F``, so the determinant, bilinear in
+    the entries, moves by a few eps times ``|A|_F^2``; the largest deviation
+    over 60000 random pair maps (``gamma*tau1`` up to 354) and 20000 pendulum
+    maps was 1.1 eps ``|A|_F^2``, and the factor 4 leaves a margin above
+    that.  ``DET_TOL`` is the floor for small maps.  A NaN determinant fails the test, and so does
     a map whose squared entries are not finite.
     """
     det = a * d - b * c
     norm_sq = a * a + b * b + c * c + d * d
-    tol = np.maximum(DET_TOL, _FOUR_EPS * norm_sq)
-    bad = ~((abs(det - 1.0) <= tol) & (norm_sq < math.inf))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
+    if isinstance(norm_sq, float):
+        # max keeps a NaN first argument, as np.maximum keeps any NaN
+        tol = max(_FOUR_EPS * norm_sq, DET_TOL)
+        bad = [] if abs(det - 1.0) <= tol and norm_sq < math.inf else [0]
+    else:
+        tol = np.maximum(DET_TOL, _FOUR_EPS * norm_sq)
+        bad = np.flatnonzero(~((abs(det - 1.0) <= tol) & (norm_sq < math.inf)))
+    if len(bad):
         raise InconsistentMatrixError(
-            f"determinant {float(np.ravel(det)[first])!r} deviates from 1 by "
-            f"more than {float(np.ravel(tol)[first])!r}")
+            f"determinant {float(np.ravel(det)[bad[0]])!r} deviates from 1 by "
+            f"more than {float(np.ravel(tol)[bad[0]])!r}")
 
 
 def _band_index(half_trace, epsilon):
@@ -337,13 +345,16 @@ def classify_stack(maps: np.ndarray, period: float,
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
     _require_real("period", period, positive=True)
-    # [()] makes the entries of a single (2, 2) map numpy scalars, whose
-    # arithmetic costs a fraction of that of 0-d arrays
-    a, b, c, d = m[..., 0, 0][()], m[..., 0, 1][()], m[..., 1, 0][()], m[..., 1, 1][()]
+    if m.ndim == 2:
+        # the entries of a single map as Python floats, whose arithmetic
+        # gives numpy's bits at a fraction of the cost of numpy scalars
+        a, b, c, d = m.ravel().tolist()
+    else:
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     _check_determinant(a, b, c, d)
     half_trace = abs(a + d) / 2.0
     band = _band_index(half_trace, epsilon)
-    if band.ndim == 0:
+    if m.ndim == 2:
         exponent = _floquet_exponent(half_trace, period) if band == 2 else 0.0
     else:
         exponent = np.zeros(half_trace.shape)

@@ -14,14 +14,7 @@ every schedule.  Both segment generators conserve a number-like quantity
 splits them into small tridiagonal blocks.  The blocks are packed by length
 into a few padded eigenvector tensors, and a segment acts on a matrix of
 amplitude columns, so one propagation can carry many states (one per
-exchange angle in :func:`zeno_threshold_scan`).  A segment is applied in
-one of two ways.  One angle on one column (both segments of
-:func:`propagate`) gets one complex unitary per bucket, built once per
-propagation.  Several columns keep the real eigenvector products around a
-phase multiply, whether they share one angle (the amplifying segment of a
-scan) or take one each (its exchange segment).  Each period gathers the
-columns into the amplifying packing, moves them into the exchange packing by
-one composite permutation and scatters them back to the sector basis.
+exchange angle in :func:`zeno_threshold_scan`).
 
 Every segment generator also conserves the parity of the total photon
 number, even under hard truncation, and every block lies in one parity
@@ -39,6 +32,32 @@ chains with ``n_a >= n_b`` are unchanged there; each exchange chain ``|k,
 s - k>`` folds onto its half ``k >= s/2``, with its first off-diagonal
 multiplied by sqrt2 for even ``s`` and, for odd ``s``, the diagonal entry
 ``sqrt(k0 (s - k0 + 1))`` at its first position ``k0 = (s + 1)/2``.
+
+Every chain of an amplifying generator, and every exchange chain outside
+the swap sectors of odd or mixed parity, has a zero diagonal, and each of
+its links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the larger
+occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one mode).
+Such a sector is bipartite: in the gauge ``D = diag(i^s)`` its segment
+``D^-1 exp(-i angle H) D`` is real orthogonal, bucket by bucket ``C + sigma
+* S`` with ``C = V cos(angle w) V^T``, ``S = V sin(angle w) V^T`` and
+``sigma_jk = s_k - s_j``.  The diagonal single-mode rotation commutes with
+``D``.  The stepping loop carries gauge coordinates ``D^-1 psi``: float64
+when they start real and every segment of their sector is a real map (the
+vacuum of two modes: every scan and the default simulation), complex
+otherwise.  A segment is applied in one of two ways:
+
+- one angle shared by the columns gets one map per bucket, ``D^-1 V
+  exp(-i angle w) V^T D``, built once per propagation.  Where the sector is
+  bipartite it is float64 and acts on any number of columns by one real
+  matmul per bucket (on the float64 view of complex columns); elsewhere it
+  is complex and built for one column only;
+- one angle per column (the exchange segment of a scan), or several columns
+  in a sector that is not bipartite, keeps the real eigenvector products
+  around a phase multiply, with ``D`` applied at its boundary.
+
+Each period gathers the columns into the amplifying packing, moves them into
+the exchange packing by one composite permutation and scatters them back to
+the sector basis.
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -344,6 +363,18 @@ def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
     return parity, bool(np.array_equal(grid, grid.transpose(1, 0, 2)))
 
 
+@lru_cache(maxsize=None)
+def _gauge(cutoff: int, mode_count: int, key) -> np.ndarray:
+    """The diagonal ``i^s`` of the gauge ``D`` on the rows of the sector
+    ``key = (parity, swap)``: ``s = n_a mod 2`` for two modes, ``(n // 2) mod
+    2`` for one.  Its entries are exactly 1 and 1j."""
+    rows = _sector_rows(cutoff, mode_count, key)
+    level = rows // (cutoff + 1) if mode_count == 2 else rows // 2
+    gauge = np.where(level % 2 == 1, 1j, 1.0)
+    gauge.setflags(write=False)
+    return gauge
+
+
 @dataclass(frozen=True)
 class _Packing:
     """Eigendecomposed conserved-quantity blocks of one generator, packed.
@@ -354,17 +385,22 @@ class _Packing:
     ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
     the packed rows are the buckets' rows one after another.  ``gather`` is
     the sector row of every packed row (padding repeats row 0), ``unpack``
-    the packed row of every sector row and ``weights`` the eigenvalue of
-    every packed row (0 on padding).  Each bucket is ``(start, stop,
+    the packed row of every sector row, ``weights`` the eigenvalue of every
+    packed row (0 on padding) and ``gauge`` the entry of ``D`` (see
+    :func:`_gauge`) of every packed row.  Each bucket is ``(start, stop,
     vectors)``: its packed row range and its ``(nblocks, L, L)`` real
     eigenvectors, zero on padding so that padding neither reads nor writes
-    an amplitude.  A diagonal generator has no buckets.
+    an amplitude.  A diagonal generator has no buckets.  ``bipartite`` is
+    whether every block has a zero diagonal, so that its segments are real
+    in the gauge; a diagonal generator's is not.
     """
 
     gather: np.ndarray
     unpack: np.ndarray
     weights: np.ndarray
+    gauge: np.ndarray
     buckets: tuple
+    bipartite: bool
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +411,7 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
         index = np.arange(rows.size)
-        packing = _Packing(index, index, rows + 0.5, ())
+        packing = _Packing(index, index, rows + 0.5, _gauge(cutoff, 1, key), (), False)
     else:
         # each chain conserves photon parity and, folded in a swap sector,
         # keeps n_a >= n_b, so it lies wholly in or out of the sector;
@@ -409,8 +445,10 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
         gather, real = np.concatenate(gather), np.concatenate(real)
         unpack = np.empty(rows.size, dtype=np.intp)
         unpack[gather[real]] = np.flatnonzero(real)
-        packing = _Packing(gather, unpack, np.concatenate(weights), tuple(buckets))
-    for arr in (packing.gather, packing.unpack, packing.weights):
+        packing = _Packing(gather, unpack, np.concatenate(weights),
+                           _gauge(cutoff, label.mode_count, key)[gather], tuple(buckets),
+                           not any(diag.any() for _, diag, _ in chains))
+    for arr in (packing.gather, packing.unpack, packing.weights, packing.gauge):
         arr.setflags(write=False)
     return packing
 
@@ -418,25 +456,33 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
 class _Segment:
     """``exp(-i * angle * generator)`` of one segment on amplitude columns.
 
-    The columns hold the rows of the sector ``key = (parity, swap)`` on its
-    basis (see :func:`_sector_rows`).  ``angles`` is one angle shared by
-    every column or one angle per column, and ``columns`` the number of
-    columns the segment is built for.  Together they choose how each bucket
-    of eigenvectors ``V`` (see :class:`_Packing`) is applied:
+    The columns hold gauge coordinates ``D^-1 psi`` (see :func:`_gauge`) of
+    the rows of the sector ``key = (parity, swap)`` on its basis (see
+    :func:`_sector_rows`).  ``angles`` is one angle shared by every column
+    or one angle per column, and ``columns`` the number of columns the
+    segment is built for.  Together with the sector they choose how each
+    bucket of eigenvectors ``V`` (see :class:`_Packing`) is applied:
 
-    - one angle on one column: the bucket's unitary ``(V * phase) @ V.T`` is
-      built here, once per propagation, and each application is one complex
-      matrix-vector product per bucket;
+    - one angle on a bipartite sector: the bucket's map ``D^-1 (V * phase)
+      @ V.T D`` is built here, once per propagation, as the float64 ``C +
+      sigma * S`` of the module docstring, and each application is one real
+      matmul per bucket, on the float64 view of complex columns;
+    - one angle on one column of a sector that is not bipartite: the same
+      map, complex, applied by one complex matrix-vector product per bucket;
     - otherwise only the phases ``exp(-i * w * angle)`` (packed rows, one
       column or one per column) are built here, and each application
-      projects onto ``V``, multiplies by the phases and projects back, two
-      real matmuls per bucket.  A unitary per column would hold ``columns *
-      sum(L^2)`` entries, and on several columns a complex product of these
-      small blocks runs slower than the two real ones.  This path is also
-      the reference the first is tested against.
+      multiplies by ``D``, projects onto ``V``, multiplies by the phases,
+      projects back and multiplies by ``D^-1``, two real matmuls per bucket.
+      A map per column would hold ``columns * sum(L^2)`` entries, and on
+      several columns a complex product of these small blocks runs slower
+      than the two real ones.  This path is also the reference the others
+      are tested against.
 
-    Either way the result holds for any number of columns.  A diagonal
-    generator has no buckets and only multiplies by the phases.
+    Any path holds for any number of columns.  A zero angle is the identity
+    and builds nothing.  A diagonal generator has no buckets and only
+    multiplies by the phases, which commute with ``D``.
+    ``real`` is whether the segment maps real coordinates to real ones: the
+    identity, or a generator whose sector is bipartite.
     """
 
     def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key,
@@ -444,14 +490,26 @@ class _Segment:
         self.packing = packing = _packed_blocks(label, cutoff, key)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
+        self.real = self.identity or packing.bipartite
         self.phases = np.exp(-1j * packing.weights[:, None] * angles)
-        self.unitaries = None
-        if angles.size == 1 and columns == 1 and packing.buckets:
-            self.unitaries = tuple(
-                (start, stop,
-                 (v * self.phases[start:stop, 0].reshape(v.shape[0], 1, -1))
-                 @ v.transpose(0, 2, 1))
-                for start, stop, v in packing.buckets)
+        self.maps = None
+        if (angles.size == 1 and not self.identity and packing.buckets
+                and (packing.bipartite or columns == 1)):
+            maps = []
+            for start, stop, v in packing.buckets:
+                gauge = packing.gauge[start:stop].reshape(v.shape[0], 1, -1)
+                phase = self.phases[start:stop, 0].reshape(v.shape[0], 1, -1)
+                # exp(-i angle w) = cos - i sin
+                m = (v * phase.real) @ v.transpose(0, 2, 1)
+                sine = (v * -phase.imag) @ v.transpose(0, 2, 1)
+                if packing.bipartite:
+                    # C + sigma * S, sigma_jk = s_k - s_j with s = 1 where D is i
+                    sine *= gauge.imag - gauge.imag.transpose(0, 2, 1)
+                    m += sine
+                else:
+                    m = (m - 1j * sine) * (gauge.transpose(0, 2, 1).conj() * gauge)
+                maps.append((start, stop, m))
+            self.maps = tuple(maps)
 
     def keep(self, columns):
         """Drop the phases of columns that left the active set."""
@@ -459,38 +517,52 @@ class _Segment:
             self.phases = self.phases[:, columns]
 
     def packed(self, x: np.ndarray) -> np.ndarray:
-        """The segment applied to ``x`` of shape (packed rows, columns), a
-        fresh array that it may overwrite.  Padding rows are read as zero and
-        come back zero, or as they were for the identity."""
+        """The segment applied to gauge coordinates ``x`` of shape (packed
+        rows, columns), float64 only if the segment is ``real``: a fresh
+        array of ``x``'s dtype that it may overwrite.  Padding rows are read
+        as zero and come back zero, or as they were for the identity."""
         if self.identity:
             return x
         if not self.packing.buckets:
             return x * self.phases
-        y = np.empty_like(x)
-        if self.unitaries is not None:
-            for start, stop, u in self.unitaries:
-                shape = u.shape[:2] + x.shape[1:]
-                np.matmul(u, x[start:stop].reshape(shape),
-                          out=y[start:stop].reshape(shape))
-            return y
+        if self.maps is not None:
+            out = np.empty_like(x)
+            x_in, y_out = x, out
+            if self.packing.bipartite:
+                # a real map acts on the float64 view of complex columns:
+                # (rows, k) complex is (rows, 2k) real
+                x_in, y_out = x.view(np.float64), out.view(np.float64)
+            for start, stop, m in self.maps:
+                shape = m.shape[:2] + x_in.shape[1:]
+                np.matmul(m, x_in[start:stop].reshape(shape),
+                          out=y_out[start:stop].reshape(shape))
+            return out
+        gauge = self.packing.gauge[:, None]
+        z = x * gauge
         # the eigenvectors are real, so both products run on the float64
-        # view of the complex columns: (rows, k) complex is (rows, 2k) real
-        x, y = x.view(np.float64), y.view(np.float64)
+        # view of the complex columns
+        z, w = z.view(np.float64), np.empty(z.shape, dtype=complex).view(np.float64)
         for start, stop, v in self.packing.buckets:
-            shape = v.shape[:2] + x.shape[1:]
-            np.matmul(v.transpose(0, 2, 1), x[start:stop].reshape(shape),
-                      out=y[start:stop].reshape(shape))
-        phased = y.view(np.complex128)
+            shape = v.shape[:2] + z.shape[1:]
+            np.matmul(v.transpose(0, 2, 1), z[start:stop].reshape(shape),
+                      out=w[start:stop].reshape(shape))
+        phased = w.view(np.complex128)
         phased *= self.phases
         for start, stop, v in self.packing.buckets:
-            shape = v.shape[:2] + x.shape[1:]
-            np.matmul(v, y[start:stop].reshape(shape),
-                      out=x[start:stop].reshape(shape))
-        return x.view(np.complex128)
+            shape = v.shape[:2] + z.shape[1:]
+            np.matmul(v, w[start:stop].reshape(shape),
+                      out=z[start:stop].reshape(shape))
+        z = z.view(np.complex128)
+        z *= gauge.conj()
+        # on a bipartite sector the imaginary part of real input is rounding
+        return z if np.iscomplexobj(x) else z.real
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """The segment applied to ``psi`` of shape (sector rows, columns)."""
-        return self.packed(psi[self.packing.gather])[self.packing.unpack]
+        """The segment applied to ``psi`` of shape (sector rows, columns) on
+        the sector basis, outside the gauge."""
+        gauge = self.packing.gauge[:, None]
+        packed = self.packed(psi[self.packing.gather] * gauge.conj())
+        return (packed * gauge)[self.packing.unpack]
 
 
 def _segment_labels(mode_count: int):
@@ -529,9 +601,13 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     then the exchange segment (``omega_tau2``, one angle or one per column)
     to the active columns, and renormalizes them; in between, the columns go
     from the amplifying packing to the exchange packing by one composite
-    permutation.  Then ``settle(n, active, psi, norm, per_mode, leak)``
-    receives the period number, the original numbers of the m active
-    columns, their coordinates on the sector basis (rows, m), their norms
+    permutation, and each of the three row permutations of a period is one
+    ``np.take``.  The columns are carried as gauge coordinates ``D^-1 psi``
+    (see :func:`_gauge`), float64 if they start real and both segments are
+    ``real`` (see :class:`_Segment`), complex otherwise.  Then
+    ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
+    number, the original numbers of the m active columns, their gauge
+    coordinates on the sector basis (rows, m), their norms
     before renormalization (m,), photons per mode (modes, m) and leakage
     (m,), and returns a boolean mask (m,) of the columns that stop.
     Stopped columns leave the active set; the loop ends after ``periods``
@@ -543,20 +619,24 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     amplify = _Segment(label_u, cutoff, gamma_tau1, key, columns.shape[1])
     exchange = _Segment(label_s, cutoff, omega_tau2, key, columns.shape[1])
     rows = _observable_rows(cutoff, mode_count, key)
-    # a copy (fancy indexing), renormalized in place
-    psi = np.asarray(columns[sector], dtype=complex)
+    # gauge coordinates D^-1 psi: a fresh array, renormalized in place
+    psi = columns[sector] * _gauge(cutoff, mode_count, key).conj()[:, None]
     if key[1]:
         # a symmetric vector's coordinate on the orthonormal symmetric basis
         # is its amplitude times sqrt2 off the diagonal n_a == n_b
         n_a, n_b = divmod(sector, cutoff + 1)
         psi[n_a != n_b] *= math.sqrt(2.0)
+    real = amplify.real and exchange.real and not psi.imag.any()
+    if real:
+        psi = np.ascontiguousarray(psi.real)
     active = np.arange(columns.shape[1])
     gather, scatter = amplify.packing.gather, exchange.packing.unpack
     # unpack from the amplifying packing, then gather into the exchange one
     between = amplify.packing.unpack[exchange.packing.gather]
     for n in range(1, periods + 1):
-        psi = exchange.packed(amplify.packed(psi[gather])[between])[scatter]
-        probs = psi.real ** 2 + psi.imag ** 2
+        psi = amplify.packed(np.take(psi, gather, axis=0))
+        psi = np.take(exchange.packed(np.take(psi, between, axis=0)), scatter, axis=0)
+        probs = psi * psi if real else psi.real ** 2 + psi.imag ** 2
         norm_sq = probs.sum(axis=0)
         psi /= np.sqrt(norm_sq)
         observed = (rows @ probs) / norm_sq
