@@ -19,6 +19,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -359,8 +360,13 @@ def classify_stack(maps: np.ndarray, period: float,
     else:
         exponent = np.zeros(half_trace.shape)
         unstable = band == 2
-        exponent[unstable] = [_floquet_exponent(h, period)
-                              for h in half_trace[unstable].tolist()]
+        # _floquet_exponent without a Python loop: pow(h, 2.0) is h**2 (libm
+        # pow, which h * h is not), np.sqrt is correctly rounded as
+        # math.sqrt is, and np.log is not math.log
+        h = half_trace[unstable]
+        squares = np.fromiter(map(pow, h.tolist(), repeat(2.0)), float, h.size)
+        arguments = (h + np.sqrt(squares - 1.0)).tolist()
+        exponent[unstable] = np.fromiter(map(math.log, arguments), float, h.size) / period
     return half_trace, _BAND_VALUES[band], exponent
 
 

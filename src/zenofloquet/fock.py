@@ -57,7 +57,12 @@ otherwise.  A segment is applied in one of two ways:
 
 Each period gathers the columns into the amplifying packing, moves them into
 the exchange packing by one composite permutation and scatters them back to
-the sector basis.
+the sector basis.  A propagation holds one workspace: the sector columns,
+each segment's packed input and output, and the scratch of a per-column
+segment.  Each segment is bound to its buffers once, with every bucket's
+operand views built then, and bound again only when columns leave, so a
+period fills existing buffers, builds no view, and allocates only the
+per-column norms and observables that it reports.
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -72,7 +77,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -480,7 +485,10 @@ class _Segment:
 
     Any path holds for any number of columns.  A zero angle is the identity
     and builds nothing.  A diagonal generator has no buckets and only
-    multiplies by the phases, which commute with ``D``.
+    multiplies by the phases, which commute with ``D``.  :meth:`bind` ties
+    the chosen path to an input and an output buffer once and returns the
+    step that applies it between them; :meth:`packed` is that step on a
+    fresh output, so both run one implementation of each path.
     ``real`` is whether the segment maps real coordinates to real ones: the
     identity, or a generator whose sector is bipartite.
     """
@@ -512,50 +520,61 @@ class _Segment:
             self.maps = tuple(maps)
 
     def keep(self, columns):
-        """Drop the phases of columns that left the active set."""
+        """Drop the phases of columns that left the active set; a step bound
+        before keeps the phases it was bound with."""
         if self.phases.shape[1] > 1:
             self.phases = self.phases[:, columns]
 
-    def packed(self, x: np.ndarray) -> np.ndarray:
-        """The segment applied to gauge coordinates ``x`` of shape (packed
-        rows, columns), float64 only if the segment is ``real``: a fresh
-        array of ``x``'s dtype that it may overwrite.  Padding rows are read
-        as zero and come back zero, or as they were for the identity."""
+    def bind(self, x: np.ndarray, y: np.ndarray):
+        """A step that applies the segment to the gauge coordinates in ``x``
+        and writes them to ``y``.  ``x`` and ``y`` are C-contiguous buffers
+        of shape (packed rows, columns) and of one dtype, float64 only if the
+        segment is ``real``.  Every operand view of every bucket is built here
+        once, so a step only fills existing buffers.  Padding rows are read as
+        zero and written zero, or copied for the identity."""
+        if not (x.flags.c_contiguous and y.flags.c_contiguous):
+            raise ValueError("a segment binds only C-contiguous buffers")
         if self.identity:
-            return x
-        if not self.packing.buckets:
-            return x * self.phases
+            return partial(np.copyto, y, x)
+        packing = self.packing
+        if not packing.buckets:
+            return partial(np.multiply, x, self.phases, out=y)
         if self.maps is not None:
-            out = np.empty_like(x)
-            x_in, y_out = x, out
-            if self.packing.bipartite:
+            if packing.bipartite:
                 # a real map acts on the float64 view of complex columns:
                 # (rows, k) complex is (rows, 2k) real
-                x_in, y_out = x.view(np.float64), out.view(np.float64)
-            for start, stop, m in self.maps:
-                shape = m.shape[:2] + x_in.shape[1:]
-                np.matmul(m, x_in[start:stop].reshape(shape),
-                          out=y_out[start:stop].reshape(shape))
-            return out
-        gauge = self.packing.gauge[:, None]
-        z = x * gauge
+                x, y = x.view(np.float64), y.view(np.float64)
+            return partial(_matmuls, _bucket_views(self.maps, x, y))
+        gauge = packing.gauge[:, None]
+        phases = self.phases
         # the eigenvectors are real, so both products run on the float64
-        # view of the complex columns
-        z, w = z.view(np.float64), np.empty(z.shape, dtype=complex).view(np.float64)
-        for start, stop, v in self.packing.buckets:
-            shape = v.shape[:2] + z.shape[1:]
-            np.matmul(v.transpose(0, 2, 1), z[start:stop].reshape(shape),
-                      out=w[start:stop].reshape(shape))
-        phased = w.view(np.complex128)
-        phased *= self.phases
-        for start, stop, v in self.packing.buckets:
-            shape = v.shape[:2] + z.shape[1:]
-            np.matmul(v, w[start:stop].reshape(shape),
-                      out=z[start:stop].reshape(shape))
-        z = z.view(np.complex128)
-        z *= gauge.conj()
+        # view of the complex scratch
+        z = np.empty(x.shape, dtype=complex)
+        w = np.empty_like(z)
+        project = _bucket_views([(start, stop, v.transpose(0, 2, 1))
+                                 for start, stop, v in packing.buckets],
+                                z.view(np.float64), w.view(np.float64))
+        restore = _bucket_views(packing.buckets, w.view(np.float64), z.view(np.float64))
+        out_of_gauge = gauge.conj()
         # on a bipartite sector the imaginary part of real input is rounding
-        return z if np.iscomplexobj(x) else z.real
+        result = z if np.iscomplexobj(y) else z.real
+
+        def step():
+            np.multiply(x, gauge, out=z)
+            _matmuls(project)
+            np.multiply(w, phases, out=w)
+            _matmuls(restore)
+            np.multiply(z, out_of_gauge, out=z)
+            np.copyto(y, result)
+        return step
+
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """The segment applied to gauge coordinates ``x`` of shape (packed
+        rows, columns), float64 only if the segment is ``real``: the step of
+        :meth:`bind` on a fresh array of ``x``'s dtype."""
+        y = np.empty(x.shape, dtype=x.dtype)
+        self.bind(x, y)()
+        return y
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         """The segment applied to ``psi`` of shape (sector rows, columns) on
@@ -563,6 +582,22 @@ class _Segment:
         gauge = self.packing.gauge[:, None]
         packed = self.packed(psi[self.packing.gather] * gauge.conj())
         return (packed * gauge)[self.packing.unpack]
+
+
+def _bucket_views(buckets, x, y):
+    """``(operator, x rows, y rows)`` of each bucket ``(start, stop,
+    operator)``: the bucket's packed rows of the C-contiguous ``x`` and ``y``
+    as (blocks, L, columns) views."""
+    views = []
+    for start, stop, op in buckets:
+        shape = op.shape[:2] + x.shape[1:]
+        views.append((op, x[start:stop].reshape(shape), y[start:stop].reshape(shape)))
+    return tuple(views)
+
+
+def _matmuls(views):
+    for op, a, b in views:
+        np.matmul(op, a, out=b)
 
 
 def _segment_labels(mode_count: int):
@@ -602,9 +637,9 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     to the active columns, and renormalizes them; in between, the columns go
     from the amplifying packing to the exchange packing by one composite
     permutation, and each of the three row permutations of a period is one
-    ``np.take``.  The columns are carried as gauge coordinates ``D^-1 psi``
-    (see :func:`_gauge`), float64 if they start real and both segments are
-    ``real`` (see :class:`_Segment`), complex otherwise.  Then
+    ``take`` into a buffer.  The columns are carried as gauge coordinates
+    ``D^-1 psi`` (see :func:`_gauge`), float64 if they start real and both
+    segments are ``real`` (see :class:`_Segment`), complex otherwise.  Then
     ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
     number, the original numbers of the m active columns, their gauge
     coordinates on the sector basis (rows, m), their norms
@@ -612,6 +647,13 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     (m,), and returns a boolean mask (m,) of the columns that stop.
     Stopped columns leave the active set; the loop ends after ``periods``
     periods or when no column is left.
+
+    The loop holds one workspace per set of active columns: ``psi``, each
+    segment's packed input and output, bound to the segments (see
+    :meth:`_Segment.bind`) when the set starts and again when it shrinks.
+    The ``psi`` that ``settle`` receives is that buffer, valid only during
+    the call: the next period overwrites it, so a caller that keeps it
+    copies it.  ``norm``, ``per_mode`` and ``leak`` are fresh each period.
     """
     key = _sector_key(columns, mode_count, cutoff)
     sector = _sector_rows(cutoff, mode_count, key)
@@ -629,23 +671,41 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     real = amplify.real and exchange.real and not psi.imag.any()
     if real:
         psi = np.ascontiguousarray(psi.real)
-    active = np.arange(columns.shape[1])
     gather, scatter = amplify.packing.gather, exchange.packing.unpack
     # unpack from the amplifying packing, then gather into the exchange one
     between = amplify.packing.unpack[exchange.packing.gather]
-    for n in range(1, periods + 1):
-        psi = amplify.packed(np.take(psi, gather, axis=0))
-        psi = np.take(exchange.packed(np.take(psi, between, axis=0)), scatter, axis=0)
-        probs = psi * psi if real else psi.real ** 2 + psi.imag ** 2
-        norm_sq = probs.sum(axis=0)
-        psi /= np.sqrt(norm_sq)
-        observed = (rows @ probs) / norm_sq
-        stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
-        if stop.any():
-            keep = ~stop
-            active, psi = active[keep], psi[:, keep]
-            exchange.keep(keep)
-            if not active.size:
+    n, active = 0, np.arange(columns.shape[1])
+    while n < periods and active.size:
+        # the workspace of the active columns, bound until a column leaves
+        a_in, a_out = np.empty((2, gather.size, active.size), dtype=psi.dtype)
+        e_in, e_out = np.empty((2, exchange.packing.gather.size, active.size), dtype=psi.dtype)
+        probs, spare = np.empty((2,) + psi.shape)
+        step_amplify, step_exchange = amplify.bind(a_in, a_out), exchange.bind(e_in, e_out)
+        for n in range(n + 1, periods + 1):
+            # every index is in range by construction, and mode "clip" lets
+            # take write into out directly, where "raise" buffers it
+            psi.take(gather, 0, a_in, "clip")
+            step_amplify()
+            a_out.take(between, 0, e_in, "clip")
+            step_exchange()
+            e_out.take(scatter, 0, psi, "clip")
+            if real:
+                np.multiply(psi, psi, out=probs)
+            else:
+                np.square(psi.real, out=probs)
+                probs += np.square(psi.imag, out=spare)
+            norm_sq = probs.sum(axis=0)
+            norm = np.sqrt(norm_sq)
+            psi /= norm
+            observed = rows @ probs
+            observed /= norm_sq
+            stop = settle(n, active, psi, norm, observed[:-1], observed[-1])
+            if stop.any():
+                keep = ~stop
+                # psi[:, keep] is not C-contiguous, and take writes into a
+                # non-contiguous out through a temporary copy
+                active, psi = active[keep], np.ascontiguousarray(psi[:, keep])
+                exchange.keep(keep)
                 break
 
 
@@ -702,6 +762,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     status = "ok"
     first_unsafe = None
     completed = 0
+    go_on, stop = np.zeros(1, dtype=bool), np.ones(1, dtype=bool)
 
     def settle(n, active, psi, norm, per_mode, leak):
         nonlocal status, first_unsafe, completed
@@ -715,7 +776,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         capped = per_mode[:, 0].sum() > photon_cap
         if capped and status == "ok":
             status = "photon-cap"
-        return np.array([capped])
+        return stop if capped else go_on
 
     _step_periods(psi, modes, cutoff, schedule.gamma_tau1, schedule.omega_tau2,
                   schedule.periods, settle)

@@ -197,6 +197,24 @@ class TestClassify:
             assert math.isfinite(report.floquet_exponent)
             assert floquet.classify_stack(m[None], period=2.0)[0] == report.half_trace
 
+    def test_stack_exponents_equal_per_value_formula(self):
+        """A stack's exponents, computed without a loop over its maps, equal
+        ``_floquet_exponent`` of each half-trace bit for bit: on the default
+        sweep chart, and on 1e5 random half-traces ``h`` in (1, 100] of the
+        maps ``[[h, 1], [h^2 - 1, h]]``."""
+        chart = floquet.pair_map(np.linspace(0.0, 1.5, 151), np.linspace(0.0, math.pi, 151))
+        h = 100.0 - np.random.default_rng(17).uniform(0.0, 99.0, 10**5)
+        drawn = np.stack([np.stack([h, np.ones_like(h)], axis=-1),
+                          np.stack([h * h - 1.0, h], axis=-1)], axis=-2)
+        for maps, period in ((chart, 2.0), (drawn, 0.7)):
+            half_trace, classes, exponent = floquet.classify_stack(maps, period)
+            unstable = classes == Classification.UNSTABLE.value
+            assert unstable.sum() > 9000
+            expected = [floquet._floquet_exponent(x, period)
+                        for x in half_trace[unstable].tolist()]
+            assert exponent[unstable].tobytes() == np.array(expected).tobytes()
+            assert not exponent[~unstable].any()
+
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
             classify(np.eye(2), period=0.0)

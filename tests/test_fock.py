@@ -579,6 +579,146 @@ class TestSegmentPaths:
         np.testing.assert_allclose(recorded[0], exchange(amplify(psi)), rtol=0, atol=1e-14)
 
 
+def fresh_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, settle):
+    """A stand-in for ``fock._step_periods`` that binds no workspace: each
+    segment is :meth:`fock._Segment.packed` and each permutation a fresh
+    ``np.take``, every period, and a column that leaves is dropped by
+    ``psi[:, keep]``.  Sector, gauge, dtype and paths are the engine's."""
+    k = columns.shape[1]
+    key = fock._sector_key(columns, mode_count, cutoff)
+    sector = fock._sector_rows(cutoff, mode_count, key)
+    label_u, label_s = fock._segment_labels(mode_count)
+    amplify = fock._Segment(label_u, cutoff, gamma_tau1, key, k)
+    exchange = fock._Segment(label_s, cutoff, omega_tau2, key, k)
+    rows = fock._observable_rows(cutoff, mode_count, key)
+    psi = columns[sector] * fock._gauge(cutoff, mode_count, key).conj()[:, None]
+    if key[1]:
+        n_a, n_b = np.divmod(sector, cutoff + 1)
+        psi[n_a != n_b] *= math.sqrt(2.0)
+    if amplify.real and exchange.real and not psi.imag.any():
+        psi = np.ascontiguousarray(psi.real)
+    between = amplify.packing.unpack[exchange.packing.gather]
+    active = np.arange(k)
+    for n in range(1, periods + 1):
+        psi = amplify.packed(np.take(psi, amplify.packing.gather, axis=0))
+        psi = exchange.packed(np.take(psi, between, axis=0))
+        psi = np.take(psi, exchange.packing.unpack, axis=0)
+        probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
+        norm_sq = probs.sum(axis=0)
+        psi /= np.sqrt(norm_sq)
+        observed = (rows @ probs) / norm_sq
+        stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
+        if stop.any():
+            keep = ~stop
+            active, psi = active[keep], psi[:, keep]
+            exchange.keep(keep)
+            if not active.size:
+                break
+
+
+def recording(step_periods, records):
+    """``step_periods`` with every ``settle`` call also appending ``(n,
+    active, psi * norm, per_mode, leak)`` to ``records``, as copies: the
+    ``psi`` that ``settle`` receives is valid only during the call."""
+    def step(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, settle):
+        def record(n, active, psi, norm, per_mode, leak):
+            records.append((n, active.copy(), psi * norm, per_mode.copy(), leak.copy()))
+            return settle(n, active, psi, norm, per_mode, leak)
+        step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, record)
+    return step
+
+
+def assert_records_identical(records, reference):
+    """Same periods, columns and dtypes, and every array equal bit for bit."""
+    assert len(records) == len(reference)
+    for got, expected in zip(records, reference):
+        assert got[0] == expected[0]
+        for a, b in zip(got[1:], expected[1:]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestWorkspace:
+    """The stepping loop binds each segment to one workspace per set of
+    active columns; it gives the bits of a loop on fresh arrays."""
+
+    def test_scan_equals_fresh_array_loop(self):
+        """A scan whose points leave at different periods, on real gauge
+        coordinates and the per-column exchange path: every record and
+        every point (``n_final``, ``periods_run``) as with fresh arrays."""
+        g = 0.05
+        grid = [*np.linspace(0.0, math.acos(1.0 / math.cosh(g)), 6), 1.6, math.pi]
+        engine, records, reference = fock._step_periods, [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_step_periods", recording(engine, records))
+            points = zeno_threshold_scan(g, grid, growth_factor=400.0)
+            patch.setattr(fock, "_step_periods", recording(fresh_step_periods, reference))
+            expected = zeno_threshold_scan(g, grid, growth_factor=400.0)
+        assert len({p.periods_run for p in points}) >= 4
+        assert records[0][2].dtype == np.float64
+        assert_records_identical(records, reference)
+        assert points == expected
+
+    @pytest.mark.parametrize("state", [
+        coherent_state(10, [0.3 + 0.1j, 0.2]),
+        fock.FockState(2, 10, np.eye(121)[basis_index(10, 1, 0)]
+                       + np.eye(121)[basis_index(10, 0, 1)]),
+        coherent_state(40, [0.5 - 0.2j]),
+    ], ids=["coherent", "odd-swap", "single-mode"])
+    def test_complex_columns_equal_fresh_array_loop(self, state):
+        """Complex gauge coordinates: one column through :func:`propagate`
+        (a map per bucket, complex on the odd swap sector; the one-mode
+        rotation is diagonal), stopped by its photon cap, and three columns
+        with one exchange angle each (the per-column path) that leave at
+        periods 3, 6 and 9."""
+        schedule = DriveSchedule.from_products(0.3, 0.1, periods=40)
+        engine, records, reference = fock._step_periods, [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_step_periods", recording(engine, records))
+            traj = propagate(state, schedule, photon_cap=3.0)
+            patch.setattr(fock, "_step_periods", recording(fresh_step_periods, reference))
+            expected = propagate(state, schedule, photon_cap=3.0)
+        assert traj.periods_completed < schedule.periods
+        assert records[0][2].dtype == np.complex128
+        assert_records_identical(records, reference)
+        for field in ("n_per_mode", "n_total", "norm_drift", "leakage"):
+            assert getattr(traj, field).tobytes() == getattr(expected, field).tobytes()
+        assert (traj.status, traj.first_unsafe_period, traj.periods_completed) == \
+            (expected.status, expected.first_unsafe_period, expected.periods_completed)
+
+        def settle(n, active, psi, norm, per_mode, leak):
+            return n == 3 * (active + 1)
+
+        columns = np.repeat(state.amplitudes[:, None], 3, axis=1)
+        runs = []
+        for step_periods in (engine, fresh_step_periods):
+            runs.append([])
+            recording(step_periods, runs[-1])(columns, state.mode_count, state.cutoff, 0.3,
+                                              [0.4, 1.1, 2.9], 20, settle)
+        assert [(n, active.tolist()) for n, active, *_ in runs[0]] == \
+            [(n, [0, 1, 2][(n - 1) // 3:]) for n in range(1, 10)]
+        assert_records_identical(*runs)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 60])
+    def test_permutation_indices_in_range(self, cutoff):
+        """Every index of the three row permutations of a period lies in
+        range, for every sector: the loop takes them with mode "clip",
+        which would silently clip an index that did not."""
+        for modes in (1, 2):
+            label_u, label_s = fock._segment_labels(modes)
+            for key in itertools.product((None, 0, 1), (False, True)[:modes]):
+                rows = fock._sector_rows(cutoff, modes, key).size
+                amplify = fock._packed_blocks(label_u, cutoff, key)
+                exchange = fock._packed_blocks(label_s, cutoff, key)
+                between = amplify.unpack[exchange.gather]
+                for index, size in ((amplify.gather, rows), (exchange.gather, rows),
+                                     (amplify.unpack, amplify.gather.size),
+                                     (exchange.unpack, exchange.gather.size),
+                                     (between, amplify.gather.size)):
+                    assert 0 <= index.min() and index.max() < size
+                assert amplify.unpack.size == exchange.unpack.size == rows
+
+
 def initial_photons(state):
     """Photons per mode of ``state``: the period-0 record of a propagation."""
     idle = DriveSchedule.from_products(0.0, 0.0, periods=1)
