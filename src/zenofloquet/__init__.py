@@ -26,8 +26,6 @@ from .floquet import (
     classify_schedule,
     minus_mode_monodromy,
     monodromy,
-    stable_segment_matrix,
-    unstable_segment_matrix,
 )
 from .gaussian import GaussianState, evolve
 
@@ -47,8 +45,6 @@ __all__ = [
     "gaussian",
     "minus_mode_monodromy",
     "monodromy",
-    "stable_segment_matrix",
-    "unstable_segment_matrix",
     "__version__",
 ]
 

@@ -183,37 +183,15 @@ def _rotation_transfer(product: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def unstable_segment_matrix(gamma: float, tau1: float) -> np.ndarray:
-    """Transfer matrix of the amplifying segment.
-
-    Returns ``[[cosh(g), sinh(g)], [sinh(g), cosh(g)]]`` with
-    ``g = gamma * tau1``; the flow stretches the ``x = p`` diagonal and
-    squeezes the antidiagonal, with determinant exactly
-    ``cosh^2 - sinh^2 = 1``.
-    """
-    _require_real("gamma", gamma)
-    _require_real("tau1", tau1)
-    return _hyperbolic_transfer(gamma * tau1)
-
-
-def stable_segment_matrix(omega: float, tau2: float) -> np.ndarray:
-    """Transfer matrix of the exchange segment.
-
-    Returns the rotation ``[[cos(w), sin(w)], [-sin(w), cos(w)]]`` with
-    ``w = omega * tau2``.
-    """
-    _require_real("omega", omega)
-    _require_real("tau2", tau2)
-    return _rotation_transfer(omega * tau2)
-
-
 def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     """One-period map ``A_s(omega_tau2) @ A_u(gamma_tau1)`` of one quadrature pair.
 
     Every pair map of the package is this function with signed products: the
-    amplifying segment acts first with ``A_u``, the exchange segment second
-    with the rotation ``A_s``.  Two scalars give one 2x2 matrix; two 1-D
-    arrays give the maps of their product grid as a
+    amplifying segment acts first with ``A_u = [[cosh g, sinh g], [sinh g,
+    cosh g]]``, the exchange segment second with the rotation ``A_s = [[cos
+    w, sin w], [-sin w, cos w]]``; ``pair_map(g, 0.0)`` and ``pair_map(0.0,
+    w)`` are the two segment matrices alone.  Two scalars give one 2x2
+    matrix; two 1-D arrays give the maps of their product grid as a
     ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stack, from one transfer
     matrix per axis value and one batched matmul, equal bit for bit to the
     scalar maps.

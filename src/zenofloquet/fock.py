@@ -23,37 +23,34 @@ vacuum, any number state) carries only that sector's rows, half the basis;
 mixed-parity states such as coherent states carry every row.
 
 Both two-mode generators, and the hard cutoff, are also symmetric under the
-mode swap ``a <-> b``.  A propagation whose initial columns all equal their
-own swap exactly (``psi[n_a, n_b] == psi[n_b, n_a]``: the vacuum, ``|n, n>``,
-a coherent state with equal amplitudes) carries only the sector's rows
-with ``n_a >= n_b``, in the orthonormal symmetric basis, where an amplitude
-off the diagonal ``n_a == n_b`` is multiplied by sqrt2.  The amplifying
-chains with ``n_a >= n_b`` are unchanged there; each exchange chain ``|k,
-s - k>`` folds onto its half ``k >= s/2``, with its first off-diagonal
-multiplied by sqrt2 for even ``s`` and, for odd ``s``, the diagonal entry
-``sqrt(k0 (s - k0 + 1))`` at its first position ``k0 = (s + 1)/2``.
+mode swap ``a <-> b``.  A propagation of even photon parity whose initial
+columns all equal their own swap exactly (``psi[n_a, n_b] == psi[n_b,
+n_a]``: the vacuum, ``|n, n>``) carries only the sector's rows with ``n_a >=
+n_b``, in the orthonormal symmetric basis, where an amplitude off the
+diagonal ``n_a == n_b`` is multiplied by sqrt2.  The amplifying chains with
+``n_a >= n_b`` are unchanged there; each exchange chain ``|k, s - k>``, of
+even ``s``, folds onto its half ``k >= s/2``, with its first off-diagonal
+multiplied by sqrt2.
 
-Every chain of an amplifying generator, and every exchange chain outside
-the swap sectors of odd or mixed parity, has a zero diagonal, and each of
-its links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the larger
-occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one mode).
-Such a sector is bipartite: in the gauge ``D = diag(i^s)`` its segment
+Every chain that a segment generator has on a sector has a zero diagonal,
+and each of its links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the
+larger occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one
+mode): the sectors are bipartite.  In the gauge ``D = diag(i^s)`` a segment
 ``D^-1 exp(-i angle H) D`` is real orthogonal, bucket by bucket ``C + sigma
 * S`` with ``C = V cos(angle w) V^T``, ``S = V sin(angle w) V^T`` and
 ``sigma_jk = s_k - s_j``.  The diagonal single-mode rotation commutes with
 ``D``.  The stepping loop carries gauge coordinates ``D^-1 psi``: float64
-when they start real and every segment of their sector is a real map (the
-vacuum of two modes: every scan and the default simulation), complex
-otherwise.  A segment is applied in one of two ways:
+when they start real and every segment is a real map (the vacuum of two
+modes: every scan and the default simulation), complex otherwise.  A
+segment is applied in one of two ways:
 
-- one angle shared by the columns gets one map per bucket, ``D^-1 V
-  exp(-i angle w) V^T D``, built once per propagation.  Where the sector is
-  bipartite it is float64 and acts on any number of columns by one real
-  matmul per bucket (on the float64 view of complex columns); elsewhere it
-  is complex and built for one column only;
-- one angle per column (the exchange segment of a scan), or several columns
-  in a sector that is not bipartite, keeps the real eigenvector products
-  around a phase multiply, with ``D`` applied at its boundary.
+- one angle shared by the columns gets one float64 map per bucket, ``D^-1 V
+  exp(-i angle w) V^T D``, built once per propagation, which acts on any
+  number of columns by one real matmul per bucket (on the float64 view of
+  complex columns);
+- one angle per column (the exchange segment of a scan) keeps the real
+  eigenvector products around a phase multiply, with ``D`` applied at its
+  boundary.
 
 Each period gathers the columns into the amplifying packing, moves them into
 the exchange packing by one composite permutation and scatters them back to
@@ -260,11 +257,6 @@ def coherent_state(cutoff: int, alphas) -> FockState:
                 f"cutoff {cutoff} too small for |alpha|^2 = {abs(alpha)**2:.3g} "
                 f"(truncated weight {lost:.2e})")
         amps = single if amps is None else np.kron(amps, single)
-    if alphas.size == 2 and alphas[0] == alphas[1]:
-        # complex products x[i]*x[j] and x[j]*x[i] can round apart; keep the
-        # state exactly swap-symmetric, so that it takes the swap sector
-        grid = amps.reshape(cutoff + 1, cutoff + 1)
-        amps = (np.triu(grid) + np.triu(grid, 1).T).ravel()
     return FockState(mode_count=alphas.size, cutoff=cutoff, amplitudes=amps)
 
 
@@ -299,41 +291,37 @@ BUCKET_BLOCKS = 8
 
 
 def _chains(label: HamiltonianLabel, cutoff: int, swap: bool):
-    """(basis indices, diagonal, off-diagonal) of each conserved-quantity block.
+    """(basis indices, off-diagonal) of each conserved-quantity block.
 
     Every block of a non-diagonal unit-coupling generator is a tridiagonal
-    chain with a zero diagonal.  With ``swap`` (two-mode only) the blocks act
-    on the orthonormal swap-symmetric basis ``|n, n>`` and ``(|n_a, n_b> +
-    |n_b, n_a>) / sqrt2`` for ``n_a > n_b``, each vector indexed by its row
-    ``|n_a, n_b>``: the amplifying chains with ``n_a >= n_b`` keep their
-    entries, and each exchange chain folds onto its half with ``n_a >= n_b``.
+    chain with a zero diagonal.  With ``swap`` (two-mode, even parity only)
+    the blocks act on the orthonormal swap-symmetric basis ``|n, n>`` and
+    ``(|n_a, n_b> + |n_b, n_a>) / sqrt2`` for ``n_a > n_b``, each vector
+    indexed by its row ``|n_a, n_b>``: the amplifying chains with ``n_a >=
+    n_b`` keep their entries, and each exchange chain of even ``n_a + n_b``
+    folds onto its half with ``n_a >= n_b``.
     """
     d = cutoff
     if label is HamiltonianLabel.TWO_MODE_UNSTABLE:
         # amplification conserves n_a - n_b; chains |n, n - delta>
         for delta in range(0 if swap else -d, d + 1):
             ns = np.arange(max(delta, 0), min(d, d + delta) + 1)
-            yield (ns * (d + 1) + (ns - delta), np.zeros(ns.size),
+            yield (ns * (d + 1) + (ns - delta),
                    np.sqrt((ns[:-1] + 1.0) * (ns[:-1] - delta + 1.0)))
     elif label is HamiltonianLabel.TWO_MODE_STABLE:
         # exchange conserves n_a + n_b; chains |k, s - k>, folded onto k >= s/2
-        for s in range(0, 2 * d + 1):
-            ks = np.arange((s + 1) // 2 if swap else max(0, s - d), min(d, s) + 1)
-            diag = np.zeros(ks.size)
+        for s in range(0, 2 * d + 1, 2 if swap else 1):
+            ks = np.arange(s // 2 if swap else max(0, s - d), min(d, s) + 1)
             off = np.sqrt((ks[:-1] + 1.0) * (s - ks[:-1]))
-            if swap and s % 2:
-                # the mirror pair |k0, k0 - 1>, |k0 - 1, k0> is one vector,
-                # and the entry that joined them becomes its diagonal
-                diag[0] = math.sqrt(ks[0] * (s - ks[0] + 1.0))
-            elif swap and off.size:
+            if swap and off.size:
                 # |k0, k0> meets both mirror halves of its neighbour
                 off[0] *= math.sqrt(2.0)
-            yield ks * (d + 1) + (s - ks), diag, off
+            yield ks * (d + 1) + (s - ks), off
     elif label is HamiltonianLabel.SINGLE_MODE_UNSTABLE:
         # pair creation conserves photon parity; chains n, n+2, ...
         for parity in (0, 1):
             ns = np.arange(parity, d + 1, 2)
-            yield ns, np.zeros(ns.size), np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
+            yield ns, np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -355,14 +343,15 @@ def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
     """The smallest sector ``(parity, swap)`` that holds ``columns``.
 
     ``parity`` is the photon parity of every nonzero amplitude, or ``None``
-    if they mix parities (a coherent state, say); ``swap`` is whether every
-    column is two-mode and exactly equal to its own swap, ``psi[n_a, n_b] ==
-    psi[n_b, n_a]`` (the vacuum, ``|n, n>``, equal coherent amplitudes).
+    if they mix parities (a coherent state, say); ``swap`` is whether the
+    parity is even and every column is two-mode and exactly equal to its own
+    swap, ``psi[n_a, n_b] == psi[n_b, n_a]`` (the vacuum, ``|n, n>``).  Odd
+    and mixed swap-symmetric columns run on their whole parity sector.
     """
     total = sum(_number_diagonals(cutoff, mode_count))
     parities = np.unique(total[(columns != 0).any(axis=1)] % 2)
     parity = int(parities[0]) if parities.size == 1 else None
-    if mode_count == 1:
+    if mode_count == 1 or parity != 0:
         return parity, False
     grid = columns.reshape(cutoff + 1, cutoff + 1, -1)
     return parity, bool(np.array_equal(grid, grid.transpose(1, 0, 2)))
@@ -395,9 +384,7 @@ class _Packing:
     :func:`_gauge`) of every packed row.  Each bucket is ``(start, stop,
     vectors)``: its packed row range and its ``(nblocks, L, L)`` real
     eigenvectors, zero on padding so that padding neither reads nor writes
-    an amplitude.  A diagonal generator has no buckets.  ``bipartite`` is
-    whether every block has a zero diagonal, so that its segments are real
-    in the gauge; a diagonal generator's is not.
+    an amplitude.  A diagonal generator has no buckets.
     """
 
     gather: np.ndarray
@@ -405,7 +392,6 @@ class _Packing:
     weights: np.ndarray
     gauge: np.ndarray
     buckets: tuple
-    bipartite: bool
 
 
 @lru_cache(maxsize=None)
@@ -416,15 +402,15 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
         index = np.arange(rows.size)
-        packing = _Packing(index, index, rows + 0.5, _gauge(cutoff, 1, key), (), False)
+        packing = _Packing(index, index, rows + 0.5, _gauge(cutoff, 1, key), ())
     else:
         # each chain conserves photon parity and, folded in a swap sector,
         # keeps n_a >= n_b, so it lies wholly in or out of the sector;
         # position is -1 outside it
         position = np.full((cutoff + 1) ** label.mode_count, -1, dtype=np.intp)
         position[rows] = np.arange(rows.size)
-        chains = sorted(((position[idx], diag, off)
-                         for idx, diag, off in _chains(label, cutoff, key[1])
+        chains = sorted(((position[idx], off)
+                         for idx, off in _chains(label, cutoff, key[1])
                          if position[idx[0]] >= 0),
                         key=lambda chain: chain[0].size)
         gather, real, weights, buckets = [], [], [], []
@@ -436,10 +422,10 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
             used = np.zeros(shape, dtype=bool)
             w = np.zeros(shape)
             vectors = np.zeros(shape + shape[1:])
-            for k, (idx, diag, off) in enumerate(group):
+            for k, (idx, off) in enumerate(group):
                 m = idx.size
                 index[k, :m], used[k, :m] = idx, True
-                chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                chain = np.diag(off, 1) + np.diag(off, -1)
                 w[k, :m], vectors[k, :m, :m] = np.linalg.eigh(chain)
             vectors.setflags(write=False)
             buckets.append((start, start + index.size, vectors))
@@ -451,8 +437,7 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
         unpack = np.empty(rows.size, dtype=np.intp)
         unpack[gather[real]] = np.flatnonzero(real)
         packing = _Packing(gather, unpack, np.concatenate(weights),
-                           _gauge(cutoff, label.mode_count, key)[gather], tuple(buckets),
-                           not any(diag.any() for _, diag, _ in chains))
+                           _gauge(cutoff, label.mode_count, key)[gather], tuple(buckets))
     for arr in (packing.gather, packing.unpack, packing.weights, packing.gauge):
         arr.setflags(write=False)
     return packing
@@ -464,24 +449,19 @@ class _Segment:
     The columns hold gauge coordinates ``D^-1 psi`` (see :func:`_gauge`) of
     the rows of the sector ``key = (parity, swap)`` on its basis (see
     :func:`_sector_rows`).  ``angles`` is one angle shared by every column
-    or one angle per column, and ``columns`` the number of columns the
-    segment is built for.  Together with the sector they choose how each
-    bucket of eigenvectors ``V`` (see :class:`_Packing`) is applied:
+    or one angle per column, and chooses how each bucket of eigenvectors
+    ``V`` (see :class:`_Packing`) is applied:
 
-    - one angle on a bipartite sector: the bucket's map ``D^-1 (V * phase)
-      @ V.T D`` is built here, once per propagation, as the float64 ``C +
-      sigma * S`` of the module docstring, and each application is one real
-      matmul per bucket, on the float64 view of complex columns;
-    - one angle on one column of a sector that is not bipartite: the same
-      map, complex, applied by one complex matrix-vector product per bucket;
-    - otherwise only the phases ``exp(-i * w * angle)`` (packed rows, one
-      column or one per column) are built here, and each application
-      multiplies by ``D``, projects onto ``V``, multiplies by the phases,
-      projects back and multiplies by ``D^-1``, two real matmuls per bucket.
-      A map per column would hold ``columns * sum(L^2)`` entries, and on
-      several columns a complex product of these small blocks runs slower
-      than the two real ones.  This path is also the reference the others
-      are tested against.
+    - one angle: the bucket's map ``D^-1 (V * phase) @ V.T D`` is built
+      here, once per propagation, as the float64 ``C + sigma * S`` of the
+      module docstring, and each application is one real matmul per bucket,
+      on the float64 view of complex columns;
+    - one angle per column: only the phases ``exp(-i * w * angle)`` (packed
+      rows, one per column) are built here, and each application multiplies
+      by ``D``, projects onto ``V``, multiplies by the phases, projects back
+      and multiplies by ``D^-1``, two real matmuls per bucket.  A map per
+      column would hold ``columns * sum(L^2)`` entries.  This path is also
+      the reference the maps are tested against.
 
     Any path holds for any number of columns.  A zero angle is the identity
     and builds nothing.  A diagonal generator has no buckets and only
@@ -490,32 +470,27 @@ class _Segment:
     step that applies it between them; :meth:`packed` is that step on a
     fresh output, so both run one implementation of each path.
     ``real`` is whether the segment maps real coordinates to real ones: the
-    identity, or a generator whose sector is bipartite.
+    identity, or a generator with buckets, whose sector is bipartite.
     """
 
-    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key,
-                 columns: int = 1):
+    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key):
         self.packing = packing = _packed_blocks(label, cutoff, key)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
-        self.real = self.identity or packing.bipartite
+        self.real = self.identity or bool(packing.buckets)
         self.phases = np.exp(-1j * packing.weights[:, None] * angles)
         self.maps = None
-        if (angles.size == 1 and not self.identity and packing.buckets
-                and (packing.bipartite or columns == 1)):
+        if angles.size == 1 and not self.identity and packing.buckets:
             maps = []
             for start, stop, v in packing.buckets:
-                gauge = packing.gauge[start:stop].reshape(v.shape[0], 1, -1)
+                s = packing.gauge[start:stop].imag.reshape(v.shape[0], 1, -1)
                 phase = self.phases[start:stop, 0].reshape(v.shape[0], 1, -1)
                 # exp(-i angle w) = cos - i sin
                 m = (v * phase.real) @ v.transpose(0, 2, 1)
                 sine = (v * -phase.imag) @ v.transpose(0, 2, 1)
-                if packing.bipartite:
-                    # C + sigma * S, sigma_jk = s_k - s_j with s = 1 where D is i
-                    sine *= gauge.imag - gauge.imag.transpose(0, 2, 1)
-                    m += sine
-                else:
-                    m = (m - 1j * sine) * (gauge.transpose(0, 2, 1).conj() * gauge)
+                # C + sigma * S, sigma_jk = s_k - s_j with s = 1 where D is i
+                sine *= s - s.transpose(0, 2, 1)
+                m += sine
                 maps.append((start, stop, m))
             self.maps = tuple(maps)
 
@@ -540,11 +515,10 @@ class _Segment:
         if not packing.buckets:
             return partial(np.multiply, x, self.phases, out=y)
         if self.maps is not None:
-            if packing.bipartite:
-                # a real map acts on the float64 view of complex columns:
-                # (rows, k) complex is (rows, 2k) real
-                x, y = x.view(np.float64), y.view(np.float64)
-            return partial(_matmuls, _bucket_views(self.maps, x, y))
+            # a real map acts on the float64 view of complex columns:
+            # (rows, k) complex is (rows, 2k) real
+            return partial(_matmuls, _bucket_views(self.maps, x.view(np.float64),
+                                                   y.view(np.float64)))
         gauge = packing.gauge[:, None]
         phases = self.phases
         # the eigenvectors are real, so both products run on the float64
@@ -556,7 +530,7 @@ class _Segment:
                                 z.view(np.float64), w.view(np.float64))
         restore = _bucket_views(packing.buckets, w.view(np.float64), z.view(np.float64))
         out_of_gauge = gauge.conj()
-        # on a bipartite sector the imaginary part of real input is rounding
+        # every sector is bipartite: the imaginary part of real input is rounding
         result = z if np.iscomplexobj(y) else z.real
 
         def step():
@@ -630,14 +604,14 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     their sector (see :func:`_sector_key`) are propagated, on its basis; the
     rest stay exactly zero, or in a swap sector the mirror of a propagated
     row.  If all their nonzero amplitudes share one photon parity, the
-    sector holds that parity's rows; if every column equals its own swap,
-    it holds only the rows with ``n_a >= n_b``.  Each period applies the
-    amplifying segment (angle ``gamma_tau1``, shared by every column) and
-    then the exchange segment (``omega_tau2``, one angle or one per column)
-    to the active columns, and renormalizes them; in between, the columns go
-    from the amplifying packing to the exchange packing by one composite
-    permutation, and each of the three row permutations of a period is one
-    ``take`` into a buffer.  The columns are carried as gauge coordinates
+    sector holds that parity's rows; if that parity is even and every column
+    equals its own swap, it holds only the rows with ``n_a >= n_b``.  Each
+    period applies the amplifying segment (angle ``gamma_tau1``, shared by
+    every column) and then the exchange segment (``omega_tau2``, one angle or
+    one per column) to the active columns, and renormalizes them; in
+    between, the columns go from the amplifying packing to the exchange
+    packing by one composite permutation, and each of the three row
+    permutations of a period is one ``take`` into a buffer.  The columns are carried as gauge coordinates
     ``D^-1 psi`` (see :func:`_gauge`), float64 if they start real and both
     segments are ``real`` (see :class:`_Segment`), complex otherwise.  Then
     ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
@@ -658,8 +632,8 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     key = _sector_key(columns, mode_count, cutoff)
     sector = _sector_rows(cutoff, mode_count, key)
     label_u, label_s = _segment_labels(mode_count)
-    amplify = _Segment(label_u, cutoff, gamma_tau1, key, columns.shape[1])
-    exchange = _Segment(label_s, cutoff, omega_tau2, key, columns.shape[1])
+    amplify = _Segment(label_u, cutoff, gamma_tau1, key)
+    exchange = _Segment(label_s, cutoff, omega_tau2, key)
     rows = _observable_rows(cutoff, mode_count, key)
     # gauge coordinates D^-1 psi: a fresh array, renormalized in place
     psi = columns[sector] * _gauge(cutoff, mode_count, key).conj()[:, None]

@@ -931,10 +931,13 @@ def tables(draw):
     example that copies one span over another of the same label, the
     choices of the example it copied.  So the shape is one choice, each
     text one string, and every field draws a repeat pool and two choices
-    per cell, whether it repeats or not."""
+    per cell, whether it repeats or not.  The per-field and per-cell draws
+    are plain loops, not ``st.lists``: every list element is a span of one
+    label, and copying a one-choice element or a list's empty end over a
+    two-choice cell would leave the copy short of choices."""
     width, size = draw(st.sampled_from(TABLE_SHAPES))
-    kinds = draw(st.lists(st.sampled_from(sorted(FIELD_CELLS)), min_size=width, max_size=width))
-    repeats = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    kinds = [draw(st.sampled_from(sorted(FIELD_CELLS))) for _ in range(width)]
+    repeats = [draw(st.booleans()) for _ in range(width)]
     # unique names without a filter: a repeated name gets its position appended
     header = []
     for i in range(width):
@@ -949,7 +952,7 @@ def tables(draw):
         if repeat:
             # a branch and a pick, as a fresh cell takes a branch and a value
             cells = st.sampled_from(pool) | st.sampled_from(pool[::-1])
-        columns.append(draw(st.lists(cells, min_size=size, max_size=size)))
+        columns.append([draw(cells) for _ in range(size)])
     return typed_table(header, columns, kinds)
 
 

@@ -18,9 +18,8 @@ from zenofloquet.floquet import (
     classify_schedule,
     minus_mode_monodromy,
     monodromy,
+    pair_map,
     powers,
-    stable_segment_matrix,
-    unstable_segment_matrix,
 )
 
 
@@ -63,39 +62,36 @@ class TestDriveSchedule:
 
 
 class TestSegmentMatrices:
+    """The segment matrices as pair maps with the other product zero:
+    ``pair_map(g, 0.0)`` is the hyperbolic map, ``pair_map(0.0, w)`` the
+    rotation."""
+
     def test_zero_coupling_gives_identity(self):
-        np.testing.assert_array_equal(unstable_segment_matrix(0.0, 5.0), np.eye(2))
-        np.testing.assert_array_equal(stable_segment_matrix(0.0, 5.0), np.eye(2))
+        np.testing.assert_array_equal(pair_map(0.0, 0.0), np.eye(2))
 
     def test_unstable_entries_at_experimental_product(self):
         # crystal-scale product gamma*tau1 ~ 1e-3
-        m = unstable_segment_matrix(1e-3, 1.0)
+        m = pair_map(1e-3, 0.0)
         assert m[0, 0] == pytest.approx(math.cosh(1e-3), rel=1e-15)
         assert m[0, 1] == pytest.approx(math.sinh(1e-3), rel=1e-15)
         np.testing.assert_allclose(m, m.T, atol=0)
 
     def test_unstable_determinant_hyperbolic_identity(self):
-        m = unstable_segment_matrix(1.0, 1.0)
+        m = pair_map(1.0, 0.0)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_stable_quarter_turn(self):
-        m = stable_segment_matrix(math.pi / 2, 1.0)
+        m = pair_map(0.0, math.pi / 2)
         np.testing.assert_allclose(m, [[0, 1], [-1, 0]], atol=1e-15)
 
     def test_stable_full_turn_is_identity(self):
-        m = stable_segment_matrix(2 * math.pi, 1.0)
+        m = pair_map(0.0, 2 * math.pi)
         np.testing.assert_allclose(m, np.eye(2), atol=1e-12)
-
-    def test_nonfinite_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            unstable_segment_matrix(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            stable_segment_matrix(1.0, math.inf)
 
     def test_determinants_one_over_random_parameters(self):
         for s in random_schedules(200, seed=11):
-            for m in (unstable_segment_matrix(s.gamma, s.tau1),
-                      stable_segment_matrix(s.omega, s.tau2),
+            for m in (pair_map(s.gamma_tau1, 0.0),
+                      pair_map(0.0, s.omega_tau2),
                       monodromy(s),
                       minus_mode_monodromy(s)):
                 assert abs(np.linalg.det(m) - 1.0) < 1e-12
@@ -105,7 +101,7 @@ class TestMonodromy:
     def test_pure_rotation_when_gamma_zero(self):
         s = DriveSchedule.from_products(0.0, 1.3, periods=1)
         a = monodromy(s)
-        np.testing.assert_allclose(a, stable_segment_matrix(1.3, 1.0), atol=0)
+        np.testing.assert_allclose(a, pair_map(0.0, 1.3), atol=0)
         assert abs(np.trace(a)) / 2 <= 1.0
 
     def test_pure_squeezing_when_omega_zero(self):
@@ -132,11 +128,11 @@ class TestMonodromy:
     def test_minus_mode_special_cases(self):
         rot_only = DriveSchedule.from_products(0.0, 0.9, periods=1)
         np.testing.assert_allclose(minus_mode_monodromy(rot_only),
-                                   stable_segment_matrix(0.9, 1.0).T, atol=1e-15)
+                                   pair_map(0.0, 0.9).T, atol=1e-15)
         squeeze_only = DriveSchedule.from_products(0.6, 0.0, periods=1)
         np.testing.assert_allclose(
             minus_mode_monodromy(squeeze_only),
-            np.linalg.inv(unstable_segment_matrix(0.6, 1.0)), atol=1e-12)
+            np.linalg.inv(pair_map(0.6, 0.0)), atol=1e-12)
 
 
 class TestClassify:
@@ -396,14 +392,12 @@ class TestClassicalPendulum:
     (lambda: classify_schedule(DriveSchedule.from_products(800.0, 0.0)),
      "gamma*tau1"),
     (lambda: floquet.pair_map(np.array([800.0]), np.array([0.0])), "gamma*tau1"),
-    (lambda: unstable_segment_matrix(800.0, 1.0), "gamma*tau1"),
     (lambda: gaussian.evolve(gaussian.vacuum_state(2),
                              DriveSchedule.from_products(800.0, 0.1, periods=2)),
      "gamma*tau1"),
     (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(800.0, 1.0, 1.0)),
      "k1*tau"),
-], ids=["classify_schedule", "pair_map", "unstable_segment_matrix",
-        "gaussian.evolve", "classical_pendulum_monodromy"])
+], ids=["classify_schedule", "pair_map", "gaussian.evolve", "classical_pendulum_monodromy"])
 def test_product_beyond_float64_range_is_value_error(call, product):
     """cosh overflows float64 past 710.47: a ValueError naming the product."""
     with pytest.raises(ValueError) as info:

@@ -1,6 +1,5 @@
 """Truncated number-basis oracle: Hamiltonians, unitaries, propagation."""
 
-import itertools
 import math
 
 import numpy as np
@@ -27,6 +26,15 @@ from zenofloquet.fock import (
 
 #: The sector key of the full basis: neither reduction applied.
 FULL_SPACE = (None, False)
+
+#: Every sector key ``(parity, swap)`` that ``fock._sector_key`` returns: the
+#: swap reduction applies to even parity only.
+SECTORS = (FULL_SPACE, (0, False), (1, False), (0, True))
+
+
+def sectors(mode_count):
+    """The sector keys of ``mode_count`` modes: no swap sector for one."""
+    return [key for key in SECTORS if mode_count == 2 or not key[1]]
 
 
 def basis_parity(cutoff, mode_count):
@@ -258,8 +266,8 @@ class TestSegmentUnitary:
         """The packed block engine equals exp(-iHt) column by column, with
         one angle shared by the columns or one angle each, on every row
         (parity None) or on the rows of one photon-parity sector, and for
-        the two-mode labels also on the swap-symmetric basis of each sector,
-        fed random symmetric columns."""
+        the two-mode labels also on the swap-symmetric basis of the even
+        sector, fed random symmetric columns."""
         rng = np.random.default_rng(6)
         cutoff = 7
         angles = np.array([0.4, 1.7, 2.3, math.pi])
@@ -268,9 +276,8 @@ class TestSegmentUnitary:
             dim = h.shape[0]
             parity = basis_parity(cutoff, label.mode_count)
             n_a, n_b = np.divmod(np.arange(dim), cutoff + 1)
-            for sector, swap in itertools.product((None, 0, 1),
-                                                  (False, True)[:label.mode_count]):
-                key = (sector, swap)
+            for key in sectors(label.mode_count):
+                sector, swap = key
                 rows = np.arange(dim) if sector is None else np.flatnonzero(parity == sector)
                 psi = np.zeros((dim, 4), dtype=complex)
                 psi[rows] = rng.standard_normal((rows.size, 4)) \
@@ -327,9 +334,8 @@ class TestPacking:
         (HamiltonianLabel.SINGLE_MODE_UNSTABLE, False),
     ], ids=["amplify", "amplify-swap", "exchange", "exchange-swap", "single-amplify"])
     def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
-        chains = {tuple(idx): (diag, off) for idx, diag, off in fock._chains(label, cutoff, swap)}
-        for parity in (None, 0, 1):
-            key = (parity, swap)
+        chains = {tuple(idx): off for idx, off in fock._chains(label, cutoff, swap)}
+        for key in [key for key in SECTORS if key[1] == swap]:
             sector = fock._sector_rows(cutoff, label.mode_count, key)
             packing = fock._packed_blocks(label, cutoff, key)
             used = np.zeros(packing.gather.size, dtype=bool)
@@ -341,10 +347,11 @@ class TestPacking:
                 weights = packing.weights[start:stop].reshape(-1, length)
                 for k, m in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
                     seen.append(tuple(rows[k, :m]))
-                    diag, off = chains[seen[-1]]
-                    chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                    off = chains[seen[-1]]
+                    chain = np.diag(off, 1) + np.diag(off, -1)
                     scale = max(np.abs(chain).max(), 1.0)
-                    np.testing.assert_allclose(weights[k, :m], eigh_tridiagonal(diag, off)[0],
+                    np.testing.assert_allclose(weights[k, :m],
+                                               eigh_tridiagonal(np.zeros(m), off)[0],
                                                rtol=1e-12, atol=1e-12 * scale)
                     assert not weights[k, m:].any()
                     v = vectors[k]
@@ -368,8 +375,8 @@ def complex_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, pe
     key = fock._sector_key(columns, mode_count, cutoff)
     sector = fock._sector_rows(cutoff, mode_count, key)
     label_u, label_s = fock._segment_labels(mode_count)
-    amplify = fock._Segment(label_u, cutoff, np.full(k, gamma_tau1), key, k)
-    exchange = fock._Segment(label_s, cutoff, np.broadcast_to(omega_tau2, (k,)), key, k)
+    amplify = fock._Segment(label_u, cutoff, np.full(k, gamma_tau1), key)
+    exchange = fock._Segment(label_s, cutoff, np.broadcast_to(omega_tau2, (k,)), key)
     rows = fock._observable_rows(cutoff, mode_count, key)
     psi = np.array(columns[sector], dtype=complex)
     if key[1]:
@@ -389,16 +396,6 @@ def complex_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, pe
         exchange.keep(keep)
         if not active.size:
             break
-
-
-def is_bipartite(label, key):
-    """Whether every block of ``label`` on the sector ``key = (parity, swap)``
-    has a zero diagonal: all but the diagonal single-mode rotation and the
-    exchange on a swap sector of odd or mixed parity, whose folded odd-sum
-    chains start with a diagonal entry."""
-    if label is HamiltonianLabel.SINGLE_MODE_STABLE:
-        return False
-    return not (label is HamiltonianLabel.TWO_MODE_STABLE and key[1] and key[0] != 0)
 
 
 def sector_unitary(label, cutoff, key, angle):
@@ -425,12 +422,11 @@ class TestGauge:
     @pytest.mark.parametrize("cutoff", [1, 2, 7])
     def test_bucket_maps_equal_gauged_dense_unitary(self, cutoff):
         """Each bucket map of a one-angle segment equals ``D^-1 U D`` of the
-        dense reference on the sector, and is float64 exactly when the
-        sector is bipartite, complex otherwise."""
+        dense reference on the sector, and is float64: every sector is
+        bipartite."""
         for label in HamiltonianLabel:
-            for key in itertools.product((None, 0, 1), (False, True)[:label.mode_count]):
+            for key in sectors(label.mode_count):
                 packing = fock._packed_blocks(label, cutoff, key)
-                assert packing.bipartite is is_bipartite(label, key)
                 for angle in (0.6, 2.3):
                     u, rows = sector_unitary(label, cutoff, key, angle)
                     gauge = gauge_diagonal(rows, cutoff, label.mode_count)
@@ -442,7 +438,7 @@ class TestGauge:
                     used = np.zeros(packing.gather.size, dtype=bool)
                     used[packing.unpack] = True
                     for start, stop, m in segment.maps:
-                        assert m.dtype == (np.float64 if packing.bipartite else np.complex128)
+                        assert m.dtype == np.float64
                         length = m.shape[1]
                         index = packing.gather[start:stop].reshape(-1, length)
                         for k, width in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
@@ -469,8 +465,8 @@ class TestGauge:
     def test_settle_receives_real_coordinates_exactly_when_real(self, state, real, omega_tau2):
         """Two-mode vacuum and number states with even ``n_a`` start real and
         stay real, under one exchange angle or one per column as in a scan;
-        an odd ``n_a``, a coherent state, a sector that is not bipartite (odd
-        or mixed swap) and the one-mode rotation make them complex."""
+        an odd ``n_a`` (the odd swap-symmetric state too), a coherent state
+        and the one-mode rotation make them complex."""
         columns = np.repeat(state.amplitudes[:, None], np.size(omega_tau2), axis=1)
         dtypes = []
 
@@ -512,23 +508,21 @@ class TestSegmentPaths:
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 60])
     def test_one_angle_equals_per_column_path(self, cutoff):
         """A one-angle segment (a map per bucket) equals the per-column path
-        fed that angle in every column, on every sector of every label, built
-        for one column and, where the map is real, for three."""
+        fed that angle in every column, on every sector of every label,
+        applied to three columns at once and to each alone."""
         rng = np.random.default_rng(cutoff)
         for label in HamiltonianLabel:
-            for key in itertools.product((None, 0, 1), (False, True)[:label.mode_count]):
+            for key in sectors(label.mode_count):
                 rows = fock._sector_rows(cutoff, label.mode_count, key).size
                 coords = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
                 coords /= np.linalg.norm(coords, axis=0)
                 for angle in (0.6, 2.3):
                     one = fock._Segment(label, cutoff, angle, key)
                     assert (one.maps is None) == (not one.packing.buckets)
-                    three = fock._Segment(label, cutoff, angle, key, 3)
-                    assert (three.maps is None) == (not one.packing.bipartite)
-                    per_column = fock._Segment(label, cutoff, np.full(3, angle), key, 3)
+                    per_column = fock._Segment(label, cutoff, np.full(3, angle), key)
                     assert per_column.maps is None
                     expected = per_column(coords)
-                    np.testing.assert_allclose(three(coords), expected, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(one(coords), expected, rtol=0, atol=1e-12)
                     for j in range(3):
                         np.testing.assert_allclose(one(coords[:, j:j + 1])[:, 0],
                                                    expected[:, j], rtol=0, atol=1e-12)
@@ -553,8 +547,8 @@ class TestSegmentPaths:
         columns = np.repeat(state.amplitudes[:, None], k, axis=1)
         key = fock._sector_key(columns, modes, cutoff)
         label_u, label_s = fock._segment_labels(modes)
-        amplify = fock._Segment(label_u, cutoff, 0.3, key, k)
-        exchange = fock._Segment(label_s, cutoff, omega_tau2, key, k)
+        amplify = fock._Segment(label_u, cutoff, 0.3, key)
+        exchange = fock._Segment(label_s, cutoff, omega_tau2, key)
         # the composite index on packed input, padding rows included
         packed = np.arange(amplify.packing.gather.size)
         np.testing.assert_array_equal(
@@ -588,8 +582,8 @@ def fresh_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, peri
     key = fock._sector_key(columns, mode_count, cutoff)
     sector = fock._sector_rows(cutoff, mode_count, key)
     label_u, label_s = fock._segment_labels(mode_count)
-    amplify = fock._Segment(label_u, cutoff, gamma_tau1, key, k)
-    exchange = fock._Segment(label_s, cutoff, omega_tau2, key, k)
+    amplify = fock._Segment(label_u, cutoff, gamma_tau1, key)
+    exchange = fock._Segment(label_s, cutoff, omega_tau2, key)
     rows = fock._observable_rows(cutoff, mode_count, key)
     psi = columns[sector] * fock._gauge(cutoff, mode_count, key).conj()[:, None]
     if key[1]:
@@ -667,10 +661,10 @@ class TestWorkspace:
     ], ids=["coherent", "odd-swap", "single-mode"])
     def test_complex_columns_equal_fresh_array_loop(self, state):
         """Complex gauge coordinates: one column through :func:`propagate`
-        (a map per bucket, complex on the odd swap sector; the one-mode
-        rotation is diagonal), stopped by its photon cap, and three columns
-        with one exchange angle each (the per-column path) that leave at
-        periods 3, 6 and 9."""
+        (a real map per bucket on the float64 view; the odd swap-symmetric
+        state on its full parity sector; the one-mode rotation is diagonal),
+        stopped by its photon cap, and three columns with one exchange angle
+        each (the per-column path) that leave at periods 3, 6 and 9."""
         schedule = DriveSchedule.from_products(0.3, 0.1, periods=40)
         engine, records, reference = fock._step_periods, [], []
         with pytest.MonkeyPatch.context() as patch:
@@ -706,7 +700,7 @@ class TestWorkspace:
         which would silently clip an index that did not."""
         for modes in (1, 2):
             label_u, label_s = fock._segment_labels(modes)
-            for key in itertools.product((None, 0, 1), (False, True)[:modes]):
+            for key in sectors(modes):
                 rows = fock._sector_rows(cutoff, modes, key).size
                 amplify = fock._packed_blocks(label_u, cutoff, key)
                 exchange = fock._packed_blocks(label_s, cutoff, key)
@@ -965,14 +959,15 @@ class TestParitySector:
 
 
 class TestSwapSector:
-    """Two-mode inputs equal to their own swap (psi[n_a, n_b] == psi[n_b, n_a])
-    are propagated on the n_a >= n_b half of their sector, in the orthonormal
-    swap-symmetric basis; every other input on the full sector."""
+    """Two-mode inputs of even photon parity equal to their own swap
+    (psi[n_a, n_b] == psi[n_b, n_a]) are propagated on the n_a >= n_b half of
+    their sector, in the orthonormal swap-symmetric basis; every other input,
+    swap-symmetric ones of odd or mixed parity included, on the full
+    sector."""
 
     @pytest.mark.parametrize("state", [
-        vacuum_state(8, 2), number_state(8, 2, 2), number_state(8, 3, 3),
-        coherent_state(10, [0.4, 0.4]), coherent_state(10, [0.3 + 0.1j] * 2)],
-        ids=["vacuum", "2,2", "3,3", "coherent-equal", "coherent-equal-complex"])
+        vacuum_state(8, 2), number_state(8, 2, 2), number_state(8, 3, 3)],
+        ids=["vacuum", "2,2", "3,3"])
     def test_symmetric_input_takes_swap_sector(self, state):
         columns = state.amplitudes[:, None]
         assert fock._sector_key(columns, 2, state.cutoff)[1] is True
@@ -984,11 +979,19 @@ class TestSwapSector:
 
     @pytest.mark.parametrize("state", [
         number_state(8, 1, 0), number_state(8, 2, 3),
-        coherent_state(10, [0.3, 0.2]), coherent_state(10, [0.3, 0.3j])],
-        ids=["1,0", "2,3", "coherent-0.3-0.2", "coherent-0.3-0.3j"])
+        coherent_state(10, [0.3, 0.2]), coherent_state(10, [0.3, 0.3j]),
+        fock.FockState(2, 8, np.eye(81)[basis_index(8, 1, 0)]
+                       + np.eye(81)[basis_index(8, 0, 1)]),
+        coherent_state(10, [0.4, 0.4]), coherent_state(10, [0.3 + 0.1j] * 2)],
+        ids=["1,0", "2,3", "coherent-0.3-0.2", "coherent-0.3-0.3j", "odd-swap",
+             "coherent-equal", "coherent-equal-complex"])
     def test_asymmetric_input_keeps_full_sector(self, state):
+        """Inputs that are not their own swap, and swap-symmetric inputs of
+        odd or mixed parity, which run on their whole parity sector."""
         columns = state.amplitudes[:, None]
-        assert fock._sector_key(columns, 2, state.cutoff)[1] is False
+        parity = basis_parity(state.cutoff, 2)[state.amplitudes != 0]
+        whole = int(parity[0]) if (parity == parity[0]).all() else None
+        assert fock._sector_key(columns, 2, state.cutoff) == (whole, False)
         schedule = DriveSchedule.from_products(0.2, 1.1, periods=6)
         assert_matches_dense_products(state, schedule)
 

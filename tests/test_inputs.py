@@ -51,15 +51,14 @@ def test_invalid_count_rejected(call):
     lambda: DriveSchedule(gamma=True, tau1=1, omega=False, tau2=1, periods=1),
     lambda: DriveSchedule(gamma=0.1, tau1=1.0, omega=0.5, tau2=np.bool_(True), periods=1),
     lambda: DriveSchedule.from_products(True, 0.5),
-    lambda: floquet.unstable_segment_matrix(0.1, True),
     lambda: floquet.classify(np.eye(2), True),
     lambda: ClassicalPendulumParams(2.0, True, 1.0),
     lambda: fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, True, 4),
     lambda: fock.zeno_threshold_scan(False, [0.5], cutoff=4, periods=3),
     lambda: cli.coupling_rate(220.0, 2e-23, 3e15, 3e15, True),
-], ids=["schedule-rates", "schedule-np-bool", "products-true", "segment-tau1-true",
-        "classify-period-true", "pendulum-k2-true", "hamiltonian-coupling-true",
-        "scan-gamma-false", "coupling-pump-true"])
+], ids=["schedule-rates", "schedule-np-bool", "products-true", "classify-period-true",
+        "pendulum-k2-true", "hamiltonian-coupling-true", "scan-gamma-false",
+        "coupling-pump-true"])
 def test_bool_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
