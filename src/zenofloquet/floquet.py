@@ -194,9 +194,17 @@ def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     matrix; two 1-D arrays give the maps of their product grid as a
     ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stack, from one transfer
     matrix per axis value and one batched matmul, equal bit for bit to the
-    scalar maps.
+    scalar maps.  Each product or axis value is finite and real, never a
+    bool, and may be negative.
     """
-    if np.ndim(gamma_tau1) == 0 and np.ndim(omega_tau2) == 0:
+    for name, value in (("gamma_tau1", gamma_tau1), ("omega_tau2", omega_tau2)):
+        axis = np.asarray(value)
+        if axis.dtype.kind not in "iuf" or not np.isfinite(axis).all():
+            raise ValueError(f"{name} must be finite and real, got {value!r}")
+    if {np.ndim(gamma_tau1), np.ndim(omega_tau2)} not in ({0}, {1}):
+        raise ValueError("pair_map takes two scalars or two 1-D axes, got shapes "
+                         f"{np.shape(gamma_tau1)} and {np.shape(omega_tau2)}")
+    if np.ndim(gamma_tau1) == 0:
         return _scalar_pair_map(gamma_tau1, omega_tau2)
     hyp = np.array([_hyperbolic_transfer(g) for g in gamma_tau1])[:, None]
     rot = np.array([_rotation_transfer(w) for w in omega_tau2])[None, :]
@@ -285,7 +293,7 @@ def classify(monodromy_matrix: np.ndarray, period: float,
         Duration T of one period, used to convert the per-period eigenvalue
         growth into a rate.
     epsilon : float
-        Width of the marginal band around half-trace 1.
+        Width of the marginal band around half-trace 1, finite and ``>= 0``.
 
     Returns
     -------
@@ -324,6 +332,7 @@ def classify_stack(maps: np.ndarray, period: float,
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
     _require_real("period", period, positive=True)
+    _require_real("epsilon", epsilon)
     if m.ndim == 2:
         # the entries of a single map as Python floats, whose arithmetic
         # gives numpy's bits at a fraction of the cost of numpy scalars
@@ -360,6 +369,7 @@ def powers(maps, periods: int) -> np.ndarray:
     maps^(2k)`` are ``maps^1 .. maps^k`` times ``maps^k`` in one batched
     matmul, so the table takes ``log2(periods)`` Python steps.
     """
+    periods = _require_int("periods", periods)
     m = np.asarray(maps, dtype=float)
     out = np.empty((periods + 1,) + m.shape)
     out[0] = np.eye(m.shape[-1])

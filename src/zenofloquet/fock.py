@@ -7,42 +7,47 @@ exact unitary evolution ``exp(-i H t)`` obtained from a real-eigenvalue
 decomposition of the (real symmetric) Hamiltonian.
 
 Only the dimensionless angles ``gamma * tau1`` and ``omega * tau2`` enter a
-segment unitary, so the eigendecompositions are computed once per
-(Hamiltonian kind, cutoff) on the coupling-free generator and reused for
-every schedule.  Both segment generators conserve a number-like quantity
-(``n_a - n_b`` during amplification, ``n_a + n_b`` during exchange), which
-splits them into small tridiagonal blocks.  The blocks are packed by length
-into a few padded eigenvector tensors, and a segment acts on a matrix of
-amplitude columns, so one propagation can carry many states (one per
-exchange angle in :func:`zeno_threshold_scan`).
+segment unitary, so the eigendecompositions are computed once, on the
+coupling-free generators, and reused for every schedule.  Both segment
+generators conserve a number-like quantity (``n_a - n_b`` during
+amplification, ``n_a + n_b`` during exchange), which splits them into small
+tridiagonal blocks (chains).  The blocks are packed by length into a few
+padded eigenvector tensors, and a segment acts on a matrix of amplitude
+columns, so one propagation can carry many states (one per exchange angle in
+:func:`zeno_threshold_scan`).
 
-Every segment generator also conserves the parity of the total photon
-number, even under hard truncation, and every block lies in one parity
-sector.  A propagation whose initial amplitudes all share one parity (the
-vacuum, any number state) carries only that sector's rows, half the basis;
-mixed-parity states such as coherent states carry every row.
+A propagation carries the rows of one sector, chosen from its initial
+columns by :func:`_sector_key`.  One cached :class:`_Sector` per (cutoff,
+mode count, sector) holds all that the stepping loop reads: the basis rows,
+the factor that maps amplitudes on them to the loop's coordinates, the
+observables, both packed generators and the permutation between them.
 
-Both two-mode generators, and the hard cutoff, are also symmetric under the
-mode swap ``a <-> b``.  A propagation of even photon parity whose initial
-columns all equal their own swap exactly (``psi[n_a, n_b] == psi[n_b,
-n_a]``: the vacuum, ``|n, n>``) carries only the sector's rows with ``n_a >=
-n_b``, in the orthonormal symmetric basis, where an amplitude off the
-diagonal ``n_a == n_b`` is multiplied by sqrt2.  The amplifying chains with
-``n_a >= n_b`` are unchanged there; each exchange chain ``|k, s - k>``, of
-even ``s``, folds onto its half ``k >= s/2``, with its first off-diagonal
-multiplied by sqrt2.
+- Parity.  Every segment generator conserves the parity of the total photon
+  number, even under hard truncation, and every chain lies in one parity
+  sector.  Columns whose nonzero amplitudes all share one parity (the
+  vacuum, any number state) carry only that parity's rows, half the basis;
+  mixed-parity columns such as coherent states carry every row.
+- Swap.  Both two-mode generators, and the hard cutoff, are symmetric under
+  the mode swap ``a <-> b``.  Columns of even parity that all equal their
+  own swap exactly (``psi[n_a, n_b] == psi[n_b, n_a]``: the vacuum, ``|n,
+  n>``) carry only the rows with ``n_a >= n_b``, in the orthonormal
+  symmetric basis, where an amplitude off the diagonal ``n_a == n_b`` is
+  multiplied by sqrt2.  The amplifying chains with ``n_a >= n_b`` are
+  unchanged there; each exchange chain ``|k, s - k>``, of even ``s``, folds
+  onto its half ``k >= s/2``, with its first off-diagonal multiplied by
+  sqrt2.
+- Gauge.  Every chain on a sector has a zero diagonal, and each of its
+  links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the larger
+  occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one mode):
+  the sectors are bipartite.  In the gauge ``D = diag(i^s)`` a segment ``D^-1
+  exp(-i angle H) D`` is real orthogonal, bucket by bucket ``C + sigma * S``
+  with ``C = V cos(angle w) V^T``, ``S = V sin(angle w) V^T`` and ``sigma_jk
+  = s_k - s_j``.  The diagonal single-mode rotation commutes with ``D``.
 
-Every chain that a segment generator has on a sector has a zero diagonal,
-and each of its links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the
-larger occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one
-mode): the sectors are bipartite.  In the gauge ``D = diag(i^s)`` a segment
-``D^-1 exp(-i angle H) D`` is real orthogonal, bucket by bucket ``C + sigma
-* S`` with ``C = V cos(angle w) V^T``, ``S = V sin(angle w) V^T`` and
-``sigma_jk = s_k - s_j``.  The diagonal single-mode rotation commutes with
-``D``.  The stepping loop carries gauge coordinates ``D^-1 psi``: float64
-when they start real and every segment is a real map (the vacuum of two
-modes: every scan and the default simulation), complex otherwise.  A
-segment is applied in one of two ways:
+The stepping loop carries gauge coordinates: ``D^-1`` times the swap fold
+of the amplitudes, float64 when they start real and every segment is a real
+map (the vacuum of two modes: every scan and the default simulation),
+complex otherwise.  A segment is applied in one of two ways:
 
 - one angle shared by the columns gets one float64 map per bucket, ``D^-1 V
   exp(-i angle w) V^T D``, built once per propagation, which acts on any
@@ -64,9 +69,10 @@ per-column norms and observables that it reports.
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
 :func:`propagate` returns the photon numbers, norm drift and leakage of every
-period; the propagated amplitudes stay on the sector basis inside its
-stepping loop and are not kept.  A cutoff is at most ``MAX_CUTOFF`` for its
-mode count, checked before anything of its size is allocated.
+period, the initial one included, all read on the sector; the propagated
+amplitudes stay on the sector basis inside its stepping loop and are not
+kept.  A cutoff is at most ``MAX_CUTOFF`` for its mode count, checked before
+anything of its size is allocated.
 """
 
 from __future__ import annotations
@@ -273,17 +279,6 @@ def _number_diagonals(cutoff: int, mode_count: int):
     return n_a, n_b
 
 
-@lru_cache(maxsize=None)
-def _high_level_mask(cutoff: int, mode_count: int) -> np.ndarray:
-    level = HIGH_LEVEL_FRACTION * cutoff
-    diags = _number_diagonals(cutoff, mode_count)
-    mask = diags[0] > level
-    for d in diags[1:]:
-        mask = mask | (d > level)
-    mask.setflags(write=False)
-    return mask
-
-
 # --- packed propagation engine -------------------------------------------------
 
 #: Blocks per length bucket of the packed engine.
@@ -324,21 +319,6 @@ def _chains(label: HamiltonianLabel, cutoff: int, swap: bool):
             yield ns, np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / 2.0
 
 
-@lru_cache(maxsize=None)
-def _sector_rows(cutoff: int, mode_count: int, key) -> np.ndarray:
-    """Basis rows of the sector ``key = (parity, swap)``: the rows whose total
-    photon number has ``parity`` (``None``: any), and with ``swap`` only
-    those with ``n_a >= n_b``."""
-    parity, swap = key
-    diags = _number_diagonals(cutoff, mode_count)
-    keep = np.full(diags[0].size, True) if parity is None else sum(diags) % 2 == parity
-    if swap:
-        keep &= diags[0] >= diags[1]
-    rows = np.flatnonzero(keep)
-    rows.setflags(write=False)
-    return rows
-
-
 def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
     """The smallest sector ``(parity, swap)`` that holds ``columns``.
 
@@ -357,34 +337,22 @@ def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
     return parity, bool(np.array_equal(grid, grid.transpose(1, 0, 2)))
 
 
-@lru_cache(maxsize=None)
-def _gauge(cutoff: int, mode_count: int, key) -> np.ndarray:
-    """The diagonal ``i^s`` of the gauge ``D`` on the rows of the sector
-    ``key = (parity, swap)``: ``s = n_a mod 2`` for two modes, ``(n // 2) mod
-    2`` for one.  Its entries are exactly 1 and 1j."""
-    rows = _sector_rows(cutoff, mode_count, key)
-    level = rows // (cutoff + 1) if mode_count == 2 else rows // 2
-    gauge = np.where(level % 2 == 1, 1j, 1.0)
-    gauge.setflags(write=False)
-    return gauge
-
-
 @dataclass(frozen=True)
 class _Packing:
     """Eigendecomposed conserved-quantity blocks of one generator, packed.
 
-    Only the blocks of one sector (see :func:`_sector_rows`) are kept, on the
-    sector's basis, and rows are numbered within the sector, in the order of
-    :func:`_sector_rows`.  The blocks are sorted by length and packed
+    Only the blocks of one sector are kept, on the sector's basis, and rows
+    are numbered within the sector, in the order of its ``rows`` (see
+    :class:`_Sector`).  The blocks are sorted by length and packed
     ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
     the packed rows are the buckets' rows one after another.  ``gather`` is
     the sector row of every packed row (padding repeats row 0), ``unpack``
     the packed row of every sector row, ``weights`` the eigenvalue of every
-    packed row (0 on padding) and ``gauge`` the entry of ``D`` (see
-    :func:`_gauge`) of every packed row.  Each bucket is ``(start, stop,
-    vectors)``: its packed row range and its ``(nblocks, L, L)`` real
-    eigenvectors, zero on padding so that padding neither reads nor writes
-    an amplitude.  A diagonal generator has no buckets.
+    packed row (0 on padding) and ``gauge`` the entry ``i^s`` of ``D`` of
+    every packed row.  Each bucket is ``(start, stop, vectors)``: its packed
+    row range and its ``(nblocks, L, L)`` real eigenvectors, zero on padding
+    so that padding neither reads nor writes an amplitude.  A diagonal
+    generator has no buckets.
     """
 
     gather: np.ndarray
@@ -394,15 +362,15 @@ class _Packing:
     buckets: tuple
 
 
-@lru_cache(maxsize=None)
-def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
-    """The packed eigendecomposition of a unit-coupling generator on the rows
-    of the sector ``key = (parity, swap)``."""
-    rows = _sector_rows(cutoff, label.mode_count, key)
+def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
+                   rows: np.ndarray, gauge: np.ndarray) -> _Packing:
+    """The packed eigendecomposition of a unit-coupling generator on the
+    sector basis ``rows`` (folded by the mode swap if ``swap``), whose
+    entries of ``D`` are ``gauge``."""
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
         index = np.arange(rows.size)
-        packing = _Packing(index, index, rows + 0.5, _gauge(cutoff, 1, key), ())
+        packing = _Packing(index, index, rows + 0.5, gauge, ())
     else:
         # each chain conserves photon parity and, folded in a swap sector,
         # keeps n_a >= n_b, so it lies wholly in or out of the sector;
@@ -410,7 +378,7 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
         position = np.full((cutoff + 1) ** label.mode_count, -1, dtype=np.intp)
         position[rows] = np.arange(rows.size)
         chains = sorted(((position[idx], off)
-                         for idx, off in _chains(label, cutoff, key[1])
+                         for idx, off in _chains(label, cutoff, swap)
                          if position[idx[0]] >= 0),
                         key=lambda chain: chain[0].size)
         gather, real, weights, buckets = [], [], [], []
@@ -436,21 +404,81 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, key) -> _Packing:
         gather, real = np.concatenate(gather), np.concatenate(real)
         unpack = np.empty(rows.size, dtype=np.intp)
         unpack[gather[real]] = np.flatnonzero(real)
-        packing = _Packing(gather, unpack, np.concatenate(weights),
-                           _gauge(cutoff, label.mode_count, key)[gather], tuple(buckets))
+        packing = _Packing(gather, unpack, np.concatenate(weights), gauge[gather],
+                           tuple(buckets))
     for arr in (packing.gather, packing.unpack, packing.weights, packing.gauge):
         arr.setflags(write=False)
     return packing
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """Everything a propagation reads on the sector ``key = (parity, swap)``.
+
+    ``rows`` are the sector's basis rows: those whose total photon number
+    has ``parity`` (``None``: any), and with ``swap`` only those with ``n_a
+    >= n_b``.  ``to_gauge`` is the factor that maps amplitudes on ``rows`` to
+    the loop's gauge coordinates: ``D^-1``, and with ``swap`` sqrt2 off the
+    diagonal ``n_a == n_b`` (the coordinate of a symmetric vector on the
+    orthonormal symmetric basis).  ``observables`` maps the probabilities of
+    gauge coordinates to (photons per mode..., leakage).  ``amplify`` and
+    ``exchange`` are the two segment generators packed on the sector, and
+    ``between`` the composite index from the amplifying packing to the
+    exchange packing: unpack, then gather.
+    """
+
+    rows: np.ndarray
+    to_gauge: np.ndarray
+    observables: np.ndarray
+    amplify: _Packing
+    exchange: _Packing
+    between: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _sector(cutoff: int, mode_count: int, key) -> _Sector:
+    """The :class:`_Sector` of ``key = (parity, swap)``, built once."""
+    parity, swap = key
+    diags = _number_diagonals(cutoff, mode_count)
+    keep = np.full(diags[0].size, True) if parity is None else sum(diags) % 2 == parity
+    if swap:
+        keep &= diags[0] >= diags[1]
+    rows = np.flatnonzero(keep)
+    # D = diag(i^s): s = n_a mod 2 for two modes, (n // 2) mod 2 for one
+    level = rows // (cutoff + 1) if mode_count == 2 else rows // 2
+    gauge = np.where(level % 2 == 1, 1j, 1.0)
+    to_gauge = gauge.conj()
+    leak = np.maximum.reduce(diags)[rows] > HIGH_LEVEL_FRACTION * cutoff
+    if swap:
+        to_gauge *= np.where(diags[0] == diags[1], 1.0, math.sqrt(2.0))[rows]
+        # the symmetric vector of row |n_a, n_b> has <n_a> = <n_b> = (n_a + n_b) / 2
+        diags = ((diags[0] + diags[1]) / 2.0,) * 2
+    observables = np.vstack([d[rows] for d in diags] + [leak]).astype(float)
+    # HamiltonianLabel lists each mode count's amplifying generator first
+    amplify, exchange = (_packed_blocks(label, cutoff, swap, rows, gauge)
+                         for label in HamiltonianLabel if label.mode_count == mode_count)
+    between = amplify.unpack[exchange.gather]
+    for arr in (rows, to_gauge, observables, between):
+        arr.setflags(write=False)
+    return _Sector(rows, to_gauge, observables, amplify, exchange, between)
+
+
+def _coordinates(columns: np.ndarray, mode_count: int, cutoff: int):
+    """The sector of the amplitude columns ``(dim, k)`` (see
+    :func:`_sector_key`) and their gauge coordinates on it: a fresh complex
+    ``(sector rows, k)`` array.  Every propagation enters the stepping loop
+    through here."""
+    sector = _sector(cutoff, mode_count, _sector_key(columns, mode_count, cutoff))
+    return sector, columns[sector.rows] * sector.to_gauge[:, None]
+
+
 class _Segment:
     """``exp(-i * angle * generator)`` of one segment on amplitude columns.
 
-    The columns hold gauge coordinates ``D^-1 psi`` (see :func:`_gauge`) of
-    the rows of the sector ``key = (parity, swap)`` on its basis (see
-    :func:`_sector_rows`).  ``angles`` is one angle shared by every column
-    or one angle per column, and chooses how each bucket of eigenvectors
-    ``V`` (see :class:`_Packing`) is applied:
+    The columns hold the gauge coordinates of a sector (see :class:`_Sector`)
+    in the order of ``packing``.  ``angles`` is one angle shared by every
+    column or one angle per column, and chooses how each bucket of
+    eigenvectors ``V`` (see :class:`_Packing`) is applied:
 
     - one angle: the bucket's map ``D^-1 (V * phase) @ V.T D`` is built
       here, once per propagation, as the float64 ``C + sigma * S`` of the
@@ -467,14 +495,13 @@ class _Segment:
     and builds nothing.  A diagonal generator has no buckets and only
     multiplies by the phases, which commute with ``D``.  :meth:`bind` ties
     the chosen path to an input and an output buffer once and returns the
-    step that applies it between them; :meth:`packed` is that step on a
-    fresh output, so both run one implementation of each path.
-    ``real`` is whether the segment maps real coordinates to real ones: the
-    identity, or a generator with buckets, whose sector is bipartite.
+    step that applies it between them.  ``real`` is whether the segment maps
+    real coordinates to real ones: the identity, or a generator with
+    buckets, whose sector is bipartite.
     """
 
-    def __init__(self, label: HamiltonianLabel, cutoff: int, angles, key):
-        self.packing = packing = _packed_blocks(label, cutoff, key)
+    def __init__(self, packing: _Packing, angles):
+        self.packing = packing
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         self.identity = not angles.any()
         self.real = self.identity or bool(packing.buckets)
@@ -542,20 +569,15 @@ class _Segment:
             np.copyto(y, result)
         return step
 
-    def packed(self, x: np.ndarray) -> np.ndarray:
-        """The segment applied to gauge coordinates ``x`` of shape (packed
-        rows, columns), float64 only if the segment is ``real``: the step of
-        :meth:`bind` on a fresh array of ``x``'s dtype."""
-        y = np.empty(x.shape, dtype=x.dtype)
-        self.bind(x, y)()
-        return y
-
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         """The segment applied to ``psi`` of shape (sector rows, columns) on
-        the sector basis, outside the gauge."""
+        the sector basis, outside the gauge, through a step bound to a fresh
+        output."""
         gauge = self.packing.gauge[:, None]
-        packed = self.packed(psi[self.packing.gather] * gauge.conj())
-        return (packed * gauge)[self.packing.unpack]
+        x = psi[self.packing.gather] * gauge.conj()
+        y = np.empty_like(x)
+        self.bind(x, y)()
+        return (y * gauge)[self.packing.unpack]
 
 
 def _bucket_views(buckets, x, y):
@@ -574,53 +596,26 @@ def _matmuls(views):
         np.matmul(op, a, out=b)
 
 
-def _segment_labels(mode_count: int):
-    if mode_count == 2:
-        return HamiltonianLabel.TWO_MODE_UNSTABLE, HamiltonianLabel.TWO_MODE_STABLE
-    return HamiltonianLabel.SINGLE_MODE_UNSTABLE, HamiltonianLabel.SINGLE_MODE_STABLE
-
-
-@lru_cache(maxsize=None)
-def _observable_rows(cutoff: int, mode_count: int, key) -> np.ndarray:
-    """Rows mapping the probabilities on the basis of the sector ``key =
-    (parity, swap)`` to (n per mode..., leakage)."""
-    sector = _sector_rows(cutoff, mode_count, key)
-    diags = _number_diagonals(cutoff, mode_count)
-    if key[1]:
-        # the symmetric basis vector of row |n_a, n_b> has
-        # <n_a> = <n_b> = (n_a + n_b) / 2
-        diags = ((diags[0] + diags[1]) / 2.0,) * 2
-    rows = np.vstack([d[sector] for d in diags
-                      + (_high_level_mask(cutoff, mode_count),)]).astype(float)
-    rows.setflags(write=False)
-    return rows
-
-
-def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
-                  gamma_tau1: float, omega_tau2, periods: int, settle):
+def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau2,
+                  periods: int, settle):
     """The per-period stepping loop of every Fock propagation.
 
-    ``columns`` (dim, k) holds k initial amplitude vectors.  Only the rows of
-    their sector (see :func:`_sector_key`) are propagated, on its basis; the
-    rest stay exactly zero, or in a swap sector the mirror of a propagated
-    row.  If all their nonzero amplitudes share one photon parity, the
-    sector holds that parity's rows; if that parity is even and every column
-    equals its own swap, it holds only the rows with ``n_a >= n_b``.  Each
-    period applies the amplifying segment (angle ``gamma_tau1``, shared by
-    every column) and then the exchange segment (``omega_tau2``, one angle or
-    one per column) to the active columns, and renormalizes them; in
-    between, the columns go from the amplifying packing to the exchange
-    packing by one composite permutation, and each of the three row
-    permutations of a period is one ``take`` into a buffer.  The columns are carried as gauge coordinates
-    ``D^-1 psi`` (see :func:`_gauge`), float64 if they start real and both
-    segments are ``real`` (see :class:`_Segment`), complex otherwise.  Then
-    ``settle(n, active, psi, norm, per_mode, leak)`` receives the period
-    number, the original numbers of the m active columns, their gauge
-    coordinates on the sector basis (rows, m), their norms
-    before renormalization (m,), photons per mode (modes, m) and leakage
-    (m,), and returns a boolean mask (m,) of the columns that stop.
-    Stopped columns leave the active set; the loop ends after ``periods``
-    periods or when no column is left.
+    ``psi`` (sector rows, k) holds the gauge coordinates of k columns on
+    ``sector``, as :func:`_coordinates` returns them; the loop overwrites
+    it.  Each period applies the amplifying segment (angle ``gamma_tau1``,
+    shared by every column) and then the exchange segment (``omega_tau2``,
+    one angle or one per column) to the active columns, and renormalizes
+    them; in between, the columns go from the amplifying packing to the
+    exchange packing by ``sector.between``, and each of the three row
+    permutations of a period is one ``take`` into a buffer.  The coordinates
+    are carried as float64 if they start real and both segments are
+    ``real`` (see :class:`_Segment`), complex otherwise.  Then ``settle(n,
+    active, psi, norm, per_mode, leak)`` receives the period number, the
+    original numbers of the m active columns, their gauge coordinates on the
+    sector basis (rows, m), their norms before renormalization (m,), photons
+    per mode (modes, m) and leakage (m,), and returns a boolean mask (m,) of
+    the columns that stop.  Stopped columns leave the active set; the loop
+    ends after ``periods`` periods or when no column is left.
 
     The loop holds one workspace per set of active columns: ``psi``, each
     segment's packed input and output, bound to the segments (see
@@ -629,30 +624,17 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
     the call: the next period overwrites it, so a caller that keeps it
     copies it.  ``norm``, ``per_mode`` and ``leak`` are fresh each period.
     """
-    key = _sector_key(columns, mode_count, cutoff)
-    sector = _sector_rows(cutoff, mode_count, key)
-    label_u, label_s = _segment_labels(mode_count)
-    amplify = _Segment(label_u, cutoff, gamma_tau1, key)
-    exchange = _Segment(label_s, cutoff, omega_tau2, key)
-    rows = _observable_rows(cutoff, mode_count, key)
-    # gauge coordinates D^-1 psi: a fresh array, renormalized in place
-    psi = columns[sector] * _gauge(cutoff, mode_count, key).conj()[:, None]
-    if key[1]:
-        # a symmetric vector's coordinate on the orthonormal symmetric basis
-        # is its amplitude times sqrt2 off the diagonal n_a == n_b
-        n_a, n_b = divmod(sector, cutoff + 1)
-        psi[n_a != n_b] *= math.sqrt(2.0)
+    amplify = _Segment(sector.amplify, gamma_tau1)
+    exchange = _Segment(sector.exchange, omega_tau2)
     real = amplify.real and exchange.real and not psi.imag.any()
     if real:
         psi = np.ascontiguousarray(psi.real)
-    gather, scatter = amplify.packing.gather, exchange.packing.unpack
-    # unpack from the amplifying packing, then gather into the exchange one
-    between = amplify.packing.unpack[exchange.packing.gather]
-    n, active = 0, np.arange(columns.shape[1])
+    gather, between, scatter = sector.amplify.gather, sector.between, sector.exchange.unpack
+    n, active = 0, np.arange(psi.shape[1])
     while n < periods and active.size:
         # the workspace of the active columns, bound until a column leaves
         a_in, a_out = np.empty((2, gather.size, active.size), dtype=psi.dtype)
-        e_in, e_out = np.empty((2, exchange.packing.gather.size, active.size), dtype=psi.dtype)
+        e_in, e_out = np.empty((2, between.size, active.size), dtype=psi.dtype)
         probs, spare = np.empty((2,) + psi.shape)
         step_amplify, step_exchange = amplify.bind(a_in, a_out), exchange.bind(e_in, e_out)
         for n in range(n + 1, periods + 1):
@@ -671,7 +653,7 @@ def _step_periods(columns: np.ndarray, mode_count: int, cutoff: int,
             norm_sq = probs.sum(axis=0)
             norm = np.sqrt(norm_sq)
             psi /= norm
-            observed = rows @ probs
+            observed = sector.observables @ probs
             observed /= norm_sq
             stop = settle(n, active, psi, norm, observed[:-1], observed[-1])
             if stop.any():
@@ -723,12 +705,12 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     if not isinstance(state, FockState):
         raise ValueError("initial state must be a FockState")
     _require_cap(photon_cap)
-    cutoff, modes = state.cutoff, state.mode_count
-    psi = state.amplitudes.reshape(-1, 1)
-    observed = _observable_rows(cutoff, modes, (None, False)) @ (np.abs(psi[:, 0]) ** 2)
+    sector, psi = _coordinates(state.amplitudes.reshape(-1, 1), state.mode_count,
+                               state.cutoff)
+    observed = sector.observables @ (np.abs(psi[:, 0]) ** 2)
     if observed[-1] >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
-                         f"(leakage {observed[-1]:.2e} at cutoff {cutoff})")
+                         f"(leakage {observed[-1]:.2e} at cutoff {state.cutoff})")
 
     n_rec = [observed[:-1]]
     drift_rec = [0.0]
@@ -752,7 +734,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
             status = "photon-cap"
         return stop if capped else go_on
 
-    _step_periods(psi, modes, cutoff, schedule.gamma_tau1, schedule.omega_tau2,
+    _step_periods(sector, psi, schedule.gamma_tau1, schedule.omega_tau2,
                   schedule.periods, settle)
     n_per_mode = np.array(n_rec)
     return FockTrajectory(
@@ -772,7 +754,8 @@ def default_cutoff(gamma_tau1: float, periods: int) -> int:
     Sized from the worst case of uninterrupted amplification over all
     periods; the leakage monitor, not this guess, certifies a run.
     """
-    squeeze = math.sinh(min(periods * gamma_tau1, 20.0)) ** 2
+    _require_real("gamma_tau1", gamma_tau1)
+    squeeze = math.sinh(min(_require_int("periods", periods) * gamma_tau1, 20.0)) ** 2
     return int(min(MAX_DEFAULT_CUTOFF, max(20, math.ceil(10.0 * squeeze + 10.0))))
 
 
@@ -808,6 +791,8 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
     a point leaves the active columns once it has its verdict.
     """
     grid = np.atleast_1d(np.asarray(omega_tau2_grid, dtype=float))
+    if grid.ndim != 1:
+        raise ValueError(f"omega_tau2 grid must be 1-D, got shape {grid.shape}")
     if not np.isfinite(grid).all():
         raise ValueError("omega_tau2 grid must be finite")
     if grid.size and (grid.min() < -1e-12 or grid.max() > math.pi + 1e-12):
@@ -842,7 +827,7 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
         return leaky | grown
 
     vacuum = vacuum_state(cutoff, 2).amplitudes[:, None]
-    _step_periods(np.broadcast_to(vacuum, (vacuum.size, grid.size)), 2, cutoff,
+    _step_periods(*_coordinates(np.broadcast_to(vacuum, (vacuum.size, grid.size)), 2, cutoff),
                   gamma_tau1, grid, periods, settle)
     return tuple(ZenoScanPoint(omega_tau2=float(theta), outcome=str(o),
                                n_final=float(nf), periods_run=int(pr))

@@ -82,6 +82,17 @@ def assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff, sector_key
         assert abs(point.n_final - reference.n_final) <= 1e-12 * max(1.0, reference.n_final)
 
 
+def generator_packing(label, cutoff, key):
+    """The packed generator ``label`` on the sector ``key``."""
+    sector = fock._sector(cutoff, label.mode_count, key)
+    return sector.amplify if label.value.endswith("unstable") else sector.exchange
+
+
+def segment(label, cutoff, angles, key):
+    """The segment of generator ``label`` with ``angles`` on the sector ``key``."""
+    return fock._Segment(generator_packing(label, cutoff, key), angles)
+
+
 def gauge_diagonal(rows, cutoff, mode_count):
     """The diagonal ``i^s`` of the gauge ``D`` on basis ``rows``: ``s = n_a
     mod 2`` for two modes, ``(n // 2) mod 2`` for one."""
@@ -101,7 +112,8 @@ def recorded_amplitudes(state, schedule):
     cutoff, modes = state.cutoff, state.mode_count
     columns = state.amplitudes[:, None]
     key = fock._sector_key(columns, modes, cutoff)
-    rows = mirror = fock._sector_rows(cutoff, modes, key)
+    sector, coords = fock._coordinates(columns, modes, cutoff)
+    rows = mirror = sector.rows
     scale = 1.0
     if key[1]:
         n_a, n_b = np.divmod(rows, cutoff + 1)
@@ -116,7 +128,7 @@ def recorded_amplitudes(state, schedule):
         amplitudes.append(full)
         return np.zeros(1, dtype=bool)
 
-    fock._step_periods(columns, modes, cutoff, schedule.gamma_tau1,
+    fock._step_periods(sector, coords, schedule.gamma_tau1,
                        schedule.omega_tau2, schedule.periods, settle)
     return np.array(amplitudes)
 
@@ -290,15 +302,15 @@ class TestSegmentUnitary:
                     scale = np.where(n_a == n_b, 1.0, math.sqrt(2.0))
                 psi /= np.linalg.norm(psi, axis=0)
                 np.testing.assert_array_equal(
-                    fock._sector_rows(cutoff, label.mode_count, key), kept)
+                    fock._sector(cutoff, label.mode_count, key).rows, kept)
                 # coordinates on the orthonormal sector basis keep the norm
                 coords = psi[kept] * scale[kept, None]
                 np.testing.assert_allclose(np.linalg.norm(coords, axis=0), 1.0, rtol=1e-14)
-                one = fock._Segment(label, cutoff, 0.6, key)(coords[:, :1])
+                one = segment(label, cutoff, 0.6, key)(coords[:, :1])
                 full = segment_unitary(h, 0.6) @ psi[:, :1]
                 np.testing.assert_allclose(one, full[kept] * scale[kept, None], atol=1e-12)
                 assert np.abs(np.delete(full, rows, axis=0)).max(initial=0.0) < 1e-12
-                many = fock._Segment(label, cutoff, angles, key)(coords)
+                many = segment(label, cutoff, angles, key)(coords)
                 for j, angle in enumerate(angles):
                     np.testing.assert_allclose(
                         many[:, j],
@@ -316,7 +328,7 @@ class TestSegmentUnitary:
         psi = rng.standard_normal(h.shape[0]) \
             + 1j * rng.standard_normal(h.shape[0])
         psi /= np.linalg.norm(psi)
-        via_blocks = fock._Segment(label, cutoff, angle, (None, False))(psi[:, None])[:, 0]
+        via_blocks = segment(label, cutoff, angle, FULL_SPACE)(psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
                                    atol=1e-12)
 
@@ -336,8 +348,8 @@ class TestPacking:
     def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
         chains = {tuple(idx): off for idx, off in fock._chains(label, cutoff, swap)}
         for key in [key for key in SECTORS if key[1] == swap]:
-            sector = fock._sector_rows(cutoff, label.mode_count, key)
-            packing = fock._packed_blocks(label, cutoff, key)
+            sector = fock._sector(cutoff, label.mode_count, key).rows
+            packing = generator_packing(label, cutoff, key)
             used = np.zeros(packing.gather.size, dtype=bool)
             used[packing.unpack] = True
             seen = []
@@ -365,30 +377,23 @@ class TestPacking:
             assert used.sum() == sector.size
 
 
-def complex_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods,
-                         settle):
+def complex_step_periods(sector, coords, gamma_tau1, omega_tau2, periods, settle):
     """A stand-in for ``fock._step_periods`` on complex coordinates outside
     the gauge, with both segments on the kept per-column path (the amplifying
     angle repeated in every column) and each segment unpacking to and
     gathering from the sector basis."""
-    k = columns.shape[1]
-    key = fock._sector_key(columns, mode_count, cutoff)
-    sector = fock._sector_rows(cutoff, mode_count, key)
-    label_u, label_s = fock._segment_labels(mode_count)
-    amplify = fock._Segment(label_u, cutoff, np.full(k, gamma_tau1), key)
-    exchange = fock._Segment(label_s, cutoff, np.broadcast_to(omega_tau2, (k,)), key)
-    rows = fock._observable_rows(cutoff, mode_count, key)
-    psi = np.array(columns[sector], dtype=complex)
-    if key[1]:
-        n_a, n_b = np.divmod(sector, cutoff + 1)
-        psi[n_a != n_b] *= math.sqrt(2.0)
+    k = coords.shape[1]
+    amplify = fock._Segment(sector.amplify, np.full(k, gamma_tau1))
+    exchange = fock._Segment(sector.exchange, np.broadcast_to(omega_tau2, (k,)))
+    # out of the gauge: D on the sector basis is the packed gauge, unpacked
+    psi = coords * sector.amplify.gauge[sector.amplify.unpack][:, None]
     active = np.arange(k)
     for n in range(1, periods + 1):
         psi = exchange(amplify(psi))
         probs = np.abs(psi) ** 2
         norm_sq = probs.sum(axis=0)
         psi /= np.sqrt(norm_sq)
-        observed = (rows @ probs) / norm_sq
+        observed = (sector.observables @ probs) / norm_sq
         stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
         keep = ~stop
         active, psi = active[keep], psi[:, keep]
@@ -401,7 +406,7 @@ def complex_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, pe
 def sector_unitary(label, cutoff, key, angle):
     """The dense ``exp(-i angle H)`` on the orthonormal basis of the sector
     ``key``, and the sector's basis rows."""
-    rows = fock._sector_rows(cutoff, label.mode_count, key)
+    rows = fock._sector(cutoff, label.mode_count, key).rows
     u = segment_unitary(build_hamiltonian(label, 1.0, cutoff), angle)
     basis = np.zeros((rows.size, u.shape[0]))
     basis[np.arange(rows.size), rows] = 1.0
@@ -426,18 +431,18 @@ class TestGauge:
         bipartite."""
         for label in HamiltonianLabel:
             for key in sectors(label.mode_count):
-                packing = fock._packed_blocks(label, cutoff, key)
+                packing = generator_packing(label, cutoff, key)
                 for angle in (0.6, 2.3):
                     u, rows = sector_unitary(label, cutoff, key, angle)
                     gauge = gauge_diagonal(rows, cutoff, label.mode_count)
                     reference = gauge.conj()[:, None] * u * gauge
-                    segment = fock._Segment(label, cutoff, angle, key)
+                    maps = fock._Segment(packing, angle).maps
                     if not packing.buckets:
-                        assert segment.maps is None
+                        assert maps is None
                         continue
                     used = np.zeros(packing.gather.size, dtype=bool)
                     used[packing.unpack] = True
-                    for start, stop, m in segment.maps:
+                    for start, stop, m in maps:
                         assert m.dtype == np.float64
                         length = m.shape[1]
                         index = packing.gather[start:stop].reshape(-1, length)
@@ -474,7 +479,8 @@ class TestGauge:
             dtypes.append(psi.dtype)
             return np.zeros(active.size, dtype=bool)
 
-        fock._step_periods(columns, state.mode_count, state.cutoff, 0.2, omega_tau2, 3, settle)
+        fock._step_periods(*fock._coordinates(columns, state.mode_count, state.cutoff),
+                           0.2, omega_tau2, 3, settle)
         assert dtypes == [np.float64 if real else np.complex128] * 3
 
 
@@ -513,13 +519,13 @@ class TestSegmentPaths:
         rng = np.random.default_rng(cutoff)
         for label in HamiltonianLabel:
             for key in sectors(label.mode_count):
-                rows = fock._sector_rows(cutoff, label.mode_count, key).size
+                rows = fock._sector(cutoff, label.mode_count, key).rows.size
                 coords = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
                 coords /= np.linalg.norm(coords, axis=0)
                 for angle in (0.6, 2.3):
-                    one = fock._Segment(label, cutoff, angle, key)
+                    one = segment(label, cutoff, angle, key)
                     assert (one.maps is None) == (not one.packing.buckets)
-                    per_column = fock._Segment(label, cutoff, np.full(3, angle), key)
+                    per_column = segment(label, cutoff, np.full(3, angle), key)
                     assert per_column.maps is None
                     expected = per_column(coords)
                     np.testing.assert_allclose(one(coords), expected, rtol=0, atol=1e-12)
@@ -546,14 +552,14 @@ class TestSegmentPaths:
         k = np.size(omega_tau2)
         columns = np.repeat(state.amplitudes[:, None], k, axis=1)
         key = fock._sector_key(columns, modes, cutoff)
-        label_u, label_s = fock._segment_labels(modes)
-        amplify = fock._Segment(label_u, cutoff, 0.3, key)
-        exchange = fock._Segment(label_s, cutoff, omega_tau2, key)
+        sector = fock._sector(cutoff, modes, key)
+        amplify = fock._Segment(sector.amplify, 0.3)
+        exchange = fock._Segment(sector.exchange, omega_tau2)
         # the composite index on packed input, padding rows included
-        packed = np.arange(amplify.packing.gather.size)
+        packed = np.arange(sector.amplify.gather.size)
         np.testing.assert_array_equal(
-            packed[amplify.packing.unpack[exchange.packing.gather]],
-            packed[amplify.packing.unpack][exchange.packing.gather])
+            packed[sector.between],
+            packed[sector.amplify.unpack][sector.exchange.gather])
 
         recorded = []
 
@@ -561,46 +567,44 @@ class TestSegmentPaths:
             recorded.append(psi * norm)
             return np.ones(active.size, dtype=bool)
 
-        fock._step_periods(columns, modes, cutoff, 0.3, omega_tau2, 5, settle)
-        sector = fock._sector_rows(cutoff, modes, key)
+        fock._step_periods(*fock._coordinates(columns, modes, cutoff), 0.3, omega_tau2, 5,
+                           settle)
+        rows = sector.rows
         # the loop's gauge coordinates, unfolded with D
-        recorded[0] = recorded[0] * gauge_diagonal(sector, cutoff, modes)[:, None]
-        psi = columns[sector]
+        recorded[0] = recorded[0] * gauge_diagonal(rows, cutoff, modes)[:, None]
+        psi = columns[rows]
         if key[1]:
-            n_a, n_b = np.divmod(sector, cutoff + 1)
+            n_a, n_b = np.divmod(rows, cutoff + 1)
             psi[n_a != n_b] *= math.sqrt(2.0)
         assert len(recorded) == 1
         np.testing.assert_allclose(recorded[0], exchange(amplify(psi)), rtol=0, atol=1e-14)
 
 
-def fresh_step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, settle):
+def applied(segment, x):
+    """``segment`` applied to the packed ``x`` by a step bound to a fresh output."""
+    y = np.empty_like(x)
+    segment.bind(x, y)()
+    return y
+
+
+def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
     """A stand-in for ``fock._step_periods`` that binds no workspace: each
-    segment is :meth:`fock._Segment.packed` and each permutation a fresh
-    ``np.take``, every period, and a column that leaves is dropped by
-    ``psi[:, keep]``.  Sector, gauge, dtype and paths are the engine's."""
-    k = columns.shape[1]
-    key = fock._sector_key(columns, mode_count, cutoff)
-    sector = fock._sector_rows(cutoff, mode_count, key)
-    label_u, label_s = fock._segment_labels(mode_count)
-    amplify = fock._Segment(label_u, cutoff, gamma_tau1, key)
-    exchange = fock._Segment(label_s, cutoff, omega_tau2, key)
-    rows = fock._observable_rows(cutoff, mode_count, key)
-    psi = columns[sector] * fock._gauge(cutoff, mode_count, key).conj()[:, None]
-    if key[1]:
-        n_a, n_b = np.divmod(sector, cutoff + 1)
-        psi[n_a != n_b] *= math.sqrt(2.0)
+    segment is :func:`applied` and each permutation a fresh ``np.take``,
+    every period, and a column that leaves is dropped by ``psi[:, keep]``.
+    Sector, gauge, dtype and paths are the engine's."""
+    amplify = fock._Segment(sector.amplify, gamma_tau1)
+    exchange = fock._Segment(sector.exchange, omega_tau2)
     if amplify.real and exchange.real and not psi.imag.any():
         psi = np.ascontiguousarray(psi.real)
-    between = amplify.packing.unpack[exchange.packing.gather]
-    active = np.arange(k)
+    active = np.arange(psi.shape[1])
     for n in range(1, periods + 1):
-        psi = amplify.packed(np.take(psi, amplify.packing.gather, axis=0))
-        psi = exchange.packed(np.take(psi, between, axis=0))
-        psi = np.take(psi, exchange.packing.unpack, axis=0)
+        psi = applied(amplify, np.take(psi, sector.amplify.gather, axis=0))
+        psi = applied(exchange, np.take(psi, sector.between, axis=0))
+        psi = np.take(psi, sector.exchange.unpack, axis=0)
         probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
         norm_sq = probs.sum(axis=0)
         psi /= np.sqrt(norm_sq)
-        observed = (rows @ probs) / norm_sq
+        observed = (sector.observables @ probs) / norm_sq
         stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
         if stop.any():
             keep = ~stop
@@ -614,11 +618,11 @@ def recording(step_periods, records):
     """``step_periods`` with every ``settle`` call also appending ``(n,
     active, psi * norm, per_mode, leak)`` to ``records``, as copies: the
     ``psi`` that ``settle`` receives is valid only during the call."""
-    def step(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, settle):
+    def step(sector, psi, gamma_tau1, omega_tau2, periods, settle):
         def record(n, active, psi, norm, per_mode, leak):
             records.append((n, active.copy(), psi * norm, per_mode.copy(), leak.copy()))
             return settle(n, active, psi, norm, per_mode, leak)
-        step_periods(columns, mode_count, cutoff, gamma_tau1, omega_tau2, periods, record)
+        step_periods(sector, psi, gamma_tau1, omega_tau2, periods, record)
     return step
 
 
@@ -687,8 +691,9 @@ class TestWorkspace:
         runs = []
         for step_periods in (engine, fresh_step_periods):
             runs.append([])
-            recording(step_periods, runs[-1])(columns, state.mode_count, state.cutoff, 0.3,
-                                              [0.4, 1.1, 2.9], 20, settle)
+            recording(step_periods, runs[-1])(
+                *fock._coordinates(columns, state.mode_count, state.cutoff), 0.3,
+                [0.4, 1.1, 2.9], 20, settle)
         assert [(n, active.tolist()) for n, active, *_ in runs[0]] == \
             [(n, [0, 1, 2][(n - 1) // 3:]) for n in range(1, 10)]
         assert_records_identical(*runs)
@@ -699,12 +704,10 @@ class TestWorkspace:
         range, for every sector: the loop takes them with mode "clip",
         which would silently clip an index that did not."""
         for modes in (1, 2):
-            label_u, label_s = fock._segment_labels(modes)
             for key in sectors(modes):
-                rows = fock._sector_rows(cutoff, modes, key).size
-                amplify = fock._packed_blocks(label_u, cutoff, key)
-                exchange = fock._packed_blocks(label_s, cutoff, key)
-                between = amplify.unpack[exchange.gather]
+                sector = fock._sector(cutoff, modes, key)
+                rows = sector.rows.size
+                amplify, exchange, between = sector.amplify, sector.exchange, sector.between
                 for index, size in ((amplify.gather, rows), (exchange.gather, rows),
                                      (amplify.unpack, amplify.gather.size),
                                      (exchange.unpack, exchange.gather.size),
@@ -1008,6 +1011,36 @@ class TestSwapSector:
         """Both reductions on, as every scan runs, against the full space."""
         assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff,
                                        fock._sector_key)
+
+
+class TestSector:
+    """One cached sector per (cutoff, mode count, key) holds all that a
+    propagation reads, the period-0 observables included."""
+
+    def test_propagate_builds_only_its_own_sector(self):
+        fock._sector.cache_clear()
+        propagate(vacuum_state(8, 2), DriveSchedule.from_products(0.2, 1.1, periods=3))
+        assert fock._sector.cache_info().currsize == 1
+        assert fock._sector.cache_info().hits == 0
+
+    def test_initial_record_of_swap_superposition_matches_full_space(self):
+        """The period-0 photons and leakage of a swap-symmetric superposition,
+        read on the folded coordinates of its swap sector, equal the
+        full-space reference to 1e-15."""
+        amps = np.zeros(81, dtype=complex)
+        amps[basis_index(8, 2, 0)] = amps[basis_index(8, 0, 2)] = 1.0
+        amps[basis_index(8, 1, 1)] = 0.3
+        amps[basis_index(8, 8, 0)] = amps[basis_index(8, 0, 8)] = 3e-5  # above 0.9 * 8
+        state = fock.FockState(2, 8, amps)
+        assert fock._sector_key(state.amplitudes[:, None], 2, 8) == (0, True)
+        idle = DriveSchedule.from_products(0.0, 0.0, periods=1)
+        traj = propagate(state, idle)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_sector_key", lambda *args: FULL_SPACE)
+            full = propagate(state, idle)
+        assert full.leakage[0] > 0.0
+        np.testing.assert_allclose(traj.n_per_mode[0], full.n_per_mode[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(traj.leakage[0], full.leakage[0], rtol=0, atol=1e-15)
 
 
 class TestGaussianAgreement:

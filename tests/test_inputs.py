@@ -37,11 +37,19 @@ AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=0, periods=3),
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=0),
     lambda: fock.zeno_threshold_scan(0.1, [0.5], cutoff=10, periods=math.inf),
+    lambda: floquet.powers(np.eye(2), -1),
+    lambda: floquet.powers(np.eye(2), 2.5),
+    lambda: floquet.powers(np.eye(2), True),
+    lambda: fock.default_cutoff(0.1, True),
+    lambda: fock.default_cutoff(0.1, 2.5),
+    lambda: fock.default_cutoff(0.1, math.nan),
 ], ids=["schedule-true", "schedule-false", "schedule-np-bool", "schedule-2.5",
         "schedule-nan", "schedule-str", "fock-state-modes-true", "fock-state-cutoff-true",
         "fock-state-cutoff-4.5", "fock-state-modes-3", "hamiltonian-cutoff-inf",
         "hamiltonian-cutoff-true", "scan-cutoff-true", "scan-cutoff-2.5", "empty-scan-cutoff-2.5",
-        "scan-cutoff-0", "scan-periods-0", "scan-periods-inf"])
+        "scan-cutoff-0", "scan-periods-0", "scan-periods-inf", "powers-negative",
+        "powers-2.5", "powers-true", "default-cutoff-periods-true", "default-cutoff-periods-2.5",
+        "default-cutoff-periods-nan"])
 def test_invalid_count_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -56,12 +64,61 @@ def test_invalid_count_rejected(call):
     lambda: fock.build_hamiltonian(HamiltonianLabel.TWO_MODE_STABLE, True, 4),
     lambda: fock.zeno_threshold_scan(False, [0.5], cutoff=4, periods=3),
     lambda: cli.coupling_rate(220.0, 2e-23, 3e15, 3e15, True),
+    lambda: floquet.pair_map(True, 0.5),
+    lambda: floquet.pair_map(0.5, np.bool_(True)),
+    lambda: floquet.pair_map(np.array([True, False]), [0.5]),
+    lambda: floquet.classify(np.eye(2), 1.0, epsilon=True),
+    lambda: floquet.classify_stack(np.eye(2)[None], 1.0, epsilon=np.bool_(True)),
+    lambda: fock.default_cutoff(True, 10),
 ], ids=["schedule-rates", "schedule-np-bool", "products-true", "classify-period-true",
         "pendulum-k2-true", "hamiltonian-coupling-true", "scan-gamma-false",
-        "coupling-pump-true"])
+        "coupling-pump-true", "pair-map-true", "pair-map-np-bool", "pair-map-bool-axis",
+        "classify-epsilon-true", "classify-stack-epsilon-np-bool", "default-cutoff-gamma-true"])
 def test_bool_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: floquet.pair_map(math.nan, 0.0),
+    lambda: floquet.pair_map(0.5, math.nan),
+    lambda: floquet.pair_map(math.inf, 0.0),
+    lambda: floquet.pair_map(0.5, -math.inf),
+    lambda: floquet.pair_map(np.array([0.1, math.nan]), np.array([0.5])),
+    lambda: floquet.pair_map(np.array([0.1]), [0.5, math.inf]),
+    lambda: gaussian.pm_pair_maps(math.nan, 0.0),
+    lambda: gaussian.vacuum_diverges(np.array([math.nan]), np.array([0.1]), 10, 1e4),
+    lambda: floquet.classify(np.eye(2), 1.0, epsilon=math.nan),
+    lambda: floquet.classify(np.eye(2), 1.0, epsilon=-1.0),
+    lambda: floquet.classify_stack(np.stack([np.eye(2)] * 2), 1.0, epsilon=math.inf),
+    lambda: fock.default_cutoff(math.nan, 10),
+    lambda: fock.default_cutoff(-0.1, 10),
+], ids=["pair-map-gamma-nan", "pair-map-omega-nan", "pair-map-gamma-inf",
+        "pair-map-omega-minus-inf", "pair-map-gamma-axis-nan", "pair-map-omega-axis-inf",
+        "pm-pair-maps-nan", "vacuum-diverges-nan", "classify-epsilon-nan",
+        "classify-epsilon-negative", "classify-stack-epsilon-inf", "default-cutoff-gamma-nan",
+        "default-cutoff-gamma-negative"])
+def test_non_finite_or_negative_real_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: floquet.pair_map(np.zeros((2, 2)), np.array([0.5])),
+    lambda: floquet.pair_map(np.array([0.1]), np.zeros((1, 1))),
+    lambda: floquet.pair_map(0.1, np.array([0.5])),
+    lambda: fock.zeno_threshold_scan(0.1, [[0.5], [1.0]], cutoff=10, periods=3),
+], ids=["pair-map-2d-gamma", "pair-map-2d-omega", "pair-map-scalar-and-axis", "scan-2d-grid"])
+def test_axis_shape_rejected(call):
+    """``pair_map`` takes two scalars or two 1-D axes; a scan takes one 1-D grid."""
+    with pytest.raises(ValueError, match="1-D"):
+        call()
+
+
+def test_signed_products_accepted():
+    """The minus map is ``pair_map(-g, -w)``: a negative product is valid."""
+    np.testing.assert_array_equal(floquet.pair_map(-0.5, -0.2),
+                                  floquet.pair_map(np.array([-0.5]), np.array([-0.2]))[0, 0])
 
 
 @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
