@@ -102,15 +102,18 @@ def _meta(command, resolved, status="ok"):
 
 
 def _require_number(cfg, key, *, positive=False, nonnegative=False):
+    """``cfg[key]`` as a float: a JSON number (an int or a float, never a
+    bool or a string), finite, and positive or non-negative if asked."""
     value = cfg.get(key)
     if value is None:
         raise ConfigError(f"missing required value {key!r}")
+    # a JSON true/false loads as bool, a subclass of int, and is never a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
     try:
-        if isinstance(value, bool):  # a JSON true/false is never a number
-            raise TypeError
         value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {cfg[key]!r}")
+    except OverflowError:  # a JSON integer beyond float64's range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{key!r} must be finite")
     if positive and value <= 0:
@@ -240,7 +243,7 @@ SWEEP_DEFAULTS = {
     "cross_check": {
         "enabled": False,
         "periods": 10000,
-        "photon_cap": 1e12,
+        "photon_cap": gaussian.PHOTON_CAP,
     },
 }
 
@@ -310,7 +313,7 @@ SIMULATE_DEFAULTS = {
     "backend": "gaussian",
     "cutoff": None,
     "initial": {"type": "vacuum", "alpha": None, "occupations": None},
-    "photon_cap": 1e12,
+    "photon_cap": gaussian.PHOTON_CAP,
 }
 
 

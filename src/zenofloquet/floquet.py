@@ -72,11 +72,34 @@ def _require_int(name, value, lo=0, hi=None):
     return n
 
 
+def _require_finite(name, value, kinds="iuf"):
+    """``value`` as an array whose entries are finite numbers of the numpy
+    dtype ``kinds`` (real by default), of any sign, and never a bool."""
+    array = np.asarray(value)
+    # a list mixing bools with numbers converts to a numeric dtype
+    cells = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+    if (array.dtype.kind not in kinds or not np.isfinite(array).all()
+            or any(isinstance(cell, (bool, np.bool_)) for cell in cells)):
+        kind = "complex" if "c" in kinds else "real"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return array
+
+
 def _require_cap(photon_cap):
-    """Reject a photon cap that is not ``> 0``; ``inf`` means no cap."""
+    """Reject a photon cap that is a bool or is not ``> 0``; ``inf`` means no cap."""
     # a NaN cap would never trip and a non-positive one trips on the vacuum
-    if not photon_cap > 0:
+    if isinstance(photon_cap, (bool, np.bool_)) or not photon_cap > 0:
         raise ValueError(f"photon_cap must be > 0 (inf for no cap), got {photon_cap!r}")
+
+
+def _past_cap(totals, photon_cap):
+    """Where the numpy photon ``totals`` are past the valid ``photon_cap``:
+    above it or not finite.  The one cap test of every engine.
+
+    One comparison per total: no total passes ``<= inf``, so the cap is
+    clipped to the largest float, and an inf or NaN total fails it.
+    """
+    return ~(totals <= min(photon_cap, sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -197,10 +220,8 @@ def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     scalar maps.  Each product or axis value is finite and real, never a
     bool, and may be negative.
     """
-    for name, value in (("gamma_tau1", gamma_tau1), ("omega_tau2", omega_tau2)):
-        axis = np.asarray(value)
-        if axis.dtype.kind not in "iuf" or not np.isfinite(axis).all():
-            raise ValueError(f"{name} must be finite and real, got {value!r}")
+    _require_finite("gamma_tau1", gamma_tau1)
+    _require_finite("omega_tau2", omega_tau2)
     if {np.ndim(gamma_tau1), np.ndim(omega_tau2)} not in ({0}, {1}):
         raise ValueError("pair_map takes two scalars or two 1-D axes, got shapes "
                          f"{np.shape(gamma_tau1)} and {np.shape(omega_tau2)}")
@@ -367,10 +388,11 @@ def powers(maps, periods: int) -> np.ndarray:
 
     Prefix doubling: with ``maps^0 .. maps^k`` known, ``maps^(k+1) ..
     maps^(2k)`` are ``maps^1 .. maps^k`` times ``maps^k`` in one batched
-    matmul, so the table takes ``log2(periods)`` Python steps.
+    matmul, so the table takes ``log2(periods)`` Python steps.  The entries
+    of ``maps`` are finite and real.
     """
     periods = _require_int("periods", periods)
-    m = np.asarray(maps, dtype=float)
+    m = np.asarray(_require_finite("maps", maps), dtype=float)
     out = np.empty((periods + 1,) + m.shape)
     out[0] = np.eye(m.shape[-1])
     out[1:2] = m

@@ -84,7 +84,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .floquet import DriveSchedule, _require_cap, _require_int, _require_real
+from .floquet import (DriveSchedule, _past_cap, _require_cap, _require_finite, _require_int,
+                      _require_real)
 
 #: Population fraction allowed in levels above HIGH_LEVEL_FRACTION * cutoff:
 #: the one definition of a truncation-safe state.
@@ -174,10 +175,11 @@ def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
 
     Raises a numeric error naming the matrix size and largest entry if the
     eigendecomposition fails; the returned matrix satisfies
-    ``max |U+ U - I| < 1e-10``.
+    ``max |U+ U - I| < 1e-10``.  The duration is one finite real of any
+    sign, never a bool.
     """
-    if not math.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration!r}")
+    if np.ndim(_require_finite("duration", duration)):
+        raise ValueError(f"duration must be a scalar, got shape {np.shape(duration)}")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -241,12 +243,17 @@ def number_state(cutoff: int, *occupations: int) -> FockState:
 
 
 def vacuum_state(cutoff: int, mode_count: int = 2) -> FockState:
-    return number_state(cutoff, *([0] * mode_count))
+    """|0> or |0, 0>."""
+    return number_state(cutoff, *([0] * _require_int("mode_count", mode_count, 1, 2)))
 
 
 def coherent_state(cutoff: int, alphas) -> FockState:
-    """Product coherent state; rejects cutoffs that truncate > 1e-10 of norm."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    """Product coherent state; rejects cutoffs that truncate > 1e-10 of norm.
+
+    Each alpha is a finite number, never a bool.
+    """
+    alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"),
+                                      dtype=complex))
     cutoff = _require_cutoff(cutoff, alphas.size)
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, cutoff + 1)))))
@@ -569,16 +576,6 @@ class _Segment:
             np.copyto(y, result)
         return step
 
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """The segment applied to ``psi`` of shape (sector rows, columns) on
-        the sector basis, outside the gauge, through a step bound to a fresh
-        output."""
-        gauge = self.packing.gauge[:, None]
-        x = psi[self.packing.gather] * gauge.conj()
-        y = np.empty_like(x)
-        self.bind(x, y)()
-        return (y * gauge)[self.packing.unpack]
-
 
 def _bucket_views(buckets, x, y):
     """``(operator, x rows, y rows)`` of each bucket ``(start, stop,
@@ -698,8 +695,11 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     the exchange segment (angle ``omega * tau2``).  The state is renormalized
     every period and the pre-renormalization drift logged.  Leakage past
     ``LEAKAGE_THRESHOLD`` marks the trajectory truncation-unsafe from that
-    period on.  Propagation stops early once the total photon number exceeds
-    ``photon_cap`` (> 0; ``inf``, the default, for no cap).  An initial state
+    period on.  Propagation stops early at the first period whose total
+    photon number is past ``photon_cap``: above it or not finite, the one
+    cap test of every engine (``floquet._past_cap``); the status is then
+    ``"photon-cap"`` unless the leakage monitor tripped first.  The cap is
+    > 0 and never a bool; ``inf``, the default, is no cap.  An initial state
     whose leakage is already past the threshold is a ``ValueError``.
     """
     if not isinstance(state, FockState):
@@ -729,7 +729,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         if leak[0] >= LEAKAGE_THRESHOLD and first_unsafe is None:
             first_unsafe = n
             status = "truncation-unsafe"
-        capped = per_mode[:, 0].sum() > photon_cap
+        capped = _past_cap(per_mode[:, 0].sum(), photon_cap)
         if capped and status == "ok":
             status = "photon-cap"
         return stop if capped else go_on
@@ -790,11 +790,10 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
     The whole grid is propagated at once, one amplitude column per point;
     a point leaves the active columns once it has its verdict.
     """
-    grid = np.atleast_1d(np.asarray(omega_tau2_grid, dtype=float))
+    grid = np.atleast_1d(np.asarray(_require_finite("omega_tau2 grid", omega_tau2_grid),
+                                    dtype=float))
     if grid.ndim != 1:
         raise ValueError(f"omega_tau2 grid must be 1-D, got shape {grid.shape}")
-    if not np.isfinite(grid).all():
-        raise ValueError("omega_tau2 grid must be finite")
     if grid.size and (grid.min() < -1e-12 or grid.max() > math.pi + 1e-12):
         raise ValueError("omega_tau2 grid must lie within [0, pi]")
     _require_real("gamma_tau1", gamma_tau1)

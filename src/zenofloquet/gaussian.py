@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DriveSchedule, _require_cap, _require_int, pair_map, powers
+from .floquet import (DriveSchedule, _past_cap, _require_cap, _require_finite, _require_int,
+                      pair_map, powers)
 
-#: Default photon-number guard: evolution aborts with status "diverged"
-#: once the total expected photon number exceeds this value.
+#: Default photon cap of the Gaussian engine and of the CLI: evolution aborts
+#: with status "diverged" once the total expected photon number is past it.
 PHOTON_CAP = 1e12
 
 
@@ -42,7 +43,9 @@ class InvalidStateError(ValueError):
 
 
 def symplectic_form(mode_count: int) -> np.ndarray:
-    """Antisymmetric form for the (x1, p1, x2, p2, ...) quadrature ordering."""
+    """Antisymmetric form for the (x1, p1, x2, p2) quadrature ordering of one
+    or two modes."""
+    mode_count = _require_int("mode_count", mode_count, 1, 2)
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * mode_count, 2 * mode_count))
     for i in range(mode_count):
@@ -51,8 +54,9 @@ def symplectic_form(mode_count: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix (>= 1/2 for physical states)."""
-    cov = np.asarray(covariance, dtype=float)
+    """Symplectic spectrum of a finite one- or two-mode covariance matrix
+    (>= 1/2 for physical states)."""
+    cov = np.asarray(_require_finite("covariance", covariance), dtype=float)
     form = symplectic_form(cov.shape[0] // 2)
     eigs = np.linalg.eigvals(form @ cov)
     # eigenvalues come in +-i*nu pairs; report each nu once
@@ -106,7 +110,8 @@ class GaussianState:
 
 
 def vacuum_state(mode_count: int = 2) -> GaussianState:
-    """Vacuum: zero mean, covariance I/2."""
+    """Vacuum of one or two modes: zero mean, covariance I/2."""
+    mode_count = _require_int("mode_count", mode_count, 1, 2)
     return GaussianState(np.zeros(2 * mode_count), np.eye(2 * mode_count) / 2.0)
 
 
@@ -114,9 +119,11 @@ def coherent_state(alphas) -> GaussianState:
     """Coherent state(s) with complex amplitude alpha per mode.
 
     The mean quadratures are ``(sqrt(2) Re alpha, sqrt(2) Im alpha)`` and the
-    covariance stays at the vacuum value.
+    covariance stays at the vacuum value.  Each alpha is a finite number,
+    never a bool.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"),
+                                      dtype=complex))
     mean = np.empty(2 * alphas.size)
     mean[0::2] = np.sqrt(2.0) * alphas.real
     mean[1::2] = np.sqrt(2.0) * alphas.imag
@@ -133,11 +140,14 @@ def squeezed_vacuum_state(rs, phis=None) -> GaussianState:
     phis : float or sequence of float, optional
         Squeeze orientation per mode; with ``phi = 0`` the x variance is
         reduced to ``exp(-2 r)/2``.
+
+    Every ``r`` and ``phi`` is finite and real, never a bool, of any sign.
     """
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    rs = np.atleast_1d(np.asarray(_require_finite("rs", rs), dtype=float))
     if phis is None:
         phis = np.zeros_like(rs)
-    phis = np.broadcast_to(np.atleast_1d(np.asarray(phis, dtype=float)), rs.shape)
+    phis = np.broadcast_to(np.atleast_1d(np.asarray(_require_finite("phis", phis),
+                                                    dtype=float)), rs.shape)
     cov = np.zeros((2 * rs.size, 2 * rs.size))
     for i, (r, phi) in enumerate(zip(rs, phis)):
         c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
@@ -176,9 +186,12 @@ def pm_pair_maps(gamma_tau1, omega_tau2):
     :func:`zenofloquet.floquet.pair_map`.  The minus block is also the map of
     the degenerate (single-mode) drive: its sub-harmonic segment flows with
     the opposite hyperbolic sense, and the half-trace still equals
-    ``|cos(omega*tau2) cosh(gamma*tau1)|``.
+    ``|cos(omega*tau2) cosh(gamma*tau1)|``.  The products are checked as
+    :func:`zenofloquet.floquet.pair_map` checks them, before any is negated.
     """
-    return pair_map(gamma_tau1, -omega_tau2), pair_map(-gamma_tau1, omega_tau2)
+    g = _require_finite("gamma_tau1", gamma_tau1)
+    w = _require_finite("omega_tau2", omega_tau2)
+    return pair_map(g, -w), pair_map(-g, w)
 
 
 def _mul(x, y):
@@ -191,42 +204,48 @@ def _mul(x, y):
 
 # a diverged point's entries keep growing to inf, then nan (inf - inf), and a
 # cap near float64's range lets entries below it square to inf; the flag is
-# sticky and inf > photon_cap still trips it, so the overflow is expected and
-# must not reach stderr
+# sticky and an inf or nan total is past every cap, so the overflow is
+# expected and must not reach stderr
 @np.errstate(over="ignore", invalid="ignore")
 def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     """Vectorized Gaussian boundedness check from vacuum on a product grid.
 
     Takes the 1-D grid axes, as :func:`zenofloquet.floquet.pair_map` does, and
     returns a ``(len(gamma_tau1), len(omega_tau2))`` boolean array marking the
-    drives whose photon number from vacuum exceeds ``photon_cap`` at a
+    drives whose photon number from vacuum is past ``photon_cap`` at a
     checkpoint: after ``1, 2, 4, ...`` periods (powers of two up to
-    ``periods``) and after ``periods``.  Photon growth of an unstable map is
-    eventually monotone, so the checkpoints catch its divergence; a stable
-    drive whose bounded excursion passes the cap only between checkpoints is
-    reported bounded, where :func:`evolve`, which tests every period, reports
-    it diverged.  A point stays marked once past the cap; its entries may
-    then overflow to ``inf`` or ``nan``, silently.
+    ``periods``) and after ``periods``.  A total is past the cap when it
+    exceeds the cap or is not finite (``floquet._past_cap``, the test of
+    every engine), so with ``photon_cap = inf`` a drive is marked once its
+    photon number overflows.  Photon growth of an unstable map is eventually
+    monotone, so the checkpoints catch its divergence; a stable drive whose
+    bounded excursion passes the cap only between checkpoints is reported
+    bounded, where :func:`evolve`, which tests every period, reports it
+    diverged.  A point stays marked once past the cap; its entries may then
+    overflow to ``inf`` or ``nan``, silently.
 
-    Only the plus pair of :func:`pm_pair_maps` is evolved: the minus map is
-    ``D @ plus @ D`` with ``D = diag(1, -1)``, so its powers have the plus
-    powers' norms.  The powers are multiplied as four entry arrays, because
-    batched ``@`` on 2x2 stacks is slow.
+    Only ``P = pair_map(gamma_tau1, omega_tau2)`` is evolved, with its
+    inputs checked as given.  With ``X`` the x<->p swap and ``D = diag(1,
+    -1)``, the plus map of :func:`pm_pair_maps` is ``X @ P @ X`` and the
+    minus map is ``D @ plus @ D``; both conjugations are orthogonal, so
+    every power of either map has the Frobenius norm of the same power of
+    ``P``.  The powers are multiplied as four entry arrays, because batched
+    ``@`` on 2x2 stacks is slow.
     """
     periods = _require_int("periods", periods)
     _require_cap(photon_cap)
-    plus = pair_map(gamma_tau1, -omega_tau2)
-    diverged = np.zeros(plus.shape[:-2], dtype=bool)
+    pair = pair_map(gamma_tau1, omega_tau2)
+    diverged = np.zeros(pair.shape[:-2], dtype=bool)
     if not periods:
         return diverged  # only the vacuum, which no cap > 0 trips
 
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
-        # |S^n|_F^2 / 4 - 1 = (|P^n|_F^2 + |M^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1
-        diverged[sum(e * e for e in mats) / 2.0 - 1.0 > photon_cap] = True
+        # |S^n|_F^2 / 4 - 1 = (|plus^n|_F^2 + |minus^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1
+        diverged[_past_cap(sum(e * e for e in mats) / 2.0 - 1.0, photon_cap)] = True
 
     # step holds P^n for n = 1, 2, 4, ...; power collects P^periods from them
-    step = tuple(plus[..., i, j] for i in (0, 1) for j in (0, 1))
+    step = tuple(pair[..., i, j] for i in (0, 1) for j in (0, 1))
     power = None
     n = 1
     while True:
@@ -314,9 +333,9 @@ def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, set
     and applied to the last state of each run of up to ``_CHUNK`` periods.
     ``settle(means, covs, per_mode)`` receives each run's samples, one per
     period, with their photons per mode; a run that the photon cap stops ends
-    at the first period whose total photon number exceeds ``photon_cap`` or
-    is not finite, and no run follows it.  Returns the status, ``"ok"`` or
-    ``"diverged"``.
+    at the first period whose total photon number is past ``photon_cap``
+    (``floquet._past_cap``: above it or not finite), and no run follows it.
+    Returns the status, ``"ok"`` or ``"diverged"``.
     """
     periods, two_mode = schedule.periods, state.mode_count == 2
     plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
@@ -338,9 +357,7 @@ def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, set
         covs = np.ldexp(maps @ np.ldexp(cov, -shift) @ np.swapaxes(maps, 1, 2), shift)
         means, covs = maps @ mean, (covs + np.swapaxes(covs, 1, 2)) / 2.0
         per_mode = _photons_per_mode(means, covs)
-        totals = per_mode.sum(axis=-1)
-        # an overflowed total is inf, which an infinite cap does not exceed
-        tripped = np.flatnonzero(~((totals <= photon_cap) & np.isfinite(totals)))
+        tripped = np.flatnonzero(_past_cap(per_mode.sum(axis=-1), photon_cap))
         if tripped.size:
             status = "diverged"
             kept = tripped[0] + 1
@@ -367,9 +384,10 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     schedule : DriveSchedule
         Drive parameters, including the period count N.
     photon_cap : float
-        Divergence guard, > 0 (``inf`` for no cap); evolution stops with
-        status "diverged" once the total photon number exceeds it or stops
-        being finite.
+        Divergence guard, > 0 and never a bool (``inf`` for no cap);
+        evolution stops with status "diverged" at the first period whose
+        total photon number is past it: above it or not finite, the one
+        cap test of every engine (``floquet._past_cap``).
 
     Returns
     -------

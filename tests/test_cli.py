@@ -156,6 +156,12 @@ class TestEstimate:
         assert captured.out == "" and message in captured.err
 
 
+def test_photon_cap_defaults_are_the_library_default():
+    """One default cap: both CLI keys read ``gaussian.PHOTON_CAP``."""
+    assert cli.SWEEP_DEFAULTS["cross_check"]["photon_cap"] is gaussian.PHOTON_CAP
+    assert cli.SIMULATE_DEFAULTS["photon_cap"] is gaussian.PHOTON_CAP
+
+
 class TestSweep:
     def test_output_is_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--gamma-tau1", "0", "1.5", "31",
@@ -329,7 +335,8 @@ class TestSweep:
         ({"gamma_tau1": {"min": False, "max": 1.0, "steps": 3}}, "min", False),
         ({"cross_check": {"enabled": True, "periods": 5, "photon_cap": True}},
          "photon_cap", True),
-    ], ids=["epsilon", "axis-min", "cross-check-cap"])
+        ({"epsilon": "0.1"}, "epsilon", "0.1"),
+    ], ids=["epsilon", "axis-min", "cross-check-cap", "epsilon-string"])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
         grid = {"gamma_tau1": {"min": 0.0, "max": 1.0, "steps": 2},
                 "omega_tau2": {"min": 0.0, "max": 1.0, "steps": 2}}
@@ -583,7 +590,8 @@ class TestSimulate:
         ({"schedule": {**SCHEDULE, "gamma": True}}, "gamma", True),
         ({"schedule": {**SCHEDULE, "omega": False}}, "omega", False),
         ({"photon_cap": True}, "photon_cap", True),
-    ], ids=["schedule-gamma", "schedule-omega", "photon-cap"])
+        ({"schedule": {**SCHEDULE, "gamma": "0.1"}}, "gamma", "0.1"),
+    ], ids=["schedule-gamma", "schedule-omega", "photon-cap", "schedule-gamma-string"])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schedule": SCHEDULE, **cfg}))

@@ -1,6 +1,7 @@
 """Segment matrices, monodromy composition and stability classification."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +349,20 @@ class TestPowers:
         assert table.shape == (7, 2, 2)
         np.testing.assert_array_equal(table[:, 0, 1], np.arange(7.0))
         assert powers(a, 0).shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("cap, expected", [
+    (1.5, [False, True, True, True, True]),
+    (math.inf, [False, False, False, True, True]),
+    (10**400, [False, False, False, True, True]),
+], ids=["finite", "inf", "int-beyond-float"])
+def test_past_cap_is_above_cap_or_not_finite(cap, expected):
+    """The one cap test of every engine: a total is past the cap when it
+    exceeds it or is not finite, for any valid cap, ``inf`` included."""
+    totals = np.array([1.0, 2.0, sys.float_info.max, math.inf, math.nan])
+    np.testing.assert_array_equal(floquet._past_cap(totals, cap), expected)
+    for total, past in zip(totals, expected):
+        assert floquet._past_cap(total, cap) == past
 
 
 class TestClassicalPendulum:

@@ -306,11 +306,11 @@ class TestSegmentUnitary:
                 # coordinates on the orthonormal sector basis keep the norm
                 coords = psi[kept] * scale[kept, None]
                 np.testing.assert_allclose(np.linalg.norm(coords, axis=0), 1.0, rtol=1e-14)
-                one = segment(label, cutoff, 0.6, key)(coords[:, :1])
+                one = on_sector(segment(label, cutoff, 0.6, key), coords[:, :1])
                 full = segment_unitary(h, 0.6) @ psi[:, :1]
                 np.testing.assert_allclose(one, full[kept] * scale[kept, None], atol=1e-12)
                 assert np.abs(np.delete(full, rows, axis=0)).max(initial=0.0) < 1e-12
-                many = segment(label, cutoff, angles, key)(coords)
+                many = on_sector(segment(label, cutoff, angles, key), coords)
                 for j, angle in enumerate(angles):
                     np.testing.assert_allclose(
                         many[:, j],
@@ -328,7 +328,7 @@ class TestSegmentUnitary:
         psi = rng.standard_normal(h.shape[0]) \
             + 1j * rng.standard_normal(h.shape[0])
         psi /= np.linalg.norm(psi)
-        via_blocks = segment(label, cutoff, angle, FULL_SPACE)(psi[:, None])[:, 0]
+        via_blocks = on_sector(segment(label, cutoff, angle, FULL_SPACE), psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
                                    atol=1e-12)
 
@@ -389,7 +389,7 @@ def complex_step_periods(sector, coords, gamma_tau1, omega_tau2, periods, settle
     psi = coords * sector.amplify.gauge[sector.amplify.unpack][:, None]
     active = np.arange(k)
     for n in range(1, periods + 1):
-        psi = exchange(amplify(psi))
+        psi = on_sector(exchange, on_sector(amplify, psi))
         probs = np.abs(psi) ** 2
         norm_sq = probs.sum(axis=0)
         psi /= np.sqrt(norm_sq)
@@ -527,10 +527,11 @@ class TestSegmentPaths:
                     assert (one.maps is None) == (not one.packing.buckets)
                     per_column = segment(label, cutoff, np.full(3, angle), key)
                     assert per_column.maps is None
-                    expected = per_column(coords)
-                    np.testing.assert_allclose(one(coords), expected, rtol=0, atol=1e-12)
+                    expected = on_sector(per_column, coords)
+                    np.testing.assert_allclose(on_sector(one, coords), expected,
+                                               rtol=0, atol=1e-12)
                     for j in range(3):
-                        np.testing.assert_allclose(one(coords[:, j:j + 1])[:, 0],
+                        np.testing.assert_allclose(on_sector(one, coords[:, j:j + 1])[:, 0],
                                                    expected[:, j], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("state, omega_tau2", [
@@ -577,7 +578,8 @@ class TestSegmentPaths:
             n_a, n_b = np.divmod(rows, cutoff + 1)
             psi[n_a != n_b] *= math.sqrt(2.0)
         assert len(recorded) == 1
-        np.testing.assert_allclose(recorded[0], exchange(amplify(psi)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(recorded[0], on_sector(exchange, on_sector(amplify, psi)),
+                               rtol=0, atol=1e-14)
 
 
 def applied(segment, x):
@@ -585,6 +587,15 @@ def applied(segment, x):
     y = np.empty_like(x)
     segment.bind(x, y)()
     return y
+
+
+def on_sector(segment, psi):
+    """``segment`` applied to ``psi`` of shape (sector rows, columns) on the
+    sector basis, outside the gauge: gathered into the packing and moved into
+    the gauge, :func:`applied`, then moved out of the gauge and unpacked."""
+    gauge = segment.packing.gauge[:, None]
+    x = psi[segment.packing.gather] * gauge.conj()
+    return (applied(segment, x) * gauge)[segment.packing.unpack]
 
 
 def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
