@@ -50,13 +50,14 @@ class RunResult(NamedTuple):
     status: str = "ok"
 
 
-def _table(header, columns):
-    """The equal-length ``columns`` as rows of one structured array."""
-    columns = [np.asarray(column) for column in columns]
-    rows = np.empty(len(columns[0]), [(k, c.dtype) for k, c in zip(header, columns)])
-    for key, column in zip(header, columns):
-        rows[key] = column
-    return rows
+def _table(columns, status="ok"):
+    """The run result of ``columns``, an ordered mapping from each header name
+    to its column: the equal-length columns as rows of one structured array."""
+    columns = {name: np.asarray(column) for name, column in columns.items()}
+    rows = np.empty(len(next(iter(columns.values()))), [(k, c.dtype) for k, c in columns.items()])
+    for name, column in columns.items():
+        rows[name] = column
+    return RunResult(list(columns), rows, status)
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -126,6 +127,19 @@ def _require_number(cfg, key, *, positive=False, nonnegative=False):
 def _is_int(value):
     """True for a JSON integer; JSON booleans load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_count(cfg, key, lo, hi=None):
+    """``cfg[key]``, ``key`` dotted for a nested key: a JSON integer (never a
+    float or a bool) in ``[lo, hi]``, with no upper bound for ``hi=None``."""
+    *parents, leaf = key.split(".")
+    value = functools.reduce(dict.get, parents, cfg).get(leaf)
+    hi = math.inf if hi is None else hi
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{key} {value} outside [{lo}, {hi}]")
+    return value
 
 
 # --- output ------------------------------------------------------------------
@@ -248,12 +262,10 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _axis_values(axis_cfg, name):
-    lo = _require_number(axis_cfg, "min", nonnegative=True)
-    hi = _require_number(axis_cfg, "max", nonnegative=True)
-    steps = axis_cfg.get("steps")
-    if not _is_int(steps) or steps < 2:
-        raise ConfigError(f"{name}.steps must be an integer >= 2")
+def _axis_values(cfg, name):
+    lo = _require_number(cfg[name], "min", nonnegative=True)
+    hi = _require_number(cfg[name], "max", nonnegative=True)
+    steps = _require_count(cfg, f"{name}.steps", 2)
     if not lo < hi:
         raise ConfigError(f"{name}: require min < max")
     return np.linspace(lo, hi, steps)
@@ -270,38 +282,33 @@ def run_sweep(cfg) -> RunResult:
     """Stability map over the (gamma*tau1, omega*tau2) grid.
 
     The whole grid is classified in one pass, and the cross-check evolves
-    the plus and minus pair maps of every grid point together.
+    the pair maps of every grid point together.
     """
-    gammas = _axis_values(cfg["gamma_tau1"], "gamma_tau1")
+    gammas = _axis_values(cfg, "gamma_tau1")
     _require_gamma_tau1("gamma_tau1.max", float(gammas[-1]))
-    thetas = _axis_values(cfg["omega_tau2"], "omega_tau2")
+    thetas = _axis_values(cfg, "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
     cross = cfg["cross_check"]
-    if not isinstance(cross.get("enabled"), bool):
+    if not isinstance(cross["enabled"], bool):
         raise ConfigError("cross_check.enabled must be true or false")
-    if cross["enabled"]:
-        periods = cross.get("periods")
-        if not _is_int(periods) or periods < 1:
-            raise ConfigError("cross_check.periods must be a positive integer")
-        cap = _require_number(cross, "photon_cap", positive=True)
+    periods = _require_count(cfg, "cross_check.periods", 1)
+    cap = _require_number(cross, "photon_cap", positive=True)
 
-    header = ["gamma_tau1", "omega_tau2", "half_trace", "classification",
-              "floquet_exponent"]
     # unit segment durations, as DriveSchedule.from_products: period 2
     half_trace, classes, exponent = floquet.classify_stack(
         floquet.pair_map(gammas, thetas), 2.0, epsilon)
     half_trace, classes = half_trace.ravel(), classes.ravel()
-    columns = [np.repeat(gammas, thetas.size), np.tile(thetas, gammas.size),
-               half_trace, classes, exponent.ravel()]
-
+    columns = {"gamma_tau1": np.repeat(gammas, thetas.size),
+               "omega_tau2": np.tile(thetas, gammas.size),
+               "half_trace": half_trace, "classification": classes,
+               "floquet_exponent": exponent.ravel()}
     if cross["enabled"]:
         diverged = gaussian.vacuum_diverges(gammas, thetas, periods, cap).ravel()
-        header += ["gaussian_outcome", "disagreement"]
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
-        columns += [np.where(diverged, "diverged", "bounded"),
-                    disagree.astype(np.int64)]
-    return RunResult(header, _table(header, columns))
+        columns["gaussian_outcome"] = np.where(diverged, "diverged", "bounded")
+        columns["disagreement"] = disagree.astype(np.int64)
+    return _table(columns)
 
 
 # --- simulate ----------------------------------------------------------------
@@ -319,9 +326,7 @@ SIMULATE_DEFAULTS = {
 
 def _schedule_from_config(cfg):
     sched = cfg["schedule"]
-    periods = sched.get("periods")
-    if not _is_int(periods) or periods < 0:
-        raise ConfigError("schedule.periods must be a non-negative integer")
+    periods = _require_count(cfg, "schedule.periods", 0)
     try:
         schedule = floquet.DriveSchedule(
             gamma=_require_number(sched, "gamma", nonnegative=True),
@@ -336,20 +341,7 @@ def _schedule_from_config(cfg):
     return schedule
 
 
-def _initial_gaussian(initial, modes):
-    kind = initial.get("type", "vacuum")
-    if kind == "vacuum":
-        return gaussian.vacuum_state(modes)
-    if kind == "coherent":
-        return gaussian.coherent_state(_parse_alphas(initial, modes))
-    raise ConfigError(f"initial state type {kind!r} not supported by the "
-                      "gaussian backend (use vacuum or coherent)")
-
-
-def _parse_alphas(initial, modes):
-    alpha = initial.get("alpha")
-    if alpha is None:
-        raise ConfigError("initial.alpha required for a coherent state")
+def _parse_alphas(alpha, modes):
     cells = np.asarray(alpha, dtype=object)
     try:
         arr = cells.astype(float)
@@ -362,19 +354,40 @@ def _parse_alphas(initial, modes):
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _read_initial(initial, modes):
+    """The initial block's type, amplitudes and occupations; a non-null
+    ``alpha`` or ``occupations`` is checked whatever the type and backend."""
+    kind, alphas, occupations = initial["type"], initial["alpha"], initial["occupations"]
+    if alphas is not None:
+        alphas = _parse_alphas(alphas, modes)
+    elif kind == "coherent":
+        raise ConfigError("initial.alpha required for a coherent state")
+    if (occupations is not None or kind == "number") and (
+            not isinstance(occupations, list) or len(occupations) != modes
+            or not all(_is_int(n) for n in occupations)):
+        raise ConfigError(f"initial.occupations must list {modes} integers")
+    return kind, alphas, occupations
+
+
+def _initial_gaussian(initial, modes):
+    kind, alphas, _ = _read_initial(initial, modes)
+    if kind == "vacuum":
+        return gaussian.vacuum_state(modes)
+    if kind == "coherent":
+        return gaussian.coherent_state(alphas)
+    raise ConfigError(f"initial state type {kind!r} not supported by the "
+                      "gaussian backend (use vacuum or coherent)")
+
+
 def _initial_fock(initial, modes, cutoff):
-    kind = initial.get("type", "vacuum")
+    kind, alphas, occupations = _read_initial(initial, modes)
     try:
         if kind == "vacuum":
             return fock.vacuum_state(cutoff, modes)
         if kind == "coherent":
-            return fock.coherent_state(cutoff, _parse_alphas(initial, modes))
+            return fock.coherent_state(cutoff, alphas)
         if kind == "number":
-            occ = initial.get("occupations")
-            if (not isinstance(occ, list) or len(occ) != modes
-                    or not all(_is_int(n) for n in occ)):
-                raise ConfigError(f"initial.occupations must list {modes} integers")
-            return fock.number_state(cutoff, *occ)
+            return fock.number_state(cutoff, *occupations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown initial state type {kind!r}")
@@ -383,35 +396,26 @@ def _initial_fock(initial, modes, cutoff):
 def run_simulate(cfg) -> RunResult:
     """Per-period photon record for one schedule."""
     schedule = _schedule_from_config(cfg)
-    modes = cfg["modes"]
-    if not _is_int(modes) or modes not in (1, 2):
-        raise ConfigError("modes must be 1 or 2")
+    modes = _require_count(cfg, "modes", 1, 2)
     backend = cfg["backend"]
     if backend not in ("gaussian", "fock", "both"):
         raise ConfigError("backend must be gaussian, fock or both")
+    cutoff = cfg["cutoff"]
+    if cutoff is not None or backend != "gaussian":  # the fock backend needs one
+        cutoff = _require_count(cfg, "cutoff", 1, fock.MAX_CUTOFF[modes])
+    photon_cap = _require_number(cfg, "photon_cap", positive=True)
     report = floquet.classify_schedule(schedule)
 
     gauss_traj = fock_traj = None
-    photon_cap = _require_number(cfg, "photon_cap", positive=True)
     if backend in ("gaussian", "both"):
         state = _initial_gaussian(cfg["initial"], modes)
         gauss_traj = gaussian.evolve(state, schedule, photon_cap=photon_cap)
     if backend in ("fock", "both"):
-        cutoff = cfg.get("cutoff")
-        if not _is_int(cutoff) or cutoff < 1:
-            raise ConfigError("the fock backend requires an integer cutoff >= 1")
         state = _initial_fock(cfg["initial"], modes, cutoff)
         try:
             fock_traj = fock.propagate(state, schedule, photon_cap=photon_cap)
         except ValueError as exc:  # an initial state that is not cutoff-safe
             raise ConfigError(str(exc)) from exc
-
-    mode_cols = ["n_a", "n_b"] if modes == 2 else ["n"]
-    header = ["period"] + mode_cols + ["n_total", "half_trace", "classification"]
-    if backend == "fock":
-        header += ["norm_drift", "leakage"]
-    if backend == "both":
-        header += ["delta_" + mode_cols[0]]
 
     # the fock record is printed whenever it exists; a run stopped by a guard
     # records fewer periods, and the table ends with the shorter record
@@ -422,21 +426,23 @@ def run_simulate(cfg) -> RunResult:
     steps = total.size
     if backend == "both":
         steps = min(steps, gauss_traj.photon_totals.size)
-    columns = [np.arange(steps), *per_mode[:steps].T, total[:steps],
-               np.full(steps, report.half_trace),
-               np.full(steps, report.classification.value)]
+    mode_cols = ["n_a", "n_b"] if modes == 2 else ["n"]
+    columns = {"period": np.arange(steps), **dict(zip(mode_cols, per_mode[:steps].T)),
+               "n_total": total[:steps], "half_trace": np.full(steps, report.half_trace),
+               "classification": np.full(steps, report.classification.value)}
     if backend == "fock":
-        columns += [fock_traj.norm_drift[:steps], fock_traj.leakage[:steps]]
+        columns["norm_drift"] = fock_traj.norm_drift[:steps]
+        columns["leakage"] = fock_traj.leakage[:steps]
     if backend == "both":
-        columns.append(fock_traj.n_per_mode[:steps, 0]
-                       - gauss_traj.photons_per_mode[:steps, 0])
+        columns["delta_" + mode_cols[0]] = (fock_traj.n_per_mode[:steps, 0]
+                                            - gauss_traj.photons_per_mode[:steps, 0])
 
     status = []
     if gauss_traj is not None and gauss_traj.diverged:
         status.append("gaussian-diverged")
     if fock_traj is not None and fock_traj.status != "ok":
         status.append(f"fock-{fock_traj.status}")
-    return RunResult(header, _table(header, columns), ";".join(status) or "ok")
+    return _table(columns, ";".join(status) or "ok")
 
 
 # --- estimate ----------------------------------------------------------------
@@ -484,9 +490,8 @@ def run_estimate(cfg) -> RunResult:
         raise ConfigError("gamma_tau1 = Gamma_c * length overflows float64")
     if gamma_tau1 == 0.0:
         raise ConfigError("gamma_tau1 = Gamma_c * length underflows float64 to 0")
-    header = list(ESTIMATE_DEFAULTS) + ["gamma_c_per_m", "gamma_tau1"]
-    cells = [values[k] for k in ESTIMATE_DEFAULTS] + [gamma_c, gamma_tau1]
-    return RunResult(header, _table(header, [[v] for v in cells]))
+    cells = {**values, "gamma_c_per_m": gamma_c, "gamma_tau1": gamma_tau1}
+    return _table({name: [value] for name, value in cells.items()})
 
 
 # --- argument parsing ---------------------------------------------------------

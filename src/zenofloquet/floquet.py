@@ -32,9 +32,10 @@ DEFAULT_EPSILON = 1e-9
 DET_TOL = 1e-9
 
 #: Largest ``gamma*tau1`` for which every quantity formed from a pair map
-#: stays finite in float64.  The largest of them, the period-one Frobenius sum
-#: of the plus and minus maps in the sweep cross-check, is about
-#: ``8 cosh(gamma*tau1)^2``; a further factor 2 leaves room for rounding.
+#: stays finite in float64.  The largest of them, the squared Frobenius norm
+#: ``|P|_F^2`` of one period's pair map in the sweep cross-check
+#: (``gaussian.vacuum_diverges``), is about ``4 cosh(gamma*tau1)^2``: a
+#: quarter of float64's maximum at this limit, a factor 4 left for rounding.
 MAX_GAMMA_TAU1 = math.acosh(math.sqrt(sys.float_info.max / 16.0))
 
 

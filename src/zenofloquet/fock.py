@@ -208,7 +208,8 @@ class FockState:
         object.__setattr__(self, "mode_count", modes)
         object.__setattr__(self, "cutoff", _require_cutoff(self.cutoff, modes))
         dim = (self.cutoff + 1) ** self.mode_count
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(_require_finite("amplitudes", self.amplitudes, "iufc"),
+                        dtype=complex).reshape(-1)
         if amps.size != dim:
             raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)

@@ -68,20 +68,22 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
 class GaussianState:
     """Mean vector and covariance matrix of a 1- or 2-mode Gaussian state.
 
-    The constructor rejects non-finite entries, symmetrizes the covariance
-    (rejecting asymmetry beyond 1e-12 relative to its scale) and verifies the
-    uncertainty relation via the symplectic spectrum.  Arrays are copied and
-    frozen, so states are immutable values.
+    The constructor rejects non-finite and bool entries, symmetrizes the
+    covariance (rejecting asymmetry beyond 1e-12 relative to its scale) and
+    verifies the uncertainty relation via the symplectic spectrum, raising
+    ``InvalidStateError``.  Arrays are copied and frozen, so states are
+    immutable values.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.covariance, dtype=float)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise InvalidStateError("mean and covariance must be finite")
+        try:
+            mean = np.array(_require_finite("mean", self.mean), dtype=float).reshape(-1)
+            cov = np.array(_require_finite("covariance", self.covariance), dtype=float)
+        except ValueError as exc:  # a NaN, an inf, a bool or not a number
+            raise InvalidStateError(str(exc)) from exc
         if mean.size not in (2, 4):
             raise InvalidStateError(f"mean must have length 2 or 4, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
@@ -241,8 +243,10 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
 
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
-        # |S^n|_F^2 / 4 - 1 = (|plus^n|_F^2 + |minus^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1
-        diverged[_past_cap(sum(e * e for e in mats) / 2.0 - 1.0, photon_cap)] = True
+        # |S^n|_F^2 / 4 - 1 = (|plus^n|_F^2 + |minus^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1;
+        # the squares are summed in the plus map's entry order (d, c, b, a), so
+        # the total is the two-pair sum's bit for bit, rounding near 0 included
+        diverged[_past_cap(sum(e * e for e in reversed(mats)) / 2.0 - 1.0, photon_cap)] = True
 
     # step holds P^n for n = 1, 2, 4, ...; power collects P^periods from them
     step = tuple(pair[..., i, j] for i in (0, 1) for j in (0, 1))

@@ -64,7 +64,7 @@ SMALL_SWEEP = {**cli.SWEEP_DEFAULTS,
 
 
 @pytest.mark.parametrize("run, cfg, count", [
-    (cli.run_sweep, {**SMALL_SWEEP, "cross_check": {"enabled": False}}, 12),
+    (cli.run_sweep, {**SMALL_SWEEP, "cross_check": cli.SWEEP_DEFAULTS["cross_check"]}, 12),
     (cli.run_sweep, SMALL_SWEEP, 12),
     *[(cli.run_simulate, {**cli.SIMULATE_DEFAULTS, "schedule": SCHEDULE,
                           "modes": modes, "backend": backend, "cutoff": 10}, 4)
@@ -729,6 +729,56 @@ def test_flag_equals_its_config_key(tmp_path, command, flag, key):
     assert outputs[0] != outputs[2]
 
 
+#: A valid config of each subcommand: a 3x3 sweep with the cross-check off,
+#: a Gaussian run from vacuum, and the reference estimate inputs.
+EVERY_KEY_BASES = {
+    "sweep": {"gamma_tau1": _grid_axis(0.0, 1.5, 3), "omega_tau2": _grid_axis(0.0, 3.0, 3)},
+    "simulate": {"schedule": SCHEDULE},
+    "estimate": FLAG_BASES["estimate"],
+}
+DEFAULTS = {"sweep": cli.SWEEP_DEFAULTS, "simulate": cli.SIMULATE_DEFAULTS,
+            "estimate": cli.ESTIMATE_DEFAULTS}
+
+
+def _leaf_keys(defaults, prefix=""):
+    """The dotted name of every key of ``defaults`` that holds a value."""
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+#: Each leaf key of each subcommand set to JSON true and to the string "1";
+#: a bool is the one valid kind of cross_check.enabled.
+EVERY_KEY_CASES = [(command, key, value) for command, defaults in DEFAULTS.items()
+                   for key in _leaf_keys(defaults) for value in (True, "1")
+                   if (key, value) != ("cross_check.enabled", True)]
+
+
+def test_every_key_bases_are_valid(tmp_path):
+    for command, base in EVERY_KEY_BASES.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(base))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command, key, value", EVERY_KEY_CASES,
+                         ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in EVERY_KEY_CASES])
+def test_every_config_key_is_checked(tmp_path, capsys, command, key, value):
+    """A key holding a value of the wrong kind is a usage error naming the
+    key, whether or not the run reads it."""
+    *parents, leaf = key.split(".")
+    extra = {leaf: value}
+    for parent in reversed(parents):
+        extra = {parent: extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_merged(EVERY_KEY_BASES[command], extra)))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert leaf in captured.err and captured.out == ""
+
+
 # --- simulate's columns equal the per-period row loop --------------------------
 
 def _row_loop(cfg):
@@ -896,7 +946,7 @@ def typed_table(header, columns, kinds):
     fields by position, so the fields are named ``f0, f1, ...`` whatever the
     header holds."""
     arrays = [np.array(c, dtype=TYPED_DTYPES[k]) for c, k in zip(columns, kinds)]
-    return header, cli._table([f"f{i}" for i in range(len(arrays))], arrays)
+    return header, cli._table({f"f{i}": array for i, array in enumerate(arrays)}).rows
 
 
 TYPED_DTYPES = {"float": np.float64, "int": np.int64, "str": str}

@@ -93,13 +93,16 @@ def test_invalid_count_rejected(call):
     lambda: gaussian.squeezed_vacuum_state(True),
     lambda: gaussian.squeezed_vacuum_state([0.1], [True]),
     lambda: fock.zeno_threshold_scan(0.1, [0.5, True], cutoff=10, periods=3),
+    lambda: gaussian.GaussianState([True, False], np.eye(2) / 2),
+    lambda: FockState(1, 2, [True, False, False]),
 ], ids=["schedule-rates", "schedule-np-bool", "products-true", "classify-period-true",
         "pendulum-k2-true", "hamiltonian-coupling-true", "scan-gamma-false",
         "coupling-pump-true", "pair-map-true", "pair-map-np-bool", "pair-map-bool-axis",
         "classify-epsilon-true", "classify-stack-epsilon-np-bool", "default-cutoff-gamma-true",
         "vacuum-diverges-bool-axis", "pm-pair-maps-bool-axis", "segment-unitary-duration-true",
         "fock-coherent-true", "fock-coherent-list-true", "gaussian-coherent-true",
-        "squeezed-r-true", "squeezed-phi-true", "scan-grid-true"])
+        "squeezed-r-true", "squeezed-phi-true", "scan-grid-true", "gaussian-state-bool-mean",
+        "fock-state-bool-amplitudes"])
 def test_bool_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
@@ -132,6 +135,13 @@ def test_bool_real_rejected(call):
 def test_non_finite_or_negative_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("mean", [[True, False], [math.nan, 0.0]], ids=["bool", "nan"])
+def test_gaussian_state_entry_is_invalid_state(mean):
+    """The shared finite-real rule, raised as the state's own error type."""
+    with pytest.raises(gaussian.InvalidStateError, match="must be finite"):
+        gaussian.GaussianState(mean, np.eye(2) / 2.0)
 
 
 @pytest.mark.parametrize("call", [
