@@ -17,6 +17,7 @@ is one ``%`` of the template repeated for its rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -66,7 +67,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int too long
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -102,26 +103,13 @@ def _meta(command, resolved, status="ok"):
     }
 
 
-def _require_number(cfg, key, *, positive=False, nonnegative=False):
-    """``cfg[key]`` as a float: a JSON number (an int or a float, never a
-    bool or a string), finite, and positive or non-negative if asked."""
-    value = cfg.get(key)
-    if value is None:
-        raise ConfigError(f"missing required value {key!r}")
-    # a JSON true/false loads as bool, a subclass of int, and is never a number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+@contextlib.contextmanager
+def _usage_errors():
+    """Re-raise the ``ValueError`` of a library input rule as a ``ConfigError``."""
     try:
-        value = float(value)
-    except OverflowError:  # a JSON integer beyond float64's range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{key!r} must be finite")
-    if positive and value <= 0:
-        raise ConfigError(f"{key!r} must be positive")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{key!r} must be non-negative")
-    return value
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _is_int(value):
@@ -129,17 +117,36 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_count(cfg, key, lo, hi=None):
+def _json_float(value):
+    """A JSON integer as a float (inf beyond float64); any other value as it is."""
+    try:
+        return float(value) if _is_int(value) else value
+    except OverflowError:
+        return math.inf
+
+
+def _require_number(cfg, key, *, positive=False):
+    """``cfg[key]``, ``key`` dotted for a nested key, as a float: a JSON number,
+    never a bool or a string, that ``floquet._require_real`` takes."""
+    value = functools.reduce(dict.get, key.split("."), cfg)
+    if value is None:
+        raise ConfigError(f"missing required value {key}")
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    value = _json_float(value)
+    with _usage_errors():
+        floquet._require_real(key, value, positive)
+    return value
+
+
+def _require_count(cfg, key, lo, hi=math.inf):
     """``cfg[key]``, ``key`` dotted for a nested key: a JSON integer (never a
-    float or a bool) in ``[lo, hi]``, with no upper bound for ``hi=None``."""
-    *parents, leaf = key.split(".")
-    value = functools.reduce(dict.get, parents, cfg).get(leaf)
-    hi = math.inf if hi is None else hi
+    float or a bool) in ``[lo, hi]`` by ``floquet._require_int``."""
+    value = functools.reduce(dict.get, key.split("."), cfg)
     if not _is_int(value):
         raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
-    if not lo <= value <= hi:
-        raise ConfigError(f"{key} {value} outside [{lo}, {hi}]")
-    return value
+    with _usage_errors():
+        return floquet._require_int(key, value, lo, hi)
 
 
 # --- output ------------------------------------------------------------------
@@ -263,8 +270,8 @@ SWEEP_DEFAULTS = {
 
 
 def _axis_values(cfg, name):
-    lo = _require_number(cfg[name], "min", nonnegative=True)
-    hi = _require_number(cfg[name], "max", nonnegative=True)
+    lo = _require_number(cfg, f"{name}.min")
+    hi = _require_number(cfg, f"{name}.max")
     steps = _require_count(cfg, f"{name}.steps", 2)
     if not lo < hi:
         raise ConfigError(f"{name}: require min < max")
@@ -288,11 +295,11 @@ def run_sweep(cfg) -> RunResult:
     _require_gamma_tau1("gamma_tau1.max", float(gammas[-1]))
     thetas = _axis_values(cfg, "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
-    cross = cfg["cross_check"]
-    if not isinstance(cross["enabled"], bool):
+    enabled = cfg["cross_check"]["enabled"]
+    if not isinstance(enabled, bool):
         raise ConfigError("cross_check.enabled must be true or false")
     periods = _require_count(cfg, "cross_check.periods", 1)
-    cap = _require_number(cross, "photon_cap", positive=True)
+    cap = _require_number(cfg, "cross_check.photon_cap", positive=True)
 
     # unit segment durations, as DriveSchedule.from_products: period 2
     half_trace, classes, exponent = floquet.classify_stack(
@@ -302,7 +309,7 @@ def run_sweep(cfg) -> RunResult:
                "omega_tau2": np.tile(thetas, gammas.size),
                "half_trace": half_trace, "classification": classes,
                "floquet_exponent": exponent.ravel()}
-    if cross["enabled"]:
+    if enabled:
         diverged = gaussian.vacuum_diverges(gammas, thetas, periods, cap).ravel()
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
@@ -325,33 +332,24 @@ SIMULATE_DEFAULTS = {
 
 
 def _schedule_from_config(cfg):
-    sched = cfg["schedule"]
     periods = _require_count(cfg, "schedule.periods", 0)
-    try:
-        schedule = floquet.DriveSchedule(
-            gamma=_require_number(sched, "gamma", nonnegative=True),
-            tau1=_require_number(sched, "tau1", nonnegative=True),
-            omega=_require_number(sched, "omega", nonnegative=True),
-            tau2=_require_number(sched, "tau2", nonnegative=True),
-            periods=periods,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {key: _require_number(cfg, f"schedule.{key}")
+              for key in ("gamma", "tau1", "omega", "tau2")}
+    with _usage_errors():
+        schedule = floquet.DriveSchedule(**values, periods=periods)
     _require_gamma_tau1("gamma*tau1", schedule.gamma_tau1)
     return schedule
 
 
 def _parse_alphas(alpha, modes):
+    """``initial.alpha`` as one complex amplitude per mode: ``modes`` [re, im]
+    pairs of finite numbers by ``floquet._require_finite``."""
     cells = np.asarray(alpha, dtype=object)
-    try:
-        arr = cells.astype(float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)  # not numbers: fails the shape test below
-    if (arr.shape != (modes, 2) or not np.isfinite(arr).all()
-            or any(isinstance(v, bool) for v in cells.flat)):
-        raise ConfigError(
-            f"initial.alpha must be a list of {modes} [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    if cells.shape != (modes, 2) or any(isinstance(v, (list, dict)) for v in cells.flat):
+        raise ConfigError(f"initial.alpha must be a list of {modes} [re, im] pairs")
+    with _usage_errors():  # as floats: an int beyond int64 would make an object array
+        arr = floquet._require_finite("initial.alpha", list(map(_json_float, cells.flat)))
+    return arr[0::2] + 1j * arr[1::2]
 
 
 def _read_initial(initial, modes):
@@ -374,22 +372,21 @@ def _initial_gaussian(initial, modes):
     if kind == "vacuum":
         return gaussian.vacuum_state(modes)
     if kind == "coherent":
-        return gaussian.coherent_state(alphas)
+        with _usage_errors():
+            return gaussian.coherent_state(alphas)
     raise ConfigError(f"initial state type {kind!r} not supported by the "
                       "gaussian backend (use vacuum or coherent)")
 
 
 def _initial_fock(initial, modes, cutoff):
     kind, alphas, occupations = _read_initial(initial, modes)
-    try:
+    with _usage_errors():
         if kind == "vacuum":
             return fock.vacuum_state(cutoff, modes)
         if kind == "coherent":
             return fock.coherent_state(cutoff, alphas)
         if kind == "number":
             return fock.number_state(cutoff, *occupations)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown initial state type {kind!r}")
 
 
@@ -412,10 +409,8 @@ def run_simulate(cfg) -> RunResult:
         gauss_traj = gaussian.evolve(state, schedule, photon_cap=photon_cap)
     if backend in ("fock", "both"):
         state = _initial_fock(cfg["initial"], modes, cutoff)
-        try:
+        with _usage_errors():  # an initial state that is not cutoff-safe
             fock_traj = fock.propagate(state, schedule, photon_cap=photon_cap)
-        except ValueError as exc:  # an initial state that is not cutoff-safe
-            raise ConfigError(str(exc)) from exc
 
     # the fock record is printed whenever it exists; a run stopped by a guard
     # records fewer periods, and the table ends with the shorter record
@@ -471,25 +466,17 @@ def coupling_rate(eta, chi2, omega_a, omega_b, pump_intensity) -> float:
         rate = math.sqrt(eta**3 / 2.0 * chi2**2 * omega_a * omega_b * pump_intensity)
     except OverflowError:  # a float ** raises where * gives inf
         rate = math.inf
-    if not math.isfinite(rate):
-        raise ValueError("coupling rate Gamma_c overflows float64")
-    if rate == 0.0:
-        raise ValueError("coupling rate Gamma_c underflows float64 to 0")
+    floquet._require_real("coupling rate Gamma_c", rate, positive=True)
     return rate
 
 
 def run_estimate(cfg) -> RunResult:
     values = {k: _require_number(cfg, k, positive=True) for k in ESTIMATE_DEFAULTS}
-    try:
+    with _usage_errors():
         gamma_c = coupling_rate(values["eta"], values["chi2"], values["omega_a"],
                                 values["omega_b"], values["pump_intensity"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    gamma_tau1 = gamma_c * values["length"]
-    if not math.isfinite(gamma_tau1):
-        raise ConfigError("gamma_tau1 = Gamma_c * length overflows float64")
-    if gamma_tau1 == 0.0:
-        raise ConfigError("gamma_tau1 = Gamma_c * length underflows float64 to 0")
+        gamma_tau1 = gamma_c * values["length"]
+        floquet._require_real("gamma_tau1 = Gamma_c * length", gamma_tau1, positive=True)
     cells = {**values, "gamma_c_per_m": gamma_c, "gamma_tau1": gamma_tau1}
     return _table({name: [value] for name, value in cells.items()})
 

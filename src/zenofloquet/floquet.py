@@ -52,10 +52,13 @@ class Classification(str, enum.Enum):
 
 
 def _require_real(name, value, positive=False):
-    """Reject a ``value`` that is a bool, or is not finite and ``>= 0`` (``> 0``
-    if ``positive``)."""
-    if isinstance(value, (bool, np.bool_)) or not (
-            math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    """Reject a ``value`` that is a bool, or is not a finite real ``>= 0``
+    (``> 0`` if ``positive``)."""
+    try:
+        valid = math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float64
+        valid = False
+    if not valid or isinstance(value, (bool, np.bool_)):
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
@@ -84,6 +87,17 @@ def _require_finite(name, value, kinds="iuf"):
         kind = "complex" if "c" in kinds else "real"
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
     return array
+
+
+def _require_amplitudes(alphas):
+    """``alphas`` as a 1-D complex array, and the photon number ``|alpha|^2`` of
+    each: finite numbers, never bools, each ``|alpha|^2`` finite in float64."""
+    alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"), dtype=complex))
+    with np.errstate(over="ignore"):  # scalar abs: an array np.abs can differ in the last bit
+        photons = np.array([abs(alpha) ** 2 for alpha in alphas])
+    if not np.isfinite(photons).all():
+        raise ValueError(f"|alpha|^2 overflows float64 for alphas {alphas.tolist()!r}")
+    return alphas, photons
 
 
 def _require_cap(photon_cap):

@@ -84,8 +84,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .floquet import (DriveSchedule, _past_cap, _require_cap, _require_finite, _require_int,
-                      _require_real)
+from .floquet import (DriveSchedule, _past_cap, _require_amplitudes, _require_cap,
+                      _require_finite, _require_int, _require_real)
 
 #: Population fraction allowed in levels above HIGH_LEVEL_FRACTION * cutoff:
 #: the one definition of a truncation-safe state.
@@ -251,24 +251,23 @@ def vacuum_state(cutoff: int, mode_count: int = 2) -> FockState:
 def coherent_state(cutoff: int, alphas) -> FockState:
     """Product coherent state; rejects cutoffs that truncate > 1e-10 of norm.
 
-    Each alpha is a finite number, never a bool.
+    Each alpha is a finite number, never a bool, with a finite ``|alpha|^2``.
     """
-    alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"),
-                                      dtype=complex))
+    alphas, photons = _require_amplitudes(alphas)
     cutoff = _require_cutoff(cutoff, alphas.size)
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, cutoff + 1)))))
     amps = None
-    for alpha in alphas:
+    for alpha, photon in zip(alphas, photons):
         if alpha == 0:
             single = np.zeros(cutoff + 1, dtype=complex)
             single[0] = 1.0
         else:
-            single = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(alpha) - log_fact / 2.0)
+            single = np.exp(-photon / 2.0 + n * np.log(alpha) - log_fact / 2.0)
         lost = 1.0 - np.linalg.norm(single) ** 2
         if lost > 1e-10:
             raise ValueError(
-                f"cutoff {cutoff} too small for |alpha|^2 = {abs(alpha)**2:.3g} "
+                f"cutoff {cutoff} too small for |alpha|^2 = {photon:.3g} "
                 f"(truncated weight {lost:.2e})")
         amps = single if amps is None else np.kron(amps, single)
     return FockState(mode_count=alphas.size, cutoff=cutoff, amplitudes=amps)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import (DriveSchedule, _past_cap, _require_cap, _require_finite, _require_int,
-                      pair_map, powers)
+from .floquet import (DriveSchedule, _past_cap, _require_amplitudes, _require_cap,
+                      _require_finite, _require_int, pair_map, powers)
 
 #: Default photon cap of the Gaussian engine and of the CLI: evolution aborts
 #: with status "diverged" once the total expected photon number is past it.
@@ -122,10 +122,9 @@ def coherent_state(alphas) -> GaussianState:
 
     The mean quadratures are ``(sqrt(2) Re alpha, sqrt(2) Im alpha)`` and the
     covariance stays at the vacuum value.  Each alpha is a finite number,
-    never a bool.
+    never a bool, with a finite ``|alpha|^2``.
     """
-    alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"),
-                                      dtype=complex))
+    alphas, _ = _require_amplitudes(alphas)
     mean = np.empty(2 * alphas.size)
     mean[0::2] = np.sqrt(2.0) * alphas.real
     mean[1::2] = np.sqrt(2.0) * alphas.imag

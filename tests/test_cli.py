@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +131,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("inputs, message", [
         (["--eta", "1e200", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
-          "--pump-intensity", "1", "--length", "1"], "Gamma_c overflows"),
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c must be finite and > 0, got inf"),
         (["--eta", "1", "--chi2", "1", "--omega-a", "1e300", "--omega-b", "1e300",
-          "--pump-intensity", "1", "--length", "1"], "Gamma_c overflows"),
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c must be finite and > 0, got inf"),
         (["--eta", "1", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
           "--pump-intensity", "10", "--length", "1e308"], "gamma_tau1"),
     ], ids=["power-overflow", "product-overflow", "length-overflow"])
@@ -144,10 +145,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize("inputs, message", [
         (["--eta", "1e-200", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
-          "--pump-intensity", "1", "--length", "1"], "Gamma_c underflows"),
+          "--pump-intensity", "1", "--length", "1"], "Gamma_c must be finite and > 0, got 0.0"),
         (["--eta", "1e-100", "--chi2", "1", "--omega-a", "1", "--omega-b", "1",
           "--pump-intensity", "1", "--length", "1e-200"],
-         "gamma_tau1 = Gamma_c * length underflows"),
+         "gamma_tau1 = Gamma_c * length must be finite and > 0, got 0.0"),
     ], ids=["power-underflow", "length-underflow"])
     def test_underflow_is_usage_error(self, capsys, inputs, message):
         """A rate that underflows to 0 is a usage error, never a silent 0."""
@@ -332,9 +333,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("cfg, key, value", [
         ({"epsilon": True}, "epsilon", True),
-        ({"gamma_tau1": {"min": False, "max": 1.0, "steps": 3}}, "min", False),
+        ({"gamma_tau1": {"min": False, "max": 1.0, "steps": 3}}, "gamma_tau1.min", False),
         ({"cross_check": {"enabled": True, "periods": 5, "photon_cap": True}},
-         "photon_cap", True),
+         "cross_check.photon_cap", True),
         ({"epsilon": "0.1"}, "epsilon", "0.1"),
     ], ids=["epsilon", "axis-min", "cross-check-cap", "epsilon-string"])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
@@ -343,7 +344,7 @@ class TestSweep:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**grid, **cfg}))
         assert run_cli(["sweep", "--config", str(path)]) == 2
-        assert f"{key!r} must be a number, got {value!r}" in capsys.readouterr().err
+        assert f": {key} must be a number, got {value!r}\n" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -485,7 +486,8 @@ class TestSimulate:
                         "--omega", "0.5", "--tau2", "1", "--periods", "2",
                         "--backend", backend, "--cutoff", "6"])
         assert code == 2
-        assert "initial.alpha must be a list of 2 [re, im] pairs" in capsys.readouterr().err
+        # a shape error, or the library's finite-real rule under the full key
+        assert capsys.readouterr().err.startswith("zenofloquet simulate: initial.alpha must be ")
 
     def test_request_too_big_to_allocate_is_usage_error(self, capsys):
         """A sweep axis of 1e18 steps needs 8e18 bytes, more than any address
@@ -587,16 +589,60 @@ class TestSimulate:
                         "--out", str(tmp_path / "run.csv")]) in (0, 1)
 
     @pytest.mark.parametrize("cfg, key, value", [
-        ({"schedule": {**SCHEDULE, "gamma": True}}, "gamma", True),
-        ({"schedule": {**SCHEDULE, "omega": False}}, "omega", False),
+        ({"schedule": {**SCHEDULE, "gamma": True}}, "schedule.gamma", True),
+        ({"schedule": {**SCHEDULE, "omega": False}}, "schedule.omega", False),
         ({"photon_cap": True}, "photon_cap", True),
-        ({"schedule": {**SCHEDULE, "gamma": "0.1"}}, "gamma", "0.1"),
+        ({"schedule": {**SCHEDULE, "gamma": "0.1"}}, "schedule.gamma", "0.1"),
     ], ids=["schedule-gamma", "schedule-omega", "photon-cap", "schedule-gamma-string"])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, cfg, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schedule": SCHEDULE, **cfg}))
         assert run_cli(["simulate", "--config", str(path)]) == 2
-        assert f"{key!r} must be a number, got {value!r}" in capsys.readouterr().err
+        assert f": {key} must be a number, got {value!r}\n" in capsys.readouterr().err
+
+
+#: An initial amplitude whose ``|alpha|^2`` overflows float64.
+HUGE_ALPHA = {"schedule": SCHEDULE, "cutoff": 10,
+              "initial": {"type": "coherent", "alpha": [[1e200, 0.0], [0.0, 0.0]]}}
+#: ``(id, argv, config or None)`` of usage errors, a config as an object or
+#: as JSON text: the manifest's usage cases, the overflowing amplitude on
+#: each backend, one bad value for each config reader (number, count,
+#: amplitude) and two JSON integers that no float holds.
+USAGE_CASES = [
+    (case["id"], case["argv"], case.get("config"))
+    for case in json.loads(Path(__file__).with_name("cli_manifest.json").read_text())
+    if case["id"].startswith("usage-")
+] + [
+    (f"huge-alpha-{backend}", ["simulate", "--backend", backend], HUGE_ALPHA)
+    for backend in ("gaussian", "fock", "both")
+] + [
+    ("number-reader", ["simulate", "--gamma", "-1"], {"schedule": SCHEDULE}),
+    ("count-reader", ["sweep", "--gamma-tau1", "0", "1", "1"], None),
+    ("amplitude-reader", ["simulate"], {**HUGE_ALPHA, "initial": {
+        "type": "coherent", "alpha": [[True, 0], [0, 0]]}}),
+    ("alpha-int-beyond-float64", ["simulate"], {**HUGE_ALPHA, "initial": {
+        "type": "coherent", "alpha": [[10 ** 400, 0], [0, 0]]}}),
+    ("int-too-long-to-read", ["sweep"], '{"epsilon": %s}' % ("1" * 5000)),
+]
+
+
+@pytest.mark.parametrize("argv, config", [case[1:] for case in USAGE_CASES],
+                         ids=[case[0] for case in USAGE_CASES])
+def test_usage_error_is_one_stderr_line(tmp_path, capsys, argv, config):
+    """Every usage error exits 2 and writes exactly one stderr line,
+    ``zenofloquet <command>: ...``: no output, no warning (recorded here
+    whatever the filters) and no traceback (an exception out of ``main``)."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, caught) == (2, "", [])
+    assert captured.err.startswith(f"zenofloquet {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ exempt.
 
 import ast
 import functools
+import json
 import math
 from pathlib import Path
 
@@ -31,6 +32,13 @@ AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=2.5),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods=math.nan),
     lambda: DriveSchedule.from_products(0.1, 0.5, periods="3"),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=math.inf),
+    lambda: DriveSchedule.from_products(0.1, 0.5, periods=-1),
+    lambda: fock.coherent_state(True, [0.5]),
+    lambda: fock.coherent_state(math.nan, [0.5]),
+    lambda: fock.coherent_state(math.inf, [0.5]),
+    lambda: fock.coherent_state(0, [0.5]),
+    lambda: fock.coherent_state(fock.MAX_CUTOFF[2] + 1, [0.5, 0.5]),
     lambda: FockState(True, 4, AMPS[:5]),
     lambda: FockState(2, True, AMPS[:4]),
     lambda: FockState(2, 4.5, AMPS),
@@ -56,7 +64,10 @@ AMPS = np.eye(25)[0]  # |0, 0> at cutoff 4
     lambda: fock.basis_index(3, True, 0),
     lambda: fock.number_state(3, 4),
 ], ids=["schedule-true", "schedule-false", "schedule-np-bool", "schedule-2.5",
-        "schedule-nan", "schedule-str", "fock-state-modes-true", "fock-state-cutoff-true",
+        "schedule-nan", "schedule-str", "schedule-inf", "schedule-negative",
+        "fock-coherent-cutoff-true", "fock-coherent-cutoff-nan", "fock-coherent-cutoff-inf",
+        "fock-coherent-cutoff-0", "fock-coherent-cutoff-above-ceiling", "fock-state-modes-true",
+        "fock-state-cutoff-true",
         "fock-state-cutoff-4.5", "fock-state-modes-3", "hamiltonian-cutoff-inf",
         "hamiltonian-cutoff-true", "scan-cutoff-true", "scan-cutoff-2.5", "empty-scan-cutoff-2.5",
         "scan-cutoff-0", "scan-periods-0", "scan-periods-inf", "powers-negative",
@@ -126,15 +137,46 @@ def test_bool_real_rejected(call):
     lambda: floquet.powers(np.diag([math.inf, 1.0]), 3),
     lambda: gaussian.symplectic_eigenvalues(np.full((4, 4), math.nan)),
     lambda: gaussian.GaussianState([math.nan, 0.0], np.eye(2) / 2.0),
+    lambda: DriveSchedule(gamma=math.nan, tau1=1.0, omega=0.5, tau2=1.0, periods=1),
+    lambda: DriveSchedule(gamma=0.1, tau1=math.inf, omega=0.5, tau2=1.0, periods=1),
+    lambda: DriveSchedule(gamma=0.1, tau1=1.0, omega=-math.inf, tau2=1.0, periods=1),
+    lambda: DriveSchedule(gamma=0.1, tau1=1.0, omega=0.5, tau2=-1.0, periods=1),
+    lambda: DriveSchedule.from_products("0.1", 1.0),
+    lambda: DriveSchedule.from_products(0.1, None),
+    lambda: DriveSchedule.from_products(10 ** 400, 1.0),
+    lambda: gaussian.coherent_state([math.nan]),
+    lambda: gaussian.coherent_state([0.5, math.inf]),
+    lambda: gaussian.coherent_state([complex(0.0, -math.inf)]),
+    lambda: fock.coherent_state(40, [math.nan]),
+    lambda: fock.coherent_state(40, [0.5, math.inf]),
+    lambda: fock.coherent_state(40, [complex(0.0, -math.inf)]),
 ], ids=["pair-map-gamma-nan", "pair-map-omega-nan", "pair-map-gamma-inf",
         "pair-map-omega-minus-inf", "pair-map-gamma-axis-nan", "pair-map-omega-axis-inf",
         "pm-pair-maps-nan", "vacuum-diverges-nan", "classify-epsilon-nan",
         "classify-epsilon-negative", "classify-stack-epsilon-inf", "default-cutoff-gamma-nan",
         "default-cutoff-gamma-negative", "powers-nan-map", "powers-inf-map",
-        "symplectic-eigenvalues-nan", "gaussian-state-nan"])
+        "symplectic-eigenvalues-nan", "gaussian-state-nan", "schedule-gamma-nan",
+        "schedule-tau1-inf", "schedule-omega-minus-inf", "schedule-tau2-negative",
+        "products-string", "products-none", "products-int-beyond-float64",
+        "gaussian-coherent-nan", "gaussian-coherent-inf", "gaussian-coherent-minus-inf",
+        "fock-coherent-nan", "fock-coherent-inf", "fock-coherent-minus-inf"])
 def test_non_finite_or_negative_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("alphas", [[1e200], [0.5, 1e155j], [complex(1.5e308, 1.5e308)]],
+                         ids=["real", "imaginary", "complex"])
+@pytest.mark.parametrize("call", [
+    gaussian.coherent_state,
+    functools.partial(fock.coherent_state, 10),
+], ids=["gaussian-coherent", "fock-coherent"])
+def test_amplitude_beyond_float64_rejected(call, alphas):
+    """An amplitude is in range when float64 holds its photon number
+    ``|alpha|^2``; past that both engines raise one ``ValueError``, before any
+    arithmetic that warns."""
+    with pytest.raises(ValueError, match=r"\|alpha\|\^2 overflows float64"):
+        call(alphas)
 
 
 @pytest.mark.parametrize("mean", [[True, False], [math.nan, 0.0]], ids=["bool", "nan"])
@@ -197,6 +239,68 @@ def test_invalid_cap_rejected(call, cap):
     is never a number."""
     with pytest.raises(ValueError, match="photon_cap must be > 0"):
         call(cap)
+
+
+#: A valid config of each subcommand, whose every value the CLI reads.
+CONFIG_BASES = {
+    "sweep": {"gamma_tau1": {"min": 0.0, "max": 1.5, "steps": 3},
+              "omega_tau2": {"min": 0.0, "max": 3.0, "steps": 3}},
+    "simulate": {"schedule": {"gamma": 0.1, "tau1": 1.0, "omega": 0.5, "tau2": 1.0,
+                              "periods": 2},
+                 "cutoff": 6, "initial": {"type": "coherent", "alpha": [[0.5, 0.0], [0.0, 0.0]]}},
+    "estimate": {"eta": 220.0, "chi2": 2e-23, "omega_a": 3e15, "omega_b": 3e15,
+                 "pump_intensity": 1e5, "length": 1e-2},
+}
+#: Each number and count key of each subcommand, with a value of its JSON
+#: kind outside its range.
+OUT_OF_RANGE = {
+    "sweep": {"gamma_tau1.min": -1.0, "gamma_tau1.max": -1.0, "gamma_tau1.steps": 1,
+              "omega_tau2.min": -1.0, "omega_tau2.max": -1.0, "omega_tau2.steps": 1,
+              "epsilon": 0.0, "cross_check.periods": 0, "cross_check.photon_cap": 0.0},
+    "simulate": {"schedule.gamma": -1.0, "schedule.tau1": -1.0, "schedule.omega": -1.0,
+                 "schedule.tau2": -1.0, "schedule.periods": -1, "modes": 3,
+                 "cutoff": fock.MAX_CUTOFF[2] + 1, "photon_cap": 0.0},
+    "estimate": dict.fromkeys(CONFIG_BASES["estimate"], 0.0),
+}
+#: ``(command, key, value, text of the usage line)``: NaN, +-inf, true and
+#: the out-of-range value for each key, then the same kinds in one
+#: ``initial.alpha`` cell; the last is an amplitude whose ``|alpha|^2``
+#: overflows, which the library's amplitude rule rejects.
+CONFIG_CASES = [
+    (command, key, value, key) for command, keys in OUT_OF_RANGE.items()
+    for key, bad in keys.items() for value in (math.nan, math.inf, -math.inf, True, bad)
+] + [
+    ("simulate", "initial.alpha", [[cell, 0.0], [0.0, 0.0]], "initial.alpha")
+    for cell in (math.nan, math.inf, -math.inf, True)
+] + [("simulate", "initial.alpha", [[1e200, 0.0], [0.0, 0.0]], "|alpha|^2")]
+
+
+def _with_key(base, key, value):
+    """``base`` with the dotted ``key`` set to ``value``."""
+    head, _, rest = key.partition(".")
+    return {**base, head: _with_key(base.get(head, {}), rest, value) if rest else value}
+
+
+@pytest.mark.parametrize("command, key, value, text", CONFIG_CASES,
+                         ids=[f"{c}-{k}-{v!r}" for c, k, v, _ in CONFIG_CASES])
+def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, key, value, text):
+    """The CLI readers check the JSON kind and hand the value to the library
+    rule: NaN, an inf, a bool or a value out of range exits 2 with one usage
+    line, which names the full dotted key."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with_key(CONFIG_BASES[command], key, value)))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"zenofloquet {command}: ") and captured.err.count("\n") == 1
+    assert text in captured.err
+
+
+def test_config_bases_are_valid(tmp_path):
+    for command, base in CONFIG_BASES.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(base))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 # floats first: the Fock engine caches its tables per cutoff, and 17 == 17.0
