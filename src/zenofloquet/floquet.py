@@ -91,12 +91,13 @@ def _require_finite(name, value, kinds="iuf"):
 
 def _require_amplitudes(alphas):
     """``alphas`` as a 1-D complex array, and the photon number ``|alpha|^2`` of
-    each: finite numbers, never bools, each ``|alpha|^2`` finite in float64."""
+    each: finite numbers, never bools, with ``2 sum |alpha|^2`` (the largest
+    photon sum that the Gaussian engine forms) finite in float64."""
     alphas = np.atleast_1d(np.asarray(_require_finite("alphas", alphas, "iufc"), dtype=complex))
     with np.errstate(over="ignore"):  # scalar abs: an array np.abs can differ in the last bit
         photons = np.array([abs(alpha) ** 2 for alpha in alphas])
-    if not np.isfinite(photons).all():
-        raise ValueError(f"|alpha|^2 overflows float64 for alphas {alphas.tolist()!r}")
+        if not np.isfinite(2.0 * photons.sum()):
+            raise ValueError(f"2 sum |alpha|^2 overflows float64 for alphas {alphas.tolist()!r}")
     return alphas, photons
 
 

@@ -251,7 +251,7 @@ def vacuum_state(cutoff: int, mode_count: int = 2) -> FockState:
 def coherent_state(cutoff: int, alphas) -> FockState:
     """Product coherent state; rejects cutoffs that truncate > 1e-10 of norm.
 
-    Each alpha is a finite number, never a bool, with a finite ``|alpha|^2``.
+    Each alpha is a finite number, never a bool; ``2 sum |alpha|^2`` is finite.
     """
     alphas, photons = _require_amplitudes(alphas)
     cutoff = _require_cutoff(cutoff, alphas.size)

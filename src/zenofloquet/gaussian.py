@@ -122,7 +122,7 @@ def coherent_state(alphas) -> GaussianState:
 
     The mean quadratures are ``(sqrt(2) Re alpha, sqrt(2) Im alpha)`` and the
     covariance stays at the vacuum value.  Each alpha is a finite number,
-    never a bool, with a finite ``|alpha|^2``.
+    never a bool, and ``2 sum |alpha|^2`` is finite.
     """
     alphas, _ = _require_amplitudes(alphas)
     mean = np.empty(2 * alphas.size)

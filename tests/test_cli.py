@@ -477,17 +477,23 @@ class TestSimulate:
         np.testing.assert_allclose(totals, 1.0, atol=1e-12)  # sum conserved
 
     @pytest.mark.parametrize("backend", ["gaussian", "fock"])
-    @pytest.mark.parametrize("alpha", [[["a", 0], [0, 0]], [[1, 0], [0]], [[None, 0], [0, 0]],
-                                       [[1e400, 0], [0, 0]], [[True, 0], [0, 0]]])
-    def test_malformed_alpha_is_usage_error(self, tmp_path, capsys, backend, alpha):
+    @pytest.mark.parametrize("alpha, message", [
+        ([["a", 0], [0, 0]], "initial.alpha must be finite and real, got "),
+        ([[1, 0], [0]], "initial.alpha must be a list of 2 [re, im] pairs\n"),
+        ([[None, 0], [0, 0]], "initial.alpha must be finite and real, got "),
+        ([[1e400, 0], [0, 0]], "initial.alpha must be finite and real, got "),
+        ([[True, 0], [0, 0]], "initial.alpha must be finite and real, got "),
+    ], ids=[f"alpha{i}" for i in range(5)])
+    def test_malformed_alpha_is_usage_error(self, tmp_path, capsys, backend, alpha, message):
+        """A ragged list is the CLI's shape error; a bad entry is the
+        library's finite-real rule under the full key."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"initial": {"type": "coherent", "alpha": alpha}}))
         code = run_cli(["simulate", "--config", str(cfg), "--gamma", "0.1", "--tau1", "1",
                         "--omega", "0.5", "--tau2", "1", "--periods", "2",
                         "--backend", backend, "--cutoff", "6"])
         assert code == 2
-        # a shape error, or the library's finite-real rule under the full key
-        assert capsys.readouterr().err.startswith("zenofloquet simulate: initial.alpha must be ")
+        assert capsys.readouterr().err.startswith(f"zenofloquet simulate: {message}")
 
     def test_request_too_big_to_allocate_is_usage_error(self, capsys):
         """A sweep axis of 1e18 steps needs 8e18 bytes, more than any address
@@ -604,16 +610,21 @@ class TestSimulate:
 #: An initial amplitude whose ``|alpha|^2`` overflows float64.
 HUGE_ALPHA = {"schedule": SCHEDULE, "cutoff": 10,
               "initial": {"type": "coherent", "alpha": [[1e200, 0.0], [0.0, 0.0]]}}
+#: An amplitude whose ``|alpha|^2`` float64 holds, but not the squared
+#: quadrature mean ``2 |alpha|^2`` that the Gaussian engine forms.
+BIG_MEAN_ALPHA = {**HUGE_ALPHA, "initial": {"type": "coherent",
+                                            "alpha": [[1.2e154, 0.0], [0.0, 0.0]]}}
 #: ``(id, argv, config or None)`` of usage errors, a config as an object or
-#: as JSON text: the manifest's usage cases, the overflowing amplitude on
-#: each backend, one bad value for each config reader (number, count,
+#: as JSON text: the manifest's usage cases, the two overflowing amplitudes
+#: on each backend, one bad value for each config reader (number, count,
 #: amplitude) and two JSON integers that no float holds.
 USAGE_CASES = [
     (case["id"], case["argv"], case.get("config"))
     for case in json.loads(Path(__file__).with_name("cli_manifest.json").read_text())
     if case["id"].startswith("usage-")
 ] + [
-    (f"huge-alpha-{backend}", ["simulate", "--backend", backend], HUGE_ALPHA)
+    (f"{name}-{backend}", ["simulate", "--backend", backend], cfg)
+    for name, cfg in (("huge-alpha", HUGE_ALPHA), ("big-mean-alpha", BIG_MEAN_ALPHA))
     for backend in ("gaussian", "fock", "both")
 ] + [
     ("number-reader", ["simulate", "--gamma", "-1"], {"schedule": SCHEDULE}),
@@ -776,10 +787,11 @@ def test_flag_equals_its_config_key(tmp_path, command, flag, key):
 
 
 #: A valid config of each subcommand: a 3x3 sweep with the cross-check off,
-#: a Gaussian run from vacuum, and the reference estimate inputs.
+#: a Gaussian run from a coherent state, and the reference estimate inputs.
 EVERY_KEY_BASES = {
     "sweep": {"gamma_tau1": _grid_axis(0.0, 1.5, 3), "omega_tau2": _grid_axis(0.0, 3.0, 3)},
-    "simulate": {"schedule": SCHEDULE},
+    "simulate": {"schedule": SCHEDULE,
+                 "initial": {"type": "coherent", "alpha": [[0.5, 0.0], [0.0, 0.0]]}},
     "estimate": FLAG_BASES["estimate"],
 }
 DEFAULTS = {"sweep": cli.SWEEP_DEFAULTS, "simulate": cli.SIMULATE_DEFAULTS,
@@ -795,11 +807,29 @@ def _leaf_keys(defaults, prefix=""):
             yield prefix + key
 
 
-#: Each leaf key of each subcommand set to JSON true and to the string "1";
-#: a bool is the one valid kind of cross_check.enabled.
+#: Each number and count key of each subcommand, with a value of its JSON
+#: kind outside its range.
+OUT_OF_RANGE = {
+    "sweep": {"gamma_tau1.min": -1.0, "gamma_tau1.max": -1.0, "gamma_tau1.steps": 1,
+              "omega_tau2.min": -1.0, "omega_tau2.max": -1.0, "omega_tau2.steps": 1,
+              "epsilon": 0.0, "cross_check.periods": 0, "cross_check.photon_cap": 0.0},
+    "simulate": {"schedule.gamma": -1.0, "schedule.tau1": -1.0, "schedule.omega": -1.0,
+                 "schedule.tau2": -1.0, "schedule.periods": -1, "modes": 3,
+                 "cutoff": fock.MAX_CUTOFF[2] + 1, "photon_cap": 0.0},
+    "estimate": dict.fromkeys(FLAG_BASES["estimate"], 0.0),
+}
+#: Each leaf key of each subcommand set to JSON true and to the string "1"
+#: (a bool is the one valid kind of cross_check.enabled); each number and
+#: count key set to NaN, +-inf and its out-of-range value; and one
+#: ``initial.alpha`` cell set to each bad kind, then amplitudes whose
+#: ``2 sum |alpha|^2`` overflows float64.
 EVERY_KEY_CASES = [(command, key, value) for command, defaults in DEFAULTS.items()
                    for key in _leaf_keys(defaults) for value in (True, "1")
-                   if (key, value) != ("cross_check.enabled", True)]
+                   if (key, value) != ("cross_check.enabled", True)] + [
+    (command, key, value) for command, keys in OUT_OF_RANGE.items()
+    for key, bad in keys.items() for value in (math.nan, math.inf, -math.inf, bad)
+] + [("simulate", "initial.alpha", [[cell, 0.0], [0.0, 0.0]])
+     for cell in (math.nan, math.inf, -math.inf, True, 1e200, 1.2e154)]
 
 
 def test_every_key_bases_are_valid(tmp_path):
