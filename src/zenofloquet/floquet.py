@@ -169,6 +169,12 @@ class DriveSchedule:
                    periods=periods)
 
 
+def _require_schedule(schedule):
+    """Reject a ``schedule`` that is not a :class:`DriveSchedule`."""
+    if not isinstance(schedule, DriveSchedule):
+        raise ValueError(f"schedule must be a DriveSchedule, got {schedule!r}")
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Stability verdict derived from a monodromy matrix.

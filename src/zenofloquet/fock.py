@@ -12,7 +12,7 @@ coupling-free generators, and reused for every schedule.  Both segment
 generators conserve a number-like quantity (``n_a - n_b`` during
 amplification, ``n_a + n_b`` during exchange), which splits them into small
 tridiagonal blocks (chains).  The blocks are packed by length into a few
-padded eigenvector tensors, and a segment acts on a matrix of amplitude
+padded basis tensors, and a segment acts on a matrix of amplitude
 columns, so one propagation can carry many states (one per exchange angle in
 :func:`zeno_threshold_scan`).
 
@@ -40,31 +40,38 @@ observables, both packed generators and the permutation between them.
   links changes ``s = n_a mod 2`` (two modes; ``n_a`` is the larger
   occupation on a swap sector's row) or ``s = (n // 2) mod 2`` (one mode):
   the sectors are bipartite.  In the gauge ``D = diag(i^s)`` a segment ``D^-1
-  exp(-i angle H) D`` is real orthogonal, bucket by bucket ``C + sigma * S``
-  with ``C = V cos(angle w) V^T``, ``S = V sin(angle w) V^T`` and ``sigma_jk
-  = s_k - s_j``.  The diagonal single-mode rotation commutes with ``D``.
+  exp(-i angle H) D = exp(angle K)`` is real orthogonal, with ``K = D^-1 H D
+  / i`` real antisymmetric.  Its real Schur basis ``Q`` (Golub and Van Loan,
+  *Matrix Computations*) comes from the chain eigenvectors: each eigenpair
+  ``(w > 0, v)`` spans the plane of ``sqrt2 (1 - s) v`` and ``sqrt2 s v``,
+  which the segment turns by ``angle * w``, and an odd chain's zero mode
+  stays fixed.  The diagonal single-mode rotation commutes with ``D``.
 
 The stepping loop carries gauge coordinates: ``D^-1`` times the swap fold
 of the amplitudes, float64 when they start real and every segment is a real
 map (the vacuum of two modes: every scan and the default simulation),
-complex otherwise.  A segment is applied in one of two ways:
+complex otherwise.  A segment is the rotation ``R(angle)`` of the planes in
+``Q``, applied in one of two ways:
 
-- one angle shared by the columns gets one float64 map per bucket, ``D^-1 V
-  exp(-i angle w) V^T D``, built once per propagation, which acts on any
-  number of columns by one real matmul per bucket (on the float64 view of
-  complex columns);
-- one angle per column (the exchange segment of a scan) keeps the real
-  eigenvector products around a phase multiply, with ``D`` applied at its
-  boundary.
+- one angle shared by the columns gets one float64 map per bucket, ``Q @
+  (R(angle) Q^T)``, built once per propagation, which acts on any number of
+  columns by one real matmul per bucket (on the float64 view of complex
+  columns);
+- one angle per column (the exchange segment of a scan) projects with
+  ``Q^T``, rotates each plane by its column's angle, and restores with
+  ``Q``: two real matmuls per bucket around one ``take`` of each
+  coordinate's partner and three elementwise products and sums, on the
+  float64 view of complex columns.
 
 Each period gathers the columns into the amplifying packing, moves them into
 the exchange packing by one composite permutation and scatters them back to
 the sector basis.  A propagation holds one workspace: the sector columns,
-each segment's packed input and output, and the scratch of a per-column
-segment.  Each segment is bound to its buffers once, with every bucket's
-operand views built then, and bound again only when columns leave, so a
-period fills existing buffers, builds no view, and allocates only the
-per-column norms and observables that it reports.
+each segment's packed input and output, and the real plane coordinates of
+a per-column segment.  Each segment is bound to its buffers once, with
+every bucket's operand views and rotation tables built then, and bound
+again only when columns leave, so a period fills existing buffers, builds
+no view, and allocates only the per-column norms and observables that it
+reports; the norms come from the observables' row of ones.
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -85,7 +92,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .floquet import (DriveSchedule, _past_cap, _require_amplitudes, _require_cap,
-                      _require_finite, _require_int, _require_real)
+                      _require_finite, _require_int, _require_real, _require_schedule)
 
 #: Population fraction allowed in levels above HIGH_LEVEL_FRACTION * cutoff:
 #: the one definition of a truncation-safe state.
@@ -173,11 +180,15 @@ def build_hamiltonian(label: HamiltonianLabel, coupling: float,
 def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
     """U = exp(-i H t) of a Hamiltonian matrix via Hermitian eigendecomposition.
 
-    Raises a numeric error naming the matrix size and largest entry if the
-    eigendecomposition fails; the returned matrix satisfies
-    ``max |U+ U - I| < 1e-10``.  The duration is one finite real of any
-    sign, never a bool.
+    ``h`` is a nonempty square 2-D array of finite real or complex
+    entries, never bools; the duration is one finite real of any sign,
+    never a bool.  Raises a numeric error naming the matrix size and
+    largest entry if the eigendecomposition fails, or if the result misses
+    ``max |U+ U - I| <= 1e-10``.
     """
+    h = _require_finite("h", h, "iufc")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValueError(f"h must be a nonempty square matrix, got shape {h.shape}")
     if np.ndim(_require_finite("duration", duration)):
         raise ValueError(f"duration must be a scalar, got shape {np.shape(duration)}")
     try:
@@ -188,7 +199,7 @@ def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
             f"Hamiltonian (|H|_max {np.abs(h).max():.3e}): {exc}") from exc
     u = (v * np.exp(-1j * w * duration)) @ v.conj().T
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > 1e-10:
+    if not err <= 1e-10:
         raise ArithmeticError(f"unitarity defect {err:.3e} exceeds 1e-10")
     return u
 
@@ -346,38 +357,52 @@ def _sector_key(columns: np.ndarray, mode_count: int, cutoff: int):
 
 @dataclass(frozen=True)
 class _Packing:
-    """Eigendecomposed conserved-quantity blocks of one generator, packed.
+    """Conserved-quantity blocks of one generator, packed, in a basis where
+    each segment is a rotation of planes.
 
     Only the blocks of one sector are kept, on the sector's basis, and rows
     are numbered within the sector, in the order of its ``rows`` (see
     :class:`_Sector`).  The blocks are sorted by length and packed
     ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
     the packed rows are the buckets' rows one after another.  ``gather`` is
-    the sector row of every packed row (padding repeats row 0), ``unpack``
-    the packed row of every sector row, ``weights`` the eigenvalue of every
-    packed row (0 on padding) and ``gauge`` the entry ``i^s`` of ``D`` of
-    every packed row.  Each bucket is ``(start, stop, vectors)``: its packed
-    row range and its ``(nblocks, L, L)`` real eigenvectors, zero on padding
-    so that padding neither reads nor writes an amplitude.  A diagonal
-    generator has no buckets.
+    the sector row of every packed row (padding repeats row 0) and
+    ``unpack`` the packed row of every sector row.  Each bucket is ``(start,
+    stop, basis)``: its packed row range and the ``(nblocks, L, L)`` real
+    orthogonal basis ``Q`` of each block, zero on padding so that padding
+    neither reads nor writes an amplitude.  The columns of ``Q`` are the
+    block's packed coordinates: ``weights`` is the signed rate ``r`` of
+    every coordinate and ``partner`` the coordinate it turns with, so that a
+    segment of angle ``t`` maps coordinate ``c`` to ``cos(t r_c) c + sin(t
+    r_c) partner(c)``.
+
+    In the gauge a chain's segment is ``exp(angle K)``, ``K = D^-1 H D / i``
+    real antisymmetric.  Each eigenpair ``(w > 0, v)`` of the chain gives
+    the plane ``u0 = sqrt2 (1 - s) v``, ``u1 = sqrt2 s v``, with ``K u0 = -w
+    u1`` and ``K u1 = w u0``; the pair ``(-w, (1 - 2s) v)`` gives the same
+    plane.  A chain of length ``m`` has ``h = m // 2`` coordinates ``c`` on
+    the ``u0`` (rate ``w``, partner ``c + h``), then ``h`` on the ``u1``
+    (rate ``-w``, partner ``c - h``), then, if ``m`` is odd, its zero mode,
+    which stays fixed; a fixed coordinate (a zero mode, padding) has rate 0
+    and is its own partner.  A diagonal generator has no buckets:
+    ``weights`` is its eigenvalue on every row and ``partner`` is unread.
     """
 
     gather: np.ndarray
     unpack: np.ndarray
     weights: np.ndarray
-    gauge: np.ndarray
+    partner: np.ndarray
     buckets: tuple
 
 
 def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
-                   rows: np.ndarray, gauge: np.ndarray) -> _Packing:
-    """The packed eigendecomposition of a unit-coupling generator on the
-    sector basis ``rows`` (folded by the mode swap if ``swap``), whose
-    entries of ``D`` are ``gauge``."""
+                   rows: np.ndarray, s: np.ndarray) -> _Packing:
+    """The packed rotation planes of a unit-coupling generator on the sector
+    basis ``rows`` (folded by the mode swap if ``swap``), whose gauge
+    indicators are ``s`` (1 where ``D`` is i)."""
     if label is HamiltonianLabel.SINGLE_MODE_STABLE:
         # (a+ a + a a+)/2 = n + 1/2 is already diagonal
         index = np.arange(rows.size)
-        packing = _Packing(index, index, rows + 0.5, gauge, ())
+        packing = _Packing(index, index, rows + 0.5, index, ())
     else:
         # each chain conserves photon parity and, folded in a swap sector,
         # keeps n_a >= n_b, so it lies wholly in or out of the sector;
@@ -388,32 +413,47 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
                          for idx, off in _chains(label, cutoff, swap)
                          if position[idx[0]] >= 0),
                         key=lambda chain: chain[0].size)
-        gather, real, weights, buckets = [], [], [], []
+        gather, real, weights, partner, buckets = [], [], [], [], []
         start = 0
         for first in range(0, len(chains), BUCKET_BLOCKS):
             group = chains[first:first + BUCKET_BLOCKS]
             shape = (len(group), group[-1][0].size)
             index = np.zeros(shape, dtype=np.intp)
             used = np.zeros(shape, dtype=bool)
-            w = np.zeros(shape)
-            vectors = np.zeros(shape + shape[1:])
+            rates = np.zeros(shape)
+            basis = np.zeros(shape + shape[1:])
             for k, (idx, off) in enumerate(group):
-                m = idx.size
+                m, h = idx.size, idx.size // 2
                 index[k, :m], used[k, :m] = idx, True
-                chain = np.diag(off, 1) + np.diag(off, -1)
-                w[k, :m], vectors[k, :m, :m] = np.linalg.eigh(chain)
-            vectors.setflags(write=False)
-            buckets.append((start, start + index.size, vectors))
-            start += index.size
+                chain = np.zeros((m, m))
+                chain.flat[1::m + 1] = chain.flat[m::m + 1] = off
+                w, v = np.linalg.eigh(chain)
+                # eigh's order is ascending: the last h eigenpairs are
+                # positive, the middle one of an odd chain is its zero mode;
+                # s alternates along the chain, so the rows with s = 0 (the
+                # u0's) are every other row from row s[idx[0]]
+                positive, lead = v[:, m - h:] * math.sqrt(2.0), s[idx[0]]
+                basis[k, lead:m:2, :h] = positive[lead::2]
+                basis[k, 1 - lead:m:2, h:2 * h] = positive[1 - lead::2]
+                basis[k, :m, 2 * h:m] = v[:, h:m - h]
+                rates[k, :h] = rates[k, h:2 * h] = w[m - h:]
+            basis.setflags(write=False)
+            half = used.sum(axis=1, keepdims=True) // 2
+            c = np.arange(shape[1])
+            u0, u1 = c < half, (c >= half) & (c < 2 * half)
+            buckets.append((start, start + index.size, basis))
             gather.append(index.ravel())
             real.append(used.ravel())
-            weights.append(w.ravel())
+            weights.append((rates * (u0 * 1.0 - u1)).ravel())
+            partner.append((c + half * (u0 * 1 - u1) + start
+                            + shape[1] * np.arange(shape[0])[:, None]).ravel())
+            start += index.size
         gather, real = np.concatenate(gather), np.concatenate(real)
         unpack = np.empty(rows.size, dtype=np.intp)
         unpack[gather[real]] = np.flatnonzero(real)
-        packing = _Packing(gather, unpack, np.concatenate(weights), gauge[gather],
+        packing = _Packing(gather, unpack, np.concatenate(weights), np.concatenate(partner),
                            tuple(buckets))
-    for arr in (packing.gather, packing.unpack, packing.weights, packing.gauge):
+    for arr in (packing.gather, packing.unpack, packing.weights, packing.partner):
         arr.setflags(write=False)
     return packing
 
@@ -428,10 +468,10 @@ class _Sector:
     the loop's gauge coordinates: ``D^-1``, and with ``swap`` sqrt2 off the
     diagonal ``n_a == n_b`` (the coordinate of a symmetric vector on the
     orthonormal symmetric basis).  ``observables`` maps the probabilities of
-    gauge coordinates to (photons per mode..., leakage).  ``amplify`` and
-    ``exchange`` are the two segment generators packed on the sector, and
-    ``between`` the composite index from the amplifying packing to the
-    exchange packing: unpack, then gather.
+    gauge coordinates to (photons per mode..., leakage, norm squared).
+    ``amplify`` and ``exchange`` are the two segment generators packed on
+    the sector, and ``between`` the composite index from the amplifying
+    packing to the exchange packing: unpack, then gather.
     """
 
     rows: np.ndarray
@@ -452,17 +492,16 @@ def _sector(cutoff: int, mode_count: int, key) -> _Sector:
         keep &= diags[0] >= diags[1]
     rows = np.flatnonzero(keep)
     # D = diag(i^s): s = n_a mod 2 for two modes, (n // 2) mod 2 for one
-    level = rows // (cutoff + 1) if mode_count == 2 else rows // 2
-    gauge = np.where(level % 2 == 1, 1j, 1.0)
-    to_gauge = gauge.conj()
+    s = (rows // (cutoff + 1) if mode_count == 2 else rows // 2) % 2
+    to_gauge = np.where(s == 1, -1j, 1.0)
     leak = np.maximum.reduce(diags)[rows] > HIGH_LEVEL_FRACTION * cutoff
     if swap:
         to_gauge *= np.where(diags[0] == diags[1], 1.0, math.sqrt(2.0))[rows]
         # the symmetric vector of row |n_a, n_b> has <n_a> = <n_b> = (n_a + n_b) / 2
         diags = ((diags[0] + diags[1]) / 2.0,) * 2
-    observables = np.vstack([d[rows] for d in diags] + [leak]).astype(float)
+    observables = np.vstack([d[rows] for d in diags] + [leak, np.ones(rows.size)])
     # HamiltonianLabel lists each mode count's amplifying generator first
-    amplify, exchange = (_packed_blocks(label, cutoff, swap, rows, gauge)
+    amplify, exchange = (_packed_blocks(label, cutoff, swap, rows, s)
                          for label in HamiltonianLabel if label.mode_count == mode_count)
     between = amplify.unpack[exchange.gather]
     for arr in (rows, to_gauge, observables, between):
@@ -484,97 +523,100 @@ class _Segment:
 
     The columns hold the gauge coordinates of a sector (see :class:`_Sector`)
     in the order of ``packing``.  ``angles`` is one angle shared by every
-    column or one angle per column, and chooses how each bucket of
-    eigenvectors ``V`` (see :class:`_Packing`) is applied:
+    column or one angle per column.  A generator with buckets is applied in
+    each bucket's basis ``Q`` (see :class:`_Packing`), where the segment is
+    the rotation ``R(angle)`` of :func:`_rotate`, and ``angles`` chooses
+    how:
 
-    - one angle: the bucket's map ``D^-1 (V * phase) @ V.T D`` is built
-      here, once per propagation, as the float64 ``C + sigma * S`` of the
-      module docstring, and each application is one real matmul per bucket,
+    - one angle: the bucket's map ``Q @ (R(angle) Q^T)`` is built here, once
+      per propagation, and each application is one real matmul per bucket,
       on the float64 view of complex columns;
-    - one angle per column: only the phases ``exp(-i * w * angle)`` (packed
-      rows, one per column) are built here, and each application multiplies
-      by ``D``, projects onto ``V``, multiplies by the phases, projects back
-      and multiplies by ``D^-1``, two real matmuls per bucket.  A map per
-      column would hold ``columns * sum(L^2)`` entries.  This path is also
-      the reference the maps are tested against.
+    - one angle per column: each application projects with ``Q^T``, rotates
+      and restores with ``Q``, two real matmuls per bucket around one
+      :func:`_rotate` (on the float64 view of complex columns).  A map per
+      column would hold ``columns * sum(L^2)`` entries.
 
     Any path holds for any number of columns.  A zero angle is the identity
     and builds nothing.  A diagonal generator has no buckets and only
-    multiplies by the phases, which commute with ``D``.  :meth:`bind` ties
-    the chosen path to an input and an output buffer once and returns the
-    step that applies it between them.  ``real`` is whether the segment maps
-    real coordinates to real ones: the identity, or a generator with
+    multiplies by the phases ``exp(-i * angle * weights)``, which commute
+    with ``D``.  :meth:`bind` ties the chosen path to an input and an output
+    buffer once, builds its tables for the columns then active, and returns
+    the step that applies it between them.  ``real`` is whether the segment
+    maps real coordinates to real ones: the identity, or a generator with
     buckets, whose sector is bipartite.
     """
 
     def __init__(self, packing: _Packing, angles):
         self.packing = packing
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        self.identity = not angles.any()
+        self.angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        self.identity = not self.angles.any()
         self.real = self.identity or bool(packing.buckets)
-        self.phases = np.exp(-1j * packing.weights[:, None] * angles)
         self.maps = None
-        if angles.size == 1 and not self.identity and packing.buckets:
+        if self.angles.size == 1 and not self.identity and packing.buckets:
+            turn = packing.weights[:, None] * self.angles
+            cos, sin = np.cos(turn), np.sin(turn)
             maps = []
-            for start, stop, v in packing.buckets:
-                s = packing.gauge[start:stop].imag.reshape(v.shape[0], 1, -1)
-                phase = self.phases[start:stop, 0].reshape(v.shape[0], 1, -1)
-                # exp(-i angle w) = cos - i sin
-                m = (v * phase.real) @ v.transpose(0, 2, 1)
-                sine = (v * -phase.imag) @ v.transpose(0, 2, 1)
-                # C + sigma * S, sigma_jk = s_k - s_j with s = 1 where D is i
-                sine *= s - s.transpose(0, 2, 1)
-                m += sine
-                maps.append((start, stop, m))
+            for start, stop, q in packing.buckets:
+                # the rows of Q^T are the bucket's coordinates
+                turned = q.transpose(0, 2, 1).copy()
+                _rotate(turned.reshape(stop - start, -1), cos[start:stop], sin[start:stop],
+                        packing.partner[start:stop] - start)
+                maps.append((start, stop, q @ turned))
             self.maps = tuple(maps)
 
     def keep(self, columns):
-        """Drop the phases of columns that left the active set; a step bound
-        before keeps the phases it was bound with."""
-        if self.phases.shape[1] > 1:
-            self.phases = self.phases[:, columns]
+        """Drop the angles of columns that left the active set; a step bound
+        before keeps the tables it was bound with."""
+        if self.angles.size > 1:
+            self.angles = self.angles[columns]
 
     def bind(self, x: np.ndarray, y: np.ndarray):
         """A step that applies the segment to the gauge coordinates in ``x``
         and writes them to ``y``.  ``x`` and ``y`` are C-contiguous buffers
         of shape (packed rows, columns) and of one dtype, float64 only if the
-        segment is ``real``.  Every operand view of every bucket is built here
-        once, so a step only fills existing buffers.  Padding rows are read as
-        zero and written zero, or copied for the identity."""
+        segment is ``real``.  Every table and every operand view of every
+        bucket is built here once, so a step only fills existing buffers.
+        Padding rows are read as zero and written zero, or copied for the
+        identity."""
         if not (x.flags.c_contiguous and y.flags.c_contiguous):
             raise ValueError("a segment binds only C-contiguous buffers")
         if self.identity:
             return partial(np.copyto, y, x)
         packing = self.packing
+        turn = packing.weights[:, None] * self.angles
         if not packing.buckets:
-            return partial(np.multiply, x, self.phases, out=y)
+            return partial(np.multiply, x, np.exp(-1j * turn), out=y)
+        # a real basis or map acts on the float64 view of complex columns:
+        # (rows, k) complex is (rows, 2k) real
+        x, y = x.view(np.float64), y.view(np.float64)
         if self.maps is not None:
-            # a real map acts on the float64 view of complex columns:
-            # (rows, k) complex is (rows, 2k) real
-            return partial(_matmuls, _bucket_views(self.maps, x.view(np.float64),
-                                                   y.view(np.float64)))
-        gauge = packing.gauge[:, None]
-        phases = self.phases
-        # the eigenvectors are real, so both products run on the float64
-        # view of the complex scratch
-        z = np.empty(x.shape, dtype=complex)
-        w = np.empty_like(z)
-        project = _bucket_views([(start, stop, v.transpose(0, 2, 1))
-                                 for start, stop, v in packing.buckets],
-                                z.view(np.float64), w.view(np.float64))
-        restore = _bucket_views(packing.buckets, w.view(np.float64), z.view(np.float64))
-        out_of_gauge = gauge.conj()
-        # every sector is bipartite: the imaginary part of real input is rounding
-        result = z if np.iscomplexobj(y) else z.real
+            return partial(_matmuls, _bucket_views(self.maps, x, y))
+        # one angle per column of x, or per float64 column of its view
+        cos, sin = np.cos(turn), np.sin(turn)
+        if x.shape[1] > self.angles.size:
+            cos, sin = np.repeat(cos, 2, axis=1), np.repeat(sin, 2, axis=1)
+        coords, spare = np.empty((2,) + x.shape)
+        project = _bucket_views([(start, stop, q.transpose(0, 2, 1))
+                                 for start, stop, q in packing.buckets], x, coords)
+        restore = _bucket_views(packing.buckets, coords, y)
 
         def step():
-            np.multiply(x, gauge, out=z)
             _matmuls(project)
-            np.multiply(w, phases, out=w)
+            _rotate(coords, cos, sin, packing.partner, spare)
             _matmuls(restore)
-            np.multiply(z, out_of_gauge, out=z)
-            np.copyto(y, result)
         return step
+
+
+def _rotate(coords, cos, sin, partner, spare=None):
+    """Turn ``coords`` in place by ``R(angle)``: ``cos * coords + sin *
+    coords[partner]`` row by row, with ``cos`` and ``sin`` the tables of
+    ``angle * weights`` (see :class:`_Packing`) and ``partner`` the row each
+    row turns with.  ``spare`` is a buffer of their shape, fresh if
+    omitted."""
+    spare = coords.take(partner, 0, spare, "clip")
+    spare *= sin
+    coords *= cos
+    coords += spare
 
 
 def _bucket_views(buckets, x, y):
@@ -647,12 +689,12 @@ def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau
             else:
                 np.square(psi.real, out=probs)
                 probs += np.square(psi.imag, out=spare)
-            norm_sq = probs.sum(axis=0)
-            norm = np.sqrt(norm_sq)
-            psi /= norm
+            # (photons per mode..., leakage, norm squared)
             observed = sector.observables @ probs
-            observed /= norm_sq
-            stop = settle(n, active, psi, norm, observed[:-1], observed[-1])
+            norm = np.sqrt(observed[-1])
+            psi /= norm
+            observed[:-1] /= observed[-1]
+            stop = settle(n, active, psi, norm, observed[:-2], observed[-2])
             if stop.any():
                 keep = ~stop
                 # psi[:, keep] is not C-contiguous, and take writes into a
@@ -704,17 +746,18 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     """
     if not isinstance(state, FockState):
         raise ValueError("initial state must be a FockState")
+    _require_schedule(schedule)
     _require_cap(photon_cap)
     sector, psi = _coordinates(state.amplitudes.reshape(-1, 1), state.mode_count,
                                state.cutoff)
-    observed = sector.observables @ (np.abs(psi[:, 0]) ** 2)
-    if observed[-1] >= LEAKAGE_THRESHOLD:
+    *per_mode, leak, _ = sector.observables @ (np.abs(psi[:, 0]) ** 2)
+    if leak >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
-                         f"(leakage {observed[-1]:.2e} at cutoff {state.cutoff})")
+                         f"(leakage {leak:.2e} at cutoff {state.cutoff})")
 
-    n_rec = [observed[:-1]]
+    n_rec = [np.array(per_mode)]
     drift_rec = [0.0]
-    leak_rec = [float(observed[-1])]
+    leak_rec = [float(leak)]
     status = "ok"
     first_unsafe = None
     completed = 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (DriveSchedule, _past_cap, _require_amplitudes, _require_cap,
-                      _require_finite, _require_int, pair_map, powers)
+                      _require_finite, _require_int, _require_schedule, pair_map, powers)
 
 #: Default photon cap of the Gaussian engine and of the CLI: evolution aborts
 #: with status "diverged" once the total expected photon number is past it.
@@ -385,7 +385,8 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     state : GaussianState
         Initial state; must satisfy the uncertainty invariant.
     schedule : DriveSchedule
-        Drive parameters, including the period count N.
+        Drive parameters, including the period count N; anything else is a
+        ``ValueError``.
     photon_cap : float
         Divergence guard, > 0 and never a bool (``inf`` for no cap);
         evolution stops with status "diverged" at the first period whose
@@ -398,6 +399,7 @@ def evolve(state: GaussianState, schedule: DriveSchedule, *,
     """
     if not isinstance(state, GaussianState):
         raise InvalidStateError("initial state must be a GaussianState")
+    _require_schedule(schedule)
     _require_cap(photon_cap)
     photons = [_photons_per_mode(state.mean, state.covariance)[None]]
     status = _step_periods(state, schedule, photon_cap,

@@ -1,5 +1,7 @@
 """Truncated number-basis oracle: Hamiltonians, unitaries, propagation."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -306,11 +308,11 @@ class TestSegmentUnitary:
                 # coordinates on the orthonormal sector basis keep the norm
                 coords = psi[kept] * scale[kept, None]
                 np.testing.assert_allclose(np.linalg.norm(coords, axis=0), 1.0, rtol=1e-14)
-                one = on_sector(segment(label, cutoff, 0.6, key), coords[:, :1])
+                one = on_sector(label, cutoff, key, 0.6, coords[:, :1])
                 full = segment_unitary(h, 0.6) @ psi[:, :1]
                 np.testing.assert_allclose(one, full[kept] * scale[kept, None], atol=1e-12)
                 assert np.abs(np.delete(full, rows, axis=0)).max(initial=0.0) < 1e-12
-                many = on_sector(segment(label, cutoff, angles, key), coords)
+                many = on_sector(label, cutoff, key, angles, coords)
                 for j, angle in enumerate(angles):
                     np.testing.assert_allclose(
                         many[:, j],
@@ -328,14 +330,16 @@ class TestSegmentUnitary:
         psi = rng.standard_normal(h.shape[0]) \
             + 1j * rng.standard_normal(h.shape[0])
         psi /= np.linalg.norm(psi)
-        via_blocks = on_sector(segment(label, cutoff, angle, FULL_SPACE), psi[:, None])[:, 0]
+        via_blocks = on_sector(label, cutoff, FULL_SPACE, angle, psi[:, None])[:, 0]
         np.testing.assert_allclose(via_blocks, segment_unitary(h, angle) @ psi,
                                    atol=1e-12)
 
 
 class TestPacking:
-    """Each chain's dense eigendecomposition in the packing, checked against
-    scipy's tridiagonal solver, the routine it replaced."""
+    """Each chain's rotation planes in the packing: an orthogonal basis in
+    which the chain's gauge generator ``K`` turns each plane at a rate that
+    scipy's tridiagonal solver, the routine the packing once used, gives as
+    an eigenvalue."""
 
     @pytest.mark.parametrize("cutoff", [1, 2, 30, 60])
     @pytest.mark.parametrize("label, swap", [
@@ -346,6 +350,9 @@ class TestPacking:
         (HamiltonianLabel.SINGLE_MODE_UNSTABLE, False),
     ], ids=["amplify", "amplify-swap", "exchange", "exchange-swap", "single-amplify"])
     def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
+        """Each block of ``Q`` is orthogonal to 1e-13 and zero on padding,
+        and ``Q^T K Q`` is the generator of :func:`fock._rotate`: the rate
+        ``r_c`` at ``(c, partner(c))``."""
         chains = {tuple(idx): off for idx, off in fock._chains(label, cutoff, swap)}
         for key in [key for key in SECTORS if key[1] == swap]:
             sector = fock._sector(cutoff, label.mode_count, key).rows
@@ -353,54 +360,96 @@ class TestPacking:
             used = np.zeros(packing.gather.size, dtype=bool)
             used[packing.unpack] = True
             seen = []
-            for start, stop, vectors in packing.buckets:
-                length = vectors.shape[1]
+            for start, stop, basis in packing.buckets:
+                length = basis.shape[1]
                 rows = sector[packing.gather[start:stop]].reshape(-1, length)
-                weights = packing.weights[start:stop].reshape(-1, length)
+                rates = packing.weights[start:stop].reshape(-1, length)
+                # each partner within its own block
+                partner = (packing.partner[start:stop] - start).reshape(-1, length) \
+                    - length * np.arange(rows.shape[0])[:, None]
                 for k, m in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
                     seen.append(tuple(rows[k, :m]))
                     off = chains[seen[-1]]
                     chain = np.diag(off, 1) + np.diag(off, -1)
                     scale = max(np.abs(chain).max(), 1.0)
-                    np.testing.assert_allclose(weights[k, :m],
-                                               eigh_tridiagonal(np.zeros(m), off)[0],
+                    eigenvalues = eigh_tridiagonal(np.zeros(m), off)[0]
+                    np.testing.assert_allclose(np.sort(np.abs(rates[k, :m])),
+                                               np.sort(np.abs(eigenvalues)),
                                                rtol=1e-12, atol=1e-12 * scale)
-                    assert not weights[k, m:].any()
-                    v = vectors[k]
-                    assert not v[m:].any() and not v[:, m:].any()
-                    np.testing.assert_allclose(v[:m, :m].T @ v[:m, :m], np.eye(m), atol=1e-12)
-                    np.testing.assert_allclose((v[:m, :m] * weights[k, :m]) @ v[:m, :m].T,
-                                               chain, rtol=0, atol=1e-12 * scale)
+                    assert not rates[k, m:].any()
+                    np.testing.assert_array_equal(partner[k, m:], np.arange(m, length))
+                    q = basis[k]
+                    assert not q[m:].any() and not q[:, m:].any()
+                    q = q[:m, :m]
+                    np.testing.assert_allclose(q.T @ q, np.eye(m), rtol=0, atol=1e-13)
+                    # K = D^-1 H D / i: sigma_jk = s_k - s_j with s = 1 where D is i
+                    s = gauge_diagonal(rows[k, :m], cutoff, label.mode_count).imag
+                    generator = np.zeros((m, m))
+                    generator[np.arange(m), partner[k, :m]] = rates[k, :m]
+                    np.testing.assert_allclose(q.T @ (chain * (s - s[:, None])) @ q, generator,
+                                               rtol=0, atol=1e-12 * scale)
             # every chain of the sector, each once
             in_sector = set(sector.tolist())
             assert sorted(seen) == sorted(idx for idx in chains if idx[0] in in_sector)
             assert used.sum() == sector.size
 
 
-def complex_step_periods(sector, coords, gamma_tau1, omega_tau2, periods, settle):
-    """A stand-in for ``fock._step_periods`` on complex coordinates outside
-    the gauge, with both segments on the kept per-column path (the amplifying
-    angle repeated in every column) and each segment unpacking to and
-    gathering from the sector basis."""
-    k = coords.shape[1]
-    amplify = fock._Segment(sector.amplify, np.full(k, gamma_tau1))
-    exchange = fock._Segment(sector.exchange, np.broadcast_to(omega_tau2, (k,)))
-    # out of the gauge: D on the sector basis is the packed gauge, unpacked
-    psi = coords * sector.amplify.gauge[sector.amplify.unpack][:, None]
-    active = np.arange(k)
-    for n in range(1, periods + 1):
-        psi = on_sector(exchange, on_sector(amplify, psi))
-        probs = np.abs(psi) ** 2
-        norm_sq = probs.sum(axis=0)
-        psi /= np.sqrt(norm_sq)
-        observed = (sector.observables @ probs) / norm_sq
-        stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
-        keep = ~stop
-        active, psi = active[keep], psi[:, keep]
-        amplify.keep(keep)
-        exchange.keep(keep)
-        if not active.size:
-            break
+@functools.lru_cache(maxsize=None)
+def reference_blocks(label, cutoff, key):
+    """``(sector positions, eigenvalues, eigenvectors)`` of every chain of
+    ``label`` on the sector ``key``, from ``np.linalg.eigh`` of
+    ``fock._chains``; the diagonal generator is one block of the whole
+    sector, with eigenvalues ``n + 1/2`` and no eigenvectors."""
+    rows = fock._sector(cutoff, label.mode_count, key).rows
+    if label is HamiltonianLabel.SINGLE_MODE_STABLE:
+        return ((np.arange(rows.size), rows + 0.5, None),)
+    position = np.full((cutoff + 1) ** label.mode_count, -1)
+    position[rows] = np.arange(rows.size)
+    return tuple((position[idx], *np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1)))
+                 for idx, off in fock._chains(label, cutoff, key[1])
+                 if position[idx[0]] >= 0)
+
+
+def reference_segment(label, cutoff, key, angles, psi):
+    """``exp(-i angle H)`` of generator ``label`` on ``psi`` (sector rows,
+    columns), amplitudes on the sector ``key`` outside the gauge, with one
+    angle shared by the columns or one each: ``V exp(-i angle w) V^T`` chain
+    by chain.  This eigenvector path is the one the engine's rotation planes
+    replaced, kept here as the reference of both fast paths."""
+    out = np.empty(psi.shape, dtype=complex)
+    for idx, w, v in reference_blocks(label, cutoff, key):
+        phase = np.exp(-1j * w[:, None] * np.atleast_1d(angles))
+        out[idx] = phase * psi[idx] if v is None else v @ (phase * (v.T @ psi[idx]))
+    return out
+
+
+def reference_step_periods(cutoff, mode_count):
+    """A stand-in for ``fock._step_periods`` on the sectors of ``cutoff``
+    and ``mode_count``: complex coordinates outside the gauge, with both
+    segments on :func:`reference_segment`, chain by chain on the sector
+    basis."""
+    amplifying, exchanging = [label for label in HamiltonianLabel
+                              if label.mode_count == mode_count]
+
+    def step_periods(sector, coords, gamma_tau1, omega_tau2, periods, settle):
+        key = next(key for key in sectors(mode_count)
+                   if fock._sector(cutoff, mode_count, key) is sector)
+        angles = np.broadcast_to(omega_tau2, (coords.shape[1],))
+        # out of the gauge: D on the sector basis
+        psi = coords * gauge_diagonal(sector.rows, cutoff, mode_count)[:, None]
+        active = np.arange(coords.shape[1])
+        for n in range(1, periods + 1):
+            psi = reference_segment(amplifying, cutoff, key, gamma_tau1, psi)
+            psi = reference_segment(exchanging, cutoff, key, angles[active], psi)
+            probs = np.abs(psi) ** 2
+            norm_sq = probs.sum(axis=0)
+            psi /= np.sqrt(norm_sq)
+            observed = (sector.observables[:-1] @ probs) / norm_sq
+            stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
+            active, psi = active[~stop], psi[:, ~stop]
+            if not active.size:
+                break
+    return step_periods
 
 
 def sector_unitary(label, cutoff, key, angle):
@@ -491,15 +540,15 @@ class TestGauge:
            cutoff=st.integers(8, 60))
     def test_scan_equals_complex_per_column_loop(self, gamma_tau1, grid, periods, cutoff):
         """The scan, on real gauge coordinates with a real map per bucket for
-        its amplifying segment, equals the same scan stepped by
-        :func:`complex_step_periods`: same verdicts and periods, and photon
+        its amplifying segment and rotation planes per column for its
+        exchange, equals the same scan stepped by
+        :func:`reference_step_periods`: same verdicts and periods, and photon
         numbers within 1e-12 * max(1, n), absolute below one photon as in
-        :func:`assert_scan_matches_full_space`.  Of 300 random draws the
-        worst relative difference was 1.1e-12, at n = 1.7e-7."""
+        :func:`assert_scan_matches_full_space`."""
         kwargs = {"periods": periods, "cutoff": cutoff}
         points = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_step_periods", complex_step_periods)
+            patch.setattr(fock, "_step_periods", reference_step_periods(cutoff, 2))
             reference = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
         for point, expected in zip(points, reference, strict=True):
             assert (point.omega_tau2, point.outcome, point.periods_run) == \
@@ -508,31 +557,48 @@ class TestGauge:
 
 
 class TestSegmentPaths:
-    """The map per bucket of one angle, and the stepping loop's composite
-    permutation, against the kept per-column path."""
+    """Both fast paths of a segment, a map per bucket for one angle and the
+    rotation planes for one angle per column, and the stepping loop's
+    composite permutation, against the reference path."""
 
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 60])
     def test_one_angle_equals_per_column_path(self, cutoff):
-        """A one-angle segment (a map per bucket) equals the per-column path
-        fed that angle in every column, on every sector of every label,
-        applied to three columns at once and to each alone."""
+        """Each fast path equals :func:`reference_segment` to 1e-12 on the
+        gauge coordinates of every sector of every label, for real and for
+        complex columns, with one angle per column and with one angle: three
+        columns at once, each alone, and the per-column path fed that angle
+        in every column.  Real columns stay float64."""
         rng = np.random.default_rng(cutoff)
         for label in HamiltonianLabel:
             for key in sectors(label.mode_count):
-                rows = fock._sector(cutoff, label.mode_count, key).rows.size
-                coords = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
-                coords /= np.linalg.norm(coords, axis=0)
-                for angle in (0.6, 2.3):
-                    one = segment(label, cutoff, angle, key)
-                    assert (one.maps is None) == (not one.packing.buckets)
-                    per_column = segment(label, cutoff, np.full(3, angle), key)
-                    assert per_column.maps is None
-                    expected = on_sector(per_column, coords)
-                    np.testing.assert_allclose(on_sector(one, coords), expected,
-                                               rtol=0, atol=1e-12)
-                    for j in range(3):
-                        np.testing.assert_allclose(on_sector(one, coords[:, j:j + 1])[:, 0],
-                                                   expected[:, j], rtol=0, atol=1e-12)
+                rows = fock._sector(cutoff, label.mode_count, key).rows
+                gauge = gauge_diagonal(rows, cutoff, label.mode_count)[:, None]
+                real = rng.standard_normal((rows.size, 3))
+                complex_ = real + 1j * rng.standard_normal((rows.size, 3))
+                for coords in (real / np.linalg.norm(real, axis=0),
+                               complex_ / np.linalg.norm(complex_, axis=0)):
+                    for angles in (0.6, 2.3, [0.6, 2.3, 1.1]):
+                        one = segment(label, cutoff, angles, key)
+                        assert (one.maps is None) == (np.size(angles) > 1
+                                                      or not one.packing.buckets)
+                        if not one.real and np.isrealobj(coords):
+                            continue
+                        expected = gauge.conj() * reference_segment(label, cutoff, key,
+                                                                    angles, gauge * coords)
+                        packed = coords[one.packing.gather]
+                        got = applied(one, packed)[one.packing.unpack]
+                        assert got.dtype == coords.dtype
+                        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                        if np.size(angles) > 1:
+                            continue
+                        per_column = segment(label, cutoff, np.full(3, angles), key)
+                        assert per_column.maps is None
+                        np.testing.assert_allclose(applied(per_column, packed)[one.packing.unpack],
+                                                   expected, rtol=0, atol=1e-12)
+                        for j in range(3):
+                            alone = applied(one, np.ascontiguousarray(packed[:, j:j + 1]))
+                            np.testing.assert_allclose(alone[one.packing.unpack, 0],
+                                                       expected[:, j], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("state, omega_tau2", [
         (vacuum_state(9, 1), 1.1),
@@ -554,8 +620,7 @@ class TestSegmentPaths:
         columns = np.repeat(state.amplitudes[:, None], k, axis=1)
         key = fock._sector_key(columns, modes, cutoff)
         sector = fock._sector(cutoff, modes, key)
-        amplify = fock._Segment(sector.amplify, 0.3)
-        exchange = fock._Segment(sector.exchange, omega_tau2)
+        amplifying, exchanging = [label for label in HamiltonianLabel if label.mode_count == modes]
         # the composite index on packed input, padding rows included
         packed = np.arange(sector.amplify.gather.size)
         np.testing.assert_array_equal(
@@ -578,8 +643,10 @@ class TestSegmentPaths:
             n_a, n_b = np.divmod(rows, cutoff + 1)
             psi[n_a != n_b] *= math.sqrt(2.0)
         assert len(recorded) == 1
-        np.testing.assert_allclose(recorded[0], on_sector(exchange, on_sector(amplify, psi)),
-                               rtol=0, atol=1e-14)
+        amplified = on_sector(amplifying, cutoff, key, 0.3, psi)
+        np.testing.assert_allclose(recorded[0],
+                                   on_sector(exchanging, cutoff, key, omega_tau2, amplified),
+                                   rtol=0, atol=1e-14)
 
 
 def applied(segment, x):
@@ -589,13 +656,17 @@ def applied(segment, x):
     return y
 
 
-def on_sector(segment, psi):
-    """``segment`` applied to ``psi`` of shape (sector rows, columns) on the
-    sector basis, outside the gauge: gathered into the packing and moved into
-    the gauge, :func:`applied`, then moved out of the gauge and unpacked."""
-    gauge = segment.packing.gauge[:, None]
-    x = psi[segment.packing.gather] * gauge.conj()
-    return (applied(segment, x) * gauge)[segment.packing.unpack]
+def on_sector(label, cutoff, key, angles, psi):
+    """The engine's segment of generator ``label`` with ``angles`` on the
+    sector ``key``, applied to ``psi`` of shape (sector rows, columns) on the
+    sector basis, outside the gauge: moved into the gauge and gathered into
+    the packing, :func:`applied`, then unpacked and moved out of the
+    gauge."""
+    one = segment(label, cutoff, angles, key)
+    rows = fock._sector(cutoff, label.mode_count, key).rows
+    gauge = gauge_diagonal(rows, cutoff, label.mode_count)[:, None]
+    x = (psi * gauge.conj())[one.packing.gather]
+    return applied(one, x)[one.packing.unpack] * gauge
 
 
 def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
@@ -613,10 +684,12 @@ def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
         psi = applied(exchange, np.take(psi, sector.between, axis=0))
         psi = np.take(psi, sector.exchange.unpack, axis=0)
         probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
-        norm_sq = probs.sum(axis=0)
-        psi /= np.sqrt(norm_sq)
-        observed = (sector.observables @ probs) / norm_sq
-        stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
+        # the norm from the observables' row of ones, as the engine reads it
+        observed = sector.observables @ probs
+        norm = np.sqrt(observed[-1])
+        psi /= norm
+        observed[:-1] /= observed[-1]
+        stop = settle(n, active, psi, norm, observed[:-2], observed[-2])
         if stop.any():
             keep = ~stop
             active, psi = active[keep], psi[:, keep]
@@ -1033,6 +1106,36 @@ class TestSector:
         propagate(vacuum_state(8, 2), DriveSchedule.from_products(0.2, 1.1, periods=3))
         assert fock._sector.cache_info().currsize == 1
         assert fock._sector.cache_info().hits == 0
+
+    @pytest.mark.parametrize("cutoff", [1, 7, 60])
+    def test_cached_arrays_are_read_only(self, cutoff):
+        """``lru_cache`` shares a sector across propagations, so every array
+        reachable from it is read-only: rows, ``to_gauge``, observables, both
+        packings, each bucket's basis ``Q`` and the partner index."""
+        def arrays(obj, path):
+            if isinstance(obj, np.ndarray):
+                yield path, obj
+            elif dataclasses.is_dataclass(obj):
+                for field in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, field.name), f"{path}.{field.name}")
+            elif isinstance(obj, tuple):
+                for k, item in enumerate(obj):
+                    yield from arrays(item, f"{path}[{k}]")
+
+        for modes in (1, 2):
+            for key in sectors(modes):
+                sector = fock._sector(cutoff, modes, key)
+                found = dict(arrays(sector, "sector"))
+                expected = {"sector.rows", "sector.to_gauge", "sector.observables",
+                            "sector.between"}
+                for packing in ("amplify", "exchange"):
+                    expected |= {f"sector.{packing}.{name}"
+                                 for name in ("gather", "unpack", "weights", "partner")}
+                    expected |= {f"sector.{packing}.buckets[{k}][2]"
+                                 for k in range(len(getattr(sector, packing).buckets))}
+                assert found.keys() == expected
+                writable = [path for path, arr in found.items() if arr.flags.writeable]
+                assert not writable, (key, writable)
 
     def test_initial_record_of_swap_superposition_matches_full_space(self):
         """The period-0 photons and leakage of a swap-symmetric superposition,

@@ -105,6 +105,7 @@ def test_invalid_count_rejected(call):
     lambda: fock.zeno_threshold_scan(0.1, [0.5, True], cutoff=10, periods=3),
     lambda: gaussian.GaussianState([True, False], np.eye(2) / 2),
     lambda: FockState(1, 2, [True, False, False]),
+    lambda: fock.segment_unitary(np.eye(2, dtype=bool), 1.0),
 ], ids=["schedule-rates", "schedule-np-bool", "products-true", "classify-period-true",
         "pendulum-k2-true", "hamiltonian-coupling-true", "scan-gamma-false",
         "coupling-pump-true", "pair-map-true", "pair-map-np-bool", "pair-map-bool-axis",
@@ -112,7 +113,7 @@ def test_invalid_count_rejected(call):
         "vacuum-diverges-bool-axis", "pm-pair-maps-bool-axis", "segment-unitary-duration-true",
         "fock-coherent-true", "fock-coherent-list-true", "gaussian-coherent-true",
         "squeezed-r-true", "squeezed-phi-true", "scan-grid-true", "gaussian-state-bool-mean",
-        "fock-state-bool-amplitudes"])
+        "fock-state-bool-amplitudes", "segment-unitary-bool-matrix"])
 def test_bool_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
@@ -149,6 +150,8 @@ def test_bool_real_rejected(call):
     lambda: fock.coherent_state(40, [math.nan]),
     lambda: fock.coherent_state(40, [0.5, math.inf]),
     lambda: fock.coherent_state(40, [complex(0.0, -math.inf)]),
+    lambda: fock.segment_unitary(np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0),
+    lambda: fock.segment_unitary(np.array([[1.0, math.inf], [math.inf, 1.0]]), 1.0),
 ], ids=["pair-map-gamma-nan", "pair-map-omega-nan", "pair-map-gamma-inf",
         "pair-map-omega-minus-inf", "pair-map-gamma-axis-nan", "pair-map-omega-axis-inf",
         "pm-pair-maps-nan", "vacuum-diverges-nan", "classify-epsilon-nan",
@@ -158,7 +161,8 @@ def test_bool_real_rejected(call):
         "schedule-tau1-inf", "schedule-omega-minus-inf", "schedule-tau2-negative",
         "products-string", "products-none", "products-int-beyond-float64",
         "gaussian-coherent-nan", "gaussian-coherent-inf", "gaussian-coherent-minus-inf",
-        "fock-coherent-nan", "fock-coherent-inf", "fock-coherent-minus-inf"])
+        "fock-coherent-nan", "fock-coherent-inf", "fock-coherent-minus-inf",
+        "segment-unitary-nan-entry", "segment-unitary-inf-entry"])
 def test_non_finite_or_negative_real_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
@@ -196,6 +200,25 @@ def test_axis_shape_rejected(call):
     """``pair_map`` takes two scalars or two 1-D axes; a scan takes one 1-D grid."""
     with pytest.raises(ValueError, match="1-D"):
         call()
+
+
+@pytest.mark.parametrize("h", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 0))],
+                         ids=["2x3", "1-d", "3-d", "empty"])
+def test_segment_unitary_takes_square_matrix(h):
+    """A Hamiltonian is a nonempty square matrix, whatever its entries."""
+    with pytest.raises(ValueError, match="h must be a nonempty square matrix"):
+        fock.segment_unitary(h, 1.0)
+
+
+@pytest.mark.parametrize("schedule", ["x", None, (0.1, 0.5, 3)], ids=["str", "none", "tuple"])
+@pytest.mark.parametrize("call", [
+    lambda schedule: gaussian.evolve(gaussian.vacuum_state(2), schedule),
+    lambda schedule: fock.propagate(fock.vacuum_state(4), schedule),
+], ids=["evolve", "propagate"])
+def test_schedule_must_be_drive_schedule(call, schedule):
+    """Each engine names a wrong schedule as it names a wrong state."""
+    with pytest.raises(ValueError, match="schedule must be a DriveSchedule"):
+        call(schedule)
 
 
 @pytest.mark.parametrize("call", [
