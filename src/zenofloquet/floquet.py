@@ -261,6 +261,7 @@ def _scalar_pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
 
 def monodromy(schedule: DriveSchedule) -> np.ndarray:
     """One-period map ``A = A_s @ A_u`` (amplifying segment acts first)."""
+    _require_schedule(schedule)
     return _scalar_pair_map(schedule.gamma_tau1, schedule.omega_tau2)
 
 
@@ -272,6 +273,7 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
     equals the trace of :func:`monodromy`, hence the stability condition is
     shared by both pairs.
     """
+    _require_schedule(schedule)
     return _scalar_pair_map(-schedule.gamma_tau1, -schedule.omega_tau2)
 
 
@@ -401,7 +403,8 @@ def classify_stack(maps: np.ndarray, period: float,
 
 
 def classify_schedule(schedule: DriveSchedule) -> StabilityReport:
-    """Monodromy construction and classification in one step."""
+    """Monodromy construction and classification in one step; a schedule
+    that is not a :class:`DriveSchedule` is rejected by :func:`monodromy`."""
     return classify(monodromy(schedule), schedule.period)
 
 
@@ -443,6 +446,8 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     -------
     (ndarray, StabilityReport)
     """
+    if not isinstance(params, ClassicalPendulumParams):
+        raise ValueError(f"params must be a ClassicalPendulumParams, got {params!r}")
     k1, k2, tau = params.k1, params.k2, params.tau
     u1, u2 = k1 * tau, k2 * tau
     ch, sh = _cosh_sinh("k1*tau", u1)

@@ -45,7 +45,9 @@ observables, both packed generators and the permutation between them.
   *Matrix Computations*) comes from the chain eigenvectors: each eigenpair
   ``(w > 0, v)`` spans the plane of ``sqrt2 (1 - s) v`` and ``sqrt2 s v``,
   which the segment turns by ``angle * w``, and an odd chain's zero mode
-  stays fixed.  The diagonal single-mode rotation commutes with ``D``.
+  stays fixed.  The rates ``w`` and both halves of each plane come from one
+  singular value decomposition of the chain's links from its even to its
+  odd rows.  The diagonal single-mode rotation commutes with ``D``.
 
 The stepping loop carries gauge coordinates: ``D^-1`` times the swap fold
 of the amplitudes, float64 when they start real and every segment is a real
@@ -64,14 +66,18 @@ complex otherwise.  A segment is the rotation ``R(angle)`` of the planes in
   float64 view of complex columns.
 
 Each period gathers the columns into the amplifying packing, moves them into
-the exchange packing by one composite permutation and scatters them back to
-the sector basis.  A propagation holds one workspace: the sector columns,
-each segment's packed input and output, and the real plane coordinates of
-a per-column segment.  Each segment is bound to its buffers once, with
-every bucket's operand views and rotation tables built then, and bound
-again only when columns leave, so a period fills existing buffers, builds
-no view, and allocates only the per-column norms and observables that it
-reports; the norms come from the observables' row of ones.
+the exchange packing by one composite permutation, scatters them back to
+the sector basis and writes their observables into one row of a small
+record.  The periods run in blocks of ``_BLOCK``: once per block the norms
+are read from the record's row of ones, the columns are renormalized, and
+the callers settle every period of the block at once; columns stop at the
+end of a block.  A propagation holds one workspace: the sector columns, each
+segment's packed input and output, the real plane coordinates of a
+per-column segment and the block's record.  Each segment is bound to its
+buffers once, with every bucket's operand views and rotation tables built
+then, and bound again only when columns leave, so a period fills existing
+buffers, builds no view and allocates nothing; a block allocates only the
+norms and observables that it reports.
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -302,6 +308,10 @@ def _number_diagonals(cutoff: int, mode_count: int):
 #: Blocks per length bucket of the packed engine.
 BUCKET_BLOCKS = 8
 
+#: Periods per block of :func:`_step_periods`: the loop settles once per
+#: block, and a column that stops costs at most ``_BLOCK - 1`` more periods.
+_BLOCK = 16
+
 
 def _chains(label: HamiltonianLabel, cutoff: int, swap: bool):
     """(basis indices, off-diagonal) of each conserved-quantity block.
@@ -425,18 +435,22 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
             for k, (idx, off) in enumerate(group):
                 m, h = idx.size, idx.size // 2
                 index[k, :m], used[k, :m] = idx, True
-                chain = np.zeros((m, m))
-                chain.flat[1::m + 1] = chain.flat[m::m + 1] = off
-                w, v = np.linalg.eigh(chain)
-                # eigh's order is ascending: the last h eigenpairs are
-                # positive, the middle one of an odd chain is its zero mode;
-                # s alternates along the chain, so the rows with s = 0 (the
-                # u0's) are every other row from row s[idx[0]]
-                positive, lead = v[:, m - h:] * math.sqrt(2.0), s[idx[0]]
-                basis[k, lead:m:2, :h] = positive[lead::2]
-                basis[k, 1 - lead:m:2, h:2 * h] = positive[1 - lead::2]
-                basis[k, :m, 2 * h:m] = v[:, h:m - h]
-                rates[k, :h] = rates[k, h:2 * h] = w[m - h:]
+                # the chain links its even rows only to its odd rows, so
+                # links[i, j] = chain[2i, 2j + 1] holds all of it
+                links = np.zeros((m - h, h))
+                links.flat[::h + 1] = off[::2]
+                links.flat[h::h + 1] = off[1::2]
+                # each singular triple (w, u, v) is the eigenpair (w, (u, v)
+                # / sqrt2) of the chain, u on its even rows and v on its odd
+                # rows; an odd chain's zero mode is U's extra column.  s
+                # alternates along the chain, so its s = 0 rows, which hold
+                # the u0's, are the even rows if s[idx[0]] is 0
+                u, w, vt = np.linalg.svd(links)
+                lead = s[idx[0]]
+                basis[k, 0:m:2, lead * h:(lead + 1) * h] = u[:, :h]
+                basis[k, 1:m:2, (1 - lead) * h:(2 - lead) * h] = vt.T
+                basis[k, 0:m:2, 2 * h:m] = u[:, h:]
+                rates[k, :h] = rates[k, h:2 * h] = w
             basis.setflags(write=False)
             half = used.sum(axis=1, keepdims=True) // 2
             c = np.arange(shape[1])
@@ -643,25 +657,35 @@ def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau
     ``sector``, as :func:`_coordinates` returns them; the loop overwrites
     it.  Each period applies the amplifying segment (angle ``gamma_tau1``,
     shared by every column) and then the exchange segment (``omega_tau2``,
-    one angle or one per column) to the active columns, and renormalizes
-    them; in between, the columns go from the amplifying packing to the
-    exchange packing by ``sector.between``, and each of the three row
+    one angle or one per column) to the active columns, and records their
+    observables; in between, the columns go from the amplifying packing to
+    the exchange packing by ``sector.between``, and each of the three row
     permutations of a period is one ``take`` into a buffer.  The coordinates
     are carried as float64 if they start real and both segments are
-    ``real`` (see :class:`_Segment`), complex otherwise.  Then ``settle(n,
-    active, psi, norm, per_mode, leak)`` receives the period number, the
-    original numbers of the m active columns, their gauge coordinates on the
-    sector basis (rows, m), their norms before renormalization (m,), photons
-    per mode (modes, m) and leakage (m,), and returns a boolean mask (m,) of
-    the columns that stop.  Stopped columns leave the active set; the loop
-    ends after ``periods`` periods or when no column is left.
+    ``real`` (see :class:`_Segment`), complex otherwise.
+
+    The periods run in blocks of ``_BLOCK``, the last one possibly shorter.
+    Within a block the columns are not renormalized; the segments are
+    linear, so the norm drift of each period is the ratio of consecutive
+    norms, and the columns are renormalized once per block.  After each
+    block of p periods, ``settle(first, active, psi, norm, per_mode, leak)``
+    receives the number of the block's first period, the original numbers
+    of the m active columns, their renormalized gauge coordinates on the
+    sector basis after the block's last period (rows, m), and per period of
+    the block: their norms relative to the period before (p, m), photons per
+    mode (p, modes, m) and leakage (p, m).  It returns a boolean mask (m,)
+    of the columns that stop; a caller keeps a column's records only up to
+    its first stopping period in the block.  Stopped columns leave the
+    active set at the end of the block; the loop ends after ``periods``
+    periods or when no column is left.
 
     The loop holds one workspace per set of active columns: ``psi``, each
-    segment's packed input and output, bound to the segments (see
-    :meth:`_Segment.bind`) when the set starts and again when it shrinks.
-    The ``psi`` that ``settle`` receives is that buffer, valid only during
-    the call: the next period overwrites it, so a caller that keeps it
-    copies it.  ``norm``, ``per_mode`` and ``leak`` are fresh each period.
+    segment's packed input and output and the block's observables, bound to
+    the segments (see :meth:`_Segment.bind`) when the set starts and again
+    when it shrinks.  The ``psi`` that ``settle`` receives is that buffer,
+    valid only during the call: the next block overwrites it, so a caller
+    that keeps it copies it.  ``norm``, ``per_mode`` and ``leak`` are fresh
+    each block.
     """
     amplify = _Segment(sector.amplify, gamma_tau1)
     exchange = _Segment(sector.exchange, omega_tau2)
@@ -669,32 +693,40 @@ def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau
     if real:
         psi = np.ascontiguousarray(psi.real)
     gather, between, scatter = sector.amplify.gather, sector.between, sector.exchange.unpack
+    observables = sector.observables
     n, active = 0, np.arange(psi.shape[1])
     while n < periods and active.size:
         # the workspace of the active columns, bound until a column leaves
         a_in, a_out = np.empty((2, gather.size, active.size), dtype=psi.dtype)
         e_in, e_out = np.empty((2, between.size, active.size), dtype=psi.dtype)
         probs, spare = np.empty((2,) + psi.shape)
+        # (photons per mode..., leakage, norm squared) after each period of a
+        # block, from row 1; row 0 holds the squared norm at its start, 1
+        record = np.empty((_BLOCK + 1, observables.shape[0], active.size))
+        record[0, -1] = 1.0
         step_amplify, step_exchange = amplify.bind(a_in, a_out), exchange.bind(e_in, e_out)
-        for n in range(n + 1, periods + 1):
-            # every index is in range by construction, and mode "clip" lets
-            # take write into out directly, where "raise" buffers it
-            psi.take(gather, 0, a_in, "clip")
-            step_amplify()
-            a_out.take(between, 0, e_in, "clip")
-            step_exchange()
-            e_out.take(scatter, 0, psi, "clip")
-            if real:
-                np.multiply(psi, psi, out=probs)
-            else:
-                np.square(psi.real, out=probs)
-                probs += np.square(psi.imag, out=spare)
-            # (photons per mode..., leakage, norm squared)
-            observed = sector.observables @ probs
-            norm = np.sqrt(observed[-1])
-            psi /= norm
-            observed[:-1] /= observed[-1]
-            stop = settle(n, active, psi, norm, observed[:-2], observed[-2])
+        while n < periods:
+            size = min(_BLOCK, periods - n)
+            for j in range(1, size + 1):
+                # every index is in range by construction, and mode "clip"
+                # lets take write into out directly, where "raise" buffers it
+                psi.take(gather, 0, a_in, "clip")
+                step_amplify()
+                a_out.take(between, 0, e_in, "clip")
+                step_exchange()
+                e_out.take(scatter, 0, psi, "clip")
+                if real:
+                    np.multiply(psi, psi, out=probs)
+                else:
+                    np.square(psi.real, out=probs)
+                    probs += np.square(psi.imag, out=spare)
+                np.matmul(observables, probs, out=record[j])
+            norm_sq = record[:size + 1, -1]
+            observed = record[1:size + 1, :-1] / norm_sq[1:, None]
+            psi /= np.sqrt(norm_sq[-1])
+            stop = settle(n + 1, active, psi, np.sqrt(norm_sq[1:] / norm_sq[:-1]),
+                          observed[:, :-1], observed[:, -1])
+            n += size
             if stop.any():
                 keep = ~stop
                 # psi[:, keep] is not C-contiguous, and take writes into a
@@ -734,8 +766,9 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     """Propagate through N periods, recording observables at each boundary.
 
     Each period applies the amplifying segment (angle ``gamma * tau1``) then
-    the exchange segment (angle ``omega * tau2``).  The state is renormalized
-    every period and the pre-renormalization drift logged.  Leakage past
+    the exchange segment (angle ``omega * tau2``).  The norm drift of each
+    period is logged as the ratio of consecutive norms, minus 1; the state
+    is renormalized once per block of periods.  Leakage past
     ``LEAKAGE_THRESHOLD`` marks the trajectory truncation-unsafe from that
     period on.  Propagation stops early at the first period whose total
     photon number is past ``photon_cap``: above it or not finite, the one
@@ -755,36 +788,38 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         raise ValueError(f"initial state is not cutoff-safe "
                          f"(leakage {leak:.2e} at cutoff {state.cutoff})")
 
-    n_rec = [np.array(per_mode)]
-    drift_rec = [0.0]
-    leak_rec = [float(leak)]
+    n_rec = [np.array(per_mode)[None]]
+    drift_rec = [np.zeros(1)]
+    leak_rec = [np.array([leak])]
     status = "ok"
     first_unsafe = None
     completed = 0
-    go_on, stop = np.zeros(1, dtype=bool), np.ones(1, dtype=bool)
 
-    def settle(n, active, psi, norm, per_mode, leak):
+    def settle(first, active, psi, norm, per_mode, leak):
         nonlocal status, first_unsafe, completed
-        n_rec.append(per_mode[:, 0])
-        drift_rec.append(float(norm[0] - 1.0))
-        leak_rec.append(float(leak[0]))
-        completed = n
-        if leak[0] >= LEAKAGE_THRESHOLD and first_unsafe is None:
-            first_unsafe = n
+        capped = _past_cap(per_mode[:, :, 0].sum(axis=1), photon_cap)
+        # the block's periods up to its first one past the cap
+        size = int(capped.argmax()) + 1 if capped.any() else capped.size
+        n_rec.append(per_mode[:size, :, 0])
+        drift_rec.append(norm[:size, 0] - 1.0)
+        leak_rec.append(leak[:size, 0])
+        completed = first + size - 1
+        unsafe = np.flatnonzero(leak[:size, 0] >= LEAKAGE_THRESHOLD)
+        if unsafe.size and first_unsafe is None:
+            first_unsafe = first + int(unsafe[0])
             status = "truncation-unsafe"
-        capped = _past_cap(per_mode[:, 0].sum(), photon_cap)
-        if capped and status == "ok":
+        if capped.any() and status == "ok":
             status = "photon-cap"
-        return stop if capped else go_on
+        return capped.any(keepdims=True)
 
     _step_periods(sector, psi, schedule.gamma_tau1, schedule.omega_tau2,
                   schedule.periods, settle)
-    n_per_mode = np.array(n_rec)
+    n_per_mode = np.concatenate(n_rec)
     return FockTrajectory(
         n_per_mode=n_per_mode,
         n_total=n_per_mode.sum(axis=1),
-        norm_drift=np.array(drift_rec),
-        leakage=np.array(leak_rec),
+        norm_drift=np.concatenate(drift_rec),
+        leakage=np.concatenate(leak_rec),
         status=status,
         first_unsafe_period=first_unsafe,
         periods_completed=completed,
@@ -831,7 +866,8 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
     ratio and a cutoff that can hold the excursion.
 
     The whole grid is propagated at once, one amplitude column per point;
-    a point leaves the active columns once it has its verdict.
+    a point keeps the numbers of the period of its verdict and leaves the
+    active columns at the end of that block of periods.
     """
     grid = np.atleast_1d(np.asarray(_require_finite("omega_tau2 grid", omega_tau2_grid),
                                     dtype=float))
@@ -853,20 +889,25 @@ def zeno_threshold_scan(gamma_tau1: float, omega_tau2_grid, *,
     periods_run = np.zeros(grid.size, dtype=int)
     n_ref = np.zeros(grid.size)
 
-    def settle(n, active, psi, norm, per_mode, leak):
-        n_tot = per_mode.sum(axis=0)
-        n_final[active] = n_tot
-        periods_run[active] = n
+    def settle(first, active, psi, norm, per_mode, leak):
+        n_tot = per_mode.sum(axis=1)
+        if first == 1:
+            n_ref[active] = n_tot[0]
         leaky = leak >= LEAKAGE_THRESHOLD
-        if n == 1:
-            n_ref[active] = n_tot
-            grown = np.zeros_like(leaky)
-        else:
-            ref = n_ref[active]
-            grown = ~leaky & (ref > 1e-12) & (n_tot > growth_factor * ref)
-        outcome[active[leaky]] = "indeterminate"
-        outcome[active[grown]] = "growth"
-        return leaky | grown
+        ref = n_ref[active]
+        grown = ~leaky & (ref > 1e-12) & (n_tot > growth_factor * ref)
+        # period 1 sets the reference and is never growth
+        grown[0] &= first > 1
+        verdict = leaky | grown
+        stop = verdict.any(axis=0)
+        # each column's last period in the block: its first verdict, if any
+        last = np.where(stop, verdict.argmax(axis=0), n_tot.shape[0] - 1)
+        columns = np.arange(stop.size)
+        n_final[active] = n_tot[last, columns]
+        periods_run[active] = first + last
+        outcome[active[leaky[last, columns]]] = "indeterminate"
+        outcome[active[grown[last, columns]]] = "growth"
+        return stop
 
     vacuum = vacuum_state(cutoff, 2).amplitudes[:, None]
     _step_periods(*_coordinates(np.broadcast_to(vacuum, (vacuum.size, grid.size)), 2, cutoff),

@@ -280,6 +280,7 @@ def two_mode_period_symplectic(schedule: DriveSchedule) -> np.ndarray:
     Built as block-diag of the plus/minus pair maps conjugated back with the
     orthogonal basis change.
     """
+    _require_schedule(schedule)
     return _mode_basis(*pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2))
 
 

@@ -65,23 +65,29 @@ SCAN_CASES = given(gamma_tau1=st.floats(0.02, 0.4),
                    cutoff=st.integers(8, 24))
 
 
+def assert_scans_agree(points, reference):
+    """Same verdicts and periods, and photon numbers within 1e-12 * max(1,
+    n).  The bound is absolute below one photon: paths that sum in
+    different orders leave a point that ends near vacuum with the rounding
+    of amplitudes of order 1."""
+    for point, expected in zip(points, reference, strict=True):
+        assert (point.omega_tau2, point.outcome, point.periods_run) == \
+            (expected.omega_tau2, expected.outcome, expected.periods_run)
+        assert abs(point.n_final - expected.n_final) <= 1e-12 * max(1.0, expected.n_final)
+
+
 def assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff, sector_key):
-    """The scan with ``sector_key`` choosing the sector equals the kept slow
-    reference, the same scan with parity and swap both switched off so that
-    every basis row is propagated: same verdicts and periods, and photon
-    numbers within 1e-12 * max(1, n).  The bound is absolute below one
-    photon: the paths sum in different orders, and a point that ends near
-    vacuum carries the rounding of amplitudes of order 1."""
+    """The scan with ``sector_key`` choosing the sector agrees (see
+    :func:`assert_scans_agree`) with the kept slow reference, the same scan
+    with parity and swap both switched off so that every basis row is
+    propagated."""
     kwargs = {"periods": periods, "cutoff": cutoff}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_sector_key", sector_key)
         sector = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
         patch.setattr(fock, "_sector_key", lambda *args: FULL_SPACE)
         full = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
-    for point, reference in zip(sector, full, strict=True):
-        assert (point.omega_tau2, point.outcome, point.periods_run) == \
-            (reference.omega_tau2, reference.outcome, reference.periods_run)
-        assert abs(point.n_final - reference.n_final) <= 1e-12 * max(1.0, reference.n_final)
+    assert_scans_agree(sector, full)
 
 
 def generator_packing(label, cutoff, key):
@@ -102,14 +108,22 @@ def gauge_diagonal(rows, cutoff, mode_count):
     return np.where(level % 2 == 1, 1j, 1.0)
 
 
+def one_period_blocks(call, *args, **kwargs):
+    """``call`` with the stepping loop settling after every period."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_BLOCK", 1)
+        return call(*args, **kwargs)
+
+
 def recorded_amplitudes(state, schedule):
     """The amplitudes of ``state`` after each period, ``(periods + 1, dim)``.
 
-    They are recorded through the engine's stepping loop, which holds them as
-    gauge coordinates ``D^-1 psi`` on the sector basis, and unfolded onto the
-    full basis: multiplied by ``D``, zero outside the sector, and in a swap
-    sector divided by the sqrt2 of the symmetric basis off the diagonal and
-    copied onto both mirror rows.
+    They are recorded through the engine's stepping loop in one-period
+    blocks, so that it hands over the state of every period.  The loop holds
+    them as gauge coordinates ``D^-1 psi`` on the sector basis; they are
+    unfolded onto the full basis: multiplied by ``D``, zero outside the
+    sector, and in a swap sector divided by the sqrt2 of the symmetric basis
+    off the diagonal and copied onto both mirror rows.
     """
     cutoff, modes = state.cutoff, state.mode_count
     columns = state.amplitudes[:, None]
@@ -124,14 +138,15 @@ def recorded_amplitudes(state, schedule):
     gauge = gauge_diagonal(rows, cutoff, modes)
     amplitudes = [state.amplitudes]
 
-    def settle(n, active, psi, norm, per_mode, leak):
+    def settle(first, active, psi, norm, per_mode, leak):
         full = np.zeros(state.dim, dtype=complex)
         full[mirror] = full[rows] = psi[:, 0] * gauge / scale
         amplitudes.append(full)
         return np.zeros(1, dtype=bool)
 
-    fock._step_periods(sector, coords, schedule.gamma_tau1,
-                       schedule.omega_tau2, schedule.periods, settle)
+    one_period_blocks(fock._step_periods, sector, coords, schedule.gamma_tau1,
+                      schedule.omega_tau2, schedule.periods, settle)
+    assert len(amplitudes) == schedule.periods + 1
     return np.array(amplitudes)
 
 
@@ -427,11 +442,13 @@ def reference_step_periods(cutoff, mode_count):
     """A stand-in for ``fock._step_periods`` on the sectors of ``cutoff``
     and ``mode_count``: complex coordinates outside the gauge, with both
     segments on :func:`reference_segment`, chain by chain on the sector
-    basis."""
+    basis, renormalized every period and settled in one-period blocks.  Its
+    ``calls`` attribute counts the calls."""
     amplifying, exchanging = [label for label in HamiltonianLabel
                               if label.mode_count == mode_count]
 
     def step_periods(sector, coords, gamma_tau1, omega_tau2, periods, settle):
+        step_periods.calls += 1
         key = next(key for key in sectors(mode_count)
                    if fock._sector(cutoff, mode_count, key) is sector)
         angles = np.broadcast_to(omega_tau2, (coords.shape[1],))
@@ -445,10 +462,12 @@ def reference_step_periods(cutoff, mode_count):
             norm_sq = probs.sum(axis=0)
             psi /= np.sqrt(norm_sq)
             observed = (sector.observables[:-1] @ probs) / norm_sq
-            stop = settle(n, active, psi, np.sqrt(norm_sq), observed[:-1], observed[-1])
+            stop = settle(n, active, psi, np.sqrt(norm_sq)[None], observed[None, :-1],
+                          observed[None, -1])
             active, psi = active[~stop], psi[:, ~stop]
             if not active.size:
                 break
+    step_periods.calls = 0
     return step_periods
 
 
@@ -524,12 +543,12 @@ class TestGauge:
         columns = np.repeat(state.amplitudes[:, None], np.size(omega_tau2), axis=1)
         dtypes = []
 
-        def settle(n, active, psi, norm, per_mode, leak):
+        def settle(first, active, psi, norm, per_mode, leak):
             dtypes.append(psi.dtype)
             return np.zeros(active.size, dtype=bool)
 
         fock._step_periods(*fock._coordinates(columns, state.mode_count, state.cutoff),
-                           0.2, omega_tau2, 3, settle)
+                           0.2, omega_tau2, 2 * fock._BLOCK + 1, settle)
         assert dtypes == [np.float64 if real else np.complex128] * 3
 
 
@@ -541,19 +560,16 @@ class TestGauge:
     def test_scan_equals_complex_per_column_loop(self, gamma_tau1, grid, periods, cutoff):
         """The scan, on real gauge coordinates with a real map per bucket for
         its amplifying segment and rotation planes per column for its
-        exchange, equals the same scan stepped by
-        :func:`reference_step_periods`: same verdicts and periods, and photon
-        numbers within 1e-12 * max(1, n), absolute below one photon as in
-        :func:`assert_scan_matches_full_space`."""
+        exchange, agrees with the same scan stepped by
+        :func:`reference_step_periods` (see :func:`assert_scans_agree`)."""
         kwargs = {"periods": periods, "cutoff": cutoff}
         points = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
+        stand_in = reference_step_periods(cutoff, 2)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_step_periods", reference_step_periods(cutoff, 2))
+            patch.setattr(fock, "_step_periods", stand_in)
             reference = zeno_threshold_scan(gamma_tau1, grid, **kwargs)
-        for point, expected in zip(points, reference, strict=True):
-            assert (point.omega_tau2, point.outcome, point.periods_run) == \
-                (expected.omega_tau2, expected.outcome, expected.periods_run)
-            assert abs(point.n_final - expected.n_final) <= 1e-12 * max(1.0, expected.n_final)
+        assert stand_in.calls > 0
+        assert_scans_agree(points, reference)
 
 
 class TestSegmentPaths:
@@ -614,7 +630,8 @@ class TestSegmentPaths:
         """One period of the stepping loop, which carries the columns from
         the amplifying packing to the exchange packing by one composite
         permutation, equals the two segments applied one after the other,
-        each unpacking to and gathering from the sector basis."""
+        each unpacking to and gathering from the sector basis.  The loop runs
+        in one-period blocks, so the one call to ``settle`` holds period 1."""
         cutoff, modes = state.cutoff, state.mode_count
         k = np.size(omega_tau2)
         columns = np.repeat(state.amplitudes[:, None], k, axis=1)
@@ -629,12 +646,12 @@ class TestSegmentPaths:
 
         recorded = []
 
-        def settle(n, active, psi, norm, per_mode, leak):
-            recorded.append(psi * norm)
+        def settle(first, active, psi, norm, per_mode, leak):
+            recorded.append(psi * norm[-1])
             return np.ones(active.size, dtype=bool)
 
-        fock._step_periods(*fock._coordinates(columns, modes, cutoff), 0.3, omega_tau2, 5,
-                           settle)
+        one_period_blocks(fock._step_periods, *fock._coordinates(columns, modes, cutoff), 0.3,
+                          omega_tau2, 5, settle)
         rows = sector.rows
         # the loop's gauge coordinates, unfolded with D
         recorded[0] = recorded[0] * gauge_diagonal(rows, cutoff, modes)[:, None]
@@ -672,24 +689,29 @@ def on_sector(label, cutoff, key, angles, psi):
 def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
     """A stand-in for ``fock._step_periods`` that binds no workspace: each
     segment is :func:`applied` and each permutation a fresh ``np.take``,
-    every period, and a column that leaves is dropped by ``psi[:, keep]``.
-    Sector, gauge, dtype and paths are the engine's."""
+    every period, each block's observables are stacked from fresh arrays,
+    and a column that leaves is dropped by ``psi[:, keep]``.  Sector, gauge,
+    dtype, paths and blocks are the engine's."""
     amplify = fock._Segment(sector.amplify, gamma_tau1)
     exchange = fock._Segment(sector.exchange, omega_tau2)
     if amplify.real and exchange.real and not psi.imag.any():
         psi = np.ascontiguousarray(psi.real)
     active = np.arange(psi.shape[1])
-    for n in range(1, periods + 1):
-        psi = applied(amplify, np.take(psi, sector.amplify.gather, axis=0))
-        psi = applied(exchange, np.take(psi, sector.between, axis=0))
-        psi = np.take(psi, sector.exchange.unpack, axis=0)
-        probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
-        # the norm from the observables' row of ones, as the engine reads it
-        observed = sector.observables @ probs
-        norm = np.sqrt(observed[-1])
-        psi /= norm
-        observed[:-1] /= observed[-1]
-        stop = settle(n, active, psi, norm, observed[:-2], observed[-2])
+    for first in range(1, periods + 1, fock._BLOCK):
+        observed = []
+        for _ in range(min(fock._BLOCK, periods + 1 - first)):
+            psi = applied(amplify, np.take(psi, sector.amplify.gather, axis=0))
+            psi = applied(exchange, np.take(psi, sector.between, axis=0))
+            psi = np.take(psi, sector.exchange.unpack, axis=0)
+            probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
+            observed.append(sector.observables @ probs)
+        observed = np.array(observed)
+        # squared norms from the observables' row of ones, from 1 at the
+        # block's start, as the engine reads them
+        norm_sq = np.concatenate((np.ones((1, active.size)), observed[:, -1]))
+        psi /= np.sqrt(norm_sq[-1])
+        stop = settle(first, active, psi, np.sqrt(norm_sq[1:] / norm_sq[:-1]),
+                      observed[:, :-2] / norm_sq[1:, None], observed[:, -2] / norm_sq[1:])
         if stop.any():
             keep = ~stop
             active, psi = active[keep], psi[:, keep]
@@ -699,20 +721,24 @@ def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
 
 
 def recording(step_periods, records):
-    """``step_periods`` with every ``settle`` call also appending ``(n,
-    active, psi * norm, per_mode, leak)`` to ``records``, as copies: the
-    ``psi`` that ``settle`` receives is valid only during the call."""
+    """``step_periods`` with every ``settle`` call also appending ``(first,
+    active, psi, norm, per_mode, leak)`` to ``records``, as copies: the
+    ``psi`` that ``settle`` receives is valid only during the call.  Its
+    ``calls`` attribute counts the calls."""
     def step(sector, psi, gamma_tau1, omega_tau2, periods, settle):
-        def record(n, active, psi, norm, per_mode, leak):
-            records.append((n, active.copy(), psi * norm, per_mode.copy(), leak.copy()))
-            return settle(n, active, psi, norm, per_mode, leak)
+        step.calls += 1
+
+        def record(first, active, psi, norm, per_mode, leak):
+            records.append((first, *(a.copy() for a in (active, psi, norm, per_mode, leak))))
+            return settle(first, active, psi, norm, per_mode, leak)
         step_periods(sector, psi, gamma_tau1, omega_tau2, periods, record)
+    step.calls = 0
     return step
 
 
 def assert_records_identical(records, reference):
     """Same periods, columns and dtypes, and every array equal bit for bit."""
-    assert len(records) == len(reference)
+    assert records and len(records) == len(reference)
     for got, expected in zip(records, reference):
         assert got[0] == expected[0]
         for a, b in zip(got[1:], expected[1:]):
@@ -730,13 +756,17 @@ class TestWorkspace:
         every point (``n_final``, ``periods_run``) as with fresh arrays."""
         g = 0.05
         grid = [*np.linspace(0.0, math.acos(1.0 / math.cosh(g)), 6), 1.6, math.pi]
-        engine, records, reference = fock._step_periods, [], []
+        records, reference = [], []
+        engine = recording(fock._step_periods, records)
+        fresh = recording(fresh_step_periods, reference)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_step_periods", recording(engine, records))
+            patch.setattr(fock, "_step_periods", engine)
             points = zeno_threshold_scan(g, grid, growth_factor=400.0)
-            patch.setattr(fock, "_step_periods", recording(fresh_step_periods, reference))
+            patch.setattr(fock, "_step_periods", fresh)
             expected = zeno_threshold_scan(g, grid, growth_factor=400.0)
+        assert engine.calls > 0 and fresh.calls > 0
         assert len({p.periods_run for p in points}) >= 4
+        assert len({first for first, *_ in records}) >= 4
         assert records[0][2].dtype == np.float64
         assert_records_identical(records, reference)
         assert points == expected
@@ -752,14 +782,19 @@ class TestWorkspace:
         (a real map per bucket on the float64 view; the odd swap-symmetric
         state on its full parity sector; the one-mode rotation is diagonal),
         stopped by its photon cap, and three columns with one exchange angle
-        each (the per-column path) that leave at periods 3, 6 and 9."""
+        each (the per-column path) that stop at periods 3, 6 and 9, in blocks
+        of four periods, so that they leave after the blocks of periods 1, 5
+        and 9."""
         schedule = DriveSchedule.from_products(0.3, 0.1, periods=40)
-        engine, records, reference = fock._step_periods, [], []
+        records, reference = [], []
+        engine = recording(fock._step_periods, records)
+        fresh = recording(fresh_step_periods, reference)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_step_periods", recording(engine, records))
+            patch.setattr(fock, "_step_periods", engine)
             traj = propagate(state, schedule, photon_cap=3.0)
-            patch.setattr(fock, "_step_periods", recording(fresh_step_periods, reference))
+            patch.setattr(fock, "_step_periods", fresh)
             expected = propagate(state, schedule, photon_cap=3.0)
+        assert engine.calls > 0 and fresh.calls > 0
         assert traj.periods_completed < schedule.periods
         assert records[0][2].dtype == np.complex128
         assert_records_identical(records, reference)
@@ -768,18 +803,20 @@ class TestWorkspace:
         assert (traj.status, traj.first_unsafe_period, traj.periods_completed) == \
             (expected.status, expected.first_unsafe_period, expected.periods_completed)
 
-        def settle(n, active, psi, norm, per_mode, leak):
-            return n == 3 * (active + 1)
+        def settle(first, active, psi, norm, per_mode, leak):
+            return (first <= 3 * (active + 1)) & (3 * (active + 1) < first + norm.shape[0])
 
         columns = np.repeat(state.amplitudes[:, None], 3, axis=1)
         runs = []
-        for step_periods in (engine, fresh_step_periods):
-            runs.append([])
-            recording(step_periods, runs[-1])(
-                *fock._coordinates(columns, state.mode_count, state.cutoff), 0.3,
-                [0.4, 1.1, 2.9], 20, settle)
-        assert [(n, active.tolist()) for n, active, *_ in runs[0]] == \
-            [(n, [0, 1, 2][(n - 1) // 3:]) for n in range(1, 10)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_BLOCK", 4)
+            for step_periods in (fock._step_periods, fresh_step_periods):
+                runs.append([])
+                recording(step_periods, runs[-1])(
+                    *fock._coordinates(columns, state.mode_count, state.cutoff), 0.3,
+                    [0.4, 1.1, 2.9], 20, settle)
+        assert [(first, active.tolist(), norm.shape[0]) for first, active, _, norm, *_
+                in runs[0]] == [(1, [0, 1, 2], 4), (5, [1, 2], 4), (9, [2], 4)]
         assert_records_identical(*runs)
 
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 60])
@@ -798,6 +835,111 @@ class TestWorkspace:
                                      (between, amplify.gather.size)):
                     assert 0 <= index.min() and index.max() < size
                 assert amplify.unpack.size == exchange.unpack.size == rows
+
+
+def assert_trajectories_agree(traj, reference):
+    """Same status, guard period and length; photons within ``1e-12 *
+    max(1, n)``, norm drift and leakage within 1e-13."""
+    assert (traj.status, traj.first_unsafe_period, traj.periods_completed) == \
+        (reference.status, reference.first_unsafe_period, reference.periods_completed)
+    assert traj.n_per_mode.shape == reference.n_per_mode.shape
+    assert (np.abs(traj.n_per_mode - reference.n_per_mode)
+            <= 1e-12 * np.maximum(1.0, reference.n_per_mode)).all()
+    np.testing.assert_allclose(traj.norm_drift, reference.norm_drift, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.leakage, reference.leakage, rtol=0, atol=1e-13)
+
+
+def growth_ratio(gamma_tau1, period):
+    """Total photons of the vacuum after ``period`` periods of amplification
+    alone, over those after one: ``sinh^2(period g) / sinh^2(g)``."""
+    return (math.sinh(period * gamma_tau1) / math.sinh(gamma_tau1)) ** 2
+
+
+class TestBlocks:
+    """The stepping loop settles once per block of ``fock._BLOCK`` periods,
+    the last one possibly shorter, and each caller keeps a column's records
+    up to its first stopping period in the block: one-period blocks give the
+    same statuses, outcomes and periods, and photons within ``1e-12 * max(1,
+    n)`` (:func:`assert_trajectories_agree`, :func:`assert_scans_agree`),
+    wherever in a block a run or a column stops."""
+
+    BLOCK = fock._BLOCK
+
+    def test_block_spans_several_periods(self):
+        """The positions below (first, middle, last and next block's first
+        period) are distinct."""
+        assert self.BLOCK >= 4
+
+    @pytest.mark.parametrize("periods", [1, BLOCK - 1, BLOCK + 3, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("state", [vacuum_state(12, 2), coherent_state(12, [0.3, 0.2j]),
+                                       coherent_state(30, [0.4 - 0.1j])],
+                             ids=["vacuum", "coherent", "single-mode"])
+    def test_periods_not_a_multiple_of_block(self, state, periods):
+        """A short last block: every period is recorded, the states equal
+        the dense products, and one-period blocks agree."""
+        schedule = DriveSchedule.from_products(0.1, 1.1, periods=periods)
+        traj, _ = assert_matches_dense_products(state, schedule)
+        assert len(traj) == periods + 1
+        assert_trajectories_agree(traj, one_period_blocks(propagate, state, schedule))
+
+    @pytest.mark.parametrize("trip", [1, BLOCK // 2, BLOCK, BLOCK + 1, BLOCK + BLOCK // 2,
+                                      2 * BLOCK],
+                             ids=["first", "middle", "last", "next-first", "next-middle",
+                                  "next-last"])
+    def test_cap_trip_anywhere_in_a_block(self, trip):
+        """A cap between the totals of periods ``trip - 1`` and ``trip`` of a
+        growing run stops it at ``trip``, wherever that lies in a block: the
+        records are the uncapped run's up to ``trip``, bit for bit."""
+        state = vacuum_state(30, 2)
+        schedule = DriveSchedule.from_products(0.02, 0.0, periods=2 * self.BLOCK + 2)
+        free = propagate(state, schedule)
+        assert free.status == "ok" and (np.diff(free.n_total) > 0).all()
+        cap = (free.n_total[trip - 1] + free.n_total[trip]) / 2.0
+        traj = propagate(state, schedule, photon_cap=cap)
+        assert (traj.status, traj.periods_completed, len(traj)) == ("photon-cap", trip, trip + 1)
+        for field in ("n_per_mode", "n_total", "norm_drift", "leakage"):
+            assert getattr(traj, field).tobytes() == getattr(free, field)[:trip + 1].tobytes()
+        assert_trajectories_agree(traj, one_period_blocks(propagate, state, schedule,
+                                                          photon_cap=cap))
+
+    def test_leakage_trip_wins_over_cap_trip_in_one_period(self):
+        """A cap tripped in the period where the leakage monitor first trips,
+        inside a block, leaves the status truncation-unsafe."""
+        state = vacuum_state(12, 2)
+        schedule = DriveSchedule.from_products(0.1, 0.0, periods=3 * self.BLOCK)
+        free = propagate(state, schedule)
+        unsafe = free.first_unsafe_period
+        assert unsafe is not None and unsafe % self.BLOCK not in (0, 1)
+        cap = (free.n_total[unsafe - 1] + free.n_total[unsafe]) / 2.0
+        traj = propagate(state, schedule, photon_cap=cap)
+        assert (traj.status, traj.first_unsafe_period, traj.periods_completed) == \
+            ("truncation-unsafe", unsafe, unsafe)
+        assert_trajectories_agree(traj, one_period_blocks(propagate, state, schedule,
+                                                          photon_cap=cap))
+
+    @pytest.mark.parametrize("stop", [1, 2, BLOCK, BLOCK + 1])
+    def test_scan_column_stops_anywhere_in_a_block(self, stop):
+        """Scan columns that stop at period ``stop`` while a bounded column
+        (``omega_tau2 = pi/2`` undoes each amplification) runs on: at period
+        1 a beam splitter (``pi/4``) leaks, at a cutoff that holds the
+        bounded column with a margin of 2; later, amplification alone (``0``
+        and ``pi``) passes a growth factor set between its ratios at ``stop
+        - 1`` and ``stop``."""
+        periods = 2 * self.BLOCK + 3
+        if stop == 1:
+            gamma_tau1, grid, kwargs = 0.32, [math.pi / 4, math.pi / 2], {"cutoff": 14}
+            expected = ["indeterminate", "bounded"]
+        else:
+            gamma_tau1, grid = 0.02, [0.0, math.pi / 2, math.pi]
+            factor = math.sqrt(growth_ratio(gamma_tau1, stop - 1) * growth_ratio(gamma_tau1, stop))
+            kwargs = {"cutoff": 30, "growth_factor": factor}
+            expected = ["growth", "bounded", "growth"]
+        points = zeno_threshold_scan(gamma_tau1, grid, periods=periods, **kwargs)
+        assert [p.outcome for p in points] == expected
+        assert [p.periods_run for p in points] == \
+            [periods if outcome == "bounded" else stop for outcome in expected]
+        assert_scans_agree(points, one_period_blocks(zeno_threshold_scan, gamma_tau1, grid,
+                                                     periods=periods, **kwargs))
 
 
 def initial_photons(state):

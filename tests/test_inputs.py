@@ -214,11 +214,28 @@ def test_segment_unitary_takes_square_matrix(h):
 @pytest.mark.parametrize("call", [
     lambda schedule: gaussian.evolve(gaussian.vacuum_state(2), schedule),
     lambda schedule: fock.propagate(fock.vacuum_state(4), schedule),
-], ids=["evolve", "propagate"])
+    lambda schedule: floquet.monodromy(schedule),
+    lambda schedule: floquet.minus_mode_monodromy(schedule),
+    lambda schedule: floquet.classify_schedule(schedule),
+    lambda schedule: gaussian.two_mode_period_symplectic(schedule),
+], ids=["evolve", "propagate", "monodromy", "minus-mode-monodromy", "classify-schedule",
+        "two-mode-period-symplectic"])
 def test_schedule_must_be_drive_schedule(call, schedule):
-    """Each engine names a wrong schedule as it names a wrong state."""
+    """Each engine and each one-period map names a wrong schedule as an
+    engine names a wrong state."""
     with pytest.raises(ValueError, match="schedule must be a DriveSchedule"):
         call(schedule)
+
+
+@pytest.mark.parametrize("params", ["x", None, (2.0, 1.0, 0.5)], ids=["str", "none", "tuple"])
+@pytest.mark.parametrize("call", [
+    lambda params: floquet.classical_pendulum_monodromy(params),
+], ids=["pendulum-monodromy"])
+def test_pendulum_params_must_be_params(call, params):
+    """The pendulum map names wrong parameters as the drive maps name a
+    wrong schedule."""
+    with pytest.raises(ValueError, match="params must be a ClassicalPendulumParams"):
+        call(params)
 
 
 @pytest.mark.parametrize("call", [
@@ -286,18 +303,13 @@ def test_integral_counts_stored_as_int(count):
 
 
 #: The public callables with no row above, each with its reason: result, enum
-#: and exception types, and callables whose every argument is a library object.
+#: and exception types.
 EXEMPT = (
     (floquet.InconsistentMatrixError, "exception type"),
     (floquet.Classification, "enum"),
     (floquet.StabilityReport, "result type"),
-    (floquet.monodromy, "takes a DriveSchedule"),
-    (floquet.minus_mode_monodromy, "takes a DriveSchedule"),
-    (floquet.classify_schedule, "takes a DriveSchedule"),
-    (floquet.classical_pendulum_monodromy, "takes a ClassicalPendulumParams"),
     (gaussian.InvalidStateError, "exception type"),
     (gaussian.GaussianTrajectory, "result type"),
-    (gaussian.two_mode_period_symplectic, "takes a DriveSchedule"),
     (fock.HamiltonianLabel, "enum"),
     (fock.FockTrajectory, "result type"),
     (fock.ZenoScanPoint, "result type"),
