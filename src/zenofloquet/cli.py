@@ -169,7 +169,11 @@ def _csv_field(text):
 
 def _csv_texts(field):
     """The cells of one typed field as csv.writer writes them in a row of two
-    or more fields, each distinct cell formatted once."""
+    or more fields, each distinct cell formatted once.
+
+    A str field none of whose distinct cells csv.writer quotes is its own
+    texts: its cells, as they are.
+    """
     if field.dtype.kind == "f":
         # keyed by bit pattern, so 0.0 and -0.0 stay apart; .17g needs no quotes
         keys, inverse = np.unique(field.view(np.int64), return_inverse=True)
@@ -177,7 +181,10 @@ def _csv_texts(field):
                          dtype=object)
         return texts[inverse].tolist()
     cells = field.tolist()
-    texts = {v: _csv_field(str(v)) for v in set(cells)}
+    distinct = set(cells)
+    if field.dtype.kind == "U" and not any(map(_CSV_SPECIAL, distinct)):
+        return cells
+    texts = {v: _csv_field(str(v)) for v in distinct}
     return list(map(texts.__getitem__, cells))
 
 
@@ -185,12 +192,16 @@ def _write_csv(fh, meta, header, rows):
     for key in ("tool", "version", "command", "schema", "config_hash", "status"):
         fh.write(f"# {key}={meta[key]}\n")
     csv.writer(fh, lineterminator="\n").writerow(header)
+    width = len(rows.dtype.names)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        columns = [_csv_texts(block[name]) for name in rows.dtype.names]
-        if len(columns) == 1:  # csv.writer quotes a lone empty field
-            columns = [[text or '""' for text in columns[0]]]
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        # the block's cells row by row, each followed by its separator, for one join
+        parts = ([None, ","] * (width - 1) + [None, "\n"]) * len(block)
+        for i, name in enumerate(rows.dtype.names):
+            parts[2 * i::2 * width] = _csv_texts(block[name])
+        if width == 1:  # csv.writer quotes a lone empty field
+            parts[::2] = [text or '""' for text in parts[::2]]
+        fh.write("".join(parts))
 
 
 def _json_texts(field):
@@ -288,8 +299,9 @@ def _require_gamma_tau1(name, value):
 def run_sweep(cfg) -> RunResult:
     """Stability map over the (gamma*tau1, omega*tau2) grid.
 
-    The whole grid is classified in one pass, and the cross-check evolves
-    the pair maps of every grid point together.
+    The grid's pair maps are built once; the whole stack is classified in
+    one pass, and the cross-check evolves the same stack, every grid point
+    together.
     """
     gammas = _axis_values(cfg, "gamma_tau1")
     _require_gamma_tau1("gamma_tau1.max", float(gammas[-1]))
@@ -302,15 +314,15 @@ def run_sweep(cfg) -> RunResult:
     cap = _require_number(cfg, "cross_check.photon_cap", positive=True)
 
     # unit segment durations, as DriveSchedule.from_products: period 2
-    half_trace, classes, exponent = floquet.classify_stack(
-        floquet.pair_map(gammas, thetas), 2.0, epsilon)
+    pair = floquet.pair_map(gammas, thetas)
+    half_trace, classes, exponent = floquet.classify_stack(pair, 2.0, epsilon)
     half_trace, classes = half_trace.ravel(), classes.ravel()
     columns = {"gamma_tau1": np.repeat(gammas, thetas.size),
                "omega_tau2": np.tile(thetas, gammas.size),
                "half_trace": half_trace, "classification": classes,
                "floquet_exponent": exponent.ravel()}
     if enabled:
-        diverged = gaussian.vacuum_diverges(gammas, thetas, periods, cap).ravel()
+        diverged = gaussian._pair_stack_diverges(pair, periods, cap).ravel()
         unstable = classes == floquet.Classification.UNSTABLE.value
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
         columns["gaussian_outcome"] = np.where(diverged, "diverged", "bounded")

@@ -228,6 +228,32 @@ def _rotation_transfer(product: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def _axis_map(fn, axis):
+    """``fn`` of every value of a 1-D ``axis``, one libm call per value as the
+    scalar transfer matrices make them (``np.cosh`` and its kin can differ in
+    the last bit)."""
+    return np.fromiter(map(fn, axis), float, len(axis))
+
+
+def _hyperbolic_axis(axis) -> np.ndarray:
+    """:func:`_hyperbolic_transfer` of every value of a 1-D ``axis``, stacked."""
+    values = axis.tolist()
+    try:
+        c, s = _axis_map(math.cosh, values), _axis_map(math.sinh, values)
+    except OverflowError:
+        for product in values:  # the scalar error, naming the first value out of range
+            _cosh_sinh("gamma*tau1", product)
+        raise
+    return np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2)
+
+
+def _rotation_axis(axis) -> np.ndarray:
+    """:func:`_rotation_transfer` of every value of a 1-D ``axis``, stacked."""
+    values = axis.tolist()
+    c, s = _axis_map(math.cos, values), _axis_map(math.sin, values)
+    return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
+
+
 def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     """One-period map ``A_s(omega_tau2) @ A_u(gamma_tau1)`` of one quadrature pair.
 
@@ -242,16 +268,14 @@ def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     scalar maps.  Each product or axis value is finite and real, never a
     bool, and may be negative.
     """
-    _require_finite("gamma_tau1", gamma_tau1)
-    _require_finite("omega_tau2", omega_tau2)
-    if {np.ndim(gamma_tau1), np.ndim(omega_tau2)} not in ({0}, {1}):
+    gammas = _require_finite("gamma_tau1", gamma_tau1)
+    omegas = _require_finite("omega_tau2", omega_tau2)
+    if {gammas.ndim, omegas.ndim} not in ({0}, {1}):
         raise ValueError("pair_map takes two scalars or two 1-D axes, got shapes "
-                         f"{np.shape(gamma_tau1)} and {np.shape(omega_tau2)}")
-    if np.ndim(gamma_tau1) == 0:
+                         f"{gammas.shape} and {omegas.shape}")
+    if gammas.ndim == 0:
         return _scalar_pair_map(gamma_tau1, omega_tau2)
-    hyp = np.array([_hyperbolic_transfer(g) for g in gamma_tau1])[:, None]
-    rot = np.array([_rotation_transfer(w) for w in omega_tau2])[None, :]
-    return rot @ hyp
+    return _rotation_axis(omegas)[None, :] @ _hyperbolic_axis(gammas)[:, None]
 
 
 def _scalar_pair_map(gamma_tau1, omega_tau2) -> np.ndarray:

@@ -196,18 +196,15 @@ def pm_pair_maps(gamma_tau1, omega_tau2):
 
 
 def _mul(x, y):
-    """2x2 products of two stacks held as their entry arrays ``(a, b, c, d)``."""
+    """2x2 products of two stacks held as their entry arrays ``(a, b, c, d)``,
+    as fresh arrays: the products that :func:`_pair_stack_diverges` forms in
+    place, bit for bit."""
     xa, xb, xc, xd = x
     ya, yb, yc, yd = y
     return (xa * ya + xb * yc, xa * yb + xb * yd,
             xc * ya + xd * yc, xc * yb + xd * yd)
 
 
-# a diverged point's entries keep growing to inf, then nan (inf - inf), and a
-# cap near float64's range lets entries below it square to inf; the flag is
-# sticky and an inf or nan total is past every cap, so the overflow is
-# expected and must not reach stderr
-@np.errstate(over="ignore", invalid="ignore")
 def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     """Vectorized Gaussian boundedness check from vacuum on a product grid.
 
@@ -230,37 +227,79 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     -1)``, the plus map of :func:`pm_pair_maps` is ``X @ P @ X`` and the
     minus map is ``D @ plus @ D``; both conjugations are orthogonal, so
     every power of either map has the Frobenius norm of the same power of
-    ``P``.  The powers are multiplied as four entry arrays, because batched
-    ``@`` on 2x2 stacks is slow.
+    ``P``.  The grid's pair stack is built once (``sweep --cross-check``
+    classifies that same stack), and its powers are evolved as entry arrays
+    in place, in three buffers allocated once per call, because batched
+    ``@`` on 2x2 stacks is slow and a fresh array per product costs more
+    than the product.
     """
     periods = _require_int("periods", periods)
     _require_cap(photon_cap)
-    pair = pair_map(gamma_tau1, omega_tau2)
-    diverged = np.zeros(pair.shape[:-2], dtype=bool)
+    return _pair_stack_diverges(pair_map(gamma_tau1, omega_tau2), periods, photon_cap)
+
+
+# a diverged point's entries keep growing to inf, then nan (inf - inf), and a
+# cap near float64's range lets entries below it square to inf; the flag is
+# sticky and an inf or nan total is past every cap, so the overflow is
+# expected and must not reach stderr
+@np.errstate(over="ignore", invalid="ignore")
+def _pair_stack_diverges(pair, periods, photon_cap):
+    """:func:`vacuum_diverges` of a ``(..., 2, 2)`` stack of pair maps, for a
+    valid period count and cap; ``pair`` is left as it is.
+
+    The entries of the maps are the rows of three ``(2, 2, points)`` buffers:
+    ``step`` holds ``P^n`` for ``n = 1, 2, 4, ...``, ``power`` collects
+    ``P^periods`` from them, and ``work`` holds the second terms of a product,
+    then the photon totals.  Each product entry is ``x[i, 0] * y[0, j] +
+    x[i, 1] * y[1, j]``, as in :func:`_mul`, and each total is summed in the
+    order of the two-pair sum, so every verdict is that of fresh products,
+    bit for bit.
+    """
     if not periods:
-        return diverged  # only the vacuum, which no cap > 0 trips
+        return np.zeros(pair.shape[:-2], dtype=bool)  # only the vacuum, which no cap > 0 trips
+    step = np.moveaxis(pair.reshape(-1, 2, 2), 0, -1).copy()
+    work = np.empty_like(step)
+    power = None
+    diverged = np.zeros(step.shape[-1], dtype=bool)
 
     def check(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
         # |S^n|_F^2 / 4 - 1 = (|plus^n|_F^2 + |minus^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1;
         # the squares are summed in the plus map's entry order (d, c, b, a), so
         # the total is the two-pair sum's bit for bit, rounding near 0 included
-        diverged[_past_cap(sum(e * e for e in reversed(mats)) / 2.0 - 1.0, photon_cap)] = True
+        (a, b), (c, d) = mats
+        total, square = work[0]
+        np.multiply(d, d, out=total)
+        for e in (c, b, a):
+            total += np.multiply(e, e, out=square)
+        total /= 2.0
+        total -= 1.0
+        diverged[_past_cap(total, photon_cap)] = True
 
-    # step holds P^n for n = 1, 2, 4, ...; power collects P^periods from them
-    step = tuple(pair[..., i, j] for i in (0, 1) for j in (0, 1))
-    power = None
     n = 1
     while True:
         check(step)
-        if periods & n:
-            power = step if power is None else _mul(step, power)
+        if periods & n and power is None:
+            power = step.copy()
+        elif periods & n:
+            # power = step @ power: row 1 first, as both rows read row 0
+            np.multiply(step[:, 1:], power[1:], out=work)
+            np.multiply(step[1, 0], power[0], out=power[1])
+            np.multiply(step[0, 0], power[0], out=power[0])
+            power += work
         if 2 * n > periods:
             break
-        step = _mul(step, step)
+        # step = step @ step: each first term overwrites an entry that no
+        # later first term reads
+        np.multiply(step[:, 1:], step[1:], out=work)
+        np.multiply(step[1, 0], step[0, 1], out=step[1, 1])
+        np.multiply(step[1, 0], step[0, 0], out=step[1, 0])
+        np.multiply(step[0, 0], step[0, 1], out=step[0, 1])
+        np.multiply(step[0, 0], step[0, 0], out=step[0, 0])
+        step += work
         n *= 2
     check(power)
-    return diverged
+    return diverged.reshape(pair.shape[:-2])
 
 
 def _mode_basis(plus, minus) -> np.ndarray:

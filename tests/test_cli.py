@@ -1112,6 +1112,13 @@ NONFINITE_IN_ONE_BLOCK = typed_table(
      [-math.inf] + [1.5] * 4096, [0.25 * k for k in range(4097)]],
     ["float", "float", "float"])
 
+#: A str field that needs no quotes in the first block and holds "a,b" in the
+#: second, beside an int field and a str field of one value.
+QUOTED_IN_SECOND_BLOCK = typed_table(
+    ["late_comma", "index", "same"],
+    [["ab"[k % 2] for k in range(4096)] + ["a,b"], list(range(4097)), ["x"] * 4097],
+    ["str", "int", "str"])
+
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1130,6 +1137,7 @@ NONFINITE_IN_ONE_BLOCK = typed_table(
 @example(fmt="json", table=one_value_fields(8193))
 @example(fmt="csv", table=one_value_fields(4097))
 @example(fmt="json", table=NONFINITE_IN_ONE_BLOCK)
+@example(fmt="csv", table=QUOTED_IN_SECOND_BLOCK)
 @example(fmt="json", table=typed_table(["a", "b", "c", "d"], [[math.inf], [-0.0], [-5], ["x%"]],
                                        ["float", "float", "int", "str"]))
 @example(fmt="json", table=typed_table(["%s", "%%", "%r"],

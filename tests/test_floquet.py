@@ -136,6 +136,32 @@ class TestMonodromy:
             np.linalg.inv(pair_map(0.6, 0.0)), atol=1e-12)
 
 
+#: Signed gamma*tau1 values: any in the float64 limit, the signed zeros, and
+#: values within 1 of the limit, where cosh is largest.
+SIGNED_GAMMA_TAU1 = (st.floats(-floquet.MAX_GAMMA_TAU1, floquet.MAX_GAMMA_TAU1)
+                     | st.sampled_from([0.0, -0.0])
+                     | st.floats(floquet.MAX_GAMMA_TAU1 - 1.0, floquet.MAX_GAMMA_TAU1)
+                     .flatmap(lambda g: st.sampled_from([g, -g])))
+SIGNED_OMEGA_TAU2 = (st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from([0.0, -0.0]))
+
+
+class TestGridPairMap:
+    @settings(max_examples=200, deadline=None)
+    @given(gammas=st.lists(SIGNED_GAMMA_TAU1, min_size=1, max_size=5),
+           thetas=st.lists(SIGNED_OMEGA_TAU2, min_size=1, max_size=5))
+    @example(gammas=[-0.0, 0.0, floquet.MAX_GAMMA_TAU1, -floquet.MAX_GAMMA_TAU1],
+             thetas=[-0.0, 0.0, -math.pi, 1e300])
+    def test_grid_equals_scalar_maps(self, gammas, thetas):
+        """The grid stack holds the scalar map of every grid point, bit for
+        bit, signed zeros included."""
+        grid = pair_map(np.array(gammas), np.array(thetas))
+        assert grid.shape == (len(gammas), len(thetas), 2, 2)
+        for i, g in enumerate(gammas):
+            for j, w in enumerate(thetas):
+                assert grid[i, j].tobytes() == pair_map(g, w).tobytes(), (g, w)
+
+
 class TestClassify:
     def test_identity_is_marginal(self):
         report = classify(np.eye(2), period=1.0)
@@ -407,14 +433,18 @@ class TestClassicalPendulum:
     (lambda: classify_schedule(DriveSchedule.from_products(800.0, 0.0)),
      "gamma*tau1"),
     (lambda: floquet.pair_map(np.array([800.0]), np.array([0.0])), "gamma*tau1"),
+    (lambda: floquet.pair_map(np.array([0.5, 800.0, 900.0]), np.array([0.0])),
+     "gamma*tau1"),
     (lambda: gaussian.evolve(gaussian.vacuum_state(2),
                              DriveSchedule.from_products(800.0, 0.1, periods=2)),
      "gamma*tau1"),
     (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(800.0, 1.0, 1.0)),
      "k1*tau"),
-], ids=["classify_schedule", "pair_map", "gaussian.evolve", "classical_pendulum_monodromy"])
+], ids=["classify_schedule", "pair_map", "pair_map-later-value", "gaussian.evolve",
+        "classical_pendulum_monodromy"])
 def test_product_beyond_float64_range_is_value_error(call, product):
-    """cosh overflows float64 past 710.47: a ValueError naming the product."""
+    """cosh overflows float64 past 710.47: a ValueError naming the product,
+    the first one out of range on an axis."""
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -357,6 +357,17 @@ class TestVacuumDiverges:
            periods=st.integers(1, 10_000),
            cap=st.sampled_from([1e-3, 1.0, 1e4, 1e12, 1e300, 4.49e307])
            | st.floats(1e-300, 4.49e307))
+    # periods with one, two, all (8191) and only the top (8192) of their bits
+    # set; with cap 1e4 at omega*tau2 = 0 the photon number cosh(2 g n) - 1
+    # passes the cap at n = 2 for g = 3, between checkpoints 4096 and 8191 for
+    # g = 1e-3 and between 8192 and 10000 for g = 6e-4, so the last power
+    # decides those verdicts
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=1, cap=1e4)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=2, cap=1e4)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=3, cap=1e4)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=8191, cap=1e4)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=8192, cap=1e4)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=10000, cap=1e4)
     def test_plus_pair_alone_equals_two_pair_reference(self, gammas, thetas,
                                                        periods, cap):
         """Evolving the plus pair alone gives the verdicts of evolving both.
