@@ -6,12 +6,14 @@ next to a ``meta`` object carrying the resolved-config hash and tool
 version.  Exit codes: 0 success, 1 numerical guard tripped (divergence or
 truncation), 2 usage/config error or a request too big to allocate.
 
-Both formats are streamed in blocks of ``_BLOCK_ROWS`` rows.  JSON rows go
-through one row template per table, one slot per field chosen once for the
-whole table: a field with one value in every row has that value's JSON text
-in its slot; an integer field, or a float field with no NaN or inf, gets
-``%r``; any other field gets ``%s``, filled with its JSON texts.  Each block
-is one ``%`` of the template repeated for its rows.
+Both formats are streamed in blocks, of ``_BLOCK_ROWS`` CSV rows or
+``_JSON_BLOCK_ROWS`` JSON rows.  In a block, each distinct float of all its
+float fields, told apart by bit pattern, is formatted once
+(``_float_texts``); CSV does this field by field.  JSON rows go through one
+row template per table, one slot per field chosen once for the whole table:
+a field with one value in every row has that value's JSON text in its slot;
+an integer field gets ``%r``; any other field gets ``%s``, filled with its
+JSON texts.  Each block is one ``%`` of the template repeated for its rows.
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ def _require_count(cfg, key, lo, hi=math.inf):
 
 #: Rows per formatted block of CSV or JSON output: bounds the text held at once.
 _BLOCK_ROWS = 4096
+#: A JSON row's text is several times a CSV row's, and a JSON block holds the
+#: texts of its floats while its text is made, so JSON blocks are half as long.
+_JSON_BLOCK_ROWS = _BLOCK_ROWS // 2
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: Characters in a field that can make csv.writer quote it.
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
@@ -167,6 +172,20 @@ def _csv_field(text):
     return buf.getvalue()[:-1]
 
 
+def _float_texts(fields, to_texts):
+    """The cells of equal-length float fields as ``to_texts`` writes them, one
+    list per field, each distinct value of all the fields formatted once.
+
+    Values are told apart by bit pattern, so 0.0 and -0.0 stay apart.
+    ``to_texts`` takes a float array and returns the list of its texts.
+    """
+    bits = np.concatenate([field.view(np.int64) for field in fields])
+    keys, inverse = np.unique(bits, return_inverse=True)
+    cells = np.array(to_texts(keys.view(np.float64)), dtype=object)[inverse]
+    size = len(fields[0])
+    return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
+
+
 def _csv_texts(field):
     """The cells of one typed field as csv.writer writes them in a row of two
     or more fields, each distinct cell formatted once.
@@ -174,12 +193,8 @@ def _csv_texts(field):
     A str field none of whose distinct cells csv.writer quotes is its own
     texts: its cells, as they are.
     """
-    if field.dtype.kind == "f":
-        # keyed by bit pattern, so 0.0 and -0.0 stay apart; .17g needs no quotes
-        keys, inverse = np.unique(field.view(np.int64), return_inverse=True)
-        texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()],
-                         dtype=object)
-        return texts[inverse].tolist()
+    if field.dtype.kind == "f":  # .17g needs no quotes
+        return _float_texts([field], lambda values: ["%.17g" % v for v in values.tolist()])[0]
     cells = field.tolist()
     distinct = set(cells)
     if field.dtype.kind == "U" and not any(map(_CSV_SPECIAL, distinct)):
@@ -209,6 +224,8 @@ def _json_texts(field):
     cells = field.tolist()
     if field.dtype.kind == "f":
         texts = list(map(float.__repr__, cells))
+        if np.isfinite(field).all():
+            return texts
         return list(map(_JSON_NONFINITE.get, texts, texts))
     if field.dtype.kind == "i":
         return list(map(int.__repr__, cells))
@@ -216,21 +233,28 @@ def _json_texts(field):
 
 
 def _json_slot(field):
-    """The row-template slot of one typed field of a whole table, and the
-    function that turns a block of the field into the cells that fill it.
+    """The row-template slot of one typed field of a whole table.
 
     One value in every row (floats compared by bit pattern) is written into
-    the slot as its JSON text, with no cells.  An integer field, or a float
-    field with no NaN or inf, gets ``%r``: the ``%`` operator formats each
-    cell with ``repr``, which is how ``json.dumps`` writes it.  Any other
-    field gets ``%s``, filled with its texts from ``_json_texts``.
+    the slot as its JSON text.  An integer field gets ``%r``: the ``%``
+    operator formats each cell with ``repr``, which is how ``json.dumps``
+    writes it.  Any other field gets ``%s``, filled with its JSON texts.
     """
     same = field.view(np.int64) if field.dtype.kind == "f" else field
     if (same == same[0]).all():
-        return _json_texts(field[:1])[0].replace("%", "%%"), None
-    if field.dtype.kind == "i" or (field.dtype.kind == "f" and np.isfinite(field).all()):
-        return "%r", np.ndarray.tolist
-    return "%s", _json_texts
+        return _json_texts(field[:1])[0].replace("%", "%%")
+    return "%r" if field.dtype.kind == "i" else "%s"
+
+
+def _json_cells(columns):
+    """The cells that fill the slots of a block's columns, one list per
+    column: an integer column's values, and the JSON texts of any other; the
+    texts of all the float columns come from one :func:`_float_texts`."""
+    floats = [column for column in columns if column.dtype.kind == "f"]
+    texts = iter(_float_texts(floats, _json_texts) if floats else ())
+    return [column.tolist() if column.dtype.kind == "i"
+            else next(texts) if column.dtype.kind == "f" else _json_texts(column)
+            for column in columns]
 
 
 def _write_json(fh, meta, header, rows):
@@ -241,16 +265,15 @@ def _write_json(fh, meta, header, rows):
     fh.write(',\n "rows": [\n')
     keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
     slots = [_json_slot(rows[name]) for name in rows.dtype.names]
-    template = "  {\n%s\n  }" % ",\n".join(
-        f"   {k}: {slot}" for k, (slot, _) in zip(keys, slots))
-    filled = [(name, to_cells) for name, (_, to_cells) in zip(rows.dtype.names, slots)
-              if to_cells]
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
+    template = "  {\n%s\n  }" % ",\n".join(f"   {k}: {slot}" for k, slot in zip(keys, slots))
+    # a one-value slot holds a JSON text, which is never a bare %r or %s
+    filled = [name for name, slot in zip(rows.dtype.names, slots) if slot in ("%r", "%s")]
+    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
+        block = rows[start:start + _JSON_BLOCK_ROWS]
         # the block's cells row by row, as one flat tuple for one % of the block
         cells = [None] * (len(block) * len(filled))
-        for i, (name, to_cells) in enumerate(filled):
-            cells[i::len(filled)] = to_cells(block[name])
+        for i, column in enumerate(_json_cells([block[name] for name in filled])):
+            cells[i::len(filled)] = column
         fh.write((",\n" if start else "")
                  + ",\n".join([template] * len(block)) % tuple(cells))
     fh.write("\n ]\n}\n")

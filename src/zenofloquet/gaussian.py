@@ -20,8 +20,12 @@ stability.  With ``X`` the x<->p swap, the plus block is
 ``X @ floquet.minus_mode_monodromy @ X``.
 
 :func:`evolve` returns the photon numbers of every period, the bounded or
-growing second moments from which stability is read; the evolved means and
-covariances pass through its stepping loop and are not kept.
+growing second moments from which stability is read.  Its stepping loop
+works in the pair basis: each run of periods moves its starting state there
+once, each pair's half of the mean and each block of the covariance
+(plus-plus, minus-minus, plus-minus) moves by the powers of the 2x2 pair
+maps, and the samples are assembled back in the mode basis to read their
+photons.  The evolved means and covariances are not kept.
 """
 
 from __future__ import annotations
@@ -177,6 +181,9 @@ PM_BASIS = _SQRT_HALF * np.array([
     [0.0, 1.0, 0.0, 1.0],
 ])
 PM_BASIS.setflags(write=False)
+#: The square of PM_BASIS's entry: the factor of one pass into and one out of
+#: the pair basis, ``PM_BASIS.T @ ... @ PM_BASIS``.
+_HALF = _SQRT_HALF * _SQRT_HALF
 
 
 def pm_pair_maps(gamma_tau1, omega_tau2):
@@ -351,17 +358,84 @@ class GaussianTrajectory:
 
 
 def _unit_determinant(maps):
-    """2x2 maps moved onto ``det = 1`` by one least-norm Newton step.
+    """2x2 maps, held as ``(2, 2, ...)`` entry arrays, moved onto ``det = 1``
+    by one least-norm Newton step.
 
     A product of two large 2x2 powers misses ``det = 1`` by about
     ``eps |A| |B| |AB|``, which near the stability edge breaks the uncertainty
     check of the evolved states.  The step subtracts ``(det - 1) / |A|_F^2``
     times the cofactor matrix, the gradient of the determinant.
     """
-    a, b, c, d = maps[..., 0, 0], maps[..., 0, 1], maps[..., 1, 0], maps[..., 1, 1]
+    (a, b), (c, d) = maps
     step = (a * d - b * c - 1.0) / (a * a + b * b + c * c + d * d)
-    cofactor = np.flip(maps, (-2, -1)) * [[1.0, -1.0], [-1.0, 1.0]]
-    return maps - np.where(np.isfinite(step), step, 0.0)[..., None, None] * cofactor
+    step = np.where(np.isfinite(step), step, 0.0)
+    return np.array([[a - step * d, b + step * c], [c + step * b, d - step * a]])
+
+
+def _pair_basis(mean, cov):
+    """A one- or two-mode state in the plus/minus basis, with both of
+    :data:`PM_BASIS`'s factors applied on the way in.
+
+    With ``PM_BASIS = s H``, ``s`` its rounded ``1/sqrt2`` entry, returns
+    ``s^2 H @ mean`` as ``(2, pairs)`` entries ``[i, p]`` and ``s^4 H @ cov @
+    H^T`` as ``(2, 2, pairs, pairs)`` entries ``[i, j, p, q]``, entry ``(i, j)``
+    of block ``(p, q)``, pair 0 plus and pair 1 minus: evolved by the pair
+    maps and taken back with ``H^T`` alone (:func:`_mode_basis_samples`),
+    they are ``PM_BASIS.T @ blocks @ PM_BASIS`` applied to the state.  One
+    mode is the minus pair alone, with ``H = I`` and no factor.  A state
+    equal to its own a<->b swap gets a plus mean and plus/minus cross blocks
+    of exact zeros.
+    """
+    if mean.size == 2:
+        return mean[:, None], cov[:, :, None, None]
+    (aa, ab), (ba, bb) = cov.reshape(2, 2, 2, 2).swapaxes(1, 2)
+    same, swap, diff, turn = aa + bb, ab + ba, aa - bb, ab - ba
+    blocks = np.array([[same - swap, diff + turn], [diff - turn, same + swap]]) * _HALF**2
+    return (np.array([mean[:2] - mean[2:], mean[:2] + mean[2:]]).T * _HALF,
+            blocks.transpose(2, 3, 0, 1))
+
+
+def _evolved(maps, mean, cov):
+    """A :func:`_pair_basis` state after each of a run of pair-map powers.
+
+    ``maps`` holds the powers' entries ``[i, j, p, n]``; returns the means as
+    ``(2, pairs, n)`` entries ``[i, p, n]`` and the covariances as ``(2, 2,
+    pairs, pairs, n)`` entries ``[i, j, p, q, n]``: ``B_p^n @ m_p`` and
+    ``B_p^n @ c_pq @ (B_q^n)^T``.  Each row ``i`` of the covariances holds
+    row ``i`` of ``B_p^n @ c_pq`` first, then the product, so that no more
+    than half of the covariances is held twice.
+    """
+    covs = np.empty((2, 2) + cov.shape[2:] + maps.shape[-1:])
+    for row, (first, second) in zip(covs, maps):
+        np.multiply(first[:, None], cov[0, ..., None], out=row)
+        row += second[:, None] * cov[1, ..., None]
+        product = row[0] * maps[:, 0, None]
+        product += row[1] * maps[:, 1, None]
+        row[...] = product
+    return maps[:, 0] * mean[0, :, None] + maps[:, 1] * mean[1, :, None], covs
+
+
+def _mode_basis_samples(means, covs):
+    """:func:`_evolved` samples back in the mode basis, as ``(n, 2 pairs)``
+    means and ``(n, 2 pairs, 2 pairs)`` covariances; ``covs`` is overwritten.
+
+    Mode a is minus + plus and mode b is minus - plus, of the mean and on
+    each side of the covariance.  The covariance is then symmetrised as the
+    per-period loop does it, ``(c + c^T) / 2``, so it equals its transpose
+    bit for bit and a diagonal entry overflows where ``c + c`` does, as the
+    loop's does.  A swap-symmetric sample, exact zeros in its plus mean and
+    cross blocks, gets the two modes' entries equal bit for bit.
+    """
+    means = means.swapaxes(0, 1)  # entries [a, i, n]
+    if means.shape[0] == 2:
+        means = np.array([means[1] + means[0], means[1] - means[0]])
+        for plus, minus in (covs.transpose(2, 0, 1, 3, 4), covs.transpose(3, 0, 1, 2, 4)):
+            plus[...], minus[...] = minus + plus, minus - plus
+    blocks = covs.transpose(2, 0, 3, 1, 4)  # entries [a, i, b, j, n]
+    cov = np.add(blocks, blocks.transpose(2, 3, 0, 1, 4), order="C")
+    cov /= 2.0
+    size = 2 * means.shape[0]
+    return means.reshape(size, -1).T, cov.reshape(size, size, -1).transpose(2, 0, 1)
 
 
 # table entries past a tripped cap may overflow; the cap test reports them
@@ -369,14 +443,17 @@ def _unit_determinant(maps):
 def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, settle):
     """The per-period stepping loop of every Gaussian evolution.
 
-    The mean advances as ``S^n @ mean`` and the covariance as
-    ``S^n @ cov @ (S^n)^T`` with S the per-period symplectic map matching the
-    state's mode count, taken from one :func:`zenofloquet.floquet.powers`
-    table of the 2x2 plus/minus blocks (the minus block alone for one mode)
-    and applied to the last state of each run of up to ``_CHUNK`` periods.
-    ``settle(means, covs, per_mode)`` receives each run's samples, one per
-    period, with their photons per mode; a run that the photon cap stops ends
-    at the first period whose total photon number is past ``photon_cap``
+    The drive never mixes the plus and minus pairs, so the loop works in
+    their basis.  One :func:`zenofloquet.floquet.powers` table of the 2x2
+    plus/minus blocks (the minus block alone for one mode) covers a run of
+    up to ``_CHUNK`` periods.  Each run moves its starting state into the
+    pair basis once (:func:`_pair_basis`); the n-th sample's mean halves are
+    ``B_p^n @ m_p`` and its covariance blocks ``B_p^n @ c_pq @ (B_q^n)^T``,
+    formed on the table's entry arrays (:func:`_evolved`), then assembled in
+    the mode basis (:func:`_mode_basis_samples`).  ``settle(means, covs,
+    per_mode)`` receives each run's mode-basis samples, one per period, with
+    their photons per mode; a run that the photon cap stops ends at the first
+    period whose total photon number is past ``photon_cap``
     (``floquet._past_cap``: above it or not finite), and no run follows it.
     Returns the status, ``"ok"`` or ``"diverged"``.
     """
@@ -384,21 +461,24 @@ def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, set
     plus, minus = pm_pair_maps(schedule.gamma_tau1, schedule.omega_tau2)
     # powers of the 2x2 blocks keep far smaller symplectic defects than powers
     # of the 4x4 mode-basis map, which can break the uncertainty check
-    table = powers(np.stack([plus, minus]) if two_mode else minus, min(periods, _CHUNK))
-    table = _unit_determinant(table[1:])
-    table = _mode_basis(table[:, 0], table[:, 1]) if two_mode else table
+    table = powers(np.stack([plus, minus] if two_mode else [minus]), min(periods, _CHUNK))
+    # entries [i, j, pair, n - 1] of the n-th power of each pair block
+    table = _unit_determinant(table[1:].transpose(2, 3, 1, 0))
 
     mean, cov = state.mean, state.covariance
     status = "ok"
     done = 0
     while done < periods and status == "ok":
-        maps = table[:periods - done]
-        # near float64's range maps @ cov can overflow before the total does;
-        # a power-of-two scale is exact, so runs far from it keep their bits
+        maps = table[..., :periods - done]
+        m, c = _pair_basis(mean, cov)
+        # near float64's range a block times c can overflow before the total
+        # does; a power-of-two scale is exact, so runs far from it keep their bits
         big = np.abs(cov).max()
         shift = np.frexp(big)[1] if big > 2.0**512 else 0
-        covs = np.ldexp(maps @ np.ldexp(cov, -shift) @ np.swapaxes(maps, 1, 2), shift)
-        means, covs = maps @ mean, (covs + np.swapaxes(covs, 1, 2)) / 2.0
+        means, covs = _evolved(maps, m, np.ldexp(c, -shift))
+        if shift:
+            np.ldexp(covs, shift, out=covs)
+        means, covs = _mode_basis_samples(means, covs)
         per_mode = _photons_per_mode(means, covs)
         tripped = np.flatnonzero(_past_cap(per_mode.sum(axis=-1), photon_cap))
         if tripped.size:
@@ -407,7 +487,8 @@ def _step_periods(state: GaussianState, schedule: DriveSchedule, photon_cap, set
             means, covs, per_mode = means[:kept], covs[:kept], per_mode[:kept]
         settle(means, covs, per_mode)
         done += per_mode.shape[0]
-        mean, cov = means[-1], covs[-1]
+        # copies, so that a run holds no earlier run's samples
+        mean, cov = means[-1].copy(), covs[-1].copy()
     return status
 
 

@@ -1120,6 +1120,15 @@ QUOTED_IN_SECOND_BLOCK = typed_table(
     ["str", "int", "str"])
 
 
+#: Two float fields that share a value across the seam of two blocks (row
+#: 4095 of the first, row 4096 of the second), beside a field with NaNs.
+SHARED_ACROSS_SEAM = typed_table(
+    ["early", "late", "nan"],
+    [[0.25 * k for k in range(4097)], [0.25 * (k - 1) for k in range(4097)],
+     [(1.5, math.nan)[k % 2] for k in range(4097)]],
+    ["float", "float", "float"])
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 # the table first, so that a new prefix never ends before the table's shape
@@ -1143,6 +1152,11 @@ QUOTED_IN_SECOND_BLOCK = typed_table(
 @example(fmt="json", table=typed_table(["%s", "%%", "%r"],
                                        [["%s%%"] * 3, [1.5, 2.5, 1.5], ["a", "%%", "a"]],
                                        ["str", "float", "str"]))
+@example(fmt="json", table=typed_table(["a", "b", "i"], [[0.1, 2.5, 0.1], [0.1, 2.5, 0.1],
+                                                        [1, 2, 3]], ["float", "float", "int"]))
+@example(fmt="json", table=typed_table(["plus", "minus"], [[0.0, 1.0, 0.0], [-0.0, 1.0, -0.0]],
+                                       ["float", "float"]))
+@example(fmt="json", table=SHARED_ACROSS_SEAM)
 def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 

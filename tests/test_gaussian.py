@@ -99,12 +99,15 @@ def evolve_with_states(state, schedule, *, photon_cap=gaussian.PHOTON_CAP):
     """``(trajectory, means, covariances)``: :func:`evolve`'s trajectory and
     the mean and covariance of each of its samples.
 
-    The samples are recorded through the engine's stepping loop, and the
-    trajectory's photon numbers must equal theirs bit for bit.
+    The samples are recorded through the engine's stepping loop; each
+    covariance must equal its transpose, and the trajectory's photon numbers
+    must equal the samples', bit for bit.
     """
     means, covs = [state.mean[None]], [state.covariance[None]]
 
     def settle(period_means, period_covs, per_mode):
+        bits = period_covs.view(np.int64)
+        assert (bits == bits.swapaxes(1, 2)).all()
         means.append(period_means)
         covs.append(period_covs)
 
@@ -667,6 +670,14 @@ class TestEvolve:
            cap=st.sampled_from([1e3, 1e6, 1e12, math.inf]),
            periods=st.integers(0, 10_000), g=st.floats(0.0, 1.5),
            w=st.floats(0.0, math.pi), amplitude=st.floats(-2.0, 2.0))
+    # the engine's total overflows one period after the loop's
+    @example(kind="squeezed", modes=1, cap=math.inf, periods=10_000, g=1.4640807871144361,
+             w=2.0440062496902383, amplitude=-0.9439115185774116)
+    @example(kind="vacuum", modes=2, cap=math.inf, periods=3000, g=1.4248373247810155,
+             w=2.0563971907865213, amplitude=0.0)
+    @example(kind="vacuum", modes=1, cap=math.inf, periods=377, g=1.5, w=2.25, amplitude=0.0)
+    # unequal squeezing: plus/minus cross blocks that are not zero, past a table's end
+    @example(kind="squeezed", modes=2, cap=1e12, periods=5000, g=0.3, w=1.0, amplitude=1.3)
     def test_matches_per_period_loop(self, kind, modes, cap, periods, g, w,
                                      amplitude):
         """The power-table engine against the loop it replaced.
@@ -678,7 +689,8 @@ class TestEvolve:
         loop is 1.6e-10 off a 60-digit reference at period 4396, the table
         8.5e-14).  With no cap a run stops where its total overflows; totals
         that differ in their last digits can overflow a period apart, so past
-        1e300 photons only the verdict is compared.
+        1e300 photons the two stop periods may differ by one, and the totals
+        are compared on the samples that both runs hold.
         """
         if kind == "vacuum":
             state = vacuum_state(modes)
@@ -699,11 +711,42 @@ class TestEvolve:
             assert got.shape == totals.shape
         else:
             assert cap == math.inf and not (got < 1e300).all()
-            totals = totals[:got.size]
+            assert abs(traj.periods_completed - completed) <= 1
+            size = min(got.size, totals.size)
+            got, totals = got[:size], totals[:size]
         below = totals < 1e300
         k = np.flatnonzero(below)
         atol = 1e-10 + np.finfo(float).eps * k * np.maximum.accumulate(totals[below])
         assert (np.abs(got[below] - totals[below]) <= 1e-7 * totals[below] + atol).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["vacuum", "coherent", "squeezed"]),
+           value=st.floats(-2.0, 2.0), phase=st.floats(-math.pi, math.pi),
+           cap=st.sampled_from([1e6, 1e12, math.inf]), periods=st.integers(0, 6000),
+           g=st.floats(0.0, 1.5), w=st.floats(0.0, math.pi))
+    # stable, past the 4096-period seam
+    @example(kind="vacuum", value=0.0, phase=0.0, cap=1e12, periods=5000, g=0.05, w=0.3)
+    @example(kind="coherent", value=1.25, phase=-0.5, cap=1e12, periods=5000, g=0.05, w=0.3)
+    @example(kind="squeezed", value=0.8, phase=1.0, cap=1e12, periods=5000, g=0.3, w=1.0)
+    # stopped by the cap, and by an overflow
+    @example(kind="squeezed", value=-0.4, phase=2.0, cap=1e12, periods=5000, g=0.5, w=0.1)
+    @example(kind="coherent", value=0.7, phase=0.3, cap=math.inf, periods=3000, g=0.5, w=0.1)
+    def test_swap_symmetric_states_give_equal_modes(self, kind, value, phase, cap,
+                                                    periods, g, w):
+        """A two-mode state equal to its own a<->b swap stays so under the
+        drive, which is swap symmetric: ``n_a == n_b`` bit for bit at every
+        period, across the seam between two power tables and up to the
+        period where a cap or an overflow stops the run."""
+        if kind == "vacuum":
+            state = vacuum_state(2)
+        elif kind == "coherent":
+            state = coherent_state([value * np.exp(1j * phase)] * 2)
+        else:
+            state = squeezed_vacuum_state([value / 2] * 2, [phase] * 2)
+        s = DriveSchedule.from_products(g, w, periods=periods)
+        traj = evolve(state, s, photon_cap=cap)
+        n_a, n_b = traj.photons_per_mode.view(np.int64).T
+        assert (n_a == n_b).all()
 
     def test_near_marginal_states_construct(self):
         """Stable drives close to the stability edge give valid states.
