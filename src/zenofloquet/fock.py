@@ -11,10 +11,17 @@ segment unitary, so the eigendecompositions are computed once, on the
 coupling-free generators, and reused for every schedule.  Both segment
 generators conserve a number-like quantity (``n_a - n_b`` during
 amplification, ``n_a + n_b`` during exchange), which splits them into small
-tridiagonal blocks (chains).  The blocks are packed by length into a few
-padded basis tensors, and a segment acts on a matrix of amplitude
-columns, so one propagation can carry many states (one per exchange angle in
-:func:`zeno_threshold_scan`).
+tridiagonal blocks (chains).  The chains are packed into padded blocks,
+grouped into buckets of one block length, each bucket one basis tensor.
+:func:`_plan` chooses the layout from the chain lengths alone, by one cost:
+padded entries plus ``CALL_ENTRIES`` per bucket.  Either the chains are
+grouped, one per block and ``BUCKET_BLOCKS`` blocks per bucket, or they
+fill one bucket, a long chain and short ones in each block, so that a
+segment is one batched matmul.  The cost gives every generator one bucket
+on every two-mode sector up to cutoff 46, and on the swap sector, the
+vacuum's and every scan's, up to cutoff 61.  A segment acts on a matrix of
+amplitude columns, so one propagation can carry many states (one per
+exchange angle in :func:`zeno_threshold_scan`).
 
 A propagation carries the rows of one sector, chosen from its initial
 columns by :func:`_sector_key`.  One cached :class:`_Sector` per (cutoff,
@@ -110,9 +117,12 @@ HIGH_LEVEL_FRACTION = 0.9
 MAX_DEFAULT_CUTOFF = 60
 
 #: Largest cutoff of any state or scan, by mode count.  At the ceiling the
-#: first period, which eigendecomposes the segment blocks, takes 0.2 s for one
-#: mode and 0.3-0.6 s for two on a 2-vCPU host, in under 100 MB; that cost
-#: grows like cutoff^3 for one mode and cutoff^4 for two.
+#: first period, which builds the sector's chain bases and each segment's
+#: map, takes on a 2-vCPU host 0.2 s and 52 MB of new RSS for a one-mode
+#: coherent state, and for two modes 0.14-0.19 s and 42 MB for the vacuum
+#: (the swap sector) or 0.8 s and 200 MB for a coherent state (the full
+#: sector: two bases and two maps of 5.5M entries each); the time grows
+#: like cutoff^3 for one mode and cutoff^4 for two.
 MAX_CUTOFF = {1: 2000, 2: 200}
 
 #: Largest dimension ``(cutoff + 1) ** modes`` of the dense reference
@@ -305,8 +315,23 @@ def _number_diagonals(cutoff: int, mode_count: int):
 
 # --- packed propagation engine -------------------------------------------------
 
-#: Blocks per length bucket of the packed engine.
+#: Blocks per bucket of the grouped layout of :func:`_plan`.  The cost of
+#: :func:`_plan` does not give this grouping: the contiguous groups of least
+#: cost hold 3 to 24 chains each (26 buckets in place of 13 on the two-mode
+#: swap sector at cutoff 200), a layout not timed against this one.
 BUCKET_BLOCKS = 8
+
+#: Padded basis entries that one more bucket costs in :func:`_plan`: the
+#: numpy calls a bucket adds to every segment, in entries of matmul work.  A
+#: generator's break-even value is the entries that filling adds over the
+#: buckets it saves.  On a 2-vCPU host, one segment (one or six columns,
+#: shared or per-column angles) of a two-mode generator at cutoffs 30-100,
+#: filled against grouped, was faster in 55 of 60 timings at break-evens up
+#: to 2.1k (median -36%), in 16 of 24 from 3.0k to 4.5k (median -10%, -43%
+#: to +52%) and in 1 of 36 from 7.2k (median +22%).  2560 lies between the
+#: first two bands: it fills every generator up to 2.1k, the two-mode swap
+#: sector's to cutoff 60 included, and none from 3.0k.
+CALL_ENTRIES = 2560
 
 #: Periods per block of :func:`_step_periods`: the loop settles once per
 #: block, and a column that stops costs at most ``_BLOCK - 1`` more periods.
@@ -370,31 +395,33 @@ class _Packing:
     """Conserved-quantity blocks of one generator, packed, in a basis where
     each segment is a rotation of planes.
 
-    Only the blocks of one sector are kept, on the sector's basis, and rows
+    Only the chains of one sector are kept, on the sector's basis, and rows
     are numbered within the sector, in the order of its ``rows`` (see
-    :class:`_Sector`).  The blocks are sorted by length and packed
-    ``BUCKET_BLOCKS`` at a time into buckets padded to their longest block;
-    the packed rows are the buckets' rows one after another.  ``gather`` is
-    the sector row of every packed row (padding repeats row 0) and
-    ``unpack`` the packed row of every sector row.  Each bucket is ``(start,
-    stop, basis)``: its packed row range and the ``(nblocks, L, L)`` real
-    orthogonal basis ``Q`` of each block, zero on padding so that padding
-    neither reads nor writes an amplitude.  The columns of ``Q`` are the
-    block's packed coordinates: ``weights`` is the signed rate ``r`` of
-    every coordinate and ``partner`` the coordinate it turns with, so that a
-    segment of angle ``t`` maps coordinate ``c`` to ``cos(t r_c) c + sin(t
-    r_c) partner(c)``.
+    :class:`_Sector`).  :func:`_plan` lays the chains out in padded blocks
+    of one or several chains each, one after another from offset 0, and
+    groups the blocks into buckets of one length ``L``; the packed rows are
+    the buckets' rows one after another.  ``gather`` is the sector row of
+    every packed row (padding repeats row 0) and ``unpack`` the packed row
+    of every sector row.  Each bucket is ``(start, stop, basis)``: its
+    packed row range and the ``(nblocks, L, L)`` real orthogonal basis ``Q``
+    of each block, block-diagonal by chain and zero on padding, so that a
+    chain reads and writes only its own rows and padding no amplitude.  The
+    columns of ``Q`` are the block's packed coordinates: ``weights`` is the
+    signed rate ``r`` of every coordinate and ``partner`` the coordinate it
+    turns with, so that a segment of angle ``t`` maps coordinate ``c`` to
+    ``cos(t r_c) c + sin(t r_c) partner(c)``.
 
     In the gauge a chain's segment is ``exp(angle K)``, ``K = D^-1 H D / i``
     real antisymmetric.  Each eigenpair ``(w > 0, v)`` of the chain gives
     the plane ``u0 = sqrt2 (1 - s) v``, ``u1 = sqrt2 s v``, with ``K u0 = -w
     u1`` and ``K u1 = w u0``; the pair ``(-w, (1 - 2s) v)`` gives the same
-    plane.  A chain of length ``m`` has ``h = m // 2`` coordinates ``c`` on
-    the ``u0`` (rate ``w``, partner ``c + h``), then ``h`` on the ``u1``
-    (rate ``-w``, partner ``c - h``), then, if ``m`` is odd, its zero mode,
-    which stays fixed; a fixed coordinate (a zero mode, padding) has rate 0
-    and is its own partner.  A diagonal generator has no buckets:
-    ``weights`` is its eigenvalue on every row and ``partner`` is unread.
+    plane.  A chain of length ``m`` at offset ``o`` of its block has ``h = m
+    // 2`` coordinates ``c`` from ``o`` on the ``u0`` (rate ``w``, partner
+    ``c + h``), then ``h`` on the ``u1`` (rate ``-w``, partner ``c - h``),
+    then, if ``m`` is odd, its zero mode, which stays fixed; a fixed
+    coordinate (a zero mode, padding) has rate 0 and is its own partner.  A
+    diagonal generator has no buckets: ``weights`` is its eigenvalue on
+    every row and ``partner`` is unread.
     """
 
     gather: np.ndarray
@@ -402,6 +429,50 @@ class _Packing:
     weights: np.ndarray
     partner: np.ndarray
     buckets: tuple
+
+
+def _plan(lengths):
+    """The layout of chains of ``lengths`` in padded blocks: a tuple of
+    buckets, each a tuple of blocks, each a tuple of chain positions in
+    ``lengths``, laid out from the block's offset 0 in that order.
+
+    Of two layouts it returns the one of lower :func:`_cost`, the grouped
+    one on a tie:
+
+    - grouped: one chain per block, sorted by length, ``BUCKET_BLOCKS``
+      blocks per bucket, each bucket as long as its longest chain;
+    - filled: one bucket as long as the longest chain, each block holding
+      the longest chain left and then the shortest ones that still fit.
+
+    Two-mode chain lengths rise to the longest, ``L``, and fall again, so
+    they pair up (``j`` with ``L - j``) and a filled bucket holds little
+    padding; but each of its blocks is ``L`` long, so it holds more entries
+    than the grouped layout, the more so the larger the cutoff (see
+    ``CALL_ENTRIES``).
+    """
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    grouped = tuple(tuple((c,) for c in order[first:first + BUCKET_BLOCKS])
+                    for first in range(0, len(order), BUCKET_BLOCKS))
+    filled, low, high = [], 0, len(order) - 1
+    while low <= high:
+        block, room = [order[high]], lengths[order[-1]] - lengths[order[high]]
+        high -= 1
+        while low <= high and lengths[order[low]] <= room:
+            room -= lengths[order[low]]
+            block.append(order[low])
+            low += 1
+        filled.append(tuple(block))
+    return min(grouped, (tuple(filled),), key=partial(_cost, lengths))
+
+
+def _width(lengths, bucket) -> int:
+    """The padded length of ``bucket``'s blocks: its longest block."""
+    return max(sum(lengths[c] for c in block) for block in bucket)
+
+
+def _cost(lengths, plan) -> int:
+    """Padded basis entries of ``plan`` plus ``CALL_ENTRIES`` per bucket."""
+    return sum(len(bucket) * _width(lengths, bucket) ** 2 + CALL_ENTRIES for bucket in plan)
 
 
 def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
@@ -419,48 +490,50 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
         # position is -1 outside it
         position = np.full((cutoff + 1) ** label.mode_count, -1, dtype=np.intp)
         position[rows] = np.arange(rows.size)
-        chains = sorted(((position[idx], off)
-                         for idx, off in _chains(label, cutoff, swap)
-                         if position[idx[0]] >= 0),
-                        key=lambda chain: chain[0].size)
+        chains = [(position[idx], off) for idx, off in _chains(label, cutoff, swap)
+                  if position[idx[0]] >= 0]
+        lengths = [idx.size for idx, _ in chains]
         gather, real, weights, partner, buckets = [], [], [], [], []
         start = 0
-        for first in range(0, len(chains), BUCKET_BLOCKS):
-            group = chains[first:first + BUCKET_BLOCKS]
-            shape = (len(group), group[-1][0].size)
+        for bucket in _plan(lengths):
+            shape = (len(bucket), _width(lengths, bucket))
             index = np.zeros(shape, dtype=np.intp)
             used = np.zeros(shape, dtype=bool)
             rates = np.zeros(shape)
+            turns = np.arange(start, start + index.size).reshape(shape)
             basis = np.zeros(shape + shape[1:])
-            for k, (idx, off) in enumerate(group):
-                m, h = idx.size, idx.size // 2
-                index[k, :m], used[k, :m] = idx, True
-                # the chain links its even rows only to its odd rows, so
-                # links[i, j] = chain[2i, 2j + 1] holds all of it
-                links = np.zeros((m - h, h))
-                links.flat[::h + 1] = off[::2]
-                links.flat[h::h + 1] = off[1::2]
-                # each singular triple (w, u, v) is the eigenpair (w, (u, v)
-                # / sqrt2) of the chain, u on its even rows and v on its odd
-                # rows; an odd chain's zero mode is U's extra column.  s
-                # alternates along the chain, so its s = 0 rows, which hold
-                # the u0's, are the even rows if s[idx[0]] is 0
-                u, w, vt = np.linalg.svd(links)
-                lead = s[idx[0]]
-                basis[k, 0:m:2, lead * h:(lead + 1) * h] = u[:, :h]
-                basis[k, 1:m:2, (1 - lead) * h:(2 - lead) * h] = vt.T
-                basis[k, 0:m:2, 2 * h:m] = u[:, h:]
-                rates[k, :h] = rates[k, h:2 * h] = w
+            for k, block in enumerate(bucket):
+                o = 0
+                for idx, off in (chains[c] for c in block):
+                    m, h = idx.size, idx.size // 2
+                    index[k, o:o + m], used[k, o:o + m] = idx, True
+                    # the chain links its even rows only to its odd rows, so
+                    # links[i, j] = chain[2i, 2j + 1] holds all of it
+                    links = np.zeros((m - h, h))
+                    links.flat[::h + 1] = off[::2]
+                    links.flat[h::h + 1] = off[1::2]
+                    # each singular triple (w, u, v) is the eigenpair (w, (u,
+                    # v) / sqrt2) of the chain, u on its even rows and v on
+                    # its odd rows; an odd chain's zero mode is U's extra
+                    # column.  s alternates along the chain, so its s = 0
+                    # rows, which hold the u0's, are the even rows if
+                    # s[idx[0]] is 0
+                    u, w, vt = np.linalg.svd(links)
+                    lead = s[idx[0]]
+                    chain = basis[k, o:o + m, o:o + m]
+                    chain[0::2, lead * h:(lead + 1) * h] = u[:, :h]
+                    chain[1::2, (1 - lead) * h:(2 - lead) * h] = vt.T
+                    chain[0::2, 2 * h:] = u[:, h:]
+                    rates[k, o:o + h], rates[k, o + h:o + 2 * h] = w, -w
+                    turns[k, o:o + h] += h
+                    turns[k, o + h:o + 2 * h] -= h
+                    o += m
             basis.setflags(write=False)
-            half = used.sum(axis=1, keepdims=True) // 2
-            c = np.arange(shape[1])
-            u0, u1 = c < half, (c >= half) & (c < 2 * half)
             buckets.append((start, start + index.size, basis))
             gather.append(index.ravel())
             real.append(used.ravel())
-            weights.append((rates * (u0 * 1.0 - u1)).ravel())
-            partner.append((c + half * (u0 * 1 - u1) + start
-                            + shape[1] * np.arange(shape[0])[:, None]).ravel())
+            weights.append(rates.ravel())
+            partner.append(turns.ravel())
             start += index.size
         gather, real = np.concatenate(gather), np.concatenate(real)
         unpack = np.empty(rows.size, dtype=np.intp)
@@ -571,11 +644,15 @@ class _Segment:
             cos, sin = np.cos(turn), np.sin(turn)
             maps = []
             for start, stop, q in packing.buckets:
-                # the rows of Q^T are the bucket's coordinates
+                # the rows of Q^T are the bucket's coordinates; the map's
+                # buffer is the rotation's spare until the product fills it.
+                # The previous bucket's Q^T is freed before the map is
+                # allocated, which may then reuse its memory
                 turned = q.transpose(0, 2, 1).copy()
+                out = np.empty(q.shape)
                 _rotate(turned.reshape(stop - start, -1), cos[start:stop], sin[start:stop],
-                        packing.partner[start:stop] - start)
-                maps.append((start, stop, q @ turned))
+                        packing.partner[start:stop] - start, out.reshape(stop - start, -1))
+                maps.append((start, stop, np.matmul(q, turned, out=out)))
             self.maps = tuple(maps)
 
     def keep(self, columns):

@@ -7,11 +7,14 @@ pins the sha256 of stdout.  A case that prints Fock numbers
 last digits from one machine to the next: the meta lines (``status``
 included), the header and every text cell exactly, and every number to
 1e-12 relative.  A change that alters the output on purpose rerecords the
-manifest with
+cases it changes with
 
-    PYTHONPATH=src python tests/test_cli_manifest.py
+    PYTHONPATH=src python tests/test_cli_manifest.py ID [ID ...]
 
-and names the changed cases in its change notes.
+and names them in its change notes; every other case keeps its record, so
+Fock ``table`` cases are not rewritten with one machine's last digits.
+With no id every case is rerecorded; an unknown id exits 2 and writes
+nothing.
 """
 
 import contextlib
@@ -105,11 +108,34 @@ def test_cli_output_matches_manifest(case, tmp_path):
         assert not bad, (k, bad)
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as workdir:
-        cases = [{key: value for key, value in case.items()
-                  if key in ("id", "argv", "config", "pin")} for case in CASES]
-        for case in cases:
+def rerecord(ids, workdir):
+    """Every case of the manifest: those named in ``ids`` recorded afresh,
+    each run in ``workdir``, and every other one as it was recorded."""
+    cases = []
+    for case in CASES:
+        if case["id"] in ids:
+            case = {key: value for key, value in case.items()
+                    if key in ("id", "argv", "config", "pin")}
             case.update(record(case, *run_case(case, workdir)))
+        cases.append(case)
+    return cases
+
+
+def test_rerecord_rewrites_only_named_cases(tmp_path):
+    """Rerecording one case reruns that case alone, to the same record,
+    and hands every other record back as it is."""
+    cases = rerecord({CASES[0]["id"]}, tmp_path)
+    assert cases == CASES and cases[0] is not CASES[0]
+    assert all(got is case for got, case in zip(cases[1:], CASES[1:]))
+
+
+if __name__ == "__main__":
+    ids = set(sys.argv[1:]) or {case["id"] for case in CASES}
+    unknown = sorted(ids - {case["id"] for case in CASES})
+    if unknown:
+        print(f"unknown case id: {', '.join(unknown)}", file=sys.stderr)
+        sys.exit(2)
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = rerecord(ids, workdir)
     MANIFEST.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)

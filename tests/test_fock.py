@@ -65,15 +65,15 @@ SCAN_CASES = given(gamma_tau1=st.floats(0.02, 0.4),
                    cutoff=st.integers(8, 24))
 
 
-def assert_scans_agree(points, reference):
-    """Same verdicts and periods, and photon numbers within 1e-12 * max(1,
-    n).  The bound is absolute below one photon: paths that sum in
+def assert_scans_agree(points, reference, rel=1e-12):
+    """Same verdicts and periods, and photon numbers within ``rel * max(1,
+    n)``.  The bound is absolute below one photon: paths that sum in
     different orders leave a point that ends near vacuum with the rounding
     of amplitudes of order 1."""
     for point, expected in zip(points, reference, strict=True):
         assert (point.omega_tau2, point.outcome, point.periods_run) == \
             (expected.omega_tau2, expected.outcome, expected.periods_run)
-        assert abs(point.n_final - expected.n_final) <= 1e-12 * max(1.0, expected.n_final)
+        assert abs(point.n_final - expected.n_final) <= rel * max(1.0, expected.n_final)
 
 
 def assert_scan_matches_full_space(gamma_tau1, grid, periods, cutoff, sector_key):
@@ -365,10 +365,12 @@ class TestPacking:
         (HamiltonianLabel.SINGLE_MODE_UNSTABLE, False),
     ], ids=["amplify", "amplify-swap", "exchange", "exchange-swap", "single-amplify"])
     def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
-        """Each block of ``Q`` is orthogonal to 1e-13 and zero on padding,
-        and ``Q^T K Q`` is the generator of :func:`fock._rotate`: the rate
-        ``r_c`` at ``(c, partner(c))``."""
-        chains = {tuple(idx): off for idx, off in fock._chains(label, cutoff, swap)}
+        """Each block holds one or more chains, each a run of rows from where
+        the one before it ends, and padding after them.  On each chain's run
+        ``Q`` is orthogonal to 1e-13, zero outside the run's square and on
+        padding, and ``Q^T K Q`` is the generator of :func:`fock._rotate`:
+        the rate ``r_c`` at ``(c, partner(c))``."""
+        chains = {idx[0]: (tuple(idx), off) for idx, off in fock._chains(label, cutoff, swap)}
         for key in [key for key in SECTORS if key[1] == swap]:
             sector = fock._sector(cutoff, label.mode_count, key).rows
             packing = generator_packing(label, cutoff, key)
@@ -382,31 +384,113 @@ class TestPacking:
                 # each partner within its own block
                 partner = (packing.partner[start:stop] - start).reshape(-1, length) \
                     - length * np.arange(rows.shape[0])[:, None]
-                for k, m in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
-                    seen.append(tuple(rows[k, :m]))
-                    off = chains[seen[-1]]
-                    chain = np.diag(off, 1) + np.diag(off, -1)
-                    scale = max(np.abs(chain).max(), 1.0)
-                    eigenvalues = eigh_tridiagonal(np.zeros(m), off)[0]
-                    np.testing.assert_allclose(np.sort(np.abs(rates[k, :m])),
-                                               np.sort(np.abs(eigenvalues)),
-                                               rtol=1e-12, atol=1e-12 * scale)
-                    assert not rates[k, m:].any()
-                    np.testing.assert_array_equal(partner[k, m:], np.arange(m, length))
+                real = used[start:stop].reshape(-1, length)
+                for k, width in enumerate(real.sum(axis=1)):
                     q = basis[k]
-                    assert not q[m:].any() and not q[:, m:].any()
-                    q = q[:m, :m]
-                    np.testing.assert_allclose(q.T @ q, np.eye(m), rtol=0, atol=1e-13)
-                    # K = D^-1 H D / i: sigma_jk = s_k - s_j with s = 1 where D is i
-                    s = gauge_diagonal(rows[k, :m], cutoff, label.mode_count).imag
-                    generator = np.zeros((m, m))
-                    generator[np.arange(m), partner[k, :m]] = rates[k, :m]
-                    np.testing.assert_allclose(q.T @ (chain * (s - s[:, None])) @ q, generator,
-                                               rtol=0, atol=1e-12 * scale)
+                    assert real[k, :width].all()
+                    assert not rates[k, width:].any()
+                    np.testing.assert_array_equal(partner[k, width:], np.arange(width, length))
+                    assert not q[width:].any() and not q[:, width:].any()
+                    o = 0
+                    while o < width:
+                        idx, off = chains[rows[k, o]]
+                        m = len(idx)
+                        seen.append(tuple(rows[k, o:o + m]))
+                        assert seen[-1] == idx
+                        run = slice(o, o + m)
+                        chain = np.diag(off, 1) + np.diag(off, -1)
+                        scale = max(np.abs(chain).max(), 1.0)
+                        eigenvalues = eigh_tridiagonal(np.zeros(m), off)[0]
+                        np.testing.assert_allclose(np.sort(np.abs(rates[k, run])),
+                                                   np.sort(np.abs(eigenvalues)),
+                                                   rtol=1e-12, atol=1e-12 * scale)
+                        assert ((o <= partner[k, run]) & (partner[k, run] < o + m)).all()
+                        outside = np.ones(length, dtype=bool)
+                        outside[run] = False
+                        assert not q[run][:, outside].any() and not q[outside][:, run].any()
+                        block = q[run, run]
+                        np.testing.assert_allclose(block.T @ block, np.eye(m), rtol=0, atol=1e-13)
+                        # K = D^-1 H D / i: sigma_jk = s_k - s_j with s = 1 where D is i
+                        s = gauge_diagonal(rows[k, run], cutoff, label.mode_count).imag
+                        generator = np.zeros((m, m))
+                        generator[np.arange(m), partner[k, run] - o] = rates[k, run]
+                        np.testing.assert_allclose(block.T @ (chain * (s - s[:, None])) @ block,
+                                                   generator, rtol=0, atol=1e-12 * scale)
+                        o += m
+                    assert o == width
             # every chain of the sector, each once
             in_sector = set(sector.tolist())
-            assert sorted(seen) == sorted(idx for idx in chains if idx[0] in in_sector)
+            assert sorted(seen) == sorted(idx for idx, _ in chains.values() if idx[0] in in_sector)
             assert used.sum() == sector.size
+
+
+def chain_lengths(label, cutoff, key):
+    """The length of every chain of ``label`` on the sector ``key``, from
+    ``fock._chains`` alone: no sector and no basis is built."""
+    parity, swap = key
+    total = basis_parity(cutoff, label.mode_count)
+    return [idx.size for idx, _ in fock._chains(label, cutoff, swap)
+            if parity is None or total[idx[0]] == parity]
+
+
+def planned_entries(lengths, plan):
+    """Padded basis entries of ``plan``: ``L^2`` per block of a bucket of
+    blocks of length ``L``."""
+    return sum(len(bucket) * fock._width(lengths, bucket) ** 2 for bucket in plan)
+
+
+class TestPlan:
+    """The layout of chains in padded blocks, from their lengths alone."""
+
+    TWO_MODE = (HamiltonianLabel.TWO_MODE_UNSTABLE, HamiltonianLabel.TWO_MODE_STABLE)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 60, 100])
+    def test_plan_places_every_chain_once_within_its_width(self, cutoff):
+        """Each chain lies in one block of one bucket, and every block of a
+        bucket fits its width; a plan of several buckets holds one chain per
+        block.  One-mode sectors, whose two chains never share a block, cost
+        the same in both layouts and get the grouped one: one bucket, one
+        chain per block, sorted by length."""
+        for label in HamiltonianLabel:
+            if label is HamiltonianLabel.SINGLE_MODE_STABLE:
+                continue
+            for key in sectors(label.mode_count):
+                lengths = chain_lengths(label, cutoff, key)
+                plan = fock._plan(lengths)
+                placed = [c for bucket in plan for block in bucket for c in block]
+                assert sorted(placed) == list(range(len(lengths)))
+                for bucket in plan:
+                    width = fock._width(lengths, bucket)
+                    assert width == max(lengths[c] for block in bucket for c in block)
+                    assert all(sum(lengths[c] for c in block) <= width for block in bucket)
+                assert len(plan) == 1 or all(len(block) == 1 for bucket in plan
+                                             for block in bucket)
+                if label.mode_count == 1:
+                    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+                    assert plan == (tuple((c,) for c in order),)
+
+    @pytest.mark.parametrize("cutoff", [30, 60])
+    def test_swap_sector_generators_take_one_bucket(self, cutoff):
+        """The two-mode vacuum's sector, that of every scan, gets one filled
+        bucket per generator, so a shared-angle segment is one matmul.  At
+        cutoff 60, 31 amplifying chains fill 16 blocks of 61, and 61 exchange
+        chains fill 31 blocks of 31, each pair ``(j, 31 - j)`` exactly."""
+        shapes = []
+        for label in self.TWO_MODE:
+            lengths = chain_lengths(label, cutoff, (0, True))
+            (bucket,) = fock._plan(lengths)
+            shapes.append((len(lengths), len(bucket), fock._width(lengths, bucket)))
+        if cutoff == 60:
+            assert shapes == [(31, 16, 61), (61, 31, 31)]
+
+    def test_ceiling_entries_stay_grouped(self):
+        """At the two-mode ceiling, on the full sector of a coherent state,
+        no generator plans more padded entries than the grouped layout of
+        ``BUCKET_BLOCKS`` chains per bucket, 5534801 each."""
+        cutoff = fock.MAX_CUTOFF[2]
+        for label in self.TWO_MODE:
+            lengths = chain_lengths(label, cutoff, FULL_SPACE)
+            assert planned_entries(lengths, fock._plan(lengths)) <= 5534801
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,8 +579,9 @@ class TestGauge:
     @pytest.mark.parametrize("cutoff", [1, 2, 7])
     def test_bucket_maps_equal_gauged_dense_unitary(self, cutoff):
         """Each bucket map of a one-angle segment equals ``D^-1 U D`` of the
-        dense reference on the sector, and is float64: every sector is
-        bipartite."""
+        dense reference on the rows of each block, the chains that share it
+        included (zero between them), and is zero on padding and float64:
+        every sector is bipartite."""
         for label in HamiltonianLabel:
             for key in sectors(label.mode_count):
                 packing = generator_packing(label, cutoff, key)
@@ -514,7 +599,9 @@ class TestGauge:
                         assert m.dtype == np.float64
                         length = m.shape[1]
                         index = packing.gather[start:stop].reshape(-1, length)
-                        for k, width in enumerate(used[start:stop].reshape(-1, length).sum(axis=1)):
+                        real = used[start:stop].reshape(-1, length)
+                        for k, width in enumerate(real.sum(axis=1)):
+                            assert real[k, :width].all()
                             block = index[k, :width]
                             np.testing.assert_allclose(m[k, :width, :width],
                                                        reference[np.ix_(block, block)],
@@ -837,16 +924,102 @@ class TestWorkspace:
                 assert amplify.unpack.size == exchange.unpack.size == rows
 
 
-def assert_trajectories_agree(traj, reference):
-    """Same status, guard period and length; photons within ``1e-12 *
-    max(1, n)``, norm drift and leakage within 1e-13."""
+def assert_trajectories_agree(traj, reference, rel=1e-12):
+    """Same status, guard period and length; photons within ``rel * max(1,
+    n)``, norm drift and leakage within 1e-13."""
     assert (traj.status, traj.first_unsafe_period, traj.periods_completed) == \
         (reference.status, reference.first_unsafe_period, reference.periods_completed)
     assert traj.n_per_mode.shape == reference.n_per_mode.shape
     assert (np.abs(traj.n_per_mode - reference.n_per_mode)
-            <= 1e-12 * np.maximum(1.0, reference.n_per_mode)).all()
+            <= rel * np.maximum(1.0, reference.n_per_mode)).all()
     np.testing.assert_allclose(traj.norm_drift, reference.norm_drift, rtol=0, atol=1e-13)
     np.testing.assert_allclose(traj.leakage, reference.leakage, rtol=0, atol=1e-13)
+
+
+def under_call_entries(value, call, *args, **kwargs):
+    """``call`` with ``fock.CALL_ENTRIES`` set to ``value``, on sectors built
+    for it: the sector cache is emptied before and after."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "CALL_ENTRIES", value)
+        fock._sector.cache_clear()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            fock._sector.cache_clear()
+
+
+#: ``fock.CALL_ENTRIES`` at both ends of the cost rule: 0 plans the fewest
+#: padded entries, mostly grouped, and a huge value the fewest buckets, one
+#: filled bucket wherever the grouped layout has several.
+LAYOUTS = (0, 10 ** 12)
+
+
+class TestLayouts:
+    """Both layouts of :func:`fock._plan` give one answer, on every sector
+    key: same statuses, outcomes and periods, photons within ``1e-13 *
+    max(1, n)``, norm drift and leakage within 1e-13."""
+
+    @pytest.mark.parametrize("cutoff", [30, 60])
+    def test_layouts_differ(self, cutoff):
+        """The two values do force two layouts: the swap sector's exchange
+        generator gets several buckets under one and one under the other."""
+        counts = [under_call_entries(value, lambda: len(fock._sector(cutoff, 2, (0, True))
+                                                        .exchange.buckets))
+                  for value in LAYOUTS]
+        assert counts[0] > 1 and counts[1] == 1
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 30, 60])
+    def test_every_sector_steps_alike(self, cutoff):
+        """The stepping loop on every sector key of both mode counts, three
+        random columns: real-valued with one exchange angle per column (the
+        map and the rotation planes) and complex with one shared angle (a map
+        per segment on the float64 view), settled after each block."""
+        rng = np.random.default_rng(cutoff)
+        for modes in (1, 2):
+            for key in sectors(modes):
+                rows = fock._sector(cutoff, modes, key).rows.size
+                real = rng.standard_normal((rows, 3))
+                complex_ = real + 1j * rng.standard_normal((rows, 3))
+                for coords, omega_tau2 in ((real, [0.4, 1.1, 2.9]), (complex_, 1.1)):
+                    # complex, as fock._coordinates returns them
+                    coords = (coords / np.linalg.norm(coords, axis=0)).astype(complex)
+                    runs = []
+                    for value in LAYOUTS:
+                        runs.append([])
+                        step = recording(fock._step_periods, runs[-1])
+                        under_call_entries(
+                            value, lambda: step(fock._sector(cutoff, modes, key), coords.copy(),
+                                                0.3, omega_tau2, fock._BLOCK + 3,
+                                                lambda *args: np.zeros(3, dtype=bool)))
+                    assert len(runs[0]) == len(runs[1]) == 2
+                    for got, expected in zip(*runs):
+                        first, active, psi, norm, per_mode, leak = got
+                        assert first == expected[0]
+                        np.testing.assert_array_equal(active, expected[1])
+                        np.testing.assert_allclose(psi, expected[2], rtol=0, atol=1e-13)
+                        np.testing.assert_allclose(norm, expected[3], rtol=0, atol=1e-13)
+                        assert (np.abs(per_mode - expected[4])
+                                <= 1e-13 * np.maximum(1.0, expected[4])).all()
+                        np.testing.assert_allclose(leak, expected[5], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 30, 60])
+    def test_propagate_and_scan_agree(self, cutoff):
+        """``propagate`` of the vacuum of both mode counts and, where the
+        cutoff holds them, ``|2,1>`` and coherent states of both mode counts;
+        and a scan across the stability boundary."""
+        states = [vacuum_state(cutoff, 2), vacuum_state(cutoff, 1)]
+        if cutoff >= 30:
+            states += [number_state(cutoff, 2, 1), coherent_state(cutoff, [0.5, 0.3j]),
+                       coherent_state(cutoff, [0.6 - 0.2j])]
+        schedule = DriveSchedule.from_products(0.1, 0.9, periods=40)
+        for state in states:
+            assert_trajectories_agree(*(under_call_entries(value, propagate, state, schedule)
+                                        for value in LAYOUTS), rel=1e-13)
+        boundary = math.acos(1.0 / math.cosh(0.1))
+        grid = [0.0, boundary - 0.05, boundary + 0.05, 1.6, math.pi]
+        assert_scans_agree(*(under_call_entries(value, zeno_threshold_scan, 0.1, grid,
+                                                periods=60, cutoff=cutoff)
+                             for value in LAYOUTS), rel=1e-13)
 
 
 def growth_ratio(gamma_tau1, period):
