@@ -9,11 +9,15 @@ truncation), 2 usage/config error or a request too big to allocate.
 Both formats are streamed in blocks, of ``_BLOCK_ROWS`` CSV rows or
 ``_JSON_BLOCK_ROWS`` JSON rows.  In a block, each distinct float of all its
 float fields, told apart by bit pattern, is formatted once
-(``_float_texts``); CSV does this field by field.  JSON rows go through one
-row template per table, one slot per field chosen once for the whole table:
-a field with one value in every row has that value's JSON text in its slot;
-an integer field gets ``%r``; any other field gets ``%s``, filled with its
-JSON texts.  Each block is one ``%`` of the template repeated for its rows.
+(``_float_texts``); CSV does this field by field, and a CSV float field
+with at least ``_G17_FLOOR`` distinct values in the block is formatted by
+an exact vectorised ``%.17g`` (``_g17``) whose texts are those of the ``%``
+operator byte for byte; ``%`` writes smaller fields, and the values outside
+the kernel's range.  JSON rows go through one row template per
+table, one slot per field chosen once for the whole table: a field with one
+value in every row has that value's JSON text in its slot; an integer field
+gets ``%r``; any other field gets ``%s``, filled with its JSON texts.  Each
+block is one ``%`` of the template repeated for its rows.
 """
 
 from __future__ import annotations
@@ -186,15 +190,48 @@ def _float_texts(fields, to_texts):
     return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
 
 
+#: Distinct floats of a CSV field's block from which the kernel of
+#: :mod:`zenofloquet._g17` formats them.  The kernel costs about 0.1 ms a
+#: call, a few us more for each (sign, decade) run, and 0.15-0.3 us a value;
+#: ``%`` costs 0.5-0.9 us a value.  On a 2-vCPU host they break even near
+#: 300 values in one decade of each sign and near 500 over all 40 runs; at
+#: 1000 values the kernel takes about half the time of ``%``, and at 4096 a
+#: third.  The floor is 1024, not 500: numpy keeps freed data buffers of
+#: under 1 KiB for reuse, seven of each size, and a call on fewer values
+#: leaves boolean masks of a new size there whenever the count changes,
+#: which raised a chart run's RSS by about 1 MB over 400 ops.
+_G17_FLOOR = 1024
+
+
+def _g17_percent(values):
+    """``"%.17g" % v`` of each value of a float64 array, as a list of str."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
+def _csv_float_texts(values):
+    """The distinct floats of a CSV field's block as ``"%.17g"`` writes them:
+    by the kernel of :mod:`zenofloquet._g17` from ``_G17_FLOOR`` values on,
+    with :func:`_g17_percent` for the values outside its range."""
+    if len(values) < _G17_FLOOR:
+        return _g17_percent(values)
+    # imported on first use: a run that formats no large float field never
+    # compiles or loads the kernel
+    from . import _g17
+    return _g17.texts(values, _g17_percent)
+
+
 def _csv_texts(field):
     """The cells of one typed field as csv.writer writes them in a row of two
     or more fields, each distinct cell formatted once.
 
-    A str field none of whose distinct cells csv.writer quotes is its own
+    A float field's distinct values are formatted by the vectorised kernel
+    of :mod:`zenofloquet._g17` when there are at least ``_G17_FLOOR`` of
+    them in the block, and by ``%`` otherwise; the texts are the same.  A
+    str field none of whose distinct cells csv.writer quotes is its own
     texts: its cells, as they are.
     """
     if field.dtype.kind == "f":  # .17g needs no quotes
-        return _float_texts([field], lambda values: ["%.17g" % v for v in values.tolist()])[0]
+        return _float_texts([field], _csv_float_texts)[0]
     cells = field.tolist()
     distinct = set(cells)
     if field.dtype.kind == "U" and not any(map(_CSV_SPECIAL, distinct)):

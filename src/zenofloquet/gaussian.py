@@ -245,10 +245,21 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     return _pair_stack_diverges(pair_map(gamma_tau1, omega_tau2), periods, photon_cap)
 
 
-# a diverged point's entries keep growing to inf, then nan (inf - inf), and a
-# cap near float64's range lets entries below it square to inf; the flag is
-# sticky and an inf or nan total is past every cap, so the overflow is
-# expected and must not reach stderr
+def _compact(mats, kept, spare):
+    """The columns ``kept`` of a ``(2, 2, points)`` buffer view, taken row by
+    row into the front of ``spare``, which must not overlap it: no
+    temporary as large as the buffer."""
+    front = spare[..., :kept.size]
+    for i in range(2):
+        for j in range(2):
+            np.take(mats[i, j], kept, out=front[i, j])
+    return front
+
+
+# a point's entries can grow to inf, then nan (inf - inf), before the next
+# checkpoint marks it, and a cap near float64's range lets entries below it
+# square to inf; the flag is sticky and an inf or nan total is past every
+# cap, so the overflow is expected and must not reach stderr
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_stack_diverges(pair, periods, photon_cap):
     """:func:`vacuum_diverges` of a ``(..., 2, 2)`` stack of pair maps, for a
@@ -260,7 +271,10 @@ def _pair_stack_diverges(pair, periods, photon_cap):
     then the photon totals.  Each product entry is ``x[i, 0] * y[0, j] +
     x[i, 1] * y[1, j]``, as in :func:`_mul`, and each total is summed in the
     order of the two-pair sum, so every verdict is that of fresh products,
-    bit for bit.
+    bit for bit.  A point past the cap at a checkpoint is marked for good,
+    so once a quarter or more of the buffer columns are marked, the others
+    are moved to the front of each buffer and the marked ones are
+    multiplied no more.
     """
     if not periods:
         return np.zeros(pair.shape[:-2], dtype=bool)  # only the vacuum, which no cap > 0 trips
@@ -268,8 +282,10 @@ def _pair_stack_diverges(pair, periods, photon_cap):
     work = np.empty_like(step)
     power = None
     diverged = np.zeros(step.shape[-1], dtype=bool)
+    marked = np.zeros(step.shape[-1], dtype=bool)  # per buffer column
+    live = None  # the point of each buffer column, while some are dropped
 
-    def check(mats):
+    def past(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
         # |S^n|_F^2 / 4 - 1 = (|plus^n|_F^2 + |minus^n|_F^2) / 4 - 1 = |P^n|_F^2 / 2 - 1;
         # the squares are summed in the plus map's entry order (d, c, b, a), so
@@ -281,11 +297,26 @@ def _pair_stack_diverges(pair, periods, photon_cap):
             total += np.multiply(e, e, out=square)
         total /= 2.0
         total -= 1.0
-        diverged[_past_cap(total, photon_cap)] = True
+        return _past_cap(total, photon_cap)
+
+    def record():
+        diverged[marked if live is None else live[marked]] = True
 
     n = 1
     while True:
-        check(step)
+        marked |= past(step)
+        # drop the marked columns once they are a quarter of the buffers:
+        # moving fewer costs more than their products
+        if 4 * np.count_nonzero(marked) >= marked.size:
+            record()
+            kept = np.flatnonzero(~marked)
+            if not kept.size:
+                break
+            live = kept if live is None else live[kept]
+            marked = np.zeros(kept.size, dtype=bool)
+            step, work = _compact(step, kept, work), step[..., :kept.size]
+            if power is not None:
+                power, work = _compact(power, kept, work), power[..., :kept.size]
         if periods & n and power is None:
             power = step.copy()
         elif periods & n:
@@ -295,6 +326,8 @@ def _pair_stack_diverges(pair, periods, photon_cap):
             np.multiply(step[0, 0], power[0], out=power[0])
             power += work
         if 2 * n > periods:
+            marked |= past(power)
+            record()
             break
         # step = step @ step: each first term overwrites an entry that no
         # later first term reads
@@ -305,7 +338,6 @@ def _pair_stack_diverges(pair, periods, photon_cap):
         np.multiply(step[0, 0], step[0, 0], out=step[0, 0])
         step += work
         n *= 2
-    check(power)
     return diverged.reshape(pair.shape[:-2])
 
 

@@ -8,9 +8,11 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from zenofloquet import cli, floquet, fock, gaussian
+from zenofloquet import _g17, cli, floquet, fock, gaussian
 
 
 SCHEDULE = {"gamma": 0.1, "tau1": 1.0, "omega": 0.5, "tau2": 1.0, "periods": 3}
@@ -1175,34 +1177,140 @@ def test_streamed_output_across_json_block_seams(tmp_path, fmt, size):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
 
-def test_cross_check_chart_equals_reference_writer(tmp_path):
-    """The default chart: 22801 rows over 5 block seams, columns of 1-151
-    distinct cells next to columns of thousands."""
+def _assert_chart_writes_reference(tmp_path, axes, size):
     out = tmp_path / "chart.csv"
-    assert cli.main(["sweep", "--cross-check", "--out", str(out)]) == 0
-    cfg = _merged(cli.SWEEP_DEFAULTS, {"cross_check": {"enabled": True}})
+    argv = ["sweep", "--cross-check", "--out", str(out)]
+    for name, axis in axes.items():
+        argv += ["--" + name.replace("_", "-"), *map(str, axis.values())]
+    assert cli.main(argv) == 0
+    cfg = _merged(cli.SWEEP_DEFAULTS, {"cross_check": {"enabled": True}, **axes})
     header, rows, status = cli.run_sweep(cfg)
-    assert len(rows) == 22801
+    assert len(rows) == size
     expected = _reference_output("csv", cli._meta("sweep", cfg, status), header, rows)
     assert out.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("gamma, omega, code", [(0.05, 0.3, 0), (0.5, 0.1, 1)])
-def test_trajectory_json_equals_reference_writer(tmp_path, gamma, omega, code):
-    """5000 periods of a stable and of a diverging drive as JSON: photon
-    columns next to one-value half_trace and classification fields."""
+def test_cross_check_chart_equals_reference_writer(tmp_path):
+    """The default chart: 22801 rows over 5 block seams, columns of 1-151
+    distinct cells next to columns of thousands."""
+    _assert_chart_writes_reference(tmp_path, {}, 22801)
+
+
+def test_fine_cross_check_chart_equals_reference_writer(tmp_path):
+    """A 201x201 chart over a narrower gamma*tau1 range: 40401 rows over 9
+    block seams, with fewer unstable points than the default chart."""
+    axes = {"gamma_tau1": {"min": 0.0, "max": 0.8, "steps": 201},
+            "omega_tau2": {"min": 0.0, "max": math.pi, "steps": 201}}
+    _assert_chart_writes_reference(tmp_path, axes, 40401)
+
+
+@pytest.mark.parametrize("gamma, omega, code, fmt", [
+    pytest.param(0.05, 0.3, 0, "json", id="0.05-0.3-0"),
+    pytest.param(0.5, 0.1, 1, "json", id="0.5-0.1-1"),
+    pytest.param(0.05, 0.3, 0, "csv", id="csv-0.05-0.3-0"),
+    pytest.param(0.5, 0.1, 1, "csv", id="csv-0.5-0.1-1"),
+])
+def test_trajectory_json_equals_reference_writer(tmp_path, gamma, omega, code, fmt):
+    """5000 periods of a stable and of a diverging drive, as JSON and as
+    CSV: photon columns next to one-value half_trace and classification
+    fields.  The stable run's first CSV block holds 4096 distinct photon
+    numbers per column; the diverging run stops after 30 periods, at photon
+    numbers up to the 1e12 cap."""
     schedule = {"gamma": gamma, "tau1": 1.0, "omega": omega, "tau2": 1.0,
                 "periods": 5000}
-    out = tmp_path / "trajectory.json"
-    argv = ["simulate", "--format", "json", "--out", str(out)]
+    out = tmp_path / f"trajectory.{fmt}"
+    argv = ["simulate", "--format", fmt, "--out", str(out)]
     for key, value in schedule.items():
         argv += [f"--{key}", str(value)]
     assert cli.main(argv) == code
     cfg = _merged(cli.SIMULATE_DEFAULTS, {"schedule": schedule})
     header, rows, status = cli.run_simulate(cfg)
     assert (len(rows) == 5001) == (code == 0)
-    expected = _reference_output("json", cli._meta("simulate", cfg, status), header, rows)
+    expected = _reference_output(fmt, cli._meta("simulate", cfg, status), header, rows)
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+# --- the vectorised %.17g against the % operator -----------------------------
+
+def _percent_texts(values):
+    """The reference: ``"%.17g" % v`` of each value."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _below(power):
+    """The largest float below ``power``, a Fraction."""
+    x = float(power)
+    return x if Fraction(x) < power else math.nextafter(x, 0.0)
+
+
+#: Each power of ten whose ``%g`` text has no exponent, with both neighbours.
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-4, 16)]
+POWER_NEIGHBOURS = [y for x in POWERS_OF_TEN
+                    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+#: For each decade of the kernel's range, its float nearest the next decade.
+DECADE_TOPS = [_below(Fraction(10) ** k) for k in range(-3, 17)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 2**64 - 1).map(_float_of_bits) | st.floats(),
+                       min_size=1, max_size=64))
+@example(values=[1 + 2**-17])  # 1.00000762939453125: the tie rounds to even, ...312
+@example(values=POWER_NEIGHBOURS)
+@example(values=[math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16, -1e-4])
+@example(values=DECADE_TOPS + [-x for x in DECADE_TOPS])
+@example(values=[-0.0, 0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])
+def test_g17_kernel_equals_percent(values):
+    assert _g17.texts(np.array(values), _percent_texts) == _percent_texts(values)
+
+
+def test_kernel_decades_are_exact():
+    """The kernel's two premises.  Its decimal exponent counts the floats of
+    ``1e-3 .. 1e15`` at or below a value, which is exact because each power
+    of ten from ``1e-4`` rounds up to its float or is one, so no float lies
+    between a power and its float.  And it has no carry step: no float of
+    ``[1e-4, 1e16)`` lies within half a unit of its 17th significant digit
+    below the next power of ten, the only floats whose 17 digits could
+    round up to it."""
+    for k, power in zip(range(-4, 16), POWERS_OF_TEN):
+        assert Fraction(power) >= Fraction(10) ** k
+    for k, top in zip(range(-3, 17), DECADE_TOPS):
+        assert Fraction(top) < Fraction(10) ** k - Fraction(10) ** (k - 17) / 2
+    assert _g17.texts(np.array(DECADE_TOPS), _percent_texts) == _percent_texts(DECADE_TOPS)
+
+
+def test_g17_kernel_on_a_million_values_of_each_kind():
+    """10^6 random bit patterns and 10^6 values ``+-10**U(-5, 17)``, sorted
+    by bit pattern as the CSV writer passes them, and a tenth of each also
+    in the drawn order."""
+    rng = np.random.default_rng(30)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    decades = 10.0 ** rng.uniform(-5.0, 17.0, 10**6) * rng.choice([-1.0, 1.0], 10**6)
+    for values in (bits, decades):
+        for k, chunk in enumerate(np.array_split(values, 100)):
+            if k % 10 == 0:
+                assert _g17.texts(chunk, _percent_texts) == _percent_texts(chunk)
+            chunk = np.unique(chunk.view(np.int64)).view(np.float64)
+            assert _g17.texts(chunk, _percent_texts) == _percent_texts(chunk)
+
+
+def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
+    """A kernel that sent every value to ``%`` would write the same bytes,
+    so only a count shows it: of the default chart's distinct half_trace
+    cells per CSV block, fewer than 0.1% reach the ``%`` formatter."""
+    cfg = _merged(cli.SWEEP_DEFAULTS, {})
+    half_trace = cli.run_sweep(cfg).rows["half_trace"]
+    percent, sent = cli._g17_percent, []
+    monkeypatch.setattr(cli, "_g17_percent", lambda values: sent.append(len(values)) or percent(values))
+    distinct = 0
+    for start in range(0, len(half_trace), cli._BLOCK_ROWS):
+        block = half_trace[start:start + cli._BLOCK_ROWS]
+        assert cli._csv_texts(block) == _percent_texts(block)
+        distinct += len(np.unique(block.view(np.int64)))
+    assert distinct > 20000 and sum(sent) < 1e-3 * distinct
 
 
 @pytest.mark.parametrize("argv", [

@@ -371,6 +371,11 @@ class TestVacuumDiverges:
     @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=8191, cap=1e4)
     @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=8192, cap=1e4)
     @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=10000, cap=1e4)
+    # cosh(2 g n) - 1 passes 1e4 at 2 g n = 9.90: for g = 5 at checkpoint 1,
+    # g = 0.015 at 512 and g = 0.007 only at the last power, P^1000; a
+    # quarter of the points or more are dropped at the first two, with P^8
+    # already collected at the second
+    @example(gammas=[0.0, 0.007, 0.015, 5.0], thetas=[0.0], periods=1000, cap=1e4)
     def test_plus_pair_alone_equals_two_pair_reference(self, gammas, thetas,
                                                        periods, cap):
         """Evolving the plus pair alone gives the verdicts of evolving both.
