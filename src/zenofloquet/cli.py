@@ -4,20 +4,18 @@ Output is deterministic: CSV uses 17-significant-digit floats, LF endings
 and a fixed column order; JSON mirrors the same rows under a ``rows`` key
 next to a ``meta`` object carrying the resolved-config hash and tool
 version.  Exit codes: 0 success, 1 numerical guard tripped (divergence or
-truncation), 2 usage/config error or a request too big to allocate.
+truncation), 2 usage/config error, a request too big to allocate or an
+output that cannot be written.
 
-Both formats are streamed in blocks, of ``_BLOCK_ROWS`` CSV rows or
-``_JSON_BLOCK_ROWS`` JSON rows.  In a block, each distinct float of all its
-float fields, told apart by bit pattern, is formatted once
-(``_float_texts``); CSV does this field by field, and a CSV float field
-with at least ``_G17_FLOOR`` distinct values in the block is formatted by
-an exact vectorised ``%.17g`` (``_g17``) whose texts are those of the ``%``
-operator byte for byte; ``%`` writes smaller fields, and the values outside
-the kernel's range.  JSON rows go through one row template per
-table, one slot per field chosen once for the whole table: a field with one
-value in every row has that value's JSON text in its slot; an integer field
-gets ``%r``; any other field gets ``%s``, filled with its JSON texts.  Each
-block is one ``%`` of the template repeated for its rows.
+Both formats are streamed by one writer, ``_write_rows``, in blocks of
+``_BLOCK_ROWS`` CSV rows or ``_JSON_BLOCK_ROWS`` JSON rows; each format
+gives it its row head, separators, row tail, the text between rows, float
+formatter and string escape.  A field with one value in every row is
+written into the separators once.  In a block, each distinct float of the
+other float fields, told apart by bit pattern, is formatted once
+(``_float_texts``): for CSV by an exact vectorised ``%.17g`` (``_g17``)
+from ``_G17_FLOOR`` distinct values on, and by ``%`` below that; for JSON
+by ``repr``.  Each block is one join.
 """
 
 from __future__ import annotations
@@ -190,7 +188,7 @@ def _float_texts(fields, to_texts):
     return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
 
 
-#: Distinct floats of a CSV field's block from which the kernel of
+#: Distinct floats of a CSV block's float fields from which the kernel of
 #: :mod:`zenofloquet._g17` formats them.  The kernel costs about 0.1 ms a
 #: call, a few us more for each (sign, decade) run, and 0.15-0.3 us a value;
 #: ``%`` costs 0.5-0.9 us a value.  On a 2-vCPU host they break even near
@@ -209,89 +207,91 @@ def _g17_percent(values):
 
 
 def _csv_float_texts(values):
-    """The distinct floats of a CSV field's block as ``"%.17g"`` writes them:
-    by the kernel of :mod:`zenofloquet._g17` from ``_G17_FLOOR`` values on,
-    with :func:`_g17_percent` for the values outside its range."""
+    """The distinct floats of a CSV block as ``"%.17g"`` writes them: by the
+    kernel of :mod:`zenofloquet._g17` from ``_G17_FLOOR`` values on, with
+    :func:`_g17_percent` for the values outside its range."""
     if len(values) < _G17_FLOOR:
         return _g17_percent(values)
-    # imported on first use: a run that formats no large float field never
+    # imported on first use: a run that formats no large float block never
     # compiles or loads the kernel
     from . import _g17
     return _g17.texts(values, _g17_percent)
 
 
-def _csv_texts(field):
-    """The cells of one typed field as csv.writer writes them in a row of two
-    or more fields, each distinct cell formatted once.
+def _json_float_texts(values):
+    """The distinct floats of a JSON block as ``json.dumps`` writes them."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if np.isfinite(values).all():
+        return texts
+    return list(map(_JSON_NONFINITE.get, texts, texts))
 
-    A float field's distinct values are formatted by the vectorised kernel
-    of :mod:`zenofloquet._g17` when there are at least ``_G17_FLOOR`` of
-    them in the block, and by ``%`` otherwise; the texts are the same.  A
-    str field none of whose distinct cells csv.writer quotes is its own
-    texts: its cells, as they are.
+
+def _cell_texts(fields, float_texts, escape):
+    """The cells of a block's fields as text, one list per field: the floats
+    of all its float fields through one :func:`_float_texts`, ints by
+    ``repr``, and each distinct str cell by ``escape``, once; a str field
+    that ``escape`` leaves as it is is its own texts."""
+    floats = [field for field in fields if field.dtype.kind == "f"]
+    float_cells = iter(_float_texts(floats, float_texts) if floats else ())
+    out = []
+    for field in fields:
+        if field.dtype.kind == "f":
+            out.append(next(float_cells))
+        elif field.dtype.kind == "i":
+            out.append(list(map(int.__repr__, field.tolist())))
+        else:
+            cells = field.tolist()
+            texts = {cell: escape(cell) for cell in set(cells)}
+            plain = all(cell == text for cell, text in texts.items())
+            out.append(cells if plain else list(map(texts.__getitem__, cells)))
+    return out
+
+
+def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_rows):
+    """Write each row as ``head``, its cells with ``seps`` between them, and
+    ``tail``, with ``between`` between rows, in blocks of ``block_rows`` rows.
+
+    A field with one value in every row (floats compared by bit pattern) has
+    its text written into the text around the other cells, once.  The cells
+    of each block are made by :func:`_cell_texts`, and the block is one join.
     """
-    if field.dtype.kind == "f":  # .17g needs no quotes
-        return _float_texts([field], _csv_float_texts)[0]
-    cells = field.tolist()
-    distinct = set(cells)
-    if field.dtype.kind == "U" and not any(map(_CSV_SPECIAL, distinct)):
-        return cells
-    texts = {v: _csv_field(str(v)) for v in distinct}
-    return list(map(texts.__getitem__, cells))
+    if not len(rows):
+        return
+    # the texts around the cells that vary, one more than those fields
+    fixed, varying = [head], []
+    for name, sep in zip(rows.dtype.names, [*seps, tail]):
+        field = rows[name]
+        same = field.view(np.int64) if field.dtype.kind == "f" else field
+        if (same == same[0]).all():
+            fixed[-1] += _cell_texts([field[:1]], float_texts, escape)[0][0] + sep
+        else:
+            varying.append(name)
+            fixed.append(sep)
+    # a row: the text between rows and the head, then each cell and the text after it
+    unit = [between + fixed[0]] + [piece for text in fixed[1:] for piece in (None, text)]
+    for start in range(0, len(rows), block_rows):
+        block = rows[start:start + block_rows]
+        parts = unit * len(block)
+        if not start:
+            parts[0] = fixed[0]
+        texts = _cell_texts([block[name] for name in varying], float_texts, escape)
+        for i in range(len(varying)):
+            parts[2 * i + 1::len(unit)] = texts[i]
+        fh.write("".join(parts))
+        # freed before the next block's texts are made: kept alive beside
+        # them, they left the allocator's arenas fragmented and raised a
+        # chart run's peak RSS by about 1 MB
+        del parts, texts
 
 
 def _write_csv(fh, meta, header, rows):
     for key in ("tool", "version", "command", "schema", "config_hash", "status"):
         fh.write(f"# {key}={meta[key]}\n")
     csv.writer(fh, lineterminator="\n").writerow(header)
-    width = len(rows.dtype.names)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        # the block's cells row by row, each followed by its separator, for one join
-        parts = ([None, ","] * (width - 1) + [None, "\n"]) * len(block)
-        for i, name in enumerate(rows.dtype.names):
-            parts[2 * i::2 * width] = _csv_texts(block[name])
-        if width == 1:  # csv.writer quotes a lone empty field
-            parts[::2] = [text or '""' for text in parts[::2]]
-        fh.write("".join(parts))
-
-
-def _json_texts(field):
-    """The cells of one typed field as ``json.dumps(indent=1)`` writes them."""
-    cells = field.tolist()
-    if field.dtype.kind == "f":
-        texts = list(map(float.__repr__, cells))
-        if np.isfinite(field).all():
-            return texts
-        return list(map(_JSON_NONFINITE.get, texts, texts))
-    if field.dtype.kind == "i":
-        return list(map(int.__repr__, cells))
-    return list(map(json.encoder.encode_basestring_ascii, cells))
-
-
-def _json_slot(field):
-    """The row-template slot of one typed field of a whole table.
-
-    One value in every row (floats compared by bit pattern) is written into
-    the slot as its JSON text.  An integer field gets ``%r``: the ``%``
-    operator formats each cell with ``repr``, which is how ``json.dumps``
-    writes it.  Any other field gets ``%s``, filled with its JSON texts.
-    """
-    same = field.view(np.int64) if field.dtype.kind == "f" else field
-    if (same == same[0]).all():
-        return _json_texts(field[:1])[0].replace("%", "%%")
-    return "%r" if field.dtype.kind == "i" else "%s"
-
-
-def _json_cells(columns):
-    """The cells that fill the slots of a block's columns, one list per
-    column: an integer column's values, and the JSON texts of any other; the
-    texts of all the float columns come from one :func:`_float_texts`."""
-    floats = [column for column in columns if column.dtype.kind == "f"]
-    texts = iter(_float_texts(floats, _json_texts) if floats else ())
-    return [column.tolist() if column.dtype.kind == "i"
-            else next(texts) if column.dtype.kind == "f" else _json_texts(column)
-            for column in columns]
+    # csv.writer quotes a lone empty field
+    escape = _csv_field if len(header) > 1 else lambda text: _csv_field(text) or '""'
+    _write_rows(fh, rows, "", [","] * (len(header) - 1), "\n", "",
+                _csv_float_texts, escape, _BLOCK_ROWS)
 
 
 def _write_json(fh, meta, header, rows):
@@ -300,19 +300,10 @@ def _write_json(fh, meta, header, rows):
         fh.write(',\n "rows": []\n}\n')
         return
     fh.write(',\n "rows": [\n')
-    keys = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header)
-    slots = [_json_slot(rows[name]) for name in rows.dtype.names]
-    template = "  {\n%s\n  }" % ",\n".join(f"   {k}: {slot}" for k, slot in zip(keys, slots))
-    # a one-value slot holds a JSON text, which is never a bare %r or %s
-    filled = [name for name, slot in zip(rows.dtype.names, slots) if slot in ("%r", "%s")]
-    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
-        block = rows[start:start + _JSON_BLOCK_ROWS]
-        # the block's cells row by row, as one flat tuple for one % of the block
-        cells = [None] * (len(block) * len(filled))
-        for i, column in enumerate(_json_cells([block[name] for name in filled])):
-            cells[i::len(filled)] = column
-        fh.write((",\n" if start else "")
-                 + ",\n".join([template] * len(block)) % tuple(cells))
+    escape = json.encoder.encode_basestring_ascii
+    keys = [escape(key) + ": " for key in header]
+    _write_rows(fh, rows, "  {\n   " + keys[0], [",\n   " + key for key in keys[1:]],
+                "\n  }", ",\n", _json_float_texts, escape, _JSON_BLOCK_ROWS)
     fh.write("\n ]\n}\n")
 
 
@@ -655,7 +646,12 @@ def main(argv=None) -> int:
               f"{str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     meta = _meta(args.command, cfg, result.status)
-    _write_output(args.out, args.format, meta, result.header, result.rows)
+    try:
+        _write_output(args.out, args.format, meta, result.header, result.rows)
+    except OSError as exc:
+        print(f"zenofloquet {args.command}: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     return int(result.status != "ok")
 
 

@@ -658,6 +658,20 @@ def test_usage_error_is_one_stderr_line(tmp_path, capsys, argv, config):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, target):
+    """An ``--out`` path that cannot be opened, in a missing directory or a
+    directory itself, exits 2 with one stderr line naming the path, as a
+    config error does, and no traceback (an exception out of ``main``)."""
+    out = str(tmp_path / target)
+    code = cli.main(["sweep", "--gamma-tau1", "0", "1", "3", "--omega-tau2", "0", "1", "3",
+                     "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"zenofloquet sweep: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--gamma-tau1", "400", "401", "2", "--omega-tau2", "0", "1", "2"],
     ["sweep", "--gamma-tau1", "711", "712", "2", "--omega-tau2", "0", "1", "2"],
@@ -1131,34 +1145,46 @@ SHARED_ACROSS_SEAM = typed_table(
     ["float", "float", "float"])
 
 
+#: Tables pinned as examples of the reference-writer test, each written in
+#: both formats: a lone empty str field, empty tables, header names and cells
+#: holding ``%``, quoted str cells, ints that hash equal, one-value fields over
+#: block seams, non-finite floats, signed zeros, and floats shared across
+#: fields and across a seam.
+PINNED_TABLES = [
+    typed_table(["a"], [["", "x", ""]], ["str"]),
+    typed_table(["a", "b"], [[], []], ["float", "str"]),
+    typed_table(["a", "b"], [[], []], ["int", "str"]),
+    typed_table(["%s", "b%%", '"\n'], [[1.5], ["%d"], [1]], ["float", "str", "int"]),
+    typed_table(["x", "y"], [[0.0, -0.0, 0.0], ["", ",", '"']], ["float", "str"]),
+    typed_table(["x", "y"], [[-1, -2, -1], ["a", "a", "a"]], ["int", "str"]),
+    one_value_fields(4097),
+    one_value_fields(8193),
+    NONFINITE_IN_ONE_BLOCK,
+    QUOTED_IN_SECOND_BLOCK,
+    typed_table(["a", "b", "c", "d"], [[math.inf], [-0.0], [-5], ["x%"]],
+                ["float", "float", "int", "str"]),
+    typed_table(["%s", "%%", "%r"], [["%s%%"] * 3, [1.5, 2.5, 1.5], ["a", "%%", "a"]],
+                ["str", "float", "str"]),
+    typed_table(["a", "b", "i"], [[0.1, 2.5, 0.1], [0.1, 2.5, 0.1], [1, 2, 3]],
+                ["float", "float", "int"]),
+    typed_table(["plus", "minus"], [[0.0, 1.0, 0.0], [-0.0, 1.0, -0.0]], ["float", "float"]),
+    SHARED_ACROSS_SEAM,
+]
+
+
+def _pinned_in_both_formats(test):
+    """``test`` with each of ``PINNED_TABLES`` as an example in each format."""
+    for table in reversed(PINNED_TABLES):
+        for fmt in ("json", "csv"):
+            test = example(fmt=fmt, table=table)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 # the table first, so that a new prefix never ends before the table's shape
 @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
-@example(fmt="csv", table=typed_table(["a"], [["", "x", ""]], ["str"]))
-@example(fmt="json", table=typed_table(["a", "b"], [[], []], ["float", "str"]))
-@example(fmt="json", table=typed_table(["%s", "b%%", '"\n'], [[1.5], ["%d"], [1]],
-                                       ["float", "str", "int"]))
-@example(fmt="csv", table=typed_table(["a", "b"], [[], []], ["int", "str"]))
-@example(fmt="csv", table=typed_table(["x", "y"], [[0.0, -0.0, 0.0], ["", ",", '"']],
-                                      ["float", "str"]))
-@example(fmt="csv", table=typed_table(["x", "y"], [[-1, -2, -1], ["a", "a", "a"]],
-                                      ["int", "str"]))
-@example(fmt="json", table=one_value_fields(4097))
-@example(fmt="json", table=one_value_fields(8193))
-@example(fmt="csv", table=one_value_fields(4097))
-@example(fmt="json", table=NONFINITE_IN_ONE_BLOCK)
-@example(fmt="csv", table=QUOTED_IN_SECOND_BLOCK)
-@example(fmt="json", table=typed_table(["a", "b", "c", "d"], [[math.inf], [-0.0], [-5], ["x%"]],
-                                       ["float", "float", "int", "str"]))
-@example(fmt="json", table=typed_table(["%s", "%%", "%r"],
-                                       [["%s%%"] * 3, [1.5, 2.5, 1.5], ["a", "%%", "a"]],
-                                       ["str", "float", "str"]))
-@example(fmt="json", table=typed_table(["a", "b", "i"], [[0.1, 2.5, 0.1], [0.1, 2.5, 0.1],
-                                                        [1, 2, 3]], ["float", "float", "int"]))
-@example(fmt="json", table=typed_table(["plus", "minus"], [[0.0, 1.0, 0.0], [-0.0, 1.0, -0.0]],
-                                       ["float", "float"]))
-@example(fmt="json", table=SHARED_ACROSS_SEAM)
+@_pinned_in_both_formats
 def test_streamed_output_equals_reference_writer(tmp_path, fmt, table):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
@@ -1299,18 +1325,53 @@ def test_g17_kernel_on_a_million_values_of_each_kind():
 
 def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
     """A kernel that sent every value to ``%`` would write the same bytes,
-    so only a count shows it: of the default chart's distinct half_trace
-    cells per CSV block, fewer than 0.1% reach the ``%`` formatter."""
+    so only a count shows it: of the distinct floats that the CSV writer
+    passes per block of the default chart, all its float fields at once,
+    fewer than 0.1% reach the ``%`` formatter."""
     cfg = _merged(cli.SWEEP_DEFAULTS, {})
-    half_trace = cli.run_sweep(cfg).rows["half_trace"]
-    percent, sent = cli._g17_percent, []
+    header, rows, status = cli.run_sweep(cfg)
+    float_texts, percent, passed, sent = cli._csv_float_texts, cli._g17_percent, [], []
+
+    def record(values):
+        texts = float_texts(values)
+        assert texts == _percent_texts(values)
+        passed.append(len(values))
+        return texts
+
+    monkeypatch.setattr(cli, "_csv_float_texts", record)
     monkeypatch.setattr(cli, "_g17_percent", lambda values: sent.append(len(values)) or percent(values))
-    distinct = 0
-    for start in range(0, len(half_trace), cli._BLOCK_ROWS):
-        block = half_trace[start:start + cli._BLOCK_ROWS]
-        assert cli._csv_texts(block) == _percent_texts(block)
-        distinct += len(np.unique(block.view(np.int64)))
+    cli._write_csv(io.StringIO(), cli._meta("sweep", cfg, status), header, rows)
+    assert len(passed) == -(-len(rows) // cli._BLOCK_ROWS)  # one call per block
+    distinct = sum(passed)
     assert distinct > 20000 and sum(sent) < 1e-3 * distinct
+
+
+@pytest.mark.parametrize("fmt, formatter, block_rows", [
+    ("csv", "_csv_float_texts", cli._BLOCK_ROWS),
+    ("json", "_json_float_texts", cli._JSON_BLOCK_ROWS),
+])
+def test_each_distinct_float_of_a_block_is_formatted_once(monkeypatch, fmt, formatter, block_rows):
+    """The bytes do not show how often a float is formatted, so count the
+    formatter's calls: the one-value field once per table, then one call per
+    block with each distinct bit pattern of the block's other float fields
+    once, values shared across fields and the seam included."""
+    size = 4097
+    header, rows = typed_table(
+        ["early", "late", "same", "mixed", "index"],
+        [[0.25 * k for k in range(size)], [0.25 * (k - 1) for k in range(size)],
+         [2.5] * size, [(1.5, math.nan, -0.0)[k % 3] for k in range(size)], range(size)],
+        ["float", "float", "float", "float", "int"])
+    to_texts, calls = getattr(cli, formatter), []
+    monkeypatch.setattr(cli, formatter,
+                        lambda values: calls.append(values.view(np.int64).tolist()) or to_texts(values))
+    out = io.StringIO()
+    {"csv": cli._write_csv, "json": cli._write_json}[fmt](out, META, header, rows)
+    assert out.getvalue() == _reference_output(fmt, META, header, rows)
+    varying = ["f0", "f1", "f3"]  # early, late and mixed
+    blocks = [np.unique(np.concatenate([rows[name][start:start + block_rows].view(np.int64)
+                                        for name in varying])).tolist()
+              for start in range(0, size, block_rows)]
+    assert calls == [np.array([2.5]).view(np.int64).tolist()] + blocks
 
 
 @pytest.mark.parametrize("argv", [
