@@ -13,9 +13,10 @@ gives it its row head, separators, row tail, the text between rows, float
 formatter and string escape.  A field with one value in every row is
 written into the separators once.  In a block, each distinct float of the
 other float fields, told apart by bit pattern, is formatted once
-(``_float_texts``): for CSV by an exact vectorised ``%.17g`` (``_g17``)
-from ``_G17_FLOOR`` distinct values on, and by ``%`` below that; for JSON
-by ``repr``.  Each block is one join.
+(``_float_texts``): from ``_G17_FLOOR`` distinct values on by the exact
+vectorised kernel of ``_g17``, as ``%.17g`` for CSV and as the shortest
+round-trip ``repr`` for JSON, and below that by ``%`` and ``repr``
+themselves.  Each block is one join.
 """
 
 from __future__ import annotations
@@ -188,16 +189,20 @@ def _float_texts(fields, to_texts):
     return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
 
 
-#: Distinct floats of a CSV block's float fields from which the kernel of
-#: :mod:`zenofloquet._g17` formats them.  The kernel costs about 0.1 ms a
-#: call, a few us more for each (sign, decade) run, and 0.15-0.3 us a value;
-#: ``%`` costs 0.5-0.9 us a value.  On a 2-vCPU host they break even near
-#: 300 values in one decade of each sign and near 500 over all 40 runs; at
-#: 1000 values the kernel takes about half the time of ``%``, and at 4096 a
-#: third.  The floor is 1024, not 500: numpy keeps freed data buffers of
-#: under 1 KiB for reuse, seven of each size, and a call on fewer values
-#: leaves boolean masks of a new size there whenever the count changes,
-#: which raised a chart run's RSS by about 1 MB over 400 ops.
+#: Distinct floats of a block's float fields from which the kernel of
+#: :mod:`zenofloquet._g17` formats them.  On a 2-vCPU host, in ``%.17g`` mode
+#: (CSV) the kernel costs about 0.1 ms a call, a few us more for each (sign,
+#: decade) run, and 0.15-0.3 us a value; ``%`` costs 0.5-0.9 us a value.  They
+#: break even near 300 values in one decade of each sign and near 500 over
+#: all 40 runs; at 1000 values the kernel takes about half the time of ``%``,
+#: and at 4096 a third.  In shortest mode (JSON) the kernel costs 0.15-0.35 ms
+#: a call and 0.3-0.4 us a value; ``repr`` costs 0.8-1.0 us a value.  They
+#: break even near 300 values in one decade of each sign and 700-900 over all
+#: 40 runs; at 1024 values the kernel takes 0.5-0.8 of the time of ``repr``,
+#: and at 4096 0.35-0.45.  The floor is 1024, not 500: numpy keeps freed
+#: data buffers of under 1 KiB for reuse, seven of each size, and a call on
+#: fewer values leaves boolean masks of a new size there whenever the count
+#: changes, which raised a chart run's RSS by about 1 MB over 400 ops.
 _G17_FLOOR = 1024
 
 
@@ -218,12 +223,24 @@ def _csv_float_texts(values):
     return _g17.texts(values, _g17_percent)
 
 
-def _json_float_texts(values):
-    """The distinct floats of a JSON block as ``json.dumps`` writes them."""
+def _json_repr(values):
+    """Floats as ``json.dumps`` writes them: ``repr``, and ``NaN`` and
+    ``Infinity`` for the values that have no JSON number."""
     texts = list(map(float.__repr__, values.tolist()))
     if np.isfinite(values).all():
         return texts
     return list(map(_JSON_NONFINITE.get, texts, texts))
+
+
+def _json_float_texts(values):
+    """The distinct floats of a JSON block as ``json.dumps`` writes them: by
+    the shortest round-trip kernel of :mod:`zenofloquet._g17` from
+    ``_G17_FLOOR`` values on, with :func:`_json_repr` for the values that it
+    leaves."""
+    if len(values) < _G17_FLOOR:
+        return _json_repr(values)
+    from . import _g17  # on first use, as for CSV
+    return _g17.texts(values, _json_repr, shortest=True)
 
 
 def _cell_texts(fields, float_texts, escape):

@@ -1256,11 +1256,21 @@ def test_trajectory_json_equals_reference_writer(tmp_path, gamma, omega, code, f
     assert out.read_bytes() == expected.encode("utf-8")
 
 
-# --- the vectorised %.17g against the % operator -----------------------------
+# --- the vectorised %.17g and repr against the % operator and repr ----------
 
 def _percent_texts(values):
     """The reference: ``"%.17g" % v`` of each value."""
     return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _repr_texts(values):
+    """The reference: ``repr(v)`` of each value."""
+    return list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _shortest_texts(values):
+    """The kernel's shortest round-trip mode, with ``repr`` for the rest."""
+    return _g17.texts(np.array(values, dtype=np.float64), _repr_texts, shortest=True)
 
 
 def _float_of_bits(bits):
@@ -1273,24 +1283,51 @@ def _below(power):
     return x if Fraction(x) < power else math.nextafter(x, 0.0)
 
 
+def _neighbours(values):
+    return [y for x in values for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
 #: Each power of ten whose ``%g`` text has no exponent, with both neighbours.
 POWERS_OF_TEN = [float(f"1e{k}") for k in range(-4, 16)]
-POWER_NEIGHBOURS = [y for x in POWERS_OF_TEN
-                    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+POWER_NEIGHBOURS = _neighbours(POWERS_OF_TEN)
 #: For each decade of the kernel's range, its float nearest the next decade.
 DECADE_TOPS = [_below(Fraction(10) ** k) for k in range(-3, 17)]
+#: The powers of two of the kernel's range and one beyond each end, with both neighbours.
+POWERS_OF_TWO = _neighbours([2.0**k for k in range(-14, 55)])
+#: The edges of the kernel's range and the values beside them.
+RANGE_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, -1e-4]
+#: Signed zeros, subnormals, NaN and the infinities: outside the range.
+SPECIALS = [-0.0, 0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]
+FLOATS = st.lists(st.integers(0, 2**64 - 1).map(_float_of_bits) | st.floats(),
+                  min_size=1, max_size=64)
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.integers(0, 2**64 - 1).map(_float_of_bits) | st.floats(),
-                       min_size=1, max_size=64))
+@given(values=FLOATS)
 @example(values=[1 + 2**-17])  # 1.00000762939453125: the tie rounds to even, ...312
 @example(values=POWER_NEIGHBOURS)
-@example(values=[math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16, -1e-4])
+@example(values=RANGE_EDGES)
 @example(values=DECADE_TOPS + [-x for x in DECADE_TOPS])
-@example(values=[-0.0, 0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])
+@example(values=SPECIALS)
 def test_g17_kernel_equals_percent(values):
     assert _g17.texts(np.array(values), _percent_texts) == _percent_texts(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=FLOATS)
+@example(values=POWERS_OF_TWO)
+# 17 digits: the exact value ends in ...2734375, half a unit of the 17th
+# digit, and rounds to even, ...273438; a tie between ...600000000000000.2
+# and .3, both 16 digits that read back as the value
+@example(values=[25282171205.2734375, 600000000000000.25, -74767544477515.375])
+@example(values=[1.0, -2.0, 1e15, 9007199254740996.0, 9999999999999998.0])  # integral
+@example(values=DECADE_TOPS + [-x for x in DECADE_TOPS])
+@example(values=[0.1, 0.3, -0.2, 2.675, 1.1, 123.456, 0.0001234, 1e-3, 1e5])  # short decimals
+@example(values=POWER_NEIGHBOURS)
+@example(values=RANGE_EDGES)
+@example(values=SPECIALS)
+def test_g17_kernel_equals_repr(values):
+    assert _shortest_texts(values) == _repr_texts(values)
 
 
 def test_kernel_decades_are_exact():
@@ -1308,19 +1345,39 @@ def test_kernel_decades_are_exact():
     assert _g17.texts(np.array(DECADE_TOPS), _percent_texts) == _percent_texts(DECADE_TOPS)
 
 
+def _short_decimals(rng, count):
+    """Floats read from random decimal strings of 1 to 16 significant digits,
+    with magnitudes ``10**U(-5, 17)`` and random signs: ``repr`` writes most
+    of them with fewer than 17 digits."""
+    places = rng.integers(1, 17, count)
+    significands = rng.integers(10 ** (places - 1), 10**places)
+    exponents = rng.integers(-5, 17, count) - places + 1
+    signs = rng.choice(["", "-"], count)
+    return np.array([float(f"{sign}{digits}e{exp}") for sign, digits, exp
+                     in zip(signs.tolist(), significands.tolist(), exponents.tolist())])
+
+
 def test_g17_kernel_on_a_million_values_of_each_kind():
-    """10^6 random bit patterns and 10^6 values ``+-10**U(-5, 17)``, sorted
-    by bit pattern as the CSV writer passes them, and a tenth of each also
-    in the drawn order."""
+    """10^6 random bit patterns, 10^6 values ``+-10**U(-5, 17)`` and 2 * 10^5
+    short decimals (:func:`_short_decimals`), sorted by bit pattern as the
+    writers pass them, and a tenth of each also in the drawn order, each
+    through both modes.  The fallback returns each value that it is given
+    in place of its text, so each value comes back where it was, and each
+    text that the kernel writes itself is compared with the reference."""
     rng = np.random.default_rng(30)
     bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
     decades = 10.0 ** rng.uniform(-5.0, 17.0, 10**6) * rng.choice([-1.0, 1.0], 10**6)
-    for values in (bits, decades):
-        for k, chunk in enumerate(np.array_split(values, 100)):
-            if k % 10 == 0:
-                assert _g17.texts(chunk, _percent_texts) == _percent_texts(chunk)
-            chunk = np.unique(chunk.view(np.int64)).view(np.float64)
-            assert _g17.texts(chunk, _percent_texts) == _percent_texts(chunk)
+    short = _short_decimals(rng, 2 * 10**5)
+    for values in (bits, decades, short):
+        for k, chunk in enumerate(np.array_split(values, len(values) // 10**4)):
+            distinct = np.unique(chunk.view(np.int64)).view(np.float64)
+            for drawn in (distinct, chunk)[:1 + (k % 10 == 0)]:
+                for reference, shortest in ((_percent_texts, False), (_repr_texts, True)):
+                    cells = _g17.texts(drawn, np.ndarray.tolist, shortest)
+                    own = np.array([isinstance(cell, str) for cell in cells])
+                    left = np.array([cell for cell in cells if not isinstance(cell, str)])
+                    assert left.view(np.int64).tolist() == drawn[~own].view(np.int64).tolist()
+                    assert [cell for cell in cells if isinstance(cell, str)] == reference(drawn[own])
 
 
 def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
@@ -1344,6 +1401,32 @@ def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
     assert len(passed) == -(-len(rows) // cli._BLOCK_ROWS)  # one call per block
     distinct = sum(passed)
     assert distinct > 20000 and sum(sent) < 1e-3 * distinct
+
+
+def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
+    """As for the chart: of the distinct floats that the JSON writer passes
+    per block of a stable 5000-period trajectory, at least 95% reach the
+    kernel's shortest mode.  The rest are the photon numbers of the first
+    periods, below ``1e-4``, which ``repr`` writes with an exponent."""
+    schedule = {"gamma": 0.05, "tau1": 1.0, "omega": 0.3, "tau2": 1.0, "periods": 5000}
+    cfg = _merged(cli.SIMULATE_DEFAULTS, {"schedule": schedule})
+    header, rows, status = cli.run_simulate(cfg)
+    float_texts, fallback, blocks, sent = cli._json_float_texts, cli._json_repr, [], []
+
+    def record(values):
+        sent.clear()
+        texts = float_texts(values)
+        assert texts == _repr_texts(values)
+        blocks.append((len(values), sum(sent)))
+        return texts
+
+    monkeypatch.setattr(cli, "_json_float_texts", record)
+    monkeypatch.setattr(cli, "_json_repr", lambda values: sent.append(len(values)) or fallback(values))
+    cli._write_json(io.StringIO(), cli._meta("simulate", cfg, status), header, rows)
+    blocks = [block for block in blocks if block[0] > 1]  # not the one-value half_trace
+    assert len(blocks) == -(-len(rows) // cli._JSON_BLOCK_ROWS)  # one call per block
+    for distinct, left in blocks:
+        assert distinct >= cli._G17_FLOOR and left <= 0.05 * distinct
 
 
 @pytest.mark.parametrize("fmt, formatter, block_rows", [

@@ -22,10 +22,14 @@ SCHEDULE = ["--gamma", "0.001", "--tau1", "1", "--omega", "0.9", "--tau2", "1",
     'assert cli.main(["sweep", "--cross-check", "--gamma-tau1", "0", "1", "3",'
     ' "--omega-tau2", "0", "3", "3"]) == 0',
     f'assert cli.main(["simulate", "--backend", "both", "--cutoff", "4", *{SCHEDULE!r}]) == 0',
+    # 5000 periods of JSON: blocks of thousands of distinct floats, the kernel's shortest mode
+    'assert cli.main(["simulate", "--gamma", "0.05", "--tau1", "1", "--omega", "0.3",'
+    ' "--tau2", "1", "--periods", "5000", "--format", "json"]) == 0'
+    ' and "zenofloquet._g17" in sys.modules',
     'assert cli.main(["estimate", "--eta", "377", "--chi2", "1e-22", "--omega-a", "3e15",'
     ' "--omega-b", "3e15", "--pump-intensity", "1e10", "--length", "0.01"]) == 0',
     'assert len(fock.zeno_threshold_scan(0.2, [0.5, 2.0], periods=2)) == 2',
-], ids=["sweep-cross-check", "simulate-both", "estimate", "zeno-scan"])
+], ids=["sweep-cross-check", "simulate-both", "simulate-json", "estimate", "zeno-scan"])
 def test_runs_without_scipy(statement):
     script = textwrap.dedent(f"""
         import contextlib, io, sys
