@@ -1268,11 +1268,6 @@ def _repr_texts(values):
     return list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _shortest_texts(values):
-    """The kernel's shortest round-trip mode, with ``repr`` for the rest."""
-    return _g17.texts(np.array(values, dtype=np.float64), _repr_texts, shortest=True)
-
-
 def _float_of_bits(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -1317,8 +1312,8 @@ def test_g17_kernel_equals_percent(values):
 @given(values=FLOATS)
 @example(values=POWERS_OF_TWO)
 # 17 digits: the exact value ends in ...2734375, half a unit of the 17th
-# digit, and rounds to even, ...273438; a tie between ...600000000000000.2
-# and .3, both 16 digits that read back as the value
+# digit, and rounds to even, ...273438; then ties between two texts of 16
+# digits that both read back as the value, 600000000000000.2 and .3
 @example(values=[25282171205.2734375, 600000000000000.25, -74767544477515.375])
 @example(values=[1.0, -2.0, 1e15, 9007199254740996.0, 9999999999999998.0])  # integral
 @example(values=DECADE_TOPS + [-x for x in DECADE_TOPS])
@@ -1327,7 +1322,7 @@ def test_g17_kernel_equals_percent(values):
 @example(values=RANGE_EDGES)
 @example(values=SPECIALS)
 def test_g17_kernel_equals_repr(values):
-    assert _shortest_texts(values) == _repr_texts(values)
+    assert _g17.texts(np.array(values), _repr_texts, shortest=True) == _repr_texts(values)
 
 
 def test_kernel_decades_are_exact():
@@ -1406,8 +1401,9 @@ def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
 def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
     """As for the chart: of the distinct floats that the JSON writer passes
     per block of a stable 5000-period trajectory, at least 95% reach the
-    kernel's shortest mode.  The rest are the photon numbers of the first
-    periods, below ``1e-4``, which ``repr`` writes with an exponent."""
+    kernel's shortest mode.  Nearly all the rest are photon numbers below
+    ``1e-4``, near the dips of the record, which ``repr`` writes with an
+    exponent."""
     schedule = {"gamma": 0.05, "tau1": 1.0, "omega": 0.3, "tau2": 1.0, "periods": 5000}
     cfg = _merged(cli.SIMULATE_DEFAULTS, {"schedule": schedule})
     header, rows, status = cli.run_simulate(cfg)
