@@ -6,11 +6,11 @@ operator or of ``float.__repr__``.  The 17 significant digits of a value
 ``x`` with decimal exponent ``X`` are the exact product ``P = x * 10**(16 -
 X)`` rounded to an integer, ties to even: Dekker's two-product (T. J.
 Dekker, Numer. Math. 18, 1971) gives that product exactly as ``hi + lo``.
-The shortest digits that read back as ``x`` are the multiple of the largest
-power of ten that lies within half a float spacing of ``P`` (Steele & White,
-PLDI 1990; Adams, PLDI 2018), nearest ``P``.  The digits are laid out as
-text on one byte canvas, with fixed slices per run of one sign and
-exponent.  numpy only, and no ``np.strings``, which numpy 1.24 lacks.
+The shortest digits that read back as ``x`` are, of the multiples of the
+largest power of ten that lie within half a float spacing of ``P``, the one
+nearest ``P`` (Steele & White, PLDI 1990; Adams, PLDI 2018).  The digits are
+laid out as text on one byte canvas, with fixed slices per run of one sign
+and exponent.  numpy only, and no ``np.strings``, which numpy 1.24 lacks.
 
 The CLI imports this module on first use, for a block with many distinct
 floats.
