@@ -14,7 +14,7 @@ The package has three computational layers plus a command-line front end:
 
 import importlib
 
-from . import floquet, fock, gaussian
+from . import floquet, gaussian
 from ._version import __version__
 from .floquet import (
     Classification,
@@ -51,7 +51,8 @@ __all__ = [
 
 def __getattr__(name):
     # cli is imported on first use: imported here, it would already sit in
-    # sys.modules when ``python -m zenofloquet.cli`` runs it as a script
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    # sys.modules when ``python -m zenofloquet.cli`` runs it as a script.
+    # fock is too: the sweep, a Gaussian simulate and estimate never use it
+    if name in ("cli", "fock"):
+        return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

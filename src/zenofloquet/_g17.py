@@ -188,7 +188,8 @@ def _positional(digits, exp, negative, point):
 
 def texts(values, fallback, shortest=False):
     """``"%.17g" % v`` of each value of a float64 array, or ``repr(v)`` if
-    ``shortest``, as a list of str, byte for byte.
+    ``shortest``, byte for byte: a list of str, or an object array of them
+    when some values are not in order or fall back.
 
     Finite values with ``1e-4 <= |v| < 1e16``, which both write without an
     exponent, are formatted here (:func:`_decimal17`, :func:`_shortest`,
@@ -220,8 +221,8 @@ def texts(values, fallback, shortest=False):
     if ordered and len(fast) == len(values):
         return written
     cells = np.empty(len(values), dtype=object)
-    cells[fast] = np.array(written, dtype=object)
+    cells[fast] = written
     slow = np.ones(len(values), dtype=bool)
     slow[fast] = False
-    cells[slow] = np.array(fallback(values[slow]), dtype=object)
-    return cells.tolist()
+    cells[slow] = fallback(values[slow])
+    return cells

@@ -7,15 +7,17 @@ version.  Exit codes: 0 success, 1 numerical guard tripped (divergence or
 truncation), 2 usage/config error, a request too big to allocate or an
 output that cannot be written.
 
-Both formats are streamed by one writer, ``_write_rows``, in blocks of
-``_BLOCK_ROWS`` CSV rows or ``_JSON_BLOCK_ROWS`` JSON rows; each format
-gives it its row head, separators, row tail, the text between rows, float
-formatter and string escape.  A field with one value in every row is
-written into the separators once.  In a block, each distinct float of the
-other float fields, told apart by bit pattern, is formatted once
-(``_float_texts``): from ``_G17_FLOOR`` distinct values on by the exact
-vectorised kernel of ``_g17``, as ``%.17g`` for CSV and as the shortest
-round-trip ``repr`` for JSON, and below that by ``%`` and ``repr``
+Each subcommand returns its table as its columns (``Columns``): float64,
+int64, or object arrays of str whose cells are a few shared label strings.
+Both formats are streamed by one writer, ``_write_rows``, which slices each
+block of ``_BLOCK_ROWS`` CSV rows or ``_JSON_BLOCK_ROWS`` JSON rows straight
+from the columns; each format gives it its row head, separators, row tail,
+the text between rows, float formatter and string escape.  A column with one
+value in every row is written into the separators once.  In a block, each
+distinct float of the other float columns, told apart by bit pattern, is
+formatted once (``_float_texts``): from ``_G17_FLOOR`` distinct values on by
+the exact vectorised kernel of ``_g17``, as ``%.17g`` for CSV and as the
+shortest round-trip ``repr`` for JSON, and below that by ``%`` and ``repr``
 themselves.  Each block is one join.
 """
 
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import floquet, fock, gaussian
+from . import floquet, gaussian
 from ._version import __version__
 
 
@@ -43,27 +45,37 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination (exit code 2)."""
 
 
+class Columns(dict):
+    """An ordered mapping from each header name to its column, contiguous 1-D
+    arrays of one length: ``rows[name]`` is a column, and ``len(rows)`` is
+    that length, the table's row count, not the number of columns."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return len(next(iter(self.values())))
+
+
 class RunResult(NamedTuple):
     """Output table of one subcommand and its run status.
 
-    ``rows`` is a 1-D structured array with one field per ``header`` name,
-    each ``float64``, ``int64`` or ``str``.  ``status`` is ``"ok"`` or the
-    ``;``-joined guards that tripped; anything but ``"ok"`` exits with code 1.
+    ``rows`` is the :class:`Columns` of the table, one per ``header`` name in
+    header order, each ``float64``, ``int64`` or an object array of ``str``.
+    ``status`` is ``"ok"`` or the ``;``-joined guards that tripped; anything
+    but ``"ok"`` exits with code 1.
     """
 
     header: list
-    rows: np.ndarray
+    rows: Columns
     status: str = "ok"
 
 
 def _table(columns, status="ok"):
     """The run result of ``columns``, an ordered mapping from each header name
-    to its column: the equal-length columns as rows of one structured array."""
-    columns = {name: np.asarray(column) for name, column in columns.items()}
-    rows = np.empty(len(next(iter(columns.values()))), [(k, c.dtype) for k, c in columns.items()])
-    for name, column in columns.items():
-        rows[name] = column
-    return RunResult(list(columns), rows, status)
+    to its column; the equal-length columns are kept as they are, each made
+    contiguous, with no copy of one that already is."""
+    rows = Columns((name, np.ascontiguousarray(column)) for name, column in columns.items())
+    return RunResult(list(rows), rows, status)
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -180,11 +192,12 @@ def _float_texts(fields, to_texts):
     list per field, each distinct value of all the fields formatted once.
 
     Values are told apart by bit pattern, so 0.0 and -0.0 stay apart.
-    ``to_texts`` takes a float array and returns the list of its texts.
+    ``to_texts`` takes a float array and returns its texts, as a list or as
+    an object array, which is indexed as it is.
     """
     bits = np.concatenate([field.view(np.int64) for field in fields])
     keys, inverse = np.unique(bits, return_inverse=True)
-    cells = np.array(to_texts(keys.view(np.float64)), dtype=object)[inverse]
+    cells = np.asarray(to_texts(keys.view(np.float64)), dtype=object)[inverse]
     size = len(fields[0])
     return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
 
@@ -247,7 +260,8 @@ def _cell_texts(fields, float_texts, escape):
     """The cells of a block's fields as text, one list per field: the floats
     of all its float fields through one :func:`_float_texts`, ints by
     ``repr``, and each distinct str cell by ``escape``, once; a str field
-    that ``escape`` leaves as it is is its own texts."""
+    that ``escape`` leaves as it is is its own texts, the very str objects
+    of its cells."""
     floats = [field for field in fields if field.dtype.kind == "f"]
     float_cells = iter(_float_texts(floats, float_texts) if floats else ())
     out = []
@@ -264,34 +278,48 @@ def _cell_texts(fields, float_texts, escape):
     return out
 
 
-def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_rows):
-    """Write each row as ``head``, its cells with ``seps`` between them, and
-    ``tail``, with ``between`` between rows, in blocks of ``block_rows`` rows.
+def _one_value(column):
+    """True if every cell of ``column`` equals its first, floats by bit
+    pattern.  Str cells are compared by Python's ``==``, which meets a shared
+    label string by identity and is faster than numpy's compare of object
+    cells; a str column whose last cell differs from its first is not even
+    listed."""
+    if column.dtype.kind == "O":
+        first = column[0]
+        return column[-1] == first and column.tolist().count(first) == len(column)
+    same = column.view(np.int64) if column.dtype.kind == "f" else column
+    return bool((same == same[0]).all())
 
-    A field with one value in every row (floats compared by bit pattern) has
-    its text written into the text around the other cells, once.  The cells
-    of each block are made by :func:`_cell_texts`, and the block is one join.
+
+def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_rows):
+    """Write each row of the :class:`Columns` ``rows`` as ``head``, its cells
+    with ``seps`` between them, and ``tail``, with ``between`` between rows,
+    in blocks of ``block_rows`` rows.
+
+    A column with one value in every row has its text written into the text
+    around the other cells, once.  The cells of each block are sliced from
+    the columns and made text by :func:`_cell_texts`, and the block is one
+    join.
     """
-    if not len(rows):
+    size = len(rows)
+    if not size:
         return
-    # the texts around the cells that vary, one more than those fields
+    # the texts around the cells that vary, one more than those columns
     fixed, varying = [head], []
-    for name, sep in zip(rows.dtype.names, [*seps, tail]):
-        field = rows[name]
-        same = field.view(np.int64) if field.dtype.kind == "f" else field
-        if (same == same[0]).all():
-            fixed[-1] += _cell_texts([field[:1]], float_texts, escape)[0][0] + sep
+    for column, sep in zip(rows.values(), [*seps, tail]):
+        if _one_value(column):
+            fixed[-1] += _cell_texts([column[:1]], float_texts, escape)[0][0] + sep
         else:
-            varying.append(name)
+            varying.append(column)
             fixed.append(sep)
     # a row: the text between rows and the head, then each cell and the text after it
     unit = [between + fixed[0]] + [piece for text in fixed[1:] for piece in (None, text)]
-    for start in range(0, len(rows), block_rows):
-        block = rows[start:start + block_rows]
-        parts = unit * len(block)
+    for start in range(0, size, block_rows):
+        stop = min(start + block_rows, size)
+        parts = unit * (stop - start)
         if not start:
             parts[0] = fixed[0]
-        texts = _cell_texts([block[name] for name in varying], float_texts, escape)
+        texts = _cell_texts([column[start:stop] for column in varying], float_texts, escape)
         for i in range(len(varying)):
             parts[2 * i + 1::len(unit)] = texts[i]
         fh.write("".join(parts))
@@ -364,6 +392,10 @@ def _require_gamma_tau1(name, value):
             "gamma*tau1 whose squared pair-map entries float64 can hold")
 
 
+#: The cross-check's verdicts, indexed by "diverged": shared label strings.
+_OUTCOMES = np.array(["bounded", "diverged"], dtype=object)
+
+
 def run_sweep(cfg) -> RunResult:
     """Stability map over the (gamma*tau1, omega*tau2) grid.
 
@@ -391,9 +423,9 @@ def run_sweep(cfg) -> RunResult:
                "floquet_exponent": exponent.ravel()}
     if enabled:
         diverged = gaussian._pair_stack_diverges(pair, periods, cap).ravel()
-        unstable = classes == floquet.Classification.UNSTABLE.value
+        unstable = floquet._band_index(half_trace, epsilon) == 2
         disagree = (np.abs(half_trace - 1.0) > 1e-3) & (unstable != diverged)
-        columns["gaussian_outcome"] = np.where(diverged, "diverged", "bounded")
+        columns["gaussian_outcome"] = _OUTCOMES[diverged.view(np.int8)]
         columns["disagreement"] = disagree.astype(np.int64)
     return _table(columns)
 
@@ -459,6 +491,7 @@ def _initial_gaussian(initial, modes):
 
 
 def _initial_fock(initial, modes, cutoff):
+    from . import fock  # on first use: a Gaussian run never loads it
     kind, alphas, occupations = _read_initial(initial, modes)
     with _usage_errors():
         if kind == "vacuum":
@@ -479,6 +512,7 @@ def run_simulate(cfg) -> RunResult:
         raise ConfigError("backend must be gaussian, fock or both")
     cutoff = cfg["cutoff"]
     if cutoff is not None or backend != "gaussian":  # the fock backend needs one
+        from . import fock  # on first use, as in _initial_fock
         cutoff = _require_count(cfg, "cutoff", 1, fock.MAX_CUTOFF[modes])
     photon_cap = _require_number(cfg, "photon_cap", positive=True)
     report = floquet.classify_schedule(schedule)
@@ -502,9 +536,12 @@ def run_simulate(cfg) -> RunResult:
     if backend == "both":
         steps = min(steps, gauss_traj.photon_totals.size)
     mode_cols = ["n_a", "n_b"] if modes == 2 else ["n"]
+    # np.full would cast the label to a fixed-width array and back, one new
+    # str per cell; repeat shares the one label string
+    label = np.array([report.classification.value], dtype=object)
     columns = {"period": np.arange(steps), **dict(zip(mode_cols, per_mode[:steps].T)),
                "n_total": total[:steps], "half_trace": np.full(steps, report.half_trace),
-               "classification": np.full(steps, report.classification.value)}
+               "classification": label.repeat(steps)}
     if backend == "fock":
         columns["norm_drift"] = fock_traj.norm_drift[:steps]
         columns["leakage"] = fock_traj.leakage[:steps]

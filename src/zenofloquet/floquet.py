@@ -302,7 +302,8 @@ def minus_mode_monodromy(schedule: DriveSchedule) -> np.ndarray:
 
 
 _BAND = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
-_BAND_VALUES = np.array([c.value for c in _BAND])
+#: The value strings of ``_BAND``: a band index array takes them as shared str cells.
+_BAND_VALUES = np.array([c.value for c in _BAND], dtype=object)
 _CLASSIFICATION = {c.value: c for c in _BAND}
 _FOUR_EPS = 4.0 * np.finfo(float).eps
 
@@ -393,9 +394,11 @@ def classify_stack(maps: np.ndarray, period: float,
     Returns
     -------
     (half_trace, classification, floquet_exponent)
-        Arrays of the stack's shape: float half-traces, the
-        :class:`Classification` values as strings, and float exponents.
-        Every entry equals the field :func:`classify` gives for its map.
+        Arrays of the stack's shape: float half-traces, an object array of
+        the :class:`Classification` value strings (each cell one of the
+        three shared ``value`` objects, taken by band index), and float
+        exponents.  Every entry equals the field :func:`classify` gives for
+        its map.
     """
     m = np.asarray(maps, dtype=float)
     if m.shape[-2:] != (2, 2):

@@ -56,8 +56,14 @@ def test_subcommands_return_one_result_shape(run, cfg, status):
     result = run(cfg)
     assert isinstance(result, cli.RunResult)
     assert result[1] is result.rows
-    assert len(result.header) == len(result.rows[0])
+    assert list(result.rows) == result.header
     assert result.status == status
+
+
+def _row_tuples(rows):
+    """The rows of a column table as tuples of Python values, as a row loop
+    would build them."""
+    return list(zip(*(column.tolist() for column in rows.values())))
 
 
 SMALL_SWEEP = {**cli.SWEEP_DEFAULTS,
@@ -79,15 +85,55 @@ SMALL_SWEEP = {**cli.SWEEP_DEFAULTS,
     f"simulate-{backend}-{modes}" for modes in (1, 2)
     for backend in ("gaussian", "fock", "both")] + ["simulate-diverged", "estimate"])
 def test_rows_are_one_typed_field_per_header_name(run, cfg, count):
-    """``rows`` is one structured array: ``len`` counts the table rows, and
-    each header name is a float64, int64 or str field, in header order."""
+    """``rows`` holds the columns: ``len`` counts the table rows, and each
+    header name, in header order, is a contiguous column of that length of
+    float64, int64 or str cells."""
     header, rows, _ = run(cfg)
-    assert isinstance(rows, np.ndarray) and rows.ndim == 1
+    assert isinstance(rows, cli.Columns)
     assert len(rows) == count
-    assert list(rows.dtype.names) == header
-    for name in header:
-        dtype = rows.dtype[name]
-        assert dtype in (np.float64, np.int64) or dtype.kind == "U", (name, dtype)
+    assert list(rows) == header
+    for name, column in rows.items():
+        assert column.shape == (count,) and column.flags.c_contiguous, name
+        assert column.dtype in (np.float64, np.int64) or (
+            column.dtype == object and {type(cell) for cell in column.tolist()} == {str}), (
+            name, column.dtype)
+
+
+@pytest.mark.parametrize("run, cfg, count", [
+    (cli.run_sweep, SMALL_SWEEP, 12),
+    (cli.run_simulate, {**cli.SIMULATE_DEFAULTS, "schedule": SCHEDULE}, 4),
+    (cli.run_estimate, dict.fromkeys(cli.ESTIMATE_DEFAULTS, 1.0), 1),
+], ids=["sweep", "simulate", "estimate"])
+def test_len_of_rows_is_the_row_count(run, cfg, count):
+    """``bench/spans.py`` counts a run's rows as ``len(result[1])``: that
+    is the number of rows, not of columns (7, 6 and 8 here)."""
+    result = run(cfg)
+    assert len(result[1]) == count != len(result.header)
+    assert all(len(column) == count for column in result[1].values())
+
+
+def test_label_cells_are_shared_value_strings():
+    """The sweep's label cells are the ``Classification`` value objects and
+    the two outcome strings themselves, not copies, and so are a simulate
+    run's; the sweep's ``disagreement`` equals the one computed from
+    fixed-width copies of the labels."""
+    header, rows, _ = cli.run_sweep({**SMALL_SWEEP, "gamma_tau1": {
+        "min": 0.0, "max": 1.5, "steps": 31}, "omega_tau2": {"min": 0.0, "max": 3.0, "steps": 29}})
+    values = {c.value: c.value for c in floquet.Classification}
+    classes = rows["classification"]
+    assert classes.dtype == object and rows["gaussian_outcome"].dtype == object
+    assert all(cell is values[cell] for cell in classes.tolist())
+    assert set(classes.tolist()) == set(values)
+    outcomes = rows["gaussian_outcome"].tolist()
+    assert set(outcomes) == {"bounded", "diverged"}
+    assert len({id(cell) for cell in outcomes}) == 2
+    labels, verdicts = classes.astype("U8"), rows["gaussian_outcome"].astype("U8")
+    disagree = (np.abs(rows["half_trace"] - 1.0) > 1e-3) & (
+        (labels == "unstable") != (verdicts == "diverged"))
+    assert rows["disagreement"].tolist() == disagree.astype(np.int64).tolist()
+    assert rows["disagreement"].any()
+    simulated = cli.run_simulate({**cli.SIMULATE_DEFAULTS, "schedule": SCHEDULE}).rows
+    assert all(cell is values["stable"] for cell in simulated["classification"].tolist())
 
 
 class TestEstimate:
@@ -716,7 +762,8 @@ def test_sweep_matches_pointwise_references(g_lo, g_span, g_steps, w_lo, w_hi,
     thetas = np.linspace(w_lo, w_hi, w_steps).tolist()
     assert list(zip(rows["gamma_tau1"].tolist(), rows["omega_tau2"].tolist())) == [
         (g, w) for g in gammas for w in thetas]
-    for row in rows:
+    for cells in _row_tuples(rows):
+        row = dict(zip(header, cells))
         schedule = floquet.DriveSchedule.from_products(float(row["gamma_tau1"]),
                                                        float(row["omega_tau2"]))
         report = floquet.classify(floquet.monodromy(schedule), 2.0, epsilon)
@@ -932,7 +979,7 @@ COHERENT = {"type": "coherent", "alpha": [[0.6, -0.2], [0.1, 0.3]]}
                  id="gaussian-diverged"),
 ])
 def test_simulate_columns_equal_row_loop(cfg):
-    assert _bits(cli.run_simulate(cfg).rows.tolist()) == _bits(_row_loop(cfg))
+    assert _bits(_row_tuples(cli.run_simulate(cfg).rows)) == _bits(_row_loop(cfg))
 
 
 def test_simulate_ends_with_the_shorter_record():
@@ -943,7 +990,7 @@ def test_simulate_ends_with_the_shorter_record():
                                   "tau2": 1.0, "periods": 60},
                         backend="both", cutoff=8, photon_cap=20)
     result = cli.run_simulate(cfg)
-    assert _bits(result.rows.tolist()) == _bits(_row_loop(cfg))
+    assert _bits(_row_tuples(result.rows)) == _bits(_row_loop(cfg))
     assert len(result.rows) == 9
     assert result.status == "gaussian-diverged;fock-truncation-unsafe"
 
@@ -1007,7 +1054,7 @@ def _reference_output(fmt, meta, header, rows):
     """Output text as the writer built it before streaming: csv.writer with
     the per-cell .17g/str rule, or ``json.dumps(indent=1)`` of the payload,
     over the rows as Python values."""
-    rows = rows.tolist()
+    rows = _row_tuples(rows)
     if fmt == "csv":
         buf = io.StringIO()
         for key in ("tool", "version", "command", "schema", "config_hash", "status"):
@@ -1033,15 +1080,15 @@ def _assert_writes_reference(tmp_path, fmt, meta, header, rows):
 
 
 def typed_table(header, columns, kinds):
-    """``(header, rows)`` with ``rows`` one structured array holding each
-    column as a field of its kind ("float", "int" or "str").  The writers read
-    fields by position, so the fields are named ``f0, f1, ...`` whatever the
-    header holds."""
+    """``(header, rows)`` with ``rows`` the run-result columns of ``columns``,
+    each of its kind: "float" and "int" as float64 and int64, "str" as an
+    object array of str.  The writers read columns by position, so the
+    columns are named ``f0, f1, ...`` whatever the header holds."""
     arrays = [np.array(c, dtype=TYPED_DTYPES[k]) for c, k in zip(columns, kinds)]
     return header, cli._table({f"f{i}": array for i, array in enumerate(arrays)}).rows
 
 
-TYPED_DTYPES = {"float": np.float64, "int": np.int64, "str": str}
+TYPED_DTYPES = {"float": np.float64, "int": np.int64, "str": object}
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
                   1e308, -1.7976931348623157e308, 0.1]
 INT64 = st.sampled_from([0, -1, 2**63 - 1, -2**63, 2**53 + 1]) | st.integers(-2**63, 2**63 - 1)
@@ -1203,6 +1250,24 @@ def test_streamed_output_across_json_block_seams(tmp_path, fmt, size):
     _assert_writes_reference(tmp_path, fmt, META, *table)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shared_label_cells_across_block_seams(tmp_path, fmt):
+    """A column of a few shared str objects, as the subcommands build their
+    labels: each label needs CSV quotes and JSON escapes, and the first
+    block of either format (2048 JSON rows, 4096 CSV rows) holds one label,
+    the next ones three; beside a column of one shared label that needs
+    both."""
+    size = 2 * cli._BLOCK_ROWS + 1
+    labels = np.array(['say "hi"', "a,b", "caf\u00e9\n\u4e2d"], dtype=object)
+    k = np.arange(size)
+    pick = np.where(k < cli._JSON_BLOCK_ROWS, 0, k % 3)
+    header = ["period", "label", "same"]
+    rows = cli._table({"period": k, "label": labels[pick],
+                       "same": labels[np.ones(size, dtype=np.intp)]}).rows
+    assert rows["label"].dtype == object and rows["label"][-1] is labels[2]
+    _assert_writes_reference(tmp_path, fmt, META, header, rows)
+
+
 def _assert_chart_writes_reference(tmp_path, axes, size):
     out = tmp_path / "chart.csv"
     argv = ["sweep", "--cross-check", "--out", str(out)]
@@ -1305,7 +1370,7 @@ FLOATS = st.lists(st.integers(0, 2**64 - 1).map(_float_of_bits) | st.floats(),
 @example(values=DECADE_TOPS + [-x for x in DECADE_TOPS])
 @example(values=SPECIALS)
 def test_g17_kernel_equals_percent(values):
-    assert _g17.texts(np.array(values), _percent_texts) == _percent_texts(values)
+    assert list(_g17.texts(np.array(values), _percent_texts)) == _percent_texts(values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1322,7 +1387,7 @@ def test_g17_kernel_equals_percent(values):
 @example(values=RANGE_EDGES)
 @example(values=SPECIALS)
 def test_g17_kernel_equals_repr(values):
-    assert _g17.texts(np.array(values), _repr_texts, shortest=True) == _repr_texts(values)
+    assert list(_g17.texts(np.array(values), _repr_texts, shortest=True)) == _repr_texts(values)
 
 
 def test_kernel_decades_are_exact():
@@ -1337,7 +1402,7 @@ def test_kernel_decades_are_exact():
         assert Fraction(power) >= Fraction(10) ** k
     for k, top in zip(range(-3, 17), DECADE_TOPS):
         assert Fraction(top) < Fraction(10) ** k - Fraction(10) ** (k - 17) / 2
-    assert _g17.texts(np.array(DECADE_TOPS), _percent_texts) == _percent_texts(DECADE_TOPS)
+    assert list(_g17.texts(np.array(DECADE_TOPS), _percent_texts)) == _percent_texts(DECADE_TOPS)
 
 
 def _short_decimals(rng, count):
@@ -1386,7 +1451,7 @@ def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
 
     def record(values):
         texts = float_texts(values)
-        assert texts == _percent_texts(values)
+        assert list(texts) == _percent_texts(values)
         passed.append(len(values))
         return texts
 
@@ -1412,7 +1477,7 @@ def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
     def record(values):
         sent.clear()
         texts = float_texts(values)
-        assert texts == _repr_texts(values)
+        assert list(texts) == _repr_texts(values)
         blocks.append((len(values), sum(sent)))
         return texts
 

@@ -1,4 +1,5 @@
-"""numpy is the one runtime dependency: no command imports scipy.
+"""numpy is the one runtime dependency: no command imports scipy, and only
+the commands that use the Fock engine import it.
 
 scipy stays a test dependency, an independent reference for the tests, so
 each check runs in a fresh interpreter.
@@ -48,3 +49,29 @@ def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--cross-check", "--gamma-tau1", "0", "1", "3", "--omega-tau2", "0", "3", "3"],
+    ["estimate", "--eta", "377", "--chi2", "1e-22", "--omega-a", "3e15", "--omega-b", "3e15",
+     "--pump-intensity", "1e10", "--length", "0.01"],
+], ids=["sweep", "estimate"])
+def test_fock_is_imported_only_where_used(argv):
+    """A sweep and an estimate never load the Fock engine; the package still
+    serves it, both as ``from zenofloquet import fock`` and as an attribute."""
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import zenofloquet
+        from zenofloquet import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+        assert "zenofloquet.fock" not in sys.modules
+        from zenofloquet import fock
+        assert zenofloquet.fock is fock is sys.modules["zenofloquet.fock"]
+        assert fock.MAX_CUTOFF
+        print("ok")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
