@@ -367,7 +367,7 @@ def _write_output(out_path, fmt, meta, header, rows):
 SWEEP_DEFAULTS = {
     "gamma_tau1": {"min": 0.0, "max": 1.5, "steps": 151},
     "omega_tau2": {"min": 0.0, "max": math.pi, "steps": 151},
-    "epsilon": 1e-9,
+    "epsilon": floquet.DEFAULT_EPSILON,
     "cross_check": {
         "enabled": False,
         "periods": 10000,
@@ -385,13 +385,6 @@ def _axis_values(cfg, name):
     return np.linspace(lo, hi, steps)
 
 
-def _require_gamma_tau1(name, value):
-    if value > floquet.MAX_GAMMA_TAU1:
-        raise ConfigError(
-            f"{name} = {value!r} exceeds {floquet.MAX_GAMMA_TAU1!r}, the largest "
-            "gamma*tau1 whose squared pair-map entries float64 can hold")
-
-
 #: The cross-check's verdicts, indexed by "diverged": shared label strings.
 _OUTCOMES = np.array(["bounded", "diverged"], dtype=object)
 
@@ -404,7 +397,8 @@ def run_sweep(cfg) -> RunResult:
     together.
     """
     gammas = _axis_values(cfg, "gamma_tau1")
-    _require_gamma_tau1("gamma_tau1.max", float(gammas[-1]))
+    with _usage_errors():
+        floquet._require_gamma_tau1(gammas[-1])
     thetas = _axis_values(cfg, "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
     enabled = cfg["cross_check"]["enabled"]
@@ -449,7 +443,7 @@ def _schedule_from_config(cfg):
               for key in ("gamma", "tau1", "omega", "tau2")}
     with _usage_errors():
         schedule = floquet.DriveSchedule(**values, periods=periods)
-    _require_gamma_tau1("gamma*tau1", schedule.gamma_tau1)
+        floquet._require_gamma_tau1(schedule.gamma_tau1)
     return schedule
 
 

@@ -36,6 +36,7 @@ DET_TOL = 1e-9
 #: ``|P|_F^2`` of one period's pair map in the sweep cross-check
 #: (``gaussian.vacuum_diverges``), is about ``4 cosh(gamma*tau1)^2``: a
 #: quarter of float64's maximum at this limit, a factor 4 left for rounding.
+#: Every pair map rejects a ``gamma*tau1`` beyond it in magnitude.
 MAX_GAMMA_TAU1 = math.acosh(math.sqrt(sys.float_info.max / 16.0))
 
 
@@ -218,8 +219,16 @@ def _cosh_sinh(name, product):
                          "float64's range") from None
 
 
+def _require_gamma_tau1(product):
+    """Reject a ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in magnitude."""
+    if abs(product) > MAX_GAMMA_TAU1:
+        raise ValueError(f"gamma*tau1 = {float(product)!r} exceeds {MAX_GAMMA_TAU1!r} in "
+                         "magnitude, the largest whose squared pair-map entries float64 can hold")
+
+
 def _hyperbolic_transfer(product: float) -> np.ndarray:
-    c, s = _cosh_sinh("gamma*tau1", product)
+    _require_gamma_tau1(product)
+    c, s = math.cosh(product), math.sinh(product)
     return np.array([[c, s], [s, c]])
 
 
@@ -238,12 +247,9 @@ def _axis_map(fn, axis):
 def _hyperbolic_axis(axis) -> np.ndarray:
     """:func:`_hyperbolic_transfer` of every value of a 1-D ``axis``, stacked."""
     values = axis.tolist()
-    try:
-        c, s = _axis_map(math.cosh, values), _axis_map(math.sinh, values)
-    except OverflowError:
-        for product in values:  # the scalar error, naming the first value out of range
-            _cosh_sinh("gamma*tau1", product)
-        raise
+    for product in values:  # the scalar error, naming the first value beyond the range
+        _require_gamma_tau1(product)
+    c, s = _axis_map(math.cosh, values), _axis_map(math.sinh, values)
     return np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2)
 
 
@@ -266,7 +272,8 @@ def pair_map(gamma_tau1, omega_tau2) -> np.ndarray:
     ``(len(gamma_tau1), len(omega_tau2), 2, 2)`` stack, from one transfer
     matrix per axis value and one batched matmul, equal bit for bit to the
     scalar maps.  Each product or axis value is finite and real, never a
-    bool, and may be negative.
+    bool, and may be negative; a ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in
+    magnitude is a ``ValueError``.
     """
     gammas = _require_finite("gamma_tau1", gamma_tau1)
     omegas = _require_finite("omega_tau2", omega_tau2)

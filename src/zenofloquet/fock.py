@@ -698,12 +698,11 @@ class _Segment:
         return step
 
 
-def _rotate(coords, cos, sin, partner, spare=None):
+def _rotate(coords, cos, sin, partner, spare):
     """Turn ``coords`` in place by ``R(angle)``: ``cos * coords + sin *
     coords[partner]`` row by row, with ``cos`` and ``sin`` the tables of
     ``angle * weights`` (see :class:`_Packing`) and ``partner`` the row each
-    row turns with.  ``spare`` is a buffer of their shape, fresh if
-    omitted."""
+    row turns with.  ``spare`` is a buffer of their shape."""
     spare = coords.take(partner, 0, spare, "clip")
     spare *= sin
     coords *= cos

@@ -226,8 +226,9 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     monotone, so the checkpoints catch its divergence; a stable drive whose
     bounded excursion passes the cap only between checkpoints is reported
     bounded, where :func:`evolve`, which tests every period, reports it
-    diverged.  A point stays marked once past the cap; its entries may then
-    overflow to ``inf`` or ``nan``, silently.
+    diverged.  A point stays marked once past the cap, and is multiplied on
+    with the rest of the grid; its entries may then overflow to ``inf`` or
+    ``nan``, silently.
 
     Only ``P = pair_map(gamma_tau1, omega_tau2)`` is evolved, with its
     inputs checked as given.  With ``X`` the x<->p swap and ``D = diag(1,
@@ -245,21 +246,10 @@ def vacuum_diverges(gamma_tau1, omega_tau2, periods, photon_cap):
     return _pair_stack_diverges(pair_map(gamma_tau1, omega_tau2), periods, photon_cap)
 
 
-def _compact(mats, kept, spare):
-    """The columns ``kept`` of a ``(2, 2, points)`` buffer view, taken row by
-    row into the front of ``spare``, which must not overlap it: no
-    temporary as large as the buffer."""
-    front = spare[..., :kept.size]
-    for i in range(2):
-        for j in range(2):
-            np.take(mats[i, j], kept, out=front[i, j])
-    return front
-
-
-# a point's entries can grow to inf, then nan (inf - inf), before the next
-# checkpoint marks it, and a cap near float64's range lets entries below it
-# square to inf; the flag is sticky and an inf or nan total is past every
-# cap, so the overflow is expected and must not reach stderr
+# a point's entries can grow to inf, then nan (inf - inf), once it is past
+# the cap, and a cap near float64's range lets entries below it square to
+# inf; an inf or nan total is past every cap, so the overflow is expected and
+# must not reach stderr
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_stack_diverges(pair, periods, photon_cap):
     """:func:`vacuum_diverges` of a ``(..., 2, 2)`` stack of pair maps, for a
@@ -271,10 +261,8 @@ def _pair_stack_diverges(pair, periods, photon_cap):
     then the photon totals.  Each product entry is ``x[i, 0] * y[0, j] +
     x[i, 1] * y[1, j]``, as in :func:`_mul`, and each total is summed in the
     order of the two-pair sum, so every verdict is that of fresh products,
-    bit for bit.  A point past the cap at a checkpoint is marked for good,
-    so once a quarter or more of the buffer columns are marked, the others
-    are moved to the front of each buffer and the marked ones are
-    multiplied no more.
+    bit for bit.  Every point is multiplied through every checkpoint: a
+    point past the cap stays marked, whatever its later entries.
     """
     if not periods:
         return np.zeros(pair.shape[:-2], dtype=bool)  # only the vacuum, which no cap > 0 trips
@@ -282,8 +270,6 @@ def _pair_stack_diverges(pair, periods, photon_cap):
     work = np.empty_like(step)
     power = None
     diverged = np.zeros(step.shape[-1], dtype=bool)
-    marked = np.zeros(step.shape[-1], dtype=bool)  # per buffer column
-    live = None  # the point of each buffer column, while some are dropped
 
     def past(mats):
         # photons from vacuum after n periods: the pm basis is orthogonal, so
@@ -299,24 +285,9 @@ def _pair_stack_diverges(pair, periods, photon_cap):
         total -= 1.0
         return _past_cap(total, photon_cap)
 
-    def record():
-        diverged[marked if live is None else live[marked]] = True
-
     n = 1
     while True:
-        marked |= past(step)
-        # drop the marked columns once they are a quarter of the buffers:
-        # moving fewer costs more than their products
-        if 4 * np.count_nonzero(marked) >= marked.size:
-            record()
-            kept = np.flatnonzero(~marked)
-            if not kept.size:
-                break
-            live = kept if live is None else live[kept]
-            marked = np.zeros(kept.size, dtype=bool)
-            step, work = _compact(step, kept, work), step[..., :kept.size]
-            if power is not None:
-                power, work = _compact(power, kept, work), power[..., :kept.size]
+        diverged |= past(step)
         if periods & n and power is None:
             power = step.copy()
         elif periods & n:
@@ -326,8 +297,7 @@ def _pair_stack_diverges(pair, periods, photon_cap):
             np.multiply(step[0, 0], power[0], out=power[0])
             power += work
         if 2 * n > periods:
-            marked |= past(power)
-            record()
+            diverged |= past(power)
             break
         # step = step @ step: each first term overwrites an entry that no
         # later first term reads

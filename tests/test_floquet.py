@@ -429,23 +429,44 @@ class TestClassicalPendulum:
             assert abs(np.linalg.det(a_cl) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("call, product", [
+def _beyond_range(product):
+    return (f"gamma*tau1 = {product!r} exceeds {floquet.MAX_GAMMA_TAU1!r} in magnitude, "
+            "the largest whose squared pair-map entries float64 can hold")
+
+
+@pytest.mark.parametrize("call, message", [
     (lambda: classify_schedule(DriveSchedule.from_products(800.0, 0.0)),
-     "gamma*tau1"),
-    (lambda: floquet.pair_map(np.array([800.0]), np.array([0.0])), "gamma*tau1"),
+     _beyond_range(800.0)),
+    (lambda: floquet.pair_map(np.array([800.0]), np.array([0.0])), _beyond_range(800.0)),
     (lambda: floquet.pair_map(np.array([0.5, 800.0, 900.0]), np.array([0.0])),
-     "gamma*tau1"),
+     _beyond_range(800.0)),
     (lambda: gaussian.evolve(gaussian.vacuum_state(2),
                              DriveSchedule.from_products(800.0, 0.1, periods=2)),
-     "gamma*tau1"),
+     _beyond_range(800.0)),
+    (lambda: classify_schedule(DriveSchedule.from_products(355.0, 0.5)),
+     _beyond_range(355.0)),
+    (lambda: classify_schedule(DriveSchedule.from_products(400.0, 0.5)),
+     _beyond_range(400.0)),
+    (lambda: gaussian.evolve(gaussian.vacuum_state(2),
+                             DriveSchedule.from_products(400.0, 0.1, periods=2)),
+     _beyond_range(400.0)),
+    (lambda: gaussian.vacuum_diverges(np.array([0.5, 709.0]), np.array([0.0]), 4, 1e12),
+     _beyond_range(709.0)),
+    (lambda: floquet.pair_map(-355.0, 0.5), _beyond_range(-355.0)),
+    (lambda: floquet.pair_map(np.array([1.0, -400.0]), np.array([0.5])),
+     _beyond_range(-400.0)),
     (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(800.0, 1.0, 1.0)),
-     "k1*tau"),
+     "cosh(k1*tau = 800.0) exceeds float64's range"),
 ], ids=["classify_schedule", "pair_map", "pair_map-later-value", "gaussian.evolve",
+        "classify_schedule-355", "classify_schedule-400", "gaussian.evolve-400",
+        "vacuum_diverges-709", "pair_map-negative", "pair_map-negative-axis",
         "classical_pendulum_monodromy"])
-def test_product_beyond_float64_range_is_value_error(call, product):
-    """cosh overflows float64 past 710.47: a ValueError naming the product,
-    the first one out of range on an axis."""
+def test_product_beyond_float64_range_is_value_error(call, message):
+    """A ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in magnitude, where squared
+    pair-map entries overflow float64, is a ValueError naming the product
+    and the limit, the first one beyond it on an axis; ``k1*tau`` is
+    rejected where cosh overflows float64, past 710.47."""
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
-    assert str(info.value) == f"cosh({product} = 800.0) exceeds float64's range"
+    assert str(info.value) == message

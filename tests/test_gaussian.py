@@ -372,10 +372,18 @@ class TestVacuumDiverges:
     @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=8192, cap=1e4)
     @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5], periods=10000, cap=1e4)
     # cosh(2 g n) - 1 passes 1e4 at 2 g n = 9.90: for g = 5 at checkpoint 1,
-    # g = 0.015 at 512 and g = 0.007 only at the last power, P^1000; a
-    # quarter of the points or more are dropped at the first two, with P^8
-    # already collected at the second
+    # g = 0.015 at 512 and g = 0.007 only at the last power, P^1000
     @example(gammas=[0.0, 0.007, 0.015, 5.0], thetas=[0.0], periods=1000, cap=1e4)
+    # long runs: the points marked early (g = 3 at checkpoint 8, g = 6e-4
+    # and 1e-3 at omega*tau2 = 0 by 32768) are multiplied on until their
+    # entries overflow to inf, and at omega*tau2 = 2, whose powers mix signs,
+    # on to nan: silent, and every one stays marked
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5, 2.0], periods=2**20 + 3,
+             cap=1e12)
+    @example(gammas=[0.0, 6e-4, 1e-3, 3.0], thetas=[0.0, 0.5, 2.0], periods=10**9, cap=1e12)
+    # a stable drive past the cap at a checkpoint and back below it at P^300:
+    # the mark must stick
+    @example(gammas=[0.6], thetas=[2.0], periods=300, cap=1.0)
     def test_plus_pair_alone_equals_two_pair_reference(self, gammas, thetas,
                                                        periods, cap):
         """Evolving the plus pair alone gives the verdicts of evolving both.
