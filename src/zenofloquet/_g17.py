@@ -1,7 +1,7 @@
 """Exact vectorised float texts for the CSV and JSON writers: ``"%.17g" % v``
 and the shortest round-trip ``repr(v)``.
 
-A float64 array in, the list of its texts out, the bytes of the ``%``
+A float64 array in, an object array of its texts out, the bytes of the ``%``
 operator or of ``float.__repr__``.  The 17 significant digits of a value
 ``x`` with decimal exponent ``X`` are the exact product ``P = x * 10**(16 -
 X)`` rounded to an integer, ties to even: Dekker's two-product (T. J.
@@ -12,8 +12,8 @@ nearest ``P`` (Steele & White, PLDI 1990; Adams, PLDI 2018).  The digits are
 laid out as text on one byte canvas, with fixed slices per run of one sign
 and exponent.  numpy only, and no ``np.strings``, which numpy 1.24 lacks.
 
-The CLI imports this module on first use, for a block with many distinct
-floats.
+The CLI's one float-text path, ``cli._float_texts``, imports this module
+on first use, for a block with ``cli._G17_FLOOR`` distinct floats or more.
 """
 
 from __future__ import annotations
@@ -157,11 +157,11 @@ def _positional(digits, exp, negative, point):
     """The texts of 17-digit rows ``digits`` with decimal exponents ``exp`` in
     [-4, 15] and signs ``negative``, as ``%g`` writes them, or as ``repr``
     does if ``point``: it keeps ``.0`` on an integral value.  One str of
-    texts each ended by a newline; the rows come in runs of one ``(sign,
-    exp)`` each.
+    texts each ended by a newline, in the order of the rows.
 
-    Each run is laid out with fixed slices on one ``uint8`` canvas, trailing
-    zeros (and a point with nothing after it) are cut by one compress.
+    Each run of consecutive rows of one ``(sign, exp)`` is laid out with
+    fixed slices on one ``uint8`` canvas; trailing zeros (and a point with
+    nothing after it) are cut by one compress.
     """
     count = len(digits)
     # significant digits: all but the trailing zeros; the first is never 0
@@ -188,17 +188,17 @@ def _positional(digits, exp, negative, point):
 
 def texts(values, fallback, shortest=False):
     """``"%.17g" % v`` of each value of a float64 array, or ``repr(v)`` if
-    ``shortest``, byte for byte: a list of str, or an object array of them
-    when some values are not in order or fall back.
+    ``shortest``, byte for byte: an object array of str.
 
     Finite values with ``1e-4 <= |v| < 1e16``, which both write without an
     exponent, are formatted here (:func:`_decimal17`, :func:`_shortest`,
     :func:`_digit_rows`, :func:`_positional`); the rest (zeros, subnormals,
     NaN, infinities, values with an exponent, and those that
     :func:`_shortest` leaves) by ``fallback``, which takes a float64 array
-    and returns the list of its texts.  Values sorted by bit pattern, as
-    the writers pass them, come in at most 40 ``(sign, exponent)`` runs;
-    others are sorted first.
+    and returns the list of its texts.  Values in any order give the same
+    texts.  Sorted by bit pattern, as the writer passes them, they come in
+    at most 40 ``(sign, exponent)`` runs, the fast case; in another order,
+    each change of sign or exponent starts a new run.
     """
     magnitude = np.abs(values)
     fast = np.flatnonzero((magnitude >= 1e-4) & (magnitude < 1e16))  # not NaN
@@ -208,21 +208,13 @@ def texts(values, fallback, shortest=False):
         digits17, ok = _shortest(x, digits17, exp, residual)
         if not ok.all():
             fast, digits17, exp = fast[ok], digits17[ok], exp[ok]
-    if not fast.size:
-        return fallback(values)
-    negative = np.signbit(values[fast])
-    key = exp - 32 * negative  # negative runs first, as by bit pattern
-    ordered = not (key[1:] < key[:-1]).any()
-    if not ordered:
-        order = np.argsort(key, kind="stable")
-        fast, digits17, exp, negative = fast[order], digits17[order], exp[order], negative[order]
-    written = _positional(_digit_rows(digits17), exp, negative, shortest).split("\n")
-    written.pop()  # after the last newline
-    if ordered and len(fast) == len(values):
-        return written
     cells = np.empty(len(values), dtype=object)
-    cells[fast] = written
     slow = np.ones(len(values), dtype=bool)
-    slow[fast] = False
+    if fast.size:  # _positional lays out one run at least
+        negative = np.signbit(values[fast])
+        written = _positional(_digit_rows(digits17), exp, negative, shortest).split("\n")
+        written.pop()  # after the last newline
+        cells[fast] = written
+        slow[fast] = False
     cells[slow] = fallback(values[slow])
     return cells

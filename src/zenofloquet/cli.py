@@ -12,13 +12,15 @@ int64, or object arrays of str whose cells are a few shared label strings.
 Both formats are streamed by one writer, ``_write_rows``, which slices each
 block of ``_BLOCK_ROWS`` CSV rows or ``_JSON_BLOCK_ROWS`` JSON rows straight
 from the columns; each format gives it its row head, separators, row tail,
-the text between rows, float formatter and string escape.  A column with one
+the text between rows, float fallback and string escape.  A column with one
 value in every row is written into the separators once.  In a block, each
 distinct float of the other float columns, told apart by bit pattern, is
-formatted once (``_float_texts``): from ``_G17_FLOOR`` distinct values on by
-the exact vectorised kernel of ``_g17``, as ``%.17g`` for CSV and as the
-shortest round-trip ``repr`` for JSON, and below that by ``%`` and ``repr``
-themselves.  Each block is one join.
+formatted once, by the one float-text path ``_float_texts``: a format names
+only its fallback and whether the texts are the shortest, ``(_g17_percent,
+False)`` for CSV's ``%.17g`` and ``(_json_repr, True)`` for JSON's
+round-trip ``repr``.  From ``_G17_FLOOR`` distinct values on, the exact
+vectorised kernel of ``_g17`` writes them, and below that the fallback
+itself.  Each block is one join.
 """
 
 from __future__ import annotations
@@ -187,21 +189,6 @@ def _csv_field(text):
     return buf.getvalue()[:-1]
 
 
-def _float_texts(fields, to_texts):
-    """The cells of equal-length float fields as ``to_texts`` writes them, one
-    list per field, each distinct value of all the fields formatted once.
-
-    Values are told apart by bit pattern, so 0.0 and -0.0 stay apart.
-    ``to_texts`` takes a float array and returns its texts, as a list or as
-    an object array, which is indexed as it is.
-    """
-    bits = np.concatenate([field.view(np.int64) for field in fields])
-    keys, inverse = np.unique(bits, return_inverse=True)
-    cells = np.asarray(to_texts(keys.view(np.float64)), dtype=object)[inverse]
-    size = len(fields[0])
-    return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
-
-
 #: Distinct floats of a block's float fields from which the kernel of
 #: :mod:`zenofloquet._g17` formats them.  On a 2-vCPU host, in ``%.17g`` mode
 #: (CSV) the kernel costs about 0.1 ms a call, a few us more for each (sign,
@@ -224,18 +211,6 @@ def _g17_percent(values):
     return ["%.17g" % v for v in values.tolist()]
 
 
-def _csv_float_texts(values):
-    """The distinct floats of a CSV block as ``"%.17g"`` writes them: by the
-    kernel of :mod:`zenofloquet._g17` from ``_G17_FLOOR`` values on, with
-    :func:`_g17_percent` for the values outside its range."""
-    if len(values) < _G17_FLOOR:
-        return _g17_percent(values)
-    # imported on first use: a run that formats no large float block never
-    # compiles or loads the kernel
-    from . import _g17
-    return _g17.texts(values, _g17_percent)
-
-
 def _json_repr(values):
     """Floats as ``json.dumps`` writes them: ``repr``, and ``NaN`` and
     ``Infinity`` for the values that have no JSON number."""
@@ -245,25 +220,41 @@ def _json_repr(values):
     return list(map(_JSON_NONFINITE.get, texts, texts))
 
 
-def _json_float_texts(values):
-    """The distinct floats of a JSON block as ``json.dumps`` writes them: by
-    the shortest round-trip kernel of :mod:`zenofloquet._g17` from
-    ``_G17_FLOOR`` values on, with :func:`_json_repr` for the values that it
-    leaves."""
+def _float_texts(fields, floats):
+    """The cells of equal-length float fields as text, one list per field,
+    each distinct value of all the fields formatted once.
+
+    ``floats`` is a format's ``(fallback, shortest)``: ``(_g17_percent,
+    False)`` writes ``"%.17g"`` (CSV), ``(_json_repr, True)`` the shortest
+    round-trip ``repr`` (JSON).  Values are told apart by bit pattern, so
+    0.0 and -0.0 stay apart.  From ``_G17_FLOOR`` distinct values on, the
+    kernel of :mod:`zenofloquet._g17` formats them, with ``fallback`` for
+    the values that it leaves; below that, ``fallback`` formats them all.
+    """
+    fallback, shortest = floats
+    bits = np.concatenate([field.view(np.int64) for field in fields])
+    keys, inverse = np.unique(bits, return_inverse=True)
+    values = keys.view(np.float64)
     if len(values) < _G17_FLOOR:
-        return _json_repr(values)
-    from . import _g17  # on first use, as for CSV
-    return _g17.texts(values, _json_repr, shortest=True)
+        texts = np.asarray(fallback(values), dtype=object)
+    else:
+        # imported on first use: a run that formats no large float block
+        # never compiles or loads the kernel
+        from . import _g17
+        texts = _g17.texts(values, fallback, shortest)
+    cells = texts[inverse]
+    size = len(fields[0])
+    return [cells[k * size:(k + 1) * size].tolist() for k in range(len(fields))]
 
 
-def _cell_texts(fields, float_texts, escape):
+def _cell_texts(fields, floats, escape):
     """The cells of a block's fields as text, one list per field: the floats
-    of all its float fields through one :func:`_float_texts`, ints by
-    ``repr``, and each distinct str cell by ``escape``, once; a str field
-    that ``escape`` leaves as it is is its own texts, the very str objects
-    of its cells."""
-    floats = [field for field in fields if field.dtype.kind == "f"]
-    float_cells = iter(_float_texts(floats, float_texts) if floats else ())
+    of all its float fields through one :func:`_float_texts` with the
+    format's ``floats``, ints by ``repr``, and each distinct str cell by
+    ``escape``, once; a str field that ``escape`` leaves as it is is its
+    own texts, the very str objects of its cells."""
+    float_fields = [field for field in fields if field.dtype.kind == "f"]
+    float_cells = iter(_float_texts(float_fields, floats) if float_fields else ())
     out = []
     for field in fields:
         if field.dtype.kind == "f":
@@ -291,7 +282,7 @@ def _one_value(column):
     return bool((same == same[0]).all())
 
 
-def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_rows):
+def _write_rows(fh, rows, head, seps, tail, between, floats, escape, block_rows):
     """Write each row of the :class:`Columns` ``rows`` as ``head``, its cells
     with ``seps`` between them, and ``tail``, with ``between`` between rows,
     in blocks of ``block_rows`` rows.
@@ -308,7 +299,7 @@ def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_
     fixed, varying = [head], []
     for column, sep in zip(rows.values(), [*seps, tail]):
         if _one_value(column):
-            fixed[-1] += _cell_texts([column[:1]], float_texts, escape)[0][0] + sep
+            fixed[-1] += _cell_texts([column[:1]], floats, escape)[0][0] + sep
         else:
             varying.append(column)
             fixed.append(sep)
@@ -319,7 +310,7 @@ def _write_rows(fh, rows, head, seps, tail, between, float_texts, escape, block_
         parts = unit * (stop - start)
         if not start:
             parts[0] = fixed[0]
-        texts = _cell_texts([column[start:stop] for column in varying], float_texts, escape)
+        texts = _cell_texts([column[start:stop] for column in varying], floats, escape)
         for i in range(len(varying)):
             parts[2 * i + 1::len(unit)] = texts[i]
         fh.write("".join(parts))
@@ -336,7 +327,7 @@ def _write_csv(fh, meta, header, rows):
     # csv.writer quotes a lone empty field
     escape = _csv_field if len(header) > 1 else lambda text: _csv_field(text) or '""'
     _write_rows(fh, rows, "", [","] * (len(header) - 1), "\n", "",
-                _csv_float_texts, escape, _BLOCK_ROWS)
+                (_g17_percent, False), escape, _BLOCK_ROWS)
 
 
 def _write_json(fh, meta, header, rows):
@@ -348,7 +339,7 @@ def _write_json(fh, meta, header, rows):
     escape = json.encoder.encode_basestring_ascii
     keys = [escape(key) + ": " for key in header]
     _write_rows(fh, rows, "  {\n   " + keys[0], [",\n   " + key for key in keys[1:]],
-                "\n  }", ",\n", _json_float_texts, escape, _JSON_BLOCK_ROWS)
+                "\n  }", ",\n", (_json_repr, True), escape, _JSON_BLOCK_ROWS)
     fh.write("\n ]\n}\n")
 
 
@@ -397,8 +388,6 @@ def run_sweep(cfg) -> RunResult:
     together.
     """
     gammas = _axis_values(cfg, "gamma_tau1")
-    with _usage_errors():
-        floquet._require_gamma_tau1(gammas[-1])
     thetas = _axis_values(cfg, "omega_tau2")
     epsilon = _require_number(cfg, "epsilon", positive=True)
     enabled = cfg["cross_check"]["enabled"]
@@ -407,8 +396,9 @@ def run_sweep(cfg) -> RunResult:
     periods = _require_count(cfg, "cross_check.periods", 1)
     cap = _require_number(cfg, "cross_check.photon_cap", positive=True)
 
+    with _usage_errors():  # a gamma*tau1 beyond the pair maps' range
+        pair = floquet.pair_map(gammas, thetas)
     # unit segment durations, as DriveSchedule.from_products: period 2
-    pair = floquet.pair_map(gammas, thetas)
     half_trace, classes, exponent = floquet.classify_stack(pair, 2.0, epsilon)
     half_trace, classes = half_trace.ravel(), classes.ravel()
     columns = {"gamma_tau1": np.repeat(gammas, thetas.size),
@@ -442,9 +432,7 @@ def _schedule_from_config(cfg):
     values = {key: _require_number(cfg, f"schedule.{key}")
               for key in ("gamma", "tau1", "omega", "tau2")}
     with _usage_errors():
-        schedule = floquet.DriveSchedule(**values, periods=periods)
-        floquet._require_gamma_tau1(schedule.gamma_tau1)
-    return schedule
+        return floquet.DriveSchedule(**values, periods=periods)
 
 
 def _parse_alphas(alpha, modes):
@@ -509,7 +497,8 @@ def run_simulate(cfg) -> RunResult:
         from . import fock  # on first use, as in _initial_fock
         cutoff = _require_count(cfg, "cutoff", 1, fock.MAX_CUTOFF[modes])
     photon_cap = _require_number(cfg, "photon_cap", positive=True)
-    report = floquet.classify_schedule(schedule)
+    with _usage_errors():  # a gamma*tau1 beyond the pair maps' range, or a zero period
+        report = floquet.classify_schedule(schedule)
 
     gauss_traj = fock_traj = None
     if backend in ("gaussian", "both"):

@@ -210,24 +210,16 @@ class ClassicalPendulumParams:
             raise ValueError(f"require k1 > k2 > 0, got k1={self.k1}, k2={self.k2}")
 
 
-def _cosh_sinh(name, product):
-    """``cosh`` and ``sinh`` of a product, which must lie in float64's range."""
-    try:
-        return math.cosh(product), math.sinh(product)
-    except OverflowError:
-        raise ValueError(f"cosh({name} = {float(product)!r}) exceeds "
-                         "float64's range") from None
-
-
-def _require_gamma_tau1(product):
-    """Reject a ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in magnitude."""
+def _require_gamma_tau1(product, name="gamma*tau1"):
+    """Reject a hyperbolic segment's ``product``, named ``name``, beyond
+    ``MAX_GAMMA_TAU1`` in magnitude."""
     if abs(product) > MAX_GAMMA_TAU1:
-        raise ValueError(f"gamma*tau1 = {float(product)!r} exceeds {MAX_GAMMA_TAU1!r} in "
+        raise ValueError(f"{name} = {float(product)!r} exceeds {MAX_GAMMA_TAU1!r} in "
                          "magnitude, the largest whose squared pair-map entries float64 can hold")
 
 
-def _hyperbolic_transfer(product: float) -> np.ndarray:
-    _require_gamma_tau1(product)
+def _hyperbolic_transfer(product: float, name="gamma*tau1") -> np.ndarray:
+    _require_gamma_tau1(product, name)
     c, s = math.cosh(product), math.sinh(product)
     return np.array([[c, s], [s, c]])
 
@@ -472,9 +464,11 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     ``A1 = [[cosh(k1 t), sinh(k1 t)/k1], [k1 sinh(k1 t), cosh(k1 t)]]``
     ``A2 = [[cos(k2 t),  sin(k2 t)/k2], [-k2 sin(k2 t), cos(k2 t)]]``
 
-    and the map for a full period ``2 tau`` is ``A2 @ A1``.  Unlike the
-    rescaled quadrature matrices, the off-diagonal entries carry the rate
-    and its inverse; the determinant is still 1.
+    and the map for a full period ``2 tau`` is ``A2 @ A1``: the segment maps
+    of :func:`pair_map` at the products ``k1 t`` and ``k2 t``, with each
+    upper off-diagonal entry divided by the rate and each lower one
+    multiplied by it.  The determinant is still 1.  A ``k1*tau`` beyond
+    ``MAX_GAMMA_TAU1``, the pair maps' one range rule, is a ``ValueError``.
 
     Returns
     -------
@@ -483,10 +477,10 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     if not isinstance(params, ClassicalPendulumParams):
         raise ValueError(f"params must be a ClassicalPendulumParams, got {params!r}")
     k1, k2, tau = params.k1, params.k2, params.tau
-    u1, u2 = k1 * tau, k2 * tau
-    ch, sh = _cosh_sinh("k1*tau", u1)
-    a1 = np.array([[ch, sh / k1], [k1 * sh, ch]])
-    a2 = np.array([[math.cos(u2), math.sin(u2) / k2],
-                   [-k2 * math.sin(u2), math.cos(u2)]])
+    a1 = _hyperbolic_transfer(k1 * tau, "k1*tau")
+    a2 = _rotation_transfer(k2 * tau)
+    for segment, rate in ((a1, k1), (a2, k2)):
+        segment[0, 1] /= rate
+        segment[1, 0] *= rate
     a_cl = a2 @ a1
     return a_cl, classify(a_cl, 2.0 * tau)

@@ -869,17 +869,15 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     leak_rec = [np.array([leak])]
     status = "ok"
     first_unsafe = None
-    completed = 0
 
     def settle(first, active, psi, norm, per_mode, leak):
-        nonlocal status, first_unsafe, completed
+        nonlocal status, first_unsafe
         capped = _past_cap(per_mode[:, :, 0].sum(axis=1), photon_cap)
         # the block's periods up to its first one past the cap
         size = int(capped.argmax()) + 1 if capped.any() else capped.size
         n_rec.append(per_mode[:size, :, 0])
         drift_rec.append(norm[:size, 0] - 1.0)
         leak_rec.append(leak[:size, 0])
-        completed = first + size - 1
         unsafe = np.flatnonzero(leak[:size, 0] >= LEAKAGE_THRESHOLD)
         if unsafe.size and first_unsafe is None:
             first_unsafe = first + int(unsafe[0])
@@ -898,7 +896,7 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
         leakage=np.concatenate(leak_rec),
         status=status,
         first_unsafe_period=first_unsafe,
-        periods_completed=completed,
+        periods_completed=n_per_mode.shape[0] - 1,
     )
 
 

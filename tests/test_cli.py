@@ -682,6 +682,8 @@ USAGE_CASES = [
     ("alpha-int-beyond-float64", ["simulate"], {**HUGE_ALPHA, "initial": {
         "type": "coherent", "alpha": [[10 ** 400, 0], [0, 0]]}}),
     ("int-too-long-to-read", ["sweep"], '{"epsilon": %s}' % ("1" * 5000)),
+    ("zero-length-period", ["simulate", "--gamma", "0", "--tau1", "0", "--omega", "0",
+                            "--tau2", "0", "--periods", "0"], None),
 ]
 
 
@@ -730,6 +732,20 @@ def test_gamma_tau1_beyond_float64_range_is_usage_error(argv, capsys):
     """cosh(gamma*tau1)^2 overflows near 355: reject, naming the limit."""
     assert run_cli(argv) == 2
     assert repr(floquet.MAX_GAMMA_TAU1) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gamma-tau1", "0", "500", "5"],
+     f"gamma*tau1 = 375.0 exceeds {floquet.MAX_GAMMA_TAU1!r} in magnitude"),
+    (["simulate", "--gamma", "0", "--tau1", "0", "--omega", "0", "--tau2", "0",
+      "--periods", "0"], "period must be finite and > 0, got 0.0"),
+], ids=["sweep-first-axis-value-beyond", "simulate-zero-length-period"])
+def test_library_rule_names_the_value(argv, message, capsys):
+    """The library's rule, run once where the maps are built, gives the
+    message: the sweep names the first axis value beyond the range, and a
+    schedule of zero length is rejected when it is classified."""
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"zenofloquet {argv[0]}: {message}")
 
 
 def _grid_axis(lo, hi, steps):
@@ -1440,22 +1456,27 @@ def test_g17_kernel_on_a_million_values_of_each_kind():
                     assert [cell for cell in cells if isinstance(cell, str)] == reference(drawn[own])
 
 
+def _distinct(fields):
+    """The number of distinct bit patterns of all the float ``fields``."""
+    return len(np.unique(np.concatenate([field.view(np.int64) for field in fields])))
+
+
 def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
     """A kernel that sent every value to ``%`` would write the same bytes,
     so only a count shows it: of the distinct floats that the CSV writer
-    passes per block of the default chart, all its float fields at once,
+    formats per block of the default chart, all its float fields at once,
     fewer than 0.1% reach the ``%`` formatter."""
     cfg = _merged(cli.SWEEP_DEFAULTS, {})
     header, rows, status = cli.run_sweep(cfg)
-    float_texts, percent, passed, sent = cli._csv_float_texts, cli._g17_percent, [], []
+    float_texts, percent, passed, sent = cli._float_texts, cli._g17_percent, [], []
 
-    def record(values):
-        texts = float_texts(values)
-        assert list(texts) == _percent_texts(values)
-        passed.append(len(values))
+    def record(fields, floats):
+        texts = float_texts(fields, floats)
+        assert texts == [_percent_texts(field) for field in fields]
+        passed.append(_distinct(fields))
         return texts
 
-    monkeypatch.setattr(cli, "_csv_float_texts", record)
+    monkeypatch.setattr(cli, "_float_texts", record)
     monkeypatch.setattr(cli, "_g17_percent", lambda values: sent.append(len(values)) or percent(values))
     cli._write_csv(io.StringIO(), cli._meta("sweep", cfg, status), header, rows)
     assert len(passed) == -(-len(rows) // cli._BLOCK_ROWS)  # one call per block
@@ -1464,7 +1485,7 @@ def test_g17_kernel_formats_nearly_all_of_the_chart(monkeypatch):
 
 
 def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
-    """As for the chart: of the distinct floats that the JSON writer passes
+    """As for the chart: of the distinct floats that the JSON writer formats
     per block of a stable 5000-period trajectory, at least 95% reach the
     kernel's shortest mode.  Nearly all the rest are photon numbers below
     ``1e-4``, near the dips of the record, which ``repr`` writes with an
@@ -1472,16 +1493,16 @@ def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
     schedule = {"gamma": 0.05, "tau1": 1.0, "omega": 0.3, "tau2": 1.0, "periods": 5000}
     cfg = _merged(cli.SIMULATE_DEFAULTS, {"schedule": schedule})
     header, rows, status = cli.run_simulate(cfg)
-    float_texts, fallback, blocks, sent = cli._json_float_texts, cli._json_repr, [], []
+    float_texts, fallback, blocks, sent = cli._float_texts, cli._json_repr, [], []
 
-    def record(values):
+    def record(fields, floats):
         sent.clear()
-        texts = float_texts(values)
-        assert list(texts) == _repr_texts(values)
-        blocks.append((len(values), sum(sent)))
+        texts = float_texts(fields, floats)
+        assert texts == [_repr_texts(field) for field in fields]
+        blocks.append((_distinct(fields), sum(sent)))
         return texts
 
-    monkeypatch.setattr(cli, "_json_float_texts", record)
+    monkeypatch.setattr(cli, "_float_texts", record)
     monkeypatch.setattr(cli, "_json_repr", lambda values: sent.append(len(values)) or fallback(values))
     cli._write_json(io.StringIO(), cli._meta("simulate", cfg, status), header, rows)
     blocks = [block for block in blocks if block[0] > 1]  # not the one-value half_trace
@@ -1490,24 +1511,38 @@ def test_g17_kernel_formats_most_of_a_trajectory(monkeypatch):
         assert distinct >= cli._G17_FLOOR and left <= 0.05 * distinct
 
 
-@pytest.mark.parametrize("fmt, formatter, block_rows", [
-    ("csv", "_csv_float_texts", cli._BLOCK_ROWS),
-    ("json", "_json_float_texts", cli._JSON_BLOCK_ROWS),
+@pytest.mark.parametrize("fmt, fallback, block_rows", [
+    ("csv", "_g17_percent", cli._BLOCK_ROWS),
+    ("json", "_json_repr", cli._JSON_BLOCK_ROWS),
 ])
-def test_each_distinct_float_of_a_block_is_formatted_once(monkeypatch, fmt, formatter, block_rows):
+def test_each_distinct_float_of_a_block_is_formatted_once(monkeypatch, fmt, fallback, block_rows):
     """The bytes do not show how often a float is formatted, so count the
-    formatter's calls: the one-value field once per table, then one call per
-    block with each distinct bit pattern of the block's other float fields
-    once, values shared across fields and the seam included."""
+    calls of the formatters, the format's fallback and the kernel, that
+    no other of them made: the one-value field once per table (by the
+    fallback), then one call per block (by the kernel) with each distinct
+    bit pattern of the block's other float fields once, values shared
+    across fields and the seam included."""
     size = 4097
     header, rows = typed_table(
         ["early", "late", "same", "mixed", "index"],
         [[0.25 * k for k in range(size)], [0.25 * (k - 1) for k in range(size)],
          [2.5] * size, [(1.5, math.nan, -0.0)[k % 3] for k in range(size)], range(size)],
         ["float", "float", "float", "float", "int"])
-    to_texts, calls = getattr(cli, formatter), []
-    monkeypatch.setattr(cli, formatter,
-                        lambda values: calls.append(values.view(np.int64).tolist()) or to_texts(values))
+    calls, depth = [], []
+
+    def counted(to_texts):
+        def formatter(values, *args):
+            if not depth:  # not the kernel's own call of the fallback
+                calls.append(values.view(np.int64).tolist())
+            depth.append(1)
+            try:
+                return to_texts(values, *args)
+            finally:
+                depth.pop()
+        return formatter
+
+    monkeypatch.setattr(cli, fallback, counted(getattr(cli, fallback)))
+    monkeypatch.setattr(_g17, "texts", counted(_g17.texts))
     out = io.StringIO()
     {"csv": cli._write_csv, "json": cli._write_json}[fmt](out, META, header, rows)
     assert out.getvalue() == _reference_output(fmt, META, header, rows)

@@ -45,6 +45,26 @@ def test_runs_without_scipy(statement):
     assert proc.stdout == "[]\n"
 
 
+def test_small_tables_never_load_the_float_kernel():
+    """An oracle-size run (``simulate --backend both --cutoff 30``, 100
+    periods) formats fewer than ``cli._G17_FLOOR`` distinct floats per
+    block, so it never loads ``zenofloquet._g17``."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from zenofloquet import cli
+        argv = ["simulate", "--backend", "both", "--cutoff", "30", "--gamma", "0.3",
+                "--tau1", "1", "--omega", "0.9", "--tau2", "1", "--periods", "100"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert "zenofloquet._g17" not in sys.modules
+        print("ok")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -429,8 +429,8 @@ class TestClassicalPendulum:
             assert abs(np.linalg.det(a_cl) - 1.0) < 1e-12
 
 
-def _beyond_range(product):
-    return (f"gamma*tau1 = {product!r} exceeds {floquet.MAX_GAMMA_TAU1!r} in magnitude, "
+def _beyond_range(product, name="gamma*tau1"):
+    return (f"{name} = {product!r} exceeds {floquet.MAX_GAMMA_TAU1!r} in magnitude, "
             "the largest whose squared pair-map entries float64 can hold")
 
 
@@ -456,16 +456,22 @@ def _beyond_range(product):
     (lambda: floquet.pair_map(np.array([1.0, -400.0]), np.array([0.5])),
      _beyond_range(-400.0)),
     (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(800.0, 1.0, 1.0)),
-     "cosh(k1*tau = 800.0) exceeds float64's range"),
+     _beyond_range(800.0, "k1*tau")),
+    (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(400.0, 1.0, 1.0)),
+     _beyond_range(400.0, "k1*tau")),
+    (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(709.0, 1.0, 1.0)),
+     _beyond_range(709.0, "k1*tau")),
 ], ids=["classify_schedule", "pair_map", "pair_map-later-value", "gaussian.evolve",
         "classify_schedule-355", "classify_schedule-400", "gaussian.evolve-400",
         "vacuum_diverges-709", "pair_map-negative", "pair_map-negative-axis",
-        "classical_pendulum_monodromy"])
+        "classical_pendulum_monodromy", "classical_pendulum_monodromy-400",
+        "classical_pendulum_monodromy-709"])
 def test_product_beyond_float64_range_is_value_error(call, message):
     """A ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in magnitude, where squared
     pair-map entries overflow float64, is a ValueError naming the product
-    and the limit, the first one beyond it on an axis; ``k1*tau`` is
-    rejected where cosh overflows float64, past 710.47."""
+    and the limit, the first one beyond it on an axis.  The pendulum's
+    ``k1*tau`` shares the rule, also below 710.47, where cosh itself still
+    fits but the map's determinant does not."""
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
