@@ -218,6 +218,18 @@ def _require_gamma_tau1(product, name="gamma*tau1"):
                          "magnitude, the largest whose squared pair-map entries float64 can hold")
 
 
+def _require_scaled_map(a_cl, k1, k2, tau):
+    """Reject a pendulum map ``a_cl`` whose squared entries float64 cannot
+    hold.  Scaling the segment maps by the rates ``k1`` and ``k2`` can push
+    an entry past ``sqrt(float max)`` with ``k1*tau`` inside
+    ``MAX_GAMMA_TAU1``, and then the squared Frobenius norm, which scales
+    the tolerance of :func:`_check_determinant`, overflows."""
+    a, b, c, d = a_cl.ravel().tolist()
+    if not a * a + b * b + c * c + d * d < math.inf:
+        raise ValueError(f"k1*tau = {k1 * tau!r} at rates k1 = {k1!r} and k2 = {k2!r} gives a "
+                         "pendulum map whose squared entries float64 cannot hold")
+
+
 def _hyperbolic_transfer(product: float, name="gamma*tau1") -> np.ndarray:
     _require_gamma_tau1(product, name)
     c, s = math.cosh(product), math.sinh(product)
@@ -468,7 +480,9 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams):
     of :func:`pair_map` at the products ``k1 t`` and ``k2 t``, with each
     upper off-diagonal entry divided by the rate and each lower one
     multiplied by it.  The determinant is still 1.  A ``k1*tau`` beyond
-    ``MAX_GAMMA_TAU1``, the pair maps' one range rule, is a ``ValueError``.
+    ``MAX_GAMMA_TAU1``, the pair maps' one range rule, is a ``ValueError``,
+    and so is a map whose rate scaling leaves squared entries float64
+    cannot hold (:func:`_require_scaled_map`).
 
     Returns
     -------
@@ -483,4 +497,5 @@ def classical_pendulum_monodromy(params: ClassicalPendulumParams):
         segment[0, 1] /= rate
         segment[1, 0] *= rate
     a_cl = a2 @ a1
+    _require_scaled_map(a_cl, k1, k2, tau)
     return a_cl, classify(a_cl, 2.0 * tau)

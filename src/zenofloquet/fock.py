@@ -18,7 +18,7 @@ padded entries plus ``CALL_ENTRIES`` per bucket.  Either the chains are
 grouped, one per block and ``BUCKET_BLOCKS`` blocks per bucket, or they
 fill one bucket, a long chain and short ones in each block, so that a
 segment is one batched matmul.  The cost gives every generator one bucket
-on every two-mode sector up to cutoff 46, and on the swap sector, the
+on every two-mode sector up to cutoff 43, and on the swap sector, the
 vacuum's and every scan's, up to cutoff 61.  A segment acts on a matrix of
 amplitude columns, so one propagation can carry many states (one per
 exchange angle in :func:`zeno_threshold_scan`).
@@ -27,7 +27,7 @@ A propagation carries the rows of one sector, chosen from its initial
 columns by :func:`_sector_key`.  One cached :class:`_Sector` per (cutoff,
 mode count, sector) holds all that the stepping loop reads: the basis rows,
 the factor that maps amplitudes on them to the loop's coordinates, the
-observables, both packed generators and the permutation between them.
+observables, both packed generators and the permutations between them.
 
 - Parity.  Every segment generator conserves the parity of the total photon
   number, even under hard truncation, and every chain lies in one parity
@@ -55,6 +55,10 @@ observables, both packed generators and the permutation between them.
   stays fixed.  The rates ``w`` and both halves of each plane come from one
   singular value decomposition of the chain's links from its even to its
   odd rows.  The diagonal single-mode rotation commutes with ``D``.
+- Sides.  Each padded block of length ``L = 2 H`` has two sides of ``H``
+  rows; every chain puts its even rows on one side and its odd rows on the
+  other.  ``Q`` is then two ``H x H`` halves per block, and a plane turns a
+  coordinate on one side with its partner on the other.
 
 The stepping loop carries gauge coordinates: ``D^-1`` times the swap fold
 of the amplitudes, float64 when they start real and every segment is a real
@@ -63,28 +67,31 @@ complex otherwise.  A segment is the rotation ``R(angle)`` of the planes in
 ``Q``, applied in one of two ways:
 
 - one angle shared by the columns gets one float64 map per bucket, ``Q @
-  (R(angle) Q^T)``, built once per propagation, which acts on any number of
-  columns by one real matmul per bucket (on the float64 view of complex
-  columns);
-- one angle per column (the exchange segment of a scan) projects with
-  ``Q^T``, rotates each plane by its column's angle, and restores with
-  ``Q``: two real matmuls per bucket around one ``take`` of each
-  coordinate's partner and three elementwise products and sums, on the
-  float64 view of complex columns.
+  (R(angle) Q^T)``, dense on each block and built once per propagation from
+  the halves of ``Q`` at half the multiply-adds of a dense ``Q``, which acts
+  on any number of columns by one real matmul per bucket (on the float64
+  view of complex columns);
+- one angle per column (the exchange segment of a scan) projects with the
+  halves of ``Q^T``, rotates each plane by its column's angle, and restores
+  with the halves of ``Q``: two real ``(2 nblocks, H, H)`` matmuls per
+  bucket around one ``take`` of each coordinate's partner and three
+  elementwise products and sums, on the float64 view of complex columns.
 
-Each period gathers the columns into the amplifying packing, moves them into
-the exchange packing by one composite permutation, scatters them back to
-the sector basis and writes their observables into one row of a small
-record.  The periods run in blocks of ``_BLOCK``: once per block the norms
-are read from the record's row of ones, the columns are renormalized, and
+Between periods the columns stay in the exchange packing.  Each period
+moves them into the amplifying packing and back by one composite
+permutation each, the exchange segment writing straight into them, and
+writes their observables, held in that packing with zeros on padding, into
+one row of a small record.  The periods run in blocks of ``_BLOCK``: once
+per block the norms are read from the record's row of ones, the columns are
+renormalized and unpacked to the sector basis by one more permutation, and
 the callers settle every period of the block at once; columns stop at the
-end of a block.  A propagation holds one workspace: the sector columns, each
-segment's packed input and output, the real plane coordinates of a
-per-column segment and the block's record.  Each segment is bound to its
-buffers once, with every bucket's operand views and rotation tables built
-then, and bound again only when columns leave, so a period fills existing
-buffers, builds no view and allocates nothing; a block allocates only the
-norms and observables that it reports.
+end of a block.  A propagation holds one workspace: the carried columns,
+each segment's packed input and output, the sector columns, the real plane
+coordinates of a per-column segment and the block's record.  Each segment
+is bound to its buffers once, with every bucket's operand views and
+rotation tables built then, and bound again only when columns leave, so a
+period fills existing buffers, builds no view and allocates nothing; a
+block allocates only the norms and observables that it reports.
 
 Truncation is monitored, not assumed: any population above 90% of the cutoff
 beyond 1e-8 marks the run truncation-unsafe rather than silently wrong.
@@ -118,11 +125,11 @@ MAX_DEFAULT_CUTOFF = 60
 
 #: Largest cutoff of any state or scan, by mode count.  At the ceiling the
 #: first period, which builds the sector's chain bases and each segment's
-#: map, takes on a 2-vCPU host 0.2 s and 52 MB of new RSS for a one-mode
-#: coherent state, and for two modes 0.14-0.19 s and 42 MB for the vacuum
-#: (the swap sector) or 0.8 s and 200 MB for a coherent state (the full
-#: sector: two bases and two maps of 5.5M entries each); the time grows
-#: like cutoff^3 for one mode and cutoff^4 for two.
+#: map, takes on a 2-vCPU host 0.3 s and 43 MB of new RSS for a one-mode
+#: coherent state, and for two modes 0.18 s and 34 MB for the vacuum (the
+#: swap sector) or 0.95 s and 159 MB for a coherent state (the full sector:
+#: two bases of 2.8M entries and two maps of 5.5M each); the time grows like
+#: cutoff^3 for one mode and cutoff^4 for two.
 MAX_CUTOFF = {1: 2000, 2: 200}
 
 #: Largest dimension ``(cutoff + 1) ** modes`` of the dense reference
@@ -398,14 +405,20 @@ class _Packing:
     Only the chains of one sector are kept, on the sector's basis, and rows
     are numbered within the sector, in the order of its ``rows`` (see
     :class:`_Sector`).  :func:`_plan` lays the chains out in padded blocks
-    of one or several chains each, one after another from offset 0, and
-    groups the blocks into buckets of one length ``L``; the packed rows are
-    the buckets' rows one after another.  ``gather`` is the sector row of
-    every packed row (padding repeats row 0) and ``unpack`` the packed row
-    of every sector row.  Each bucket is ``(start, stop, basis)``: its
-    packed row range and the ``(nblocks, L, L)`` real orthogonal basis ``Q``
-    of each block, block-diagonal by chain and zero on padding, so that a
-    chain reads and writes only its own rows and padding no amplitude.  The
+    of one or several chains each, and groups the blocks into buckets of one
+    length ``L = 2 H``; the packed rows are the buckets' rows one after
+    another.  Every chain is bipartite: it links its even rows only to its
+    odd rows.  So each block has two sides of ``H`` rows, and each chain
+    puts its even rows on one side and its odd rows on the other, the even
+    rows (the larger half) on the side with fewer rows so far, side 0 on a
+    tie; the chains fill each side one after another from offset 0, and the
+    sides never differ by more than one row.  ``gather`` is the sector row
+    of every packed row (padding repeats row 0) and ``unpack`` the packed
+    row of every sector row.  Each bucket is ``(start, stop, basis)``: its
+    packed row range and the ``(2 nblocks, H, H)`` halves of the real
+    orthogonal basis ``Q`` of each block, side 0 then side 1.  ``Q`` is
+    block-diagonal by side and by chain and zero on padding, so that a chain
+    reads and writes only its own rows and padding no amplitude.  The
     columns of ``Q`` are the block's packed coordinates: ``weights`` is the
     signed rate ``r`` of every coordinate and ``partner`` the coordinate it
     turns with, so that a segment of angle ``t`` maps coordinate ``c`` to
@@ -415,13 +428,15 @@ class _Packing:
     real antisymmetric.  Each eigenpair ``(w > 0, v)`` of the chain gives
     the plane ``u0 = sqrt2 (1 - s) v``, ``u1 = sqrt2 s v``, with ``K u0 = -w
     u1`` and ``K u1 = w u0``; the pair ``(-w, (1 - 2s) v)`` gives the same
-    plane.  A chain of length ``m`` at offset ``o`` of its block has ``h = m
-    // 2`` coordinates ``c`` from ``o`` on the ``u0`` (rate ``w``, partner
-    ``c + h``), then ``h`` on the ``u1`` (rate ``-w``, partner ``c - h``),
-    then, if ``m`` is odd, its zero mode, which stays fixed; a fixed
-    coordinate (a zero mode, padding) has rate 0 and is its own partner.  A
-    diagonal generator has no buckets: ``weights`` is its eigenvalue on
-    every row and ``partner`` is unread.
+    plane.  ``u0`` lies on the chain's rows of ``s = 0`` and ``u1`` on those
+    of ``s = 1``, one side each.  A chain of length ``m`` has ``h = m // 2``
+    planes: coordinate ``j < h`` of its run on each side turns with
+    coordinate ``j`` of its run on the other side, at rate ``w`` on the
+    ``u0`` side and ``-w`` on the ``u1`` side; if ``m`` is odd, its zero
+    mode, last on the even rows' side, stays fixed.  A fixed coordinate (a
+    zero mode, padding) has rate 0 and is its own partner.  A diagonal
+    generator has no buckets: ``weights`` is its eigenvalue on every row and
+    ``partner`` is unread.
     """
 
     gather: np.ndarray
@@ -434,7 +449,7 @@ class _Packing:
 def _plan(lengths):
     """The layout of chains of ``lengths`` in padded blocks: a tuple of
     buckets, each a tuple of blocks, each a tuple of chain positions in
-    ``lengths``, laid out from the block's offset 0 in that order.
+    ``lengths``, laid out in that order (see :class:`_Packing`).
 
     Of two layouts it returns the one of lower :func:`_cost`, the grouped
     one on a tie:
@@ -466,8 +481,11 @@ def _plan(lengths):
 
 
 def _width(lengths, bucket) -> int:
-    """The padded length of ``bucket``'s blocks: its longest block."""
-    return max(sum(lengths[c] for c in block) for block in bucket)
+    """The padded length ``2 H`` of ``bucket``'s blocks: its longest block,
+    rounded up to even, so that each of a block's two sides holds ``H``
+    rows."""
+    total = max(sum(lengths[c] for c in block) for block in bucket)
+    return total + total % 2
 
 
 def _cost(lengths, plan) -> int:
@@ -496,17 +514,16 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
         gather, real, weights, partner, buckets = [], [], [], [], []
         start = 0
         for bucket in _plan(lengths):
-            shape = (len(bucket), _width(lengths, bucket))
+            shape = (len(bucket), 2, _width(lengths, bucket) // 2)
             index = np.zeros(shape, dtype=np.intp)
             used = np.zeros(shape, dtype=bool)
             rates = np.zeros(shape)
             turns = np.arange(start, start + index.size).reshape(shape)
-            basis = np.zeros(shape + shape[1:])
+            basis = np.zeros(shape + shape[2:])
             for k, block in enumerate(bucket):
-                o = 0
+                filled = [0, 0]
                 for idx, off in (chains[c] for c in block):
                     m, h = idx.size, idx.size // 2
-                    index[k, o:o + m], used[k, o:o + m] = idx, True
                     # the chain links its even rows only to its odd rows, so
                     # links[i, j] = chain[2i, 2j + 1] holds all of it
                     links = np.zeros((m - h, h))
@@ -515,19 +532,27 @@ def _packed_blocks(label: HamiltonianLabel, cutoff: int, swap: bool,
                     # each singular triple (w, u, v) is the eigenpair (w, (u,
                     # v) / sqrt2) of the chain, u on its even rows and v on
                     # its odd rows; an odd chain's zero mode is U's extra
-                    # column.  s alternates along the chain, so its s = 0
-                    # rows, which hold the u0's, are the even rows if
-                    # s[idx[0]] is 0
+                    # column.  The even rows, the larger half, go to the
+                    # side with fewer rows so far and the odd rows to the
+                    # other, so that neither side outgrows H; coordinate j <
+                    # h of each side turns with coordinate j of the other
                     u, w, vt = np.linalg.svd(links)
-                    lead = s[idx[0]]
-                    chain = basis[k, o:o + m, o:o + m]
-                    chain[0::2, lead * h:(lead + 1) * h] = u[:, :h]
-                    chain[1::2, (1 - lead) * h:(2 - lead) * h] = vt.T
-                    chain[0::2, 2 * h:] = u[:, h:]
-                    rates[k, o:o + h], rates[k, o + h:o + 2 * h] = w, -w
-                    turns[k, o:o + h] += h
-                    turns[k, o + h:o + 2 * h] -= h
-                    o += m
+                    even = int(filled[1] < filled[0])
+                    # s alternates along the chain, and the u0's, which turn
+                    # at rate w, lie on its s = 0 rows: the even rows if
+                    # s[idx[0]] is 0
+                    sign = 1 - 2 * s[idx[0]]
+                    for side, part, q, rate in ((even, idx[0::2], u, sign * w),
+                                                (1 - even, idx[1::2], vt.T, -sign * w)):
+                        o, other = filled[side], filled[1 - side]
+                        run = slice(o, o + part.size)
+                        index[k, side, run], used[k, side, run] = part, True
+                        basis[k, side, run, run] = q
+                        rates[k, side, o:o + h] = rate
+                        turns[k, side, o:o + h] += (1 - 2 * side) * shape[2] + other - o
+                    filled[even] += m - h
+                    filled[1 - even] += h
+            basis = basis.reshape((-1,) + shape[2:] * 2)
             basis.setflags(write=False)
             buckets.append((start, start + index.size, basis))
             gather.append(index.ravel())
@@ -554,11 +579,13 @@ class _Sector:
     >= n_b``.  ``to_gauge`` is the factor that maps amplitudes on ``rows`` to
     the loop's gauge coordinates: ``D^-1``, and with ``swap`` sqrt2 off the
     diagonal ``n_a == n_b`` (the coordinate of a symmetric vector on the
-    orthonormal symmetric basis).  ``observables`` maps the probabilities of
-    gauge coordinates to (photons per mode..., leakage, norm squared).
-    ``amplify`` and ``exchange`` are the two segment generators packed on
-    the sector, and ``between`` the composite index from the amplifying
-    packing to the exchange packing: unpack, then gather.
+    orthonormal symmetric basis).  ``amplify`` and ``exchange`` are the two
+    segment generators packed on the sector.  ``observables`` maps the
+    probabilities of gauge coordinates in the exchange packing to (photons
+    per mode..., leakage, norm squared), with zeros on padding rows.
+    ``to_amplify`` is the composite index from the exchange packing to the
+    amplifying packing, and ``between`` the one back: each unpacks, then
+    gathers.
     """
 
     rows: np.ndarray
@@ -566,6 +593,7 @@ class _Sector:
     observables: np.ndarray
     amplify: _Packing
     exchange: _Packing
+    to_amplify: np.ndarray
     between: np.ndarray
 
 
@@ -586,14 +614,16 @@ def _sector(cutoff: int, mode_count: int, key) -> _Sector:
         to_gauge *= np.where(diags[0] == diags[1], 1.0, math.sqrt(2.0))[rows]
         # the symmetric vector of row |n_a, n_b> has <n_a> = <n_b> = (n_a + n_b) / 2
         diags = ((diags[0] + diags[1]) / 2.0,) * 2
-    observables = np.vstack([d[rows] for d in diags] + [leak, np.ones(rows.size)])
     # HamiltonianLabel lists each mode count's amplifying generator first
     amplify, exchange = (_packed_blocks(label, cutoff, swap, rows, s)
                          for label in HamiltonianLabel if label.mode_count == mode_count)
-    between = amplify.unpack[exchange.gather]
-    for arr in (rows, to_gauge, observables, between):
+    observables = np.zeros((len(diags) + 2, exchange.gather.size))
+    observables[:, exchange.unpack] = np.vstack([d[rows] for d in diags]
+                                                + [leak, np.ones(rows.size)])
+    to_amplify, between = exchange.unpack[amplify.gather], amplify.unpack[exchange.gather]
+    for arr in (rows, to_gauge, observables, to_amplify, between):
         arr.setflags(write=False)
-    return _Sector(rows, to_gauge, observables, amplify, exchange, between)
+    return _Sector(rows, to_gauge, observables, amplify, exchange, to_amplify, between)
 
 
 def _coordinates(columns: np.ndarray, mode_count: int, cutoff: int):
@@ -616,12 +646,18 @@ class _Segment:
     how:
 
     - one angle: the bucket's map ``Q @ (R(angle) Q^T)`` is built here, once
-      per propagation, and each application is one real matmul per bucket,
-      on the float64 view of complex columns;
-    - one angle per column: each application projects with ``Q^T``, rotates
-      and restores with ``Q``, two real matmuls per bucket around one
-      :func:`_rotate` (on the float64 view of complex columns).  A map per
-      column would hold ``columns * sum(L^2)`` entries.
+      per propagation, one dense ``2H x 2H`` map per block.  ``R`` turns
+      each coordinate with its partner on the other side, so each side's
+      rows of the map are that side's ``H x H`` half of ``Q`` times its ``H``
+      rows of ``R Q^T``: ``4 H^3`` multiply-adds per block, half of a dense
+      ``L^3``.  Each application is one real matmul per bucket, on the
+      float64 view of complex columns;
+    - one angle per column: each application projects with the halves of
+      ``Q^T``, rotates and restores with the halves of ``Q``, two real
+      ``(2 nblocks, H, H)`` matmuls per bucket (half the multiply-adds of
+      dense ``(nblocks, L, L)`` ones) around one :func:`_rotate`, on the
+      float64 view of complex columns.  A map per column would hold
+      ``columns * sum(L^2)`` entries.
 
     Any path holds for any number of columns.  A zero angle is the identity
     and builds nothing.  A diagonal generator has no buckets and only
@@ -644,15 +680,24 @@ class _Segment:
             cos, sin = np.cos(turn), np.sin(turn)
             maps = []
             for start, stop, q in packing.buckets:
-                # the rows of Q^T are the bucket's coordinates; the map's
-                # buffer is the rotation's spare until the product fills it.
-                # The previous bucket's Q^T is freed before the map is
-                # allocated, which may then reuse its memory
-                turned = q.transpose(0, 2, 1).copy()
-                out = np.empty(q.shape)
+                # the rows of Q^T are the bucket's coordinates, each block's
+                # two halves on its diagonal; the map's buffer is the
+                # rotation's spare until the product fills it.  The previous
+                # bucket's Q^T is freed before the map is allocated, which
+                # may then reuse its memory
+                half = q.shape[1]
+                turned = np.zeros((q.shape[0] // 2, 2, half, 2, half))
+                for side in (0, 1):
+                    turned[:, side, :, side] = q[side::2].transpose(0, 2, 1)
+                turned = turned.reshape(-1, 2 * half, 2 * half)
+                out = np.empty(turned.shape)
                 _rotate(turned.reshape(stop - start, -1), cos[start:stop], sin[start:stop],
                         packing.partner[start:stop] - start, out.reshape(stop - start, -1))
-                maps.append((start, stop, np.matmul(q, turned, out=out)))
+                # each side's rows of Q (R Q^T) are that side's half of Q
+                # times its rows of R Q^T
+                np.matmul(q, turned.reshape(q.shape[0], half, -1),
+                          out=out.reshape(q.shape[0], half, -1))
+                maps.append((start, stop, out))
             self.maps = tuple(maps)
 
     def keep(self, columns):
@@ -730,15 +775,19 @@ def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau
     """The per-period stepping loop of every Fock propagation.
 
     ``psi`` (sector rows, k) holds the gauge coordinates of k columns on
-    ``sector``, as :func:`_coordinates` returns them; the loop overwrites
-    it.  Each period applies the amplifying segment (angle ``gamma_tau1``,
-    shared by every column) and then the exchange segment (``omega_tau2``,
-    one angle or one per column) to the active columns, and records their
-    observables; in between, the columns go from the amplifying packing to
-    the exchange packing by ``sector.between``, and each of the three row
-    permutations of a period is one ``take`` into a buffer.  The coordinates
-    are carried as float64 if they start real and both segments are
-    ``real`` (see :class:`_Segment`), complex otherwise.
+    ``sector``, as :func:`_coordinates` returns them.  Between periods the
+    loop carries the columns in the exchange packing, zero on padding.  Each
+    period moves the active columns into the amplifying packing by
+    ``sector.to_amplify``, applies the amplifying segment (angle
+    ``gamma_tau1``, shared by every column), moves them back by
+    ``sector.between`` and applies the exchange segment (``omega_tau2``, one
+    angle or one per column), which writes straight into the carried
+    columns; it then records their observables, which ``sector`` holds in
+    the exchange packing with zeros on padding rows.  So a period takes two
+    row permutations, each one ``take`` into a buffer, and a block one more,
+    which unpacks the columns to the sector basis for ``settle``.  The
+    coordinates are carried as float64 if they start real and both segments
+    are ``real`` (see :class:`_Segment`), complex otherwise.
 
     The periods run in blocks of ``_BLOCK``, the last one possibly shorter.
     Within a block the columns are not renormalized; the segments are
@@ -755,59 +804,63 @@ def _step_periods(sector: _Sector, psi: np.ndarray, gamma_tau1: float, omega_tau
     active set at the end of the block; the loop ends after ``periods``
     periods or when no column is left.
 
-    The loop holds one workspace per set of active columns: ``psi``, each
-    segment's packed input and output and the block's observables, bound to
-    the segments (see :meth:`_Segment.bind`) when the set starts and again
-    when it shrinks.  The ``psi`` that ``settle`` receives is that buffer,
-    valid only during the call: the next block overwrites it, so a caller
-    that keeps it copies it.  ``norm``, ``per_mode`` and ``leak`` are fresh
-    each block.
+    The loop holds one workspace per set of active columns: the carried
+    columns, each segment's packed input and output, the columns on the
+    sector basis and the block's observables, bound to the segments (see
+    :meth:`_Segment.bind`) when the set starts and again when it shrinks.
+    The ``psi`` that ``settle`` receives is that buffer, valid only during
+    the call: the next block overwrites it, so a caller that keeps it copies
+    it.  ``norm``, ``per_mode`` and ``leak`` are fresh each block.
     """
     amplify = _Segment(sector.amplify, gamma_tau1)
     exchange = _Segment(sector.exchange, omega_tau2)
     real = amplify.real and exchange.real and not psi.imag.any()
     if real:
-        psi = np.ascontiguousarray(psi.real)
-    gather, between, scatter = sector.amplify.gather, sector.between, sector.exchange.unpack
+        psi = psi.real
+    to_amplify, between, unpack = sector.to_amplify, sector.between, sector.exchange.unpack
     observables = sector.observables
+    # the columns in the exchange packing, zero on padding
+    carried = np.zeros((between.size, psi.shape[1]), dtype=psi.dtype)
+    carried[unpack] = psi
     n, active = 0, np.arange(psi.shape[1])
     while n < periods and active.size:
         # the workspace of the active columns, bound until a column leaves
-        a_in, a_out = np.empty((2, gather.size, active.size), dtype=psi.dtype)
-        e_in, e_out = np.empty((2, between.size, active.size), dtype=psi.dtype)
-        probs, spare = np.empty((2,) + psi.shape)
+        a_in, a_out = np.empty((2, to_amplify.size, active.size), dtype=psi.dtype)
+        e_in = np.empty(carried.shape, dtype=psi.dtype)
+        psi = np.empty((unpack.size, active.size), dtype=psi.dtype)
+        probs, spare = np.empty((2,) + carried.shape)
         # (photons per mode..., leakage, norm squared) after each period of a
         # block, from row 1; row 0 holds the squared norm at its start, 1
         record = np.empty((_BLOCK + 1, observables.shape[0], active.size))
         record[0, -1] = 1.0
-        step_amplify, step_exchange = amplify.bind(a_in, a_out), exchange.bind(e_in, e_out)
+        step_amplify, step_exchange = amplify.bind(a_in, a_out), exchange.bind(e_in, carried)
         while n < periods:
             size = min(_BLOCK, periods - n)
             for j in range(1, size + 1):
                 # every index is in range by construction, and mode "clip"
                 # lets take write into out directly, where "raise" buffers it
-                psi.take(gather, 0, a_in, "clip")
+                carried.take(to_amplify, 0, a_in, "clip")
                 step_amplify()
                 a_out.take(between, 0, e_in, "clip")
                 step_exchange()
-                e_out.take(scatter, 0, psi, "clip")
                 if real:
-                    np.multiply(psi, psi, out=probs)
+                    np.multiply(carried, carried, out=probs)
                 else:
-                    np.square(psi.real, out=probs)
-                    probs += np.square(psi.imag, out=spare)
+                    np.square(carried.real, out=probs)
+                    probs += np.square(carried.imag, out=spare)
                 np.matmul(observables, probs, out=record[j])
             norm_sq = record[:size + 1, -1]
             observed = record[1:size + 1, :-1] / norm_sq[1:, None]
-            psi /= np.sqrt(norm_sq[-1])
+            carried /= np.sqrt(norm_sq[-1])
+            carried.take(unpack, 0, psi, "clip")
             stop = settle(n + 1, active, psi, np.sqrt(norm_sq[1:] / norm_sq[:-1]),
                           observed[:, :-1], observed[:, -1])
             n += size
             if stop.any():
                 keep = ~stop
-                # psi[:, keep] is not C-contiguous, and take writes into a
-                # non-contiguous out through a temporary copy
-                active, psi = active[keep], np.ascontiguousarray(psi[:, keep])
+                # carried[:, keep] is not C-contiguous, and a segment binds
+                # only C-contiguous buffers
+                active, carried = active[keep], np.ascontiguousarray(carried[:, keep])
                 exchange.keep(keep)
                 break
 
@@ -859,7 +912,8 @@ def propagate(state: FockState, schedule: DriveSchedule, *,
     _require_cap(photon_cap)
     sector, psi = _coordinates(state.amplitudes.reshape(-1, 1), state.mode_count,
                                state.cutoff)
-    *per_mode, leak, _ = sector.observables @ (np.abs(psi[:, 0]) ** 2)
+    observables = sector.observables[:, sector.exchange.unpack]
+    *per_mode, leak, _ = observables @ (np.abs(psi[:, 0]) ** 2)
     if leak >= LEAKAGE_THRESHOLD:
         raise ValueError(f"initial state is not cutoff-safe "
                          f"(leakage {leak:.2e} at cutoff {state.cutoff})")

@@ -720,6 +720,24 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys, target):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+def test_closed_stdout_is_one_stderr_line(tmp_path):
+    """A reader that closes the pipe after the first line, as ``sweep | head
+    -1`` does, ends the run with exit 2 and one stderr line and no
+    traceback.  The default chart is far larger than a pipe buffer, so it
+    is still being written when the pipe closes."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "zenofloquet", "sweep"], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(root / "src")},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2
+    assert first == b"# tool=zenofloquet\n"
+    assert err == b"zenofloquet sweep: cannot write stdout: Broken pipe\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--gamma-tau1", "400", "401", "2", "--omega-tau2", "0", "1", "2"],
     ["sweep", "--gamma-tau1", "711", "712", "2", "--omega-tau2", "0", "1", "2"],

@@ -434,6 +434,11 @@ def _beyond_range(product, name="gamma*tau1"):
             "the largest whose squared pair-map entries float64 can hold")
 
 
+def _scaled_beyond_range(k1, k2, tau):
+    return (f"k1*tau = {k1 * tau!r} at rates k1 = {k1!r} and k2 = {k2!r} gives a "
+            "pendulum map whose squared entries float64 cannot hold")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: classify_schedule(DriveSchedule.from_products(800.0, 0.0)),
      _beyond_range(800.0)),
@@ -461,17 +466,24 @@ def _beyond_range(product, name="gamma*tau1"):
      _beyond_range(400.0, "k1*tau")),
     (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(709.0, 1.0, 1.0)),
      _beyond_range(709.0, "k1*tau")),
+    (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(5.0, 1.0, 70.8)),
+     _scaled_beyond_range(5.0, 1.0, 70.8)),
+    (lambda: classical_pendulum_monodromy(ClassicalPendulumParams(1000.0, 1.0, 0.35)),
+     _scaled_beyond_range(1000.0, 1.0, 0.35)),
 ], ids=["classify_schedule", "pair_map", "pair_map-later-value", "gaussian.evolve",
         "classify_schedule-355", "classify_schedule-400", "gaussian.evolve-400",
         "vacuum_diverges-709", "pair_map-negative", "pair_map-negative-axis",
         "classical_pendulum_monodromy", "classical_pendulum_monodromy-400",
-        "classical_pendulum_monodromy-709"])
+        "classical_pendulum_monodromy-709", "classical_pendulum_monodromy-rates-354",
+        "classical_pendulum_monodromy-rates-350"])
 def test_product_beyond_float64_range_is_value_error(call, message):
     """A ``gamma*tau1`` beyond ``MAX_GAMMA_TAU1`` in magnitude, where squared
     pair-map entries overflow float64, is a ValueError naming the product
     and the limit, the first one beyond it on an axis.  The pendulum's
     ``k1*tau`` shares the rule, also below 710.47, where cosh itself still
-    fits but the map's determinant does not."""
+    fits but the map's determinant does not.  Inside it, a pendulum whose
+    rate scaling leaves squared map entries beyond float64 (``k1*tau`` 354
+    and 350) is a ValueError naming ``k1*tau`` and the rates."""
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError

@@ -365,11 +365,15 @@ class TestPacking:
         (HamiltonianLabel.SINGLE_MODE_UNSTABLE, False),
     ], ids=["amplify", "amplify-swap", "exchange", "exchange-swap", "single-amplify"])
     def test_chains_match_tridiagonal_reference(self, label, swap, cutoff):
-        """Each block holds one or more chains, each a run of rows from where
-        the one before it ends, and padding after them.  On each chain's run
-        ``Q`` is orthogonal to 1e-13, zero outside the run's square and on
-        padding, and ``Q^T K Q`` is the generator of :func:`fock._rotate`:
-        the rate ``r_c`` at ``(c, partner(c))``."""
+        """Each block has two sides of ``H`` rows, each a run of chain halves
+        from offset 0 and padding after them.  A chain's even rows go to the
+        side with fewer rows so far (side 0 on a tie) and its odd rows to the
+        other, so the sides differ by at most one row.  The bucket's basis
+        is one ``H x H`` half per side, so ``Q`` is block-diagonal by side.
+        On each chain's rows ``Q`` is orthogonal to 1e-13, zero outside the
+        chain's square and on padding, and ``Q^T K Q`` is the generator of
+        :func:`fock._rotate`: the rate ``r_c`` at ``(c, partner(c))``.  Every
+        turning coordinate's partner lies on the other side of its block."""
         chains = {idx[0]: (tuple(idx), off) for idx, off in fock._chains(label, cutoff, swap)}
         for key in [key for key in SECTORS if key[1] == swap]:
             sector = fock._sector(cutoff, label.mode_count, key).rows
@@ -378,46 +382,67 @@ class TestPacking:
             used[packing.unpack] = True
             seen = []
             for start, stop, basis in packing.buckets:
-                length = basis.shape[1]
-                rows = sector[packing.gather[start:stop]].reshape(-1, length)
-                rates = packing.weights[start:stop].reshape(-1, length)
-                # each partner within its own block
-                partner = (packing.partner[start:stop] - start).reshape(-1, length) \
-                    - length * np.arange(rows.shape[0])[:, None]
-                real = used[start:stop].reshape(-1, length)
-                for k, width in enumerate(real.sum(axis=1)):
-                    q = basis[k]
-                    assert real[k, :width].all()
-                    assert not rates[k, width:].any()
-                    np.testing.assert_array_equal(partner[k, width:], np.arange(width, length))
-                    assert not q[width:].any() and not q[:, width:].any()
-                    o = 0
-                    while o < width:
-                        idx, off = chains[rows[k, o]]
-                        m = len(idx)
-                        seen.append(tuple(rows[k, o:o + m]))
-                        assert seen[-1] == idx
-                        run = slice(o, o + m)
-                        chain = np.diag(off, 1) + np.diag(off, -1)
-                        scale = max(np.abs(chain).max(), 1.0)
+                half = basis.shape[1]
+                assert basis.shape[2] == half and basis.shape[0] % 2 == 0
+                shape = (-1, 2 * half)
+                rows = sector[packing.gather[start:stop]].reshape(shape)
+                rates = packing.weights[start:stop].reshape(shape)
+                # each partner within its own block, numbered from its start
+                partner = (packing.partner[start:stop] - start).reshape(shape) \
+                    - 2 * half * np.arange(rows.shape[0])[:, None]
+                real = used[start:stop].reshape(shape)
+                for k in range(rows.shape[0]):
+                    q = np.zeros((2 * half, 2 * half))
+                    q[:half, :half], q[half:, half:] = basis[2 * k], basis[2 * k + 1]
+                    widths = real[k].reshape(2, half).sum(axis=1)
+                    assert abs(widths[0] - widths[1]) <= 1
+                    fixed = np.ones(2 * half, dtype=bool)
+                    filled = [0, 0]
+                    while filled != widths.tolist():
+                        even = int(filled[1] < filled[0])
+                        idx, off = chains[rows[k, even * half + filled[even]]]
+                        m, h = len(idx), len(idx) // 2
+                        # the chain's rows on the block: even rows, then odd
+                        run = np.concatenate((even * half + filled[even] + np.arange(m - h),
+                                              (1 - even) * half + filled[1 - even]
+                                              + np.arange(h)))
+                        order = np.concatenate((np.arange(0, m, 2), np.arange(1, m, 2)))
+                        assert tuple(rows[k, run]) == tuple(np.array(idx)[order])
+                        seen.append(idx)
+                        assert real[k, run].all()
+                        fixed[run] = False
+                        filled[even] += m - h
+                        filled[1 - even] += h
+                        chain = (np.diag(off, 1) + np.diag(off, -1))[np.ix_(order, order)]
+                        scale = max(np.abs(chain).max(initial=0.0), 1.0)
                         eigenvalues = eigh_tridiagonal(np.zeros(m), off)[0]
                         np.testing.assert_allclose(np.sort(np.abs(rates[k, run])),
                                                    np.sort(np.abs(eigenvalues)),
                                                    rtol=1e-12, atol=1e-12 * scale)
-                        assert ((o <= partner[k, run]) & (partner[k, run] < o + m)).all()
-                        outside = np.ones(length, dtype=bool)
+                        local = np.full(2 * half, -1)
+                        local[run] = np.arange(m)
+                        assert (local[partner[k, run]] >= 0).all()
+                        turning = run[rates[k, run] != 0]
+                        assert ((partner[k, turning] >= half) != (turning >= half)).all()
+                        still = run[rates[k, run] == 0]
+                        np.testing.assert_array_equal(partner[k, still], still)
+                        outside = np.ones(2 * half, dtype=bool)
                         outside[run] = False
                         assert not q[run][:, outside].any() and not q[outside][:, run].any()
-                        block = q[run, run]
+                        block = q[np.ix_(run, run)]
                         np.testing.assert_allclose(block.T @ block, np.eye(m), rtol=0, atol=1e-13)
                         # K = D^-1 H D / i: sigma_jk = s_k - s_j with s = 1 where D is i
                         s = gauge_diagonal(rows[k, run], cutoff, label.mode_count).imag
+                        # the chain links only rows on opposite sides
+                        assert not chain[:m - h, :m - h].any() and not chain[m - h:, m - h:].any()
                         generator = np.zeros((m, m))
-                        generator[np.arange(m), partner[k, run] - o] = rates[k, run]
+                        generator[np.arange(m), local[partner[k, run]]] = rates[k, run]
                         np.testing.assert_allclose(block.T @ (chain * (s - s[:, None])) @ block,
                                                    generator, rtol=0, atol=1e-12 * scale)
-                        o += m
-                    assert o == width
+                    # padding: no row, rate 0, its own partner, zero in Q
+                    assert not real[k, fixed].any() and not rates[k, fixed].any()
+                    np.testing.assert_array_equal(partner[k, fixed], np.flatnonzero(fixed))
+                    assert not q[fixed].any() and not q[:, fixed].any()
             # every chain of the sector, each once
             in_sector = set(sector.tolist())
             assert sorted(seen) == sorted(idx for idx, _ in chains.values() if idx[0] in in_sector)
@@ -434,8 +459,9 @@ def chain_lengths(label, cutoff, key):
 
 
 def planned_entries(lengths, plan):
-    """Padded basis entries of ``plan``: ``L^2`` per block of a bucket of
-    blocks of length ``L``."""
+    """Padded map entries of ``plan``: ``L^2`` per block of a bucket of
+    blocks of length ``L``, twice the entries of the block's two basis
+    halves."""
     return sum(len(bucket) * fock._width(lengths, bucket) ** 2 for bucket in plan)
 
 
@@ -447,10 +473,11 @@ class TestPlan:
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 60, 100])
     def test_plan_places_every_chain_once_within_its_width(self, cutoff):
         """Each chain lies in one block of one bucket, and every block of a
-        bucket fits its width; a plan of several buckets holds one chain per
-        block.  One-mode sectors, whose two chains never share a block, cost
-        the same in both layouts and get the grouped one: one bucket, one
-        chain per block, sorted by length."""
+        bucket fits its width, the bucket's longest chain rounded up to even
+        (two sides of ``H`` rows); a plan of several buckets holds one chain
+        per block.  One-mode sectors, whose two chains never share a block,
+        cost the same in both layouts and get the grouped one: one bucket,
+        one chain per block, sorted by length."""
         for label in HamiltonianLabel:
             if label is HamiltonianLabel.SINGLE_MODE_STABLE:
                 continue
@@ -461,7 +488,8 @@ class TestPlan:
                 assert sorted(placed) == list(range(len(lengths)))
                 for bucket in plan:
                     width = fock._width(lengths, bucket)
-                    assert width == max(lengths[c] for block in bucket for c in block)
+                    longest = max(lengths[c] for block in bucket for c in block)
+                    assert width == longest + longest % 2
                     assert all(sum(lengths[c] for c in block) <= width for block in bucket)
                 assert len(plan) == 1 or all(len(block) == 1 for bucket in plan
                                              for block in bucket)
@@ -473,24 +501,26 @@ class TestPlan:
     def test_swap_sector_generators_take_one_bucket(self, cutoff):
         """The two-mode vacuum's sector, that of every scan, gets one filled
         bucket per generator, so a shared-angle segment is one matmul.  At
-        cutoff 60, 31 amplifying chains fill 16 blocks of 61, and 61 exchange
-        chains fill 31 blocks of 31, each pair ``(j, 31 - j)`` exactly."""
+        cutoff 60, 31 amplifying chains fill 16 blocks of 62 rows (two sides
+        of 31; the longest chain has 61), and 61 exchange chains fill 31
+        blocks of 32 (two sides of 16), each pair ``(j, 31 - j)`` on 31
+        rows."""
         shapes = []
         for label in self.TWO_MODE:
             lengths = chain_lengths(label, cutoff, (0, True))
             (bucket,) = fock._plan(lengths)
             shapes.append((len(lengths), len(bucket), fock._width(lengths, bucket)))
         if cutoff == 60:
-            assert shapes == [(31, 16, 61), (61, 31, 31)]
+            assert shapes == [(31, 16, 62), (61, 31, 32)]
 
     def test_ceiling_entries_stay_grouped(self):
         """At the two-mode ceiling, on the full sector of a coherent state,
         no generator plans more padded entries than the grouped layout of
-        ``BUCKET_BLOCKS`` chains per bucket, 5534801 each."""
+        ``BUCKET_BLOCKS`` chains per bucket, 5535204 each."""
         cutoff = fock.MAX_CUTOFF[2]
         for label in self.TWO_MODE:
             lengths = chain_lengths(label, cutoff, FULL_SPACE)
-            assert planned_entries(lengths, fock._plan(lengths)) <= 5534801
+            assert planned_entries(lengths, fock._plan(lengths)) <= 5535204
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,7 +575,7 @@ def reference_step_periods(cutoff, mode_count):
             probs = np.abs(psi) ** 2
             norm_sq = probs.sum(axis=0)
             psi /= np.sqrt(norm_sq)
-            observed = (sector.observables[:-1] @ probs) / norm_sq
+            observed = (sector.observables[:-1, sector.exchange.unpack] @ probs) / norm_sq
             stop = settle(n, active, psi, np.sqrt(norm_sq)[None], observed[None, :-1],
                           observed[None, -1])
             active, psi = active[~stop], psi[:, ~stop]
@@ -579,9 +609,9 @@ class TestGauge:
     @pytest.mark.parametrize("cutoff", [1, 2, 7])
     def test_bucket_maps_equal_gauged_dense_unitary(self, cutoff):
         """Each bucket map of a one-angle segment equals ``D^-1 U D`` of the
-        dense reference on the rows of each block, the chains that share it
-        included (zero between them), and is zero on padding and float64:
-        every sector is bipartite."""
+        dense reference on the rows of each block, both sides and the chains
+        that share it included (zero between them), and is zero on padding
+        and float64: every sector is bipartite."""
         for label in HamiltonianLabel:
             for key in sectors(label.mode_count):
                 packing = generator_packing(label, cutoff, key)
@@ -600,13 +630,12 @@ class TestGauge:
                         length = m.shape[1]
                         index = packing.gather[start:stop].reshape(-1, length)
                         real = used[start:stop].reshape(-1, length)
-                        for k, width in enumerate(real.sum(axis=1)):
-                            assert real[k, :width].all()
-                            block = index[k, :width]
-                            np.testing.assert_allclose(m[k, :width, :width],
+                        for k, rows in enumerate(real):
+                            block = index[k, rows]
+                            np.testing.assert_allclose(m[k][np.ix_(rows, rows)],
                                                        reference[np.ix_(block, block)],
                                                        rtol=0, atol=1e-12)
-                            assert not m[k, width:].any() and not m[k, :, width:].any()
+                            assert not m[k, ~rows].any() and not m[k][:, ~rows].any()
 
     @pytest.mark.parametrize("state, real", [
         (vacuum_state(8, 2), True),
@@ -714,22 +743,27 @@ class TestSegmentPaths:
     ], ids=["single-vacuum", "single-coherent", "vacuum", "2,1", "coherent",
             "vacuum-per-column", "2,1-per-column"])
     def test_period_equals_unpack_then_gather(self, state, omega_tau2):
-        """One period of the stepping loop, which carries the columns from
-        the amplifying packing to the exchange packing by one composite
-        permutation, equals the two segments applied one after the other,
-        each unpacking to and gathering from the sector basis.  The loop runs
-        in one-period blocks, so the one call to ``settle`` holds period 1."""
+        """One period of the stepping loop, which carries the columns in the
+        exchange packing and moves them to the amplifying packing and back by
+        one composite permutation each, equals the two segments applied one
+        after the other, each unpacking to and gathering from the sector
+        basis.  The loop runs in one-period blocks, so the one call to
+        ``settle`` holds period 1."""
         cutoff, modes = state.cutoff, state.mode_count
         k = np.size(omega_tau2)
         columns = np.repeat(state.amplitudes[:, None], k, axis=1)
         key = fock._sector_key(columns, modes, cutoff)
         sector = fock._sector(cutoff, modes, key)
         amplifying, exchanging = [label for label in HamiltonianLabel if label.mode_count == modes]
-        # the composite index on packed input, padding rows included
+        # the composite indices on packed input, padding rows included
         packed = np.arange(sector.amplify.gather.size)
         np.testing.assert_array_equal(
             packed[sector.between],
             packed[sector.amplify.unpack][sector.exchange.gather])
+        packed = np.arange(sector.exchange.gather.size)
+        np.testing.assert_array_equal(
+            packed[sector.to_amplify],
+            packed[sector.exchange.unpack][sector.amplify.gather])
 
         recorded = []
 
@@ -777,31 +811,35 @@ def fresh_step_periods(sector, psi, gamma_tau1, omega_tau2, periods, settle):
     """A stand-in for ``fock._step_periods`` that binds no workspace: each
     segment is :func:`applied` and each permutation a fresh ``np.take``,
     every period, each block's observables are stacked from fresh arrays,
-    and a column that leaves is dropped by ``psi[:, keep]``.  Sector, gauge,
-    dtype, paths and blocks are the engine's."""
+    and a column that leaves is dropped by ``carried[:, keep]``.  Sector,
+    gauge, dtype, paths, blocks and the packing that carries the columns
+    between periods are the engine's."""
     amplify = fock._Segment(sector.amplify, gamma_tau1)
     exchange = fock._Segment(sector.exchange, omega_tau2)
     if amplify.real and exchange.real and not psi.imag.any():
         psi = np.ascontiguousarray(psi.real)
+    carried = np.zeros((sector.between.size, psi.shape[1]), dtype=psi.dtype)
+    carried[sector.exchange.unpack] = psi
     active = np.arange(psi.shape[1])
     for first in range(1, periods + 1, fock._BLOCK):
         observed = []
         for _ in range(min(fock._BLOCK, periods + 1 - first)):
-            psi = applied(amplify, np.take(psi, sector.amplify.gather, axis=0))
-            psi = applied(exchange, np.take(psi, sector.between, axis=0))
-            psi = np.take(psi, sector.exchange.unpack, axis=0)
-            probs = psi * psi if np.isrealobj(psi) else psi.real ** 2 + psi.imag ** 2
+            carried = applied(amplify, np.take(carried, sector.to_amplify, axis=0))
+            carried = applied(exchange, np.take(carried, sector.between, axis=0))
+            probs = carried * carried if np.isrealobj(carried) \
+                else carried.real ** 2 + carried.imag ** 2
             observed.append(sector.observables @ probs)
         observed = np.array(observed)
         # squared norms from the observables' row of ones, from 1 at the
         # block's start, as the engine reads them
         norm_sq = np.concatenate((np.ones((1, active.size)), observed[:, -1]))
-        psi /= np.sqrt(norm_sq[-1])
-        stop = settle(first, active, psi, np.sqrt(norm_sq[1:] / norm_sq[:-1]),
+        carried /= np.sqrt(norm_sq[-1])
+        stop = settle(first, active, np.take(carried, sector.exchange.unpack, axis=0),
+                      np.sqrt(norm_sq[1:] / norm_sq[:-1]),
                       observed[:, :-2] / norm_sq[1:, None], observed[:, -2] / norm_sq[1:])
         if stop.any():
             keep = ~stop
-            active, psi = active[keep], psi[:, keep]
+            active, carried = active[keep], carried[:, keep]
             exchange.keep(keep)
             if not active.size:
                 break
@@ -908,9 +946,10 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 60])
     def test_permutation_indices_in_range(self, cutoff):
-        """Every index of the three row permutations of a period lies in
-        range, for every sector: the loop takes them with mode "clip",
-        which would silently clip an index that did not."""
+        """Every index of the two row permutations of a period, and of the
+        one of a block, lies in range, for every sector: the loop takes them
+        with mode "clip", which would silently clip an index that did
+        not."""
         for modes in (1, 2):
             for key in sectors(modes):
                 sector = fock._sector(cutoff, modes, key)
@@ -919,7 +958,8 @@ class TestWorkspace:
                 for index, size in ((amplify.gather, rows), (exchange.gather, rows),
                                      (amplify.unpack, amplify.gather.size),
                                      (exchange.unpack, exchange.gather.size),
-                                     (between, amplify.gather.size)):
+                                     (between, amplify.gather.size),
+                                     (sector.to_amplify, exchange.gather.size)):
                     assert 0 <= index.min() and index.max() < size
                 assert amplify.unpack.size == exchange.unpack.size == rows
 
@@ -1442,7 +1482,7 @@ class TestSector:
                 sector = fock._sector(cutoff, modes, key)
                 found = dict(arrays(sector, "sector"))
                 expected = {"sector.rows", "sector.to_gauge", "sector.observables",
-                            "sector.between"}
+                            "sector.to_amplify", "sector.between"}
                 for packing in ("amplify", "exchange"):
                     expected |= {f"sector.{packing}.{name}"
                                  for name in ("gather", "unpack", "weights", "partner")}

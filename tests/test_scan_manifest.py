@@ -81,9 +81,9 @@ def rerecord(ids):
 
 def test_rerecord_rewrites_only_named_scans():
     """Recording one scan reruns that scan alone, to the same record (its
-    points within the tolerance: this host's BLAS may round differently from
-    the one that recorded it), and hands every other record back as it
-    is."""
+    points within the tolerance: the BLAS that reruns it may round
+    differently from the one that recorded it), and hands every other record
+    back as it is."""
     scans = rerecord({SCANS[0]["id"]})
     assert len(scans) == len(SCANS) and scans[0] is not SCANS[0]
     assert scans[0].keys() == SCANS[0].keys()
